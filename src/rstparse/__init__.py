@@ -18,6 +18,7 @@ from .core import (
     validate_tree,
 )
 from .chart import (
+    LossAugmented,
     NeuralOracle,
     ScoreTables,
     TableOracle,
@@ -45,7 +46,7 @@ from .data import (
     save_corpus,
     split_train_dev,
 )
-from .encoder import ModelParams, encode_document, span_rep
+from .encoder import ModelError, ModelParams, encode_document, span_rep
 from .metrics import EvalReport, aggregate, evaluate_trees, score_pair
 from .training import (
     TrainConfig,

@@ -9,9 +9,27 @@ Three bottom-up decoders share one score layout:
 * complete: the whole structure is chosen from span scores only, labels are
   filled in afterwards.
 
+A chart scorer is anything with ``n``, ``n_rel``, a dense ``span`` table of
+shape (n+1, n+1), ``labels(i, j, k)`` returning new arrays holding the
+relation and nuclearity rows of a batch of (span, split) cells, and
+``tables()`` returning the dense ScoreTables.  ScoreTables, NeuralOracle
+and LossAugmented are chart scorers; a TableOracle builds ScoreTables for a
+given n.  Only the exact decoder reads the dense label table, which has
+O(n^3) rows.  The partial decoder asks for
+one row per cell, at the split it chose (about n^2/2 rows, one batch per
+width), the complete decoder and score_tree for the 2n - 1 rows of one tree.
+On the neural path those rows are computed on demand from first-layer
+projections made once per document, so partial and complete never hold more
+than O(n^2) scores.
+
 Also here: tree scoring, the hamming-style tree distance, loss-augmented
-decoding, the structured margin loss, and the missing-prediction diagnostic
-(a decoded tree scoring strictly below gold under the same scores).
+decoding (a view that shifts the rows a decoder asks for), the structured
+margin loss, and the missing-prediction diagnostic (a decoded tree scoring
+strictly below gold under the same scores).
+
+Scores entering a decoder are checked once for NaN and infinity: the
+projections and span table of a NeuralOracle when it is built, ScoreTables
+whenever they are passed in.  A bad entry raises ValueError naming it.
 
 Tie-breaking is deterministic everywhere: lowest split, then lowest relation
 index, then lowest nuclearity index.
@@ -40,6 +58,7 @@ from .encoder import (
     EncodedDocument,
     Feedforward,
     ModelParams,
+    RowFeedforward,
     encode_document,
     score_nuc,
     score_rel,
@@ -49,7 +68,18 @@ from .ops import Tensor
 
 NEG_INF = float("-inf")
 
-_CHUNK = 1024
+# Label rows computed per block when NeuralOracle builds the dense table.
+# Bounds the temporaries beside the table to O(_BLOCK_ROWS * ff_hidden) at
+# any n; one unblocked gather over all O(n^3) rows would hold several copies
+# of the table's size at once.
+_BLOCK_ROWS = 1024
+
+
+def _cells(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Spans (i, j) in row order, with the number of label rows of each."""
+    i, j = np.triu_indices(n + 1, 1)
+    counts = np.maximum(j - i - 1, 1)
+    return i, j, counts, np.cumsum(counts) - counts
 
 
 def _layout(n: int) -> tuple[np.ndarray, int]:
@@ -58,13 +88,19 @@ def _layout(n: int) -> tuple[np.ndarray, int]:
     Blocks are ordered by (i, j); an internal block holds one row per split
     k = i+1..j-1, a leaf block holds the single row for its own labels.
     """
+    i, j, counts, starts = _cells(n)
     base = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    cursor = 0
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            base[i, j] = cursor
-            cursor += 1 if j == i + 1 else j - i - 1
-    return base, cursor
+    base[i, j] = starts
+    return base, int(counts.sum())
+
+
+def _rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, k) of every label row in layout order; leaf rows have k = i."""
+    i, j, counts, starts = _cells(n)
+    I = np.repeat(i, counts)
+    J = np.repeat(j, counts)
+    K = np.arange(int(counts.sum())) - np.repeat(starts, counts) + I + 1
+    return I, J, np.where(J == I + 1, I, K)
 
 
 @dataclass
@@ -93,6 +129,16 @@ class ScoreTables:
             raise ValueError(f"split {k} out of range for span ({i}, {j})")
         return int(self.base[i, j]) + k - i - 1
 
+    def labels(self, i, j, k) -> tuple[np.ndarray, np.ndarray]:
+        """Relation and nuclearity rows of cells (i, j) split at k, batched.
+
+        Index arrays are not range-checked; leaf cells must pass k = i.  The
+        returned arrays are new, so callers may change them.
+        """
+        i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
+        rows = self.base[i, j] + np.where(j == i + 1, 0, k - i - 1)
+        return self.rel[rows], self.nuc[rows]
+
     def s_span(self, i: int, j: int) -> float:
         return float(self.span[i, j])
 
@@ -102,17 +148,62 @@ class ScoreTables:
     def s_nuc(self, i: int, j: int, k: int) -> np.ndarray:
         return self.nuc[self.row_index(i, j, k)]
 
-    def tables(self, n: int) -> "ScoreTables":
-        if n != self.n:
+    def tables(self, n: int | None = None) -> "ScoreTables":
+        if n is not None and n != self.n:
             raise ValueError(f"tables were built for n={self.n}, not {n}")
         return self
 
+    def first_bad(self) -> str | None:
+        """The first NaN or infinite entry a decoder would read, or None."""
+        where = _first_bad_span(self.span)
+        if where is not None:
+            return where
+        for name, arr in (("rel", self.rel), ("nuc", self.nuc)):
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                row, col = np.argwhere(bad)[0]
+                I, J, K = _rows(self.n)
+                return (f"{name}[{I[row]}, {J[row]}, {K[row]}][{col}] "
+                        f"= {arr[row, col]}")
+        return None
 
-def as_tables(n: int, scores) -> ScoreTables:
-    """Accept either prebuilt ScoreTables or any oracle with .tables(n)."""
+
+def _first_bad_span(span: np.ndarray) -> str | None:
+    i, j = np.triu_indices(span.shape[0], 1)
+    vals = span[i, j]
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        x = int(np.argmax(bad))
+        return f"span[{i[x]}, {j[x]}] = {vals[x]}"
+    return None
+
+
+def _require_finite(what: str | None) -> None:
+    if what is not None:
+        raise ValueError(f"non-finite score: {what}")
+
+
+def chart_scores(n: int, scores):
+    """The chart scorer the decoders read, checked against n.
+
+    A TableOracle builds its tables; ScoreTables are checked for non-finite
+    entries on every call, since their arrays may have changed since they
+    were built.
+    """
     if n < 1:
         raise ValueError("need at least one EDU")
-    return scores.tables(n)
+    if isinstance(scores, TableOracle):
+        scores = scores.tables(n)
+    if scores.n != n:
+        raise ValueError(f"scores are for n={scores.n}, not {n}")
+    if isinstance(scores, ScoreTables):
+        _require_finite(scores.first_bad())
+    return scores
+
+
+def as_tables(n: int, scores) -> ScoreTables:
+    """The dense ScoreTables of any chart scorer or TableOracle."""
+    return chart_scores(n, scores).tables(n)
 
 
 def random_tables(n: int, n_rel: int, rng: np.random.Generator,
@@ -219,85 +310,96 @@ class TableOracle:
 
 
 class NeuralOracle:
-    """Scores every chart decision of one encoded document in batched numpy.
+    """Scores the chart decisions of one encoded document in batched numpy.
 
-    The tables come from the same parameters and dropout masks as the tape
+    The scores come from the same parameters and dropout masks as the tape
     scorers, so a tree decoded from them is the argmax of the function the
     symbolic loss differentiates.
+
+    The span, relation and nuclearity inputs concatenate rows of the EDU
+    matrix M, so construction projects M once through each column block of
+    each scorer's first layer (see RowFeedforward) and fills the O(n^2) span
+    table.  ``labels`` then computes the rows a decoder asks for by
+    gathering and summing projections: a row costs O(ff_hidden * (4 +
+    n_rel)), whatever n is.  ``tables`` builds the dense O(n^3) table that
+    only the exact decoder needs, in blocks of _BLOCK_ROWS rows, and keeps it.
     """
 
     def __init__(self, params: ModelParams, enc: EncodedDocument,
                  masks: DropoutMasks | None = None):
-        self.params = params
-        self.enc = enc
-        self.masks = masks
+        self.n = enc.n
+        self.n_rel = params.n_rel
+        M = enc.matrix()
+
+        def scorer(name, blocks):
+            mask = masks.hidden_for(name) if masks is not None else None
+            return RowFeedforward(Feedforward(params, name), M, blocks, mask)
+
+        span_ff = scorer(SPAN, 2)
+        self._rel = scorer(REL, 4)
+        self._nuc = scorer(NUC, 4)
+        for name, ff in ((SPAN, span_ff), (REL, self._rel), (NUC, self._nuc)):
+            where = ff.first_bad()
+            _require_finite(where and f"{name} projection, {where}")
+        i, j = np.triu_indices(self.n + 1, 1)
+        self.span = np.zeros((self.n + 1, self.n + 1))
+        self.span[i, j] = span_ff(i, j - 1)[:, 0]
+        _require_finite(_first_bad_span(self.span))
         self._tables: ScoreTables | None = None
 
+    def labels(self, i, j, k) -> tuple[np.ndarray, np.ndarray]:
+        """Relation and nuclearity rows of cells (i, j) split at k, batched.
+
+        An internal row reads the child span reps (i, k) and (k, j), that is
+        M[i], M[k-1], M[k], M[j-1]; a leaf row (k = i) reads its own rep
+        twice.  A span rep (a, b) reads M[a], M[b-1].
+        """
+        i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
+        b = np.where(j == i + 1, i, k - 1)
+        return self._rel(i, b, k, j - 1), self._nuc(i, b, k, j - 1)
+
     def tables(self, n: int | None = None) -> ScoreTables:
-        if n is not None and n != self.enc.n:
-            raise ValueError(f"oracle encodes n={self.enc.n}, asked for n={n}")
+        if n is not None and n != self.n:
+            raise ValueError(f"oracle encodes n={self.n}, asked for n={n}")
         if self._tables is None:
-            self._tables = self._build()
+            base, rows = _layout(self.n)
+            I, J, K = _rows(self.n)
+            rel = np.empty((rows, self.n_rel))
+            nuc = np.empty((rows, NUM_NUCLEARITIES))
+            for s in range(0, rows, _BLOCK_ROWS):
+                sl = slice(s, s + _BLOCK_ROWS)
+                rel[sl], nuc[sl] = self.labels(I[sl], J[sl], K[sl])
+            self._tables = ScoreTables(self.n, self.n_rel, self.span, rel,
+                                       nuc, base)
         return self._tables
 
-    def s_span(self, i, j):
-        return self.tables().s_span(i, j)
 
-    def s_rel(self, i, j, k):
-        return self.tables().s_rel(i, j, k)
+class LossAugmented:
+    """Scores shifted so that decoding maximizes score + distance to gold.
 
-    def s_nuc(self, i, j, k):
-        return self.tables().s_nuc(i, j, k)
+    +1 on every span absent from gold; +1 on every relation and nuclearity
+    but gold's at spans gold contains, at every split, since the distance
+    does not depend on the split.  For any tree T the augmented score is then
+    exactly score_tree(T) + hamming(T, gold).  The shift is applied to the
+    rows a decoder asks for; ``tables()`` applies it to the dense table
+    through augment_tables.
+    """
 
-    def _build(self) -> ScoreTables:
-        params, masks = self.params, self.masks
-        n = self.enc.n
-        M = self.enc.matrix()
-        base, rows = _layout(n)
+    def __init__(self, scores, gold: RstTree):
+        self.inner = chart_scores(gold.n, scores)
+        self.gold = gold
+        self.n = gold.n
+        self.n_rel = self.inner.n_rel
+        self.gold_rel, self.gold_nuc = _gold_labels(gold)
+        self.span = _augment_span(self.inner.span, self.gold_rel)
 
-        pair_i = []
-        pair_j = []
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                pair_i.append(i)
-                pair_j.append(j)
-        li = np.array(pair_i)
-        lj = np.array(pair_j)
-        span_in = np.hstack([M[li], M[lj - 1]])
-        m_span = masks.hidden_for(SPAN) if masks is not None else None
-        span = np.zeros((n + 1, n + 1))
-        span[li, lj] = Feedforward(params, SPAN).apply_np(span_in, m_span)[:, 0]
+    def labels(self, i, j, k) -> tuple[np.ndarray, np.ndarray]:
+        rel, nuc = self.inner.labels(i, j, k)
+        _augment_rows(rel, nuc, self.gold_rel[i, j], self.gold_nuc[i, j])
+        return rel, nuc
 
-        # rel/nuc rows in block order; inputs are the two child span reps,
-        # or the leaf's own rep twice.  A span rep (a, b) reads M[a], M[b-1].
-        a = np.empty(rows, dtype=np.int64)
-        b = np.empty(rows, dtype=np.int64)
-        c = np.empty(rows, dtype=np.int64)
-        d = np.empty(rows, dtype=np.int64)
-        r = 0
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                if j == i + 1:
-                    a[r] = i; b[r] = i; c[r] = i; d[r] = i
-                    r += 1
-                    continue
-                for k in range(i + 1, j):
-                    a[r] = i; b[r] = k - 1; c[r] = k; d[r] = j - 1
-                    r += 1
-        assert r == rows
-
-        rel = np.empty((rows, params.n_rel))
-        nuc = np.empty((rows, NUM_NUCLEARITIES))
-        ff_rel = Feedforward(params, REL)
-        ff_nuc = Feedforward(params, NUC)
-        m_rel = masks.hidden_for(REL) if masks is not None else None
-        m_nuc = masks.hidden_for(NUC) if masks is not None else None
-        for s in range(0, rows, _CHUNK):
-            sl = slice(s, min(s + _CHUNK, rows))
-            X = np.hstack([M[a[sl]], M[b[sl]], M[c[sl]], M[d[sl]]])
-            rel[sl] = ff_rel.apply_np(X, m_rel)
-            nuc[sl] = ff_nuc.apply_np(X, m_nuc)
-        return ScoreTables(n, params.n_rel, span, rel, nuc, base)
+    def tables(self, n: int | None = None) -> ScoreTables:
+        return augment_tables(self.inner.tables(n), self.gold)
 
 
 # --- tree scoring ---------------------------------------------------------
@@ -311,20 +413,26 @@ def _check_labels(tree: RstTree, n_rel: int) -> None:
 def score_tree(tree: RstTree, scores) -> float:
     """Sum of the tree's decisions: each non-root span's span score, plus
     relation and nuclearity scores of every span at its own split (leaf rows
-    for leaves).  Exactly what the exact decoder maximizes."""
+    for leaves).  Exactly what the exact decoder maximizes.  Reads the
+    2n - 1 label rows of the tree only."""
     err = structural_error(tree)
     if err is not None:
         raise ValueError(err)
-    t = as_tables(tree.n, scores)
-    _check_labels(tree, t.n_rel)
+    s = chart_scores(tree.n, scores)
+    _check_labels(tree, s.n_rel)
+    internal = list(tree.internal_items())
+    leaves = [(i, i + 1, i, l, p) for i, l, p in tree.leaf_items()]
+    I, J, K, L, P = (np.array(c) for c in zip(*(internal + leaves)))
+    picked = np.arange(len(I))
+    rel, nuc = s.labels(I, J, K)
+    rel = rel[picked, L].tolist()
+    nuc = nuc[picked, P].tolist()
+    span = s.span
     total = 0.0
-    for i, j, k, l, p in tree.internal_items():
-        row = t.row_index(i, j, k)
-        total += (t.span[i, k] + t.span[k, j]
-                  + t.rel[row, l] + t.nuc[row, int(p)])
-    for i, l, p in tree.leaf_items():
-        row = t.row_index(i, i + 1, i)
-        total += t.rel[row, l] + t.nuc[row, int(p)]
+    for x, (i, j, k, _, _) in enumerate(internal):
+        total += span[i, k] + span[k, j] + rel[x] + nuc[x]
+    for x in range(len(internal), len(I)):
+        total += rel[x] + nuc[x]
     return float(total)
 
 
@@ -346,15 +454,15 @@ def hamming(pred: RstTree, gold: RstTree) -> int:
 
 # --- decoders -------------------------------------------------------------
 
-def _fill_leaves(t: ScoreTables, best, brel, bnuc) -> None:
+def _fill_leaves(s, best, brel, bnuc) -> None:
     """Leaf cells maximize the full label range (reserved leaf labels included)."""
-    for i in range(t.n):
-        row = int(t.base[i, i + 1])
-        l = int(np.argmax(t.rel[row]))
-        p = int(np.argmax(t.nuc[row]))
-        best[i, i + 1] = t.rel[row, l] + t.nuc[row, p]
-        brel[i, i + 1] = l
-        bnuc[i, i + 1] = p
+    i = np.arange(s.n)
+    rel, nuc = s.labels(i, i + 1, i)
+    l = np.argmax(rel, axis=1)
+    p = np.argmax(nuc, axis=1)
+    best[i, i + 1] = rel[i, l] + nuc[i, p]
+    brel[i, i + 1] = l
+    bnuc[i, i + 1] = p
 
 
 def _backtrace(n: int, bsplit, brel, bnuc) -> RstTree:
@@ -373,30 +481,54 @@ def _backtrace(n: int, bsplit, brel, bnuc) -> RstTree:
     return RstTree(spans, n, splits)
 
 
-def _pair_scores(t: ScoreTables, best, i: int, j: int) -> np.ndarray:
-    """Split-point totals span(i,k) + span(k,j) + best(i,k) + best(k,j)."""
-    ks = slice(i + 1, j)
-    return t.span[i, ks] + t.span[ks, j] + best[i, ks] + best[ks, j]
+def _split_totals(span, best, width: int) -> np.ndarray:
+    """span(i,k) + span(k,j) + best(i,k) + best(k,j) for every cell (i, j) of
+    one width, j = i + width: one row per i, one column per split
+    k = i+1..j-1."""
+    i = np.arange(span.shape[0] - width)[:, None]
+    ks = i + np.arange(1, width)
+    j = i + width
+    return span[i, ks] + span[ks, j] + best[i, ks] + best[ks, j]
+
+
+def _best_splits(span, best, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells of one width: their left ends, best splits (lowest on
+    ties) and best split totals."""
+    pair = _split_totals(span, best, width)
+    x = np.argmax(pair, axis=1)
+    i = np.arange(len(x))
+    return i, i + 1 + x, pair[i, x]
+
+
+def _empty_chart(n: int):
+    """best scores, split, relation and nuclearity per cell."""
+    return (np.zeros((n + 1, n + 1)),
+            np.full((n + 1, n + 1), -1, dtype=np.int64),
+            np.zeros((n + 1, n + 1), dtype=np.int64),
+            np.zeros((n + 1, n + 1), dtype=np.int64))
+
+
+def _internal_labels(rel, nuc) -> tuple[np.ndarray, np.ndarray]:
+    """Best real relation and internal nuclearity of each row."""
+    return 1 + np.argmax(rel[:, 1:], axis=1), np.argmax(nuc[:, :3], axis=1)
 
 
 def decode_exact(n: int, scores) -> tuple[RstTree, float]:
     """Joint max over (split, relation, nuclearity) per cell; the global argmax.
 
     The inner loop visits every label pair per split, so the cost carries the
-    full grammar constant (label pairs x splits x cells).
+    full grammar constant (label pairs x splits x cells).  Reads the dense
+    label table.
     """
     t = as_tables(n, scores)
-    best = np.zeros((n + 1, n + 1))
-    bsplit = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    brel = np.zeros((n + 1, n + 1), dtype=np.int64)
-    bnuc = np.zeros((n + 1, n + 1), dtype=np.int64)
+    best, bsplit, brel, bnuc = _empty_chart(n)
     _fill_leaves(t, best, brel, bnuc)
     n_rel = t.n_rel
     rel_rows, nuc_rows, base = t.rel, t.nuc, t.base
     for width in range(2, n + 1):
-        for i in range(n - width + 1):
+        totals = _split_totals(t.span, best, width).tolist()
+        for i, pair in enumerate(totals):
             j = i + width
-            pair = _pair_scores(t, best, i, j).tolist()
             b0 = int(base[i, j])
             bv = NEG_INF
             bk = bl = bp = -1
@@ -419,25 +551,24 @@ def decode_exact(n: int, scores) -> tuple[RstTree, float]:
 
 
 def decode_partial(n: int, scores) -> tuple[RstTree, float]:
-    """Split chosen from span + subtree scores only, then labeled at that split."""
-    t = as_tables(n, scores)
-    best = np.zeros((n + 1, n + 1))
-    bsplit = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    brel = np.zeros((n + 1, n + 1), dtype=np.int64)
-    bnuc = np.zeros((n + 1, n + 1), dtype=np.int64)
-    _fill_leaves(t, best, brel, bnuc)
+    """Split chosen from span + subtree scores only, then labeled at that split.
+
+    Cells of one width do not depend on each other, so each width asks for
+    the label rows of all its cells in one batch: n(n-1)/2 rows in all.
+    """
+    s = chart_scores(n, scores)
+    best, bsplit, brel, bnuc = _empty_chart(n)
+    _fill_leaves(s, best, brel, bnuc)
     for width in range(2, n + 1):
-        for i in range(n - width + 1):
-            j = i + width
-            pair = _pair_scores(t, best, i, j)
-            x = int(np.argmax(pair))
-            row = int(t.base[i, j]) + x
-            l = 1 + int(np.argmax(t.rel[row, 1:]))
-            p = int(np.argmax(t.nuc[row, :3]))
-            best[i, j] = pair[x] + t.rel[row, l] + t.nuc[row, p]
-            bsplit[i, j] = i + 1 + x
-            brel[i, j] = l
-            bnuc[i, j] = p
+        i, k, pair = _best_splits(s.span, best, width)
+        j = i + width
+        rel, nuc = s.labels(i, j, k)
+        l, p = _internal_labels(rel, nuc)
+        rows = np.arange(len(i))
+        best[i, j] = pair + rel[rows, l] + nuc[rows, p]
+        bsplit[i, j] = k
+        brel[i, j] = l
+        bnuc[i, j] = p
     return _backtrace(n, bsplit, brel, bnuc), float(best[0, n])
 
 
@@ -445,36 +576,32 @@ def decode_complete(n: int, scores) -> tuple[RstTree, float]:
     """Structure from span scores alone, labels filled in per chosen span.
 
     The returned scalar is the full tree score, so it is comparable with the
-    other decoders (the structure pass itself never sees label scores).
+    other decoders (the structure pass itself never sees label scores).  The
+    labels read the 2n - 1 rows of the chosen tree.
     """
-    t = as_tables(n, scores)
-    struct = np.zeros((n + 1, n + 1))
-    bsplit = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    s = chart_scores(n, scores)
+    struct, bsplit, brel, bnuc = _empty_chart(n)
     for width in range(2, n + 1):
-        for i in range(n - width + 1):
-            j = i + width
-            pair = _pair_scores(t, struct, i, j)
-            x = int(np.argmax(pair))
-            struct[i, j] = pair[x]
-            bsplit[i, j] = i + 1 + x
-    brel = np.zeros((n + 1, n + 1), dtype=np.int64)
-    bnuc = np.zeros((n + 1, n + 1), dtype=np.int64)
+        i, k, pair = _best_splits(s.span, struct, width)
+        struct[i, i + width] = pair
+        bsplit[i, i + width] = k
+    cells = []
     stack = [(0, n)]
     while stack:
         i, j = stack.pop()
-        if j == i + 1:
-            row = int(t.base[i, j])
-            brel[i, j] = int(np.argmax(t.rel[row]))
-            bnuc[i, j] = int(np.argmax(t.nuc[row]))
-            continue
-        k = int(bsplit[i, j])
-        row = t.row_index(i, j, k)
-        brel[i, j] = 1 + int(np.argmax(t.rel[row, 1:]))
-        bnuc[i, j] = int(np.argmax(t.nuc[row, :3]))
-        stack.append((i, k))
-        stack.append((k, j))
+        k = i if j == i + 1 else int(bsplit[i, j])
+        cells.append((i, j, k))
+        if j > i + 1:
+            stack.append((i, k))
+            stack.append((k, j))
+    I, J, K = (np.array(c) for c in zip(*cells))
+    rel, nuc = s.labels(I, J, K)
+    leaf = J == I + 1
+    l, p = _internal_labels(rel, nuc)
+    brel[I, J] = np.where(leaf, np.argmax(rel, axis=1), l)
+    bnuc[I, J] = np.where(leaf, np.argmax(nuc, axis=1), p)
     tree = _backtrace(n, bsplit, brel, bnuc)
-    return tree, score_tree(tree, t)
+    return tree, score_tree(tree, s)
 
 
 DECODERS = {"exact": decode_exact, "partial": decode_partial,
@@ -491,38 +618,59 @@ def get_decoder(name: str):
 
 # --- loss-augmented decoding and the margin loss --------------------------
 
-def augment_tables(t: ScoreTables, gold: RstTree) -> ScoreTables:
-    """Shift scores so that decoding maximizes plain score + distance to gold.
+def _gold_labels(gold: RstTree) -> tuple[np.ndarray, np.ndarray]:
+    """Gold relation and nuclearity per span, -1 where gold lacks the span."""
+    rel = np.full((gold.n + 1, gold.n + 1), -1, dtype=np.int64)
+    nuc = np.full((gold.n + 1, gold.n + 1), -1, dtype=np.int64)
+    for (i, j), (l, p) in gold.labels.items():
+        rel[i, j] = l
+        nuc[i, j] = int(p)
+    return rel, nuc
 
-    +1 on every span absent from gold; +1 on every wrong relation/nuclearity
-    at spans gold contains (across all split rows, since the distance does not
-    depend on the split).  For any tree T the augmented score is then exactly
+
+def _augment_span(span: np.ndarray, gold_rel: np.ndarray) -> np.ndarray:
+    """+1 on every span absent from gold."""
+    out = span.copy()
+    i, j = np.triu_indices(span.shape[0], 1)
+    absent = gold_rel[i, j] < 0
+    out[i[absent], j[absent]] += 1.0
+    return out
+
+
+def _augment_rows(rel, nuc, gold_rel, gold_nuc) -> None:
+    """In place: +1 on every label but gold's, in rows of gold spans.
+
+    ``gold_rel`` and ``gold_nuc`` hold each row's gold labels, -1 for rows
+    of spans gold does not contain.
+    """
+    rows = np.flatnonzero(gold_rel >= 0)
+    rel[rows] += 1.0
+    rel[rows, gold_rel[rows]] -= 1.0
+    nuc[rows] += 1.0
+    nuc[rows, gold_nuc[rows]] -= 1.0
+
+
+def augment_tables(t: ScoreTables, gold: RstTree) -> ScoreTables:
+    """LossAugmented's shift applied to a whole dense table.
+
+    For any tree T the augmented score is exactly
     score_tree(T) + hamming(T, gold).
     """
     if gold.n != t.n:
         raise ValueError(f"gold tree has n={gold.n}, tables n={t.n}")
-    span = t.span.copy()
+    gold_rel, gold_nuc = _gold_labels(gold)
+    I, J, _ = _rows(t.n)
     rel = t.rel.copy()
     nuc = t.nuc.copy()
-    for i in range(t.n):
-        for j in range(i + 1, t.n + 1):
-            if not gold.has_span(i, j):
-                span[i, j] += 1.0
-    for (i, j), (gl, gp) in gold.labels.items():
-        r0 = int(t.base[i, j])
-        cnt = 1 if j == i + 1 else j - i - 1
-        rel[r0:r0 + cnt] += 1.0
-        rel[r0:r0 + cnt, gl] -= 1.0
-        nuc[r0:r0 + cnt] += 1.0
-        nuc[r0:r0 + cnt, int(gp)] -= 1.0
-    return ScoreTables(t.n, t.n_rel, span, rel, nuc, t.base, augmented=True)
+    _augment_rows(rel, nuc, gold_rel[I, J], gold_nuc[I, J])
+    return ScoreTables(t.n, t.n_rel, _augment_span(t.span, gold_rel), rel, nuc,
+                       t.base, augmented=True)
 
 
 def decode_loss_augmented(n: int, scores, gold: RstTree,
                           decoder: str = "partial") -> tuple[RstTree, float]:
     """Decode under gold-distance-augmented scores; returns the augmented score."""
-    t = as_tables(n, scores)
-    return get_decoder(decoder)(n, augment_tables(t, gold))
+    return get_decoder(decoder)(n, LossAugmented(scores, gold))
 
 
 def score_tree_symbolic(tree: RstTree, params: ModelParams,
@@ -560,16 +708,17 @@ def chart_loss(doc: Document, params: ModelParams, decoder: str = "partial",
     T^ from loss-augmented decoding.
 
     The returned tensor carries the tape for the active hinge; when the margin
-    is already satisfied it is a constant zero.
+    is already satisfied it is a constant zero.  Only the exact decoder
+    builds the dense label table.
     """
     if doc.gold is None:
         raise ValueError(f"document {doc.doc_id} has no gold tree")
     if enc is None:
         enc = encode_document(doc, params, masks)
-    tabs = NeuralOracle(params, enc, masks).tables(doc.n)
-    pred, aug_score = decode_loss_augmented(doc.n, tabs, doc.gold, decoder)
-    gold_score = score_tree(doc.gold, tabs)
-    pred_score = score_tree(pred, tabs)
+    oracle = NeuralOracle(params, enc, masks)
+    pred, aug_score = decode_loss_augmented(doc.n, oracle, doc.gold, decoder)
+    gold_score = score_tree(doc.gold, oracle)
+    pred_score = score_tree(pred, oracle)
     dist = hamming(pred, doc.gold)
 
     if aug_score - gold_score <= 0.0:
@@ -587,9 +736,9 @@ def chart_loss(doc: Document, params: ModelParams, decoder: str = "partial",
 def missing_prediction(n: int, scores, gold: RstTree,
                        decoder: str = "partial") -> bool:
     """True when the decoded tree scores strictly below gold (plain scores)."""
-    t = as_tables(n, scores)
-    _, score = get_decoder(decoder)(n, t)
-    return score < score_tree(gold, t)
+    s = chart_scores(n, scores)
+    _, score = get_decoder(decoder)(n, s)
+    return score < score_tree(gold, s)
 
 
 def count_missing(docs, params: ModelParams, decoder: str = "partial") -> int:
@@ -599,7 +748,7 @@ def count_missing(docs, params: ModelParams, decoder: str = "partial") -> int:
         if doc.gold is None:
             raise ValueError(f"document {doc.doc_id} has no gold tree")
         enc = encode_document(doc, params)
-        tabs = NeuralOracle(params, enc).tables(doc.n)
-        if missing_prediction(doc.n, tabs, doc.gold, decoder):
+        if missing_prediction(doc.n, NeuralOracle(params, enc), doc.gold,
+                              decoder):
             total += 1
     return total

@@ -25,7 +25,7 @@ from .data import (
     serialize_tree,
     split_train_dev,
 )
-from .encoder import ModelParams, encode_document
+from .encoder import ModelError, ModelParams, encode_document
 from .metrics import evaluate_trees, format_report, machine_rows
 from .training import (
     PARSE_METHODS,
@@ -214,17 +214,17 @@ def cmd_compare(args) -> int:
     times = {m: 0.0 for m in methods}
     for doc in corpus.documents:
         enc = encode_document(doc, params)
-        tabs = NeuralOracle(params, enc).tables(doc.n)
-        gold_scores.append(score_tree(doc.gold, tabs))
+        oracle = NeuralOracle(params, enc)
+        gold_scores.append(score_tree(doc.gold, oracle))
         for m in methods:
             t0 = time.perf_counter()
             if m == "transition":
-                tree = greedy_parse(doc, params)
+                tree = greedy_parse(doc, params, enc)
             else:
-                tree, _ = DECODERS[m](doc.n, tabs)
+                tree, _ = DECODERS[m](doc.n, oracle)
             times[m] += time.perf_counter() - t0
             trees[m].append(tree)
-            scores[m].append(score_tree(tree, tabs))
+            scores[m].append(score_tree(tree, oracle))
 
     ids = [doc.doc_id for doc in corpus.documents]
     width = max(12, max(len(i) for i in ids) + 2)
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except CorpusError as exc:
+    except (CorpusError, ModelError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

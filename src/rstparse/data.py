@@ -431,7 +431,11 @@ class PretrainedEmbeddings:
 
 
 def load_embeddings(path: str, vocab: Vocab) -> PretrainedEmbeddings:
-    """Read a text embedding file (token then D floats per line)."""
+    """Read a text embedding file (token then D floats per line).
+
+    A word2vec-style header line, ``<count> <dim>`` as the first line, is
+    skipped, and its dim is then required of every vector.
+    """
     vectors: dict[str, np.ndarray] = {}
     dim = None
     with open(path, encoding="utf-8") as fh:
@@ -440,6 +444,10 @@ def load_embeddings(path: str, vocab: Vocab) -> PretrainedEmbeddings:
             if not line:
                 continue
             fields = line.split()
+            if lineno == 1 and len(fields) == 2 and all(
+                    f.isdigit() for f in fields):
+                dim = int(fields[1])
+                continue
             if len(fields) < 2:
                 raise CorpusError(f"{path}, line {lineno}: too few fields")
             token = fields[0]
@@ -454,7 +462,7 @@ def load_embeddings(path: str, vocab: Vocab) -> PretrainedEmbeddings:
                 raise CorpusError(
                     f"{path}, line {lineno}: expected {dim} values, found {len(vec)}")
             vectors[token] = vec
-    if dim is None:
+    if not vectors:
         raise CorpusError(f"{path}: empty embedding file")
 
     table = np.zeros((len(vocab), dim))

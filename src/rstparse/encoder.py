@@ -11,6 +11,7 @@ come from two-layer feedforward networks over these span vectors.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,19 @@ ACTION = "action"
 
 STACK_ARITY = 3
 QUEUE_ARITY = 3
+
+
+class ModelError(ValueError):
+    """A model file that cannot be read or does not describe a valid model."""
+
+
+def scorer_widths(hidden: int, n_rel: int) -> dict[str, tuple[int, int]]:
+    """(input width, output width) of each feedforward scorer."""
+    return {SPAN: (8 * hidden, 1),
+            REL: (16 * hidden, n_rel),
+            NUC: (16 * hidden, NUM_NUCLEARITIES),
+            ACTION: ((2 * STACK_ARITY + QUEUE_ARITY) * 4 * hidden,
+                     1 + 3 * (n_rel - 1))}
 
 
 def glorot(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
@@ -84,12 +98,7 @@ class ModelParams:
         for direction in ("fwd", "bwd"):
             arrays[f"lstm_{direction}.W"] = glorot(rng, h4, in_dim + hidden)
             arrays[f"lstm_{direction}.b"] = np.zeros(h4)
-        widths = {SPAN: (8 * hidden, 1),
-                  REL: (16 * hidden, rel_vocab.size),
-                  NUC: (16 * hidden, NUM_NUCLEARITIES),
-                  ACTION: ((2 * STACK_ARITY + QUEUE_ARITY) * 4 * hidden,
-                           1 + 3 * (rel_vocab.size - 1))}
-        for name, (d_in, d_out) in widths.items():
+        for name, (d_in, d_out) in scorer_widths(hidden, rel_vocab.size).items():
             arrays[f"{name}.W1"] = glorot(rng, ff_hidden, d_in)
             arrays[f"{name}.b1"] = np.zeros(ff_hidden)
             arrays[f"{name}.W2"] = glorot(rng, d_out, ff_hidden)
@@ -142,15 +151,81 @@ class ModelParams:
 
     @classmethod
     def load(cls, path: str) -> "ModelParams":
-        with np.load(path, allow_pickle=False) as npz:
-            meta = json.loads(str(npz["meta"]))
-            arrays = {k[len("param/"):]: npz[k].astype(np.float64)
-                      for k in npz.files if k.startswith("param/")}
-            pretrained = (npz["pretrained"].astype(np.float64)
-                          if "pretrained" in npz.files else None)
-        return cls(arrays, Vocab(meta["word_tokens"]), Vocab(meta["pos_tokens"]),
-                   RelationVocab(meta["relations"]), meta["hidden"],
-                   meta["ff_hidden"], pretrained=pretrained)
+        """Read a file written by ``save``.
+
+        Raises ModelError when the file is not such a model: unreadable as
+        an archive, missing or malformed metadata, arrays missing, extra, of
+        the wrong shape or not finite.  A file that cannot be opened stays
+        an OSError.
+        """
+        try:
+            with np.load(path, allow_pickle=False) as npz:
+                meta = json.loads(str(npz["meta"]))
+                arrays = {k[len("param/"):]: npz[k].astype(np.float64)
+                          for k in npz.files if k.startswith("param/")}
+                pretrained = (npz["pretrained"].astype(np.float64)
+                              if "pretrained" in npz.files else None)
+            params = cls(arrays, Vocab(meta["word_tokens"]),
+                         Vocab(meta["pos_tokens"]),
+                         RelationVocab(meta["relations"]), int(meta["hidden"]),
+                         int(meta["ff_hidden"]), pretrained=pretrained)
+        except (EOFError, KeyError, TypeError, ValueError,
+                zipfile.BadZipFile) as exc:
+            raise ModelError(f"{path}: not a readable model file "
+                             f"({type(exc).__name__})") from None
+        params.validate(path)
+        return params
+
+    def validate(self, source: str = "model") -> None:
+        """Every array present, finite and shaped as the stored sizes say.
+
+        The embedding widths are free, so they are read off the embedding
+        tables; everything else follows from them, ``hidden``,
+        ``ff_hidden``, the vocabulary sizes and ``n_rel``.
+        """
+        def fail(msg):
+            raise ModelError(f"{source}: {msg}")
+
+        if self.hidden < 1 or self.ff_hidden < 1:
+            fail(f"hidden sizes must be positive, got hidden={self.hidden}, "
+                 f"ff_hidden={self.ff_hidden}")
+        if self.n_rel < 2:
+            fail("relation vocabulary has no real labels")
+        a = self.arrays
+        for name in ("word_emb", "pos_emb"):
+            if name not in a or a[name].ndim != 2:
+                fail(f"array {name!r} missing or not a matrix")
+        word_dim = a["word_emb"].shape[1]
+        pos_dim = a["pos_emb"].shape[1]
+        pre_dim = 0
+        if self.pretrained is not None:
+            if self.pretrained.ndim != 2:
+                fail("pretrained table is not a matrix")
+            pre_dim = self.pretrained.shape[1]
+            if self.pretrained.shape[0] != len(self.word_vocab):
+                fail(f"pretrained table has {self.pretrained.shape[0]} rows "
+                     f"for {len(self.word_vocab)} word types")
+        h, ff = self.hidden, self.ff_hidden
+        want = {"word_emb": (len(self.word_vocab), word_dim),
+                "pos_emb": (len(self.pos_vocab), pos_dim)}
+        for direction in ("fwd", "bwd"):
+            want[f"lstm_{direction}.W"] = (4 * h, word_dim + pre_dim + pos_dim + h)
+            want[f"lstm_{direction}.b"] = (4 * h,)
+        for name, (d_in, d_out) in scorer_widths(h, self.n_rel).items():
+            want[f"{name}.W1"] = (ff, d_in)
+            want[f"{name}.b1"] = (ff,)
+            want[f"{name}.W2"] = (d_out, ff)
+            want[f"{name}.b2"] = (d_out,)
+        for name in sorted(set(a) - set(want)):
+            fail(f"unexpected array {name!r}")
+        for name, shape in want.items():
+            if name not in a:
+                fail(f"array {name!r} missing")
+            if a[name].shape != shape:
+                fail(f"array {name!r} has shape {a[name].shape}, "
+                     f"expected {shape}")
+            if not np.all(np.isfinite(a[name])):
+                fail(f"array {name!r} holds non-finite values")
 
 
 class Feedforward:
@@ -170,10 +245,50 @@ class Feedforward:
         return ops.add(ops.matvec(self.W2, h), self.b2)
 
     def apply_np(self, X: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        H = np.maximum(X @ self.W1.data.T + self.b1.data, 0.0)
+        return self.output_np(X @ self.W1.data.T, mask)
+
+    def output_np(self, Z: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        """The network from the first layer's product Z = X W1^T onwards."""
+        H = np.maximum(Z + self.b1.data, 0.0)
         if mask is not None:
             H = H * mask
         return H @ self.W2.data.T + self.b2.data
+
+
+class RowFeedforward:
+    """A Feedforward over inputs that concatenate rows of one matrix M.
+
+    W1 [M[a_0]; ...; M[a_{q-1}]] equals the sum over blocks of
+    P_b[a_b] with P_b = M W1_b^T, W1_b being W1's b-th column block.  The
+    projections are computed once, so an input row costs q gathered rows of
+    width ff_hidden instead of a product with the whole of W1 (Chen & Manning
+    2014).  ``__call__`` takes one index array per block.
+    """
+
+    def __init__(self, ff: Feedforward, M: np.ndarray, blocks: int,
+                 mask: np.ndarray | None = None):
+        d = M.shape[1]
+        W1 = ff.W1.data
+        if W1.shape[1] != blocks * d:
+            raise ValueError(f"W1 has {W1.shape[1]} columns, not {blocks} x {d}")
+        self.ff = ff
+        self.mask = mask
+        self.proj = [M @ W1[:, b * d:(b + 1) * d].T for b in range(blocks)]
+
+    def first_bad(self) -> str | None:
+        """Where the projections hold a non-finite value, or None."""
+        for b, P in enumerate(self.proj):
+            bad = ~np.isfinite(P)
+            if bad.any():
+                row, col = np.argwhere(bad)[0]
+                return f"block {b}, EDU {row}, unit {col}"
+        return None
+
+    def __call__(self, *index: np.ndarray) -> np.ndarray:
+        Z = self.proj[0][index[0]]
+        for P, idx in zip(self.proj[1:], index[1:]):
+            Z += P[idx]
+        return self.ff.output_np(Z, self.mask)
 
 
 @dataclass

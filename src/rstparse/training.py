@@ -128,7 +128,7 @@ def predict_tree(doc: Document, params: ModelParams, method: str):
         raise ValueError(f"unknown parse method {method!r}; "
                          f"choose from {PARSE_METHODS}")
     enc = encode_document(doc, params)
-    tree, _ = decode(doc.n, NeuralOracle(params, enc).tables(doc.n))
+    tree, _ = decode(doc.n, NeuralOracle(params, enc))
     return tree
 
 

@@ -227,9 +227,11 @@ def score_actions(state: ParserState, enc: EncodedDocument, params: ModelParams,
     return Feedforward(params, ACTION).apply(state_rep(state, enc), mask)
 
 
-def greedy_parse(doc: Document, params: ModelParams) -> RstTree:
+def greedy_parse(doc: Document, params: ModelParams,
+                 enc: EncodedDocument | None = None) -> RstTree:
     """Best legal action at each state, ties to the lowest action index."""
-    enc = encode_document(doc, params)
+    if enc is None:
+        enc = encode_document(doc, params)
     matrix = enc.matrix()
     ff = Feedforward(params, ACTION)
     n_rel = params.n_rel

@@ -5,6 +5,7 @@ from conftest import brute_force_best, make_tree
 
 from rstparse import ops
 from rstparse.chart import (
+    LossAugmented,
     NeuralOracle,
     TableOracle,
     augment_tables,
@@ -21,9 +22,15 @@ from rstparse.chart import (
     score_tree,
     score_tree_symbolic,
 )
-from rstparse.core import Nuclearity, RelationVocab
-from rstparse.data import random_tree
-from rstparse.encoder import encode_document, make_dropout_masks
+from rstparse.core import Document, Edu, Nuclearity, RelationVocab
+from rstparse.data import Vocab, random_tree
+from rstparse.encoder import (
+    ModelParams,
+    encode_document,
+    make_dropout_masks,
+    score_nuc,
+    score_rel,
+)
 
 from test_encoder import make_doc, small_params
 
@@ -366,3 +373,186 @@ class TestRandomTables:
             tabs.row_index(0, 3, 3)  # split outside the span
         with pytest.raises(ValueError):
             tabs.tables(5)
+
+
+def all_rows(n):
+    """(i, j, k) of every label row, leaf rows with k = i, in table order."""
+    cells = [(i, j, k) for i in range(n) for j in range(i + 1, n + 1)
+             for k in ([i] if j == i + 1 else range(i + 1, j))]
+    return tuple(np.array(c) for c in zip(*cells))
+
+
+WORDS = ["w%d" % w for w in range(12)]
+
+
+def random_document(n, rng, gold=None):
+    edus = []
+    for t in range(n):
+        words = [WORDS[w] for w in rng.integers(0, len(WORDS),
+                                                 size=int(rng.integers(1, 4)))]
+        edus.append(Edu(tuple(words), tuple("T%d" % (len(w) % 3)
+                                            for w in words), t + 1))
+    return Document("d%d" % n, tuple(edus), gold)
+
+
+def random_params(n_rel=6, seed=0):
+    return ModelParams.init(Vocab(WORDS), Vocab(["T0", "T1", "T2"]),
+                            RelationVocab(["R%d" % r for r in range(1, n_rel)]),
+                            np.random.default_rng(seed), word_dim=4, pos_dim=3,
+                            hidden=4, ff_hidden=8)
+
+
+class RowCounter:
+    """A chart scorer that forwards to ScoreTables and counts label rows."""
+
+    def __init__(self, tabs):
+        self.inner = tabs
+        self.n, self.n_rel, self.span = tabs.n, tabs.n_rel, tabs.span
+        self.rows = 0
+
+    def labels(self, i, j, k):
+        self.rows += len(i)
+        return self.inner.labels(i, j, k)
+
+    def tables(self, n=None):
+        raise AssertionError("dense table requested")
+
+
+class TestOnDemandRows:
+    def test_rows_match_tables_and_tape_scorers(self):
+        rng = np.random.default_rng(3)
+        params = random_params(n_rel=5, seed=3)
+        doc = random_document(6, rng)
+        for masks in (None, make_dropout_masks(params, doc.n, 0.3,
+                                               np.random.default_rng(1))):
+            enc = encode_document(doc, params, masks)
+            tabs = NeuralOracle(params, enc, masks).tables()
+            oracle = NeuralOracle(params, enc, masks)
+            I, J, K = all_rows(doc.n)
+            order = rng.permutation(len(I))
+            rel, nuc = oracle.labels(I[order], J[order], K[order])
+            np.testing.assert_allclose(rel, tabs.rel[order], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(nuc, tabs.nuc[order], rtol=0, atol=1e-12)
+            for x in order[:12]:
+                i, j, k = int(I[x]), int(J[x]), int(K[x])
+                one_rel, one_nuc = oracle.labels([i], [j], [k])
+                np.testing.assert_allclose(
+                    one_rel[0], score_rel(params, enc, i, j, k, masks).data,
+                    rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    one_nuc[0], score_nuc(params, enc, i, j, k, masks).data,
+                    rtol=0, atol=1e-12)
+            assert oracle._tables is None, "labels built the dense table"
+
+    def test_partial_and_complete_agree_with_dense_tables(self):
+        rng = np.random.default_rng(2020)
+        params = random_params()
+        vocab = RelationVocab(["R%d" % r for r in range(1, params.n_rel)])
+        for _ in range(50):
+            n = int(rng.integers(2, 41))
+            doc = random_document(n, rng)
+            gold = random_tree(n, vocab, rng)
+            oracle = NeuralOracle(params, encode_document(doc, params))
+            tabs = oracle.tables()
+            lazy = (oracle, LossAugmented(oracle, gold))
+            dense = (tabs, augment_tables(tabs, gold))
+            for decode in (decode_partial, decode_complete):
+                for lazy_s, dense_s in zip(lazy, dense):
+                    tree, score = decode(n, lazy_s)
+                    want_tree, want = decode(n, dense_s)
+                    assert tree == want_tree
+                    assert abs(score - want) <= 1e-9
+                aug_tree, aug_score = decode(n, lazy[1])
+                assert abs(aug_score - (score_tree(aug_tree, oracle)
+                                        + hamming(aug_tree, gold))) <= 1e-9
+
+    def test_lazy_augmentation_identity_is_exact_on_quantized_tables(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            n = int(rng.integers(1, 8))
+            tabs = random_tables(n, 4, rng, quantum=2**-10)
+            gold = gold_tree(n, 4, rng)
+            probe = gold_tree(n, 4, rng)
+            aug = LossAugmented(tabs, gold)
+            assert (score_tree(probe, aug)
+                    == score_tree(probe, tabs) + hamming(probe, gold))
+            dense = augment_tables(tabs, gold)
+            I, J, K = all_rows(n)
+            rel, nuc = aug.labels(I, J, K)
+            np.testing.assert_array_equal(rel, dense.rel)
+            np.testing.assert_array_equal(nuc, dense.nuc)
+            np.testing.assert_array_equal(np.triu(aug.span, 1),
+                                          np.triu(dense.span, 1))
+
+    def test_decoders_read_only_the_rows_they_need(self):
+        n = 9
+        rng = np.random.default_rng(4)
+        tabs = random_tables(n, 5, rng)
+        gold = gold_tree(n, 5, rng)
+        for augmented in (False, True):
+            counter = RowCounter(tabs)
+            scores = LossAugmented(counter, gold) if augmented else counter
+            decode_partial(n, scores)
+            assert counter.rows == n + n * (n - 1) // 2
+            counter.rows = 0
+            tree, _ = decode_complete(n, scores)
+            # the labels pass, then score_tree
+            assert counter.rows == 2 * (2 * n - 1)
+            counter.rows = 0
+            score_tree(tree, scores)
+            assert counter.rows == 2 * n - 1
+        with pytest.raises(AssertionError, match="dense"):
+            decode_exact(n, RowCounter(tabs))
+
+    def test_chart_loss_and_count_missing_skip_the_dense_table(self, monkeypatch):
+        def refuse(self, n=None):
+            raise AssertionError("dense table requested")
+
+        rng = np.random.default_rng(8)
+        params = random_params()
+        vocab = RelationVocab(["R%d" % r for r in range(1, params.n_rel)])
+        docs = [random_document(n, rng, random_tree(n, vocab, rng))
+                for n in (1, 3, 7)]
+        masks = make_dropout_masks(params, 7, 0.2, rng)
+        monkeypatch.setattr(NeuralOracle, "tables", refuse)
+        for decoder in ("partial", "complete"):
+            loss, diag = chart_loss(docs[2], params, decoder, masks)
+            assert diag.distance == hamming(diag.pred, docs[2].gold)
+            count_missing(docs, params, decoder)
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("decode", [decode_exact, decode_partial,
+                                        decode_complete])
+    def test_nan_span_named(self, decode):
+        tabs = random_tables(5, 4, np.random.default_rng(0))
+        tabs.span[1, 3] = np.nan
+        with pytest.raises(ValueError, match=r"span\[1, 3\] = nan"):
+            decode(5, tabs)
+
+    @pytest.mark.parametrize("decode", [decode_exact, decode_partial,
+                                        decode_complete])
+    def test_infinite_label_named(self, decode):
+        tabs = random_tables(5, 4, np.random.default_rng(0))
+        tabs.nuc[tabs.row_index(0, 4, 2), 1] = -np.inf
+        with pytest.raises(ValueError, match=r"nuc\[0, 4, 2\]\[1\] = -inf"):
+            decode(5, tabs)
+
+    def test_unused_entries_are_not_checked(self):
+        # the span table's diagonal and lower triangle are never read
+        tabs = random_tables(4, 3, np.random.default_rng(1))
+        tabs.span[2, 1] = np.nan
+        tabs.span[0, 0] = np.inf
+        for decode in (decode_exact, decode_partial, decode_complete):
+            decode(4, tabs)
+
+    def test_neural_scores_checked_when_built(self):
+        doc, params = small_params(seed=5)
+        enc = encode_document(doc, params)
+        params.arrays["rel.W1"][0, 0] = np.nan
+        with pytest.raises(ValueError, match="rel projection"):
+            NeuralOracle(params, enc)
+        params.arrays["rel.W1"][0, 0] = 0.0
+        params.arrays["span.b2"][0] = np.inf
+        with pytest.raises(ValueError, match=r"span\[0, 1\]"):
+            NeuralOracle(params, enc)

@@ -188,6 +188,51 @@ class TestPipeline:
         assert code == 1
         assert removed[:-len(".tree")] in err
 
+    @pytest.mark.parametrize("damage", ["random", "truncated", "shape"])
+    def test_damaged_model_is_a_data_error(self, corpus_dir, trained_model,
+                                           tmp_path, capsys, damage):
+        import numpy as np
+
+        from rstparse.encoder import ModelParams
+
+        bad = tmp_path / "bad.npz"
+        if damage == "random":
+            bad.write_bytes(np.random.default_rng(1).bytes(300))
+        elif damage == "truncated":
+            with open(trained_model, "rb") as fh:
+                bad.write_bytes(fh.read()[:-100])
+        else:
+            params = ModelParams.load(trained_model)
+            params.arrays["nuc.W1"] = params.arrays["nuc.W1"][:, 1:]
+            params.save(str(bad))
+        edus = [os.path.join(corpus_dir, f) for f in sorted(os.listdir(corpus_dir))
+                if f.endswith(".edus")]
+        capsys.readouterr()
+        code = main(["parse", "--model", str(bad), "--out-dir",
+                     str(tmp_path / "pred")] + edus)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("data error:")
+        assert "Traceback" not in err
+
+    def test_compare_encodes_each_document_once(self, corpus_dir,
+                                                trained_model, monkeypatch,
+                                                capsys):
+        from rstparse import cli
+
+        calls = []
+        encode = cli.encode_document
+
+        def counting(doc, params, masks=None):
+            calls.append(doc.doc_id)
+            return encode(doc, params, masks)
+
+        monkeypatch.setattr(cli, "encode_document", counting)
+        monkeypatch.setattr("rstparse.transition.encode_document", counting)
+        assert main(["compare", "--model", trained_model,
+                     "--corpus", corpus_dir]) == 0
+        assert len(calls) == 3 and len(set(calls)) == 3
+
     def test_compare_lists_all_methods(self, corpus_dir, trained_model,
                                        capsys):
         code = main(["compare", "--model", trained_model,

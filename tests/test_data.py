@@ -239,6 +239,24 @@ class TestEmbeddings:
             load_embeddings(str(path), Vocab(["cat"]))
 
 
+    def test_word2vec_header_is_skipped(self, tmp_path):
+        path = tmp_path / "vec.txt"
+        path.write_text("2 3\ncat 1.0 2.0 3.0\ndog 4.0 5.0 6.0\n")
+        vocab = Vocab(["cat", "dog"])
+        pre = load_embeddings(str(path), vocab)
+        assert pre.dim == 3
+        assert pre.found == 2
+        np.testing.assert_array_equal(pre.table[vocab.lookup("dog")],
+                                      [4.0, 5.0, 6.0])
+        # the header's dim binds the vectors that follow
+        path.write_text("1 3\ncat 1.0 2.0\n")
+        with pytest.raises(CorpusError, match="line 2"):
+            load_embeddings(str(path), vocab)
+        path.write_text("0 3\n")
+        with pytest.raises(CorpusError, match="empty"):
+            load_embeddings(str(path), vocab)
+
+
 class TestSynthetic:
     def test_documents_are_valid(self):
         corpus = generate_synthetic(10, 8, VOCAB, seed=9)

@@ -10,7 +10,9 @@ from rstparse.encoder import (
     REL,
     SPAN,
     Feedforward,
+    ModelError,
     ModelParams,
+    RowFeedforward,
     encode_document,
     glorot,
     make_dropout_masks,
@@ -140,6 +142,42 @@ class TestPersistence:
         q = ModelParams.load(path)
         np.testing.assert_array_equal(q.pretrained, table)
 
+    def test_random_bytes_are_a_model_error(self, tmp_path):
+        path = tmp_path / "garbage.npz"
+        path.write_bytes(np.random.default_rng(0).bytes(512))
+        with pytest.raises(ModelError, match="not a readable model"):
+            ModelParams.load(str(path))
+
+    def test_truncated_file_is_a_model_error(self, tmp_path):
+        doc, p = small_params()
+        path = tmp_path / "model.npz"
+        p.save(str(path))
+        data = path.read_bytes()
+        for cut in (0, 40, len(data) // 2, len(data) - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ModelError):
+                ModelParams.load(str(path))
+
+    def test_wrong_shape_is_a_model_error(self, tmp_path):
+        doc, p = small_params()
+        p.arrays["rel.W2"] = np.zeros((p.n_rel + 2, p.ff_hidden))
+        path = str(tmp_path / "model.npz")
+        p.save(path)
+        with pytest.raises(ModelError, match=r"'rel.W2' has shape \(5, 4\)"):
+            ModelParams.load(path)
+
+    def test_non_finite_array_is_a_model_error(self, tmp_path):
+        doc, p = small_params()
+        p.arrays["span.b1"][1] = np.inf
+        path = str(tmp_path / "model.npz")
+        p.save(path)
+        with pytest.raises(ModelError, match="span.b1"):
+            ModelParams.load(path)
+
+    def test_missing_file_stays_an_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            ModelParams.load(str(tmp_path / "absent.npz"))
+
     def test_copy_is_deep_for_arrays(self):
         doc, p = small_params()
         q = p.copy()
@@ -266,3 +304,17 @@ class TestDropout:
         np.testing.assert_allclose(out_t, out_n)
         # with the hidden layer fully dropped only the bias survives
         np.testing.assert_allclose(out_t, ff.b2.data)
+
+    def test_row_feedforward_equals_feedforward_on_concatenated_rows(self):
+        doc, p = small_params(seed=7)
+        M = encode_document(doc, p).matrix()
+        rng = np.random.default_rng(0)
+        idx = [rng.integers(0, doc.n, size=10) for _ in range(4)]
+        X = np.hstack([M[i] for i in idx])
+        mask = make_dropout_masks(p, doc.n, 0.5, rng).hidden_for(REL)
+        for m in (None, mask):
+            ff = Feedforward(p, REL)
+            np.testing.assert_allclose(RowFeedforward(ff, M, 4, m)(*idx),
+                                       ff.apply_np(X, m), rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match="columns"):
+            RowFeedforward(Feedforward(p, SPAN), M, 4)

@@ -205,6 +205,12 @@ class TestGreedyParse:
         for _, _, _, l, p in tree.internal_items():
             assert l == 1 and p == Nuclearity.NN
 
+    def test_precomputed_encoding_gives_the_same_tree(self):
+        doc, params = small_params(seed=12, n_rel=4)
+        enc = encode_document(doc, params)
+        assert greedy_parse(doc, params, enc) == greedy_parse(doc, params)
+        assert greedy_parse(doc, params, enc=enc) == greedy_parse(doc, params)
+
 
 class TestTransitionLoss:
     def test_zero_params_loss_counts_legal_actions(self):
