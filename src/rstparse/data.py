@@ -233,57 +233,65 @@ def parse_tree_text(text: str, rel_vocab: RelationVocab,
 
     spans: list[LabeledSpan] = []
     splits: dict[tuple[int, int], int] = {}
-
-    def parse_node() -> tuple[int, int]:
-        nonlocal pos
+    # [nuclearity, relation] of each internal node whose ')' is still to
+    # come, plus its left child's span once that is read.  A loop over this
+    # stack instead of recursion reads trees of any depth.
+    open_nodes: list[list] = []
+    while True:
         tok, line, col = expect("'('")
         if tok != "(":
             raise TreeSyntaxError(f"expected '(', found {tok!r}", line, col)
         pos += 1
         head, line, col = expect("node head")
         pos += 1
-        if head == LEAF_RELATION_NAME:
-            num, nline, ncol = expect("EDU number")
+        if head != LEAF_RELATION_NAME:
+            if head not in ("NN", "NS", "SN"):
+                raise TreeSyntaxError(f"expected NN, NS, SN or {LEAF_RELATION_NAME},"
+                                      f" found {head!r}", line, col)
+            nuc = Nuclearity[head]
+            rel_name, rline, rcol = expect("relation label")
             pos += 1
-            if not num.isdigit() or int(num) < 1:
-                raise TreeSyntaxError(f"bad EDU number {num!r}", nline, ncol)
-            k = int(num)
-            close, cline, ccol = expect("')'")
-            if close != ")":
-                raise TreeSyntaxError(f"expected ')', found {close!r}", cline, ccol)
-            pos += 1
-            spans.append(LabeledSpan(k - 1, k, LEAF_RELATION, Nuclearity.LEAF))
-            return k - 1, k
-        if head not in ("NN", "NS", "SN"):
-            raise TreeSyntaxError(f"expected NN, NS, SN or {LEAF_RELATION_NAME},"
-                                  f" found {head!r}", line, col)
-        nuc = Nuclearity[head]
-        rel_name, rline, rcol = expect("relation label")
+            try:
+                rel = rel_vocab.index(rel_name)
+            except KeyError:
+                raise UnknownRelationError(
+                    f"line {rline}, column {rcol}: unknown relation label {rel_name!r}"
+                ) from None
+            if rel == LEAF_RELATION:
+                raise UnknownRelationError(
+                    f"line {rline}, column {rcol}: reserved label on internal node")
+            open_nodes.append([nuc, rel])
+            continue
+        num, nline, ncol = expect("EDU number")
         pos += 1
-        try:
-            rel = rel_vocab.index(rel_name)
-        except KeyError:
-            raise UnknownRelationError(
-                f"line {rline}, column {rcol}: unknown relation label {rel_name!r}"
-            ) from None
-        if rel == LEAF_RELATION:
-            raise UnknownRelationError(
-                f"line {rline}, column {rcol}: reserved label on internal node")
-        left = parse_node()
-        right = parse_node()
-        if left[1] != right[0]:
-            raise TreeInvariantError(
-                f"children spans {left} and {right} are not adjacent")
+        if not num.isdigit() or int(num) < 1:
+            raise TreeSyntaxError(f"bad EDU number {num!r}", nline, ncol)
+        k = int(num)
         close, cline, ccol = expect("')'")
         if close != ")":
             raise TreeSyntaxError(f"expected ')', found {close!r}", cline, ccol)
         pos += 1
-        i, j = left[0], right[1]
-        spans.append(LabeledSpan(i, j, rel, nuc))
-        splits[(i, j)] = left[1]
-        return i, j
+        spans.append(LabeledSpan(k - 1, k, LEAF_RELATION, Nuclearity.LEAF))
+        done = (k - 1, k)
+        # Close every open node whose second child this completes.
+        while open_nodes and len(open_nodes[-1]) == 3:
+            nuc, rel, left = open_nodes.pop()
+            if left[1] != done[0]:
+                raise TreeInvariantError(
+                    f"children spans {left} and {done} are not adjacent")
+            close, cline, ccol = expect("')'")
+            if close != ")":
+                raise TreeSyntaxError(f"expected ')', found {close!r}", cline, ccol)
+            pos += 1
+            i, j = left[0], done[1]
+            spans.append(LabeledSpan(i, j, rel, nuc))
+            splits[(i, j)] = left[1]
+            done = (i, j)
+        if not open_nodes:
+            root = done
+            break
+        open_nodes[-1].append(done)
 
-    root = parse_node()
     if pos != len(tokens):
         tok, line, col = tokens[pos]
         raise TreeSyntaxError(f"trailing content {tok!r}", line, col)
@@ -307,17 +315,24 @@ def serialize_tree(tree: RstTree, rel_vocab: RelationVocab) -> str:
     Leaf nodes are written as ``(LEAF k)`` whatever labels they carry in
     memory, so the output of any decoder round-trips as a valid tree.
     """
-    def render(i: int, j: int) -> str:
+    out: list[str] = []
+    todo: list = [(0, tree.n)]      # spans to render and text to emit, in reverse
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        i, j = item
         if j == i + 1:
-            return f"({LEAF_RELATION_NAME} {j})"
+            out.append(f"({LEAF_RELATION_NAME} {j})")
+            continue
         k = tree.splits[(i, j)]
         rel, nuc = tree.label_at(i, j)
         if nuc not in INTERNAL_NUCLEARITIES or rel == LEAF_RELATION:
             raise ValueError(f"internal span ({i}, {j}) carries leaf labels")
-        return (f"({Nuclearity(nuc).name} {rel_vocab.name(rel)} "
-                f"{render(i, k)} {render(k, j)})")
-
-    return render(0, tree.n) + "\n"
+        out.append(f"({Nuclearity(nuc).name} {rel_vocab.name(rel)} ")
+        todo += [")", (k, j), " ", (i, k)]
+    return "".join(out) + "\n"
 
 
 def parse_document(doc_id: str, edus_text: str, tree_text: str | None,

@@ -323,73 +323,66 @@ def make_dropout_masks(params: ModelParams, n_edus: int, dropout: float,
     return DropoutMasks(draw((n_edus, params.edu_dim)), hidden)
 
 
-def _lstm_sweep(W: Tensor, b: Tensor, xs: list[Tensor], hidden: int) -> list[Tensor]:
-    """One LSTM direction over the input sequence; returns hidden states."""
-    h = ops.zeros(hidden)
-    c = ops.zeros(hidden)
-    out = []
-    for x in xs:
-        z = ops.add(ops.matvec(W, ops.concat([x, h])), b)
-        gate_in = ops.sigmoid(ops.narrow(z, 0, hidden))
-        gate_forget = ops.sigmoid(ops.narrow(z, hidden, 2 * hidden))
-        cand = ops.tanh(ops.narrow(z, 2 * hidden, 3 * hidden))
-        gate_out = ops.sigmoid(ops.narrow(z, 3 * hidden, 4 * hidden))
-        c = ops.add(ops.mul(gate_forget, c), ops.mul(gate_in, cand))
-        h = ops.mul(gate_out, ops.tanh(c))
-        out.append(h)
-    return out
-
-
 class EncodedDocument:
-    """Per-EDU tape vectors plus a cached numpy view for batch scoring."""
+    """The (n, 4H) EDU matrix as one tape node, with per-EDU row views.
 
-    __slots__ = ("edus", "_matrix")
+    ``matrix()`` is the node's data, read by the batched numpy scorers;
+    ``edus`` are row nodes of it for the tape scorers, made on first use.
+    """
 
-    def __init__(self, edus: list[Tensor]):
-        self.edus = edus
-        self._matrix: np.ndarray | None = None
+    __slots__ = ("tensor", "_edus")
+
+    def __init__(self, tensor: Tensor):
+        self.tensor = tensor
+        self._edus: list[Tensor] | None = None
 
     @property
     def n(self) -> int:
-        return len(self.edus)
+        return self.tensor.shape[0]
+
+    @property
+    def edus(self) -> list[Tensor]:
+        if self._edus is None:
+            self._edus = [ops.row(self.tensor, t) for t in range(self.n)]
+        return self._edus
 
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = np.stack([e.data for e in self.edus])
-        return self._matrix
+        return self.tensor.data
 
 
 def encode_document(doc: Document, params: ModelParams,
                     masks: DropoutMasks | None = None) -> EncodedDocument:
+    """Embed every token, run both LSTM directions over the whole document,
+    and gather each EDU's first- and last-token states.
+
+    The tape holds a fixed number of nodes whatever the document's length:
+    one gather per embedding table, one column concatenation, one fused
+    ``ops.lstm`` per direction, one gather of the EDU rows and the dropout
+    mask.
+    """
     tensors = params.tensors()
-    word_emb = tensors["word_emb"]
-    pos_emb = tensors["pos_emb"]
-    pre = params.pretrained
+    words = [params.word_vocab.lookup(tok)
+             for edu in doc.edus for tok in edu.tokens]
+    tags = [params.pos_vocab.lookup(tag)
+            for edu in doc.edus for tag in edu.pos_tags]
+    parts = [ops.take_rows(tensors["word_emb"], words)]
+    if params.pretrained is not None:
+        parts.append(ops.tensor(params.pretrained[words]))
+    parts.append(ops.take_rows(tensors["pos_emb"], tags))
+    X = ops.concat(parts, axis=1)
 
-    inputs: list[Tensor] = []
-    bounds: list[tuple[int, int]] = []   # (first, last) word position per EDU
-    for edu in doc.edus:
-        first = len(inputs)
-        for tok, tag in zip(edu.tokens, edu.pos_tags):
-            wi = params.word_vocab.lookup(tok)
-            parts = [ops.row(word_emb, wi)]
-            if pre is not None:
-                parts.append(ops.tensor(pre[wi]))
-            parts.append(ops.row(pos_emb, params.pos_vocab.lookup(tag)))
-            inputs.append(ops.concat(parts) if len(parts) > 1 else parts[0])
-        bounds.append((first, len(inputs) - 1))
-
-    fwd = _lstm_sweep(tensors["lstm_fwd.W"], tensors["lstm_fwd.b"],
-                      inputs, params.hidden)
-    bwd = _lstm_sweep(tensors["lstm_bwd.W"], tensors["lstm_bwd.b"],
-                      inputs[::-1], params.hidden)[::-1]
-
-    edus = []
-    for t, (first, last) in enumerate(bounds):
-        e = ops.concat([fwd[first], bwd[first], fwd[last], bwd[last]])
-        if masks is not None:
-            e = ops.cmul(e, masks.edu[t])
-        edus.append(e)
+    fwd = ops.lstm(tensors["lstm_fwd.W"], tensors["lstm_fwd.b"], X,
+                   params.hidden)
+    bwd = ops.lstm(tensors["lstm_bwd.W"], tensors["lstm_bwd.b"], X,
+                   params.hidden, reverse=True)
+    # EDU row: [fwd; bwd] at its first token, then at its last token.
+    lengths = np.array([len(edu.tokens) for edu in doc.edus])
+    last = np.cumsum(lengths) - 1
+    first = last - lengths + 1
+    edus = ops.take_rows(ops.concat([fwd, bwd], axis=1),
+                         np.stack((first, last), axis=1))
+    if masks is not None:
+        edus = ops.cmul(edus, masks.edu)
     return EncodedDocument(edus)
 
 
@@ -398,10 +391,6 @@ def span_rep(enc: EncodedDocument, i: int, j: int) -> Tensor:
     if not 0 <= i < j <= enc.n:
         raise ValueError(f"span ({i}, {j}) out of range for {enc.n} EDUs")
     return ops.concat([enc.edus[i], enc.edus[j - 1]])
-
-
-def span_rep_np(matrix: np.ndarray, i: int, j: int) -> np.ndarray:
-    return np.concatenate([matrix[i], matrix[j - 1]])
 
 
 def _pair_rep(enc: EncodedDocument, i: int, j: int, k: int) -> Tensor:

@@ -3,8 +3,10 @@
 A Tensor wraps an ndarray and remembers how it was produced; backward() walks
 the recorded graph once, in reverse topological order, accumulating gradients
 into every node it can reach.  Only the operations the parsers need exist:
-dense matvec, concatenation, slicing/element picks, elementwise nonlinearities
-and sums.  Everything is computed at 64-bit precision.
+dense matvec, concatenation, slicing, element picks and row gathers,
+elementwise nonlinearities, sums, and one fused sequence op, ``lstm``, which
+runs a whole LSTM direction as a single node with hand-written
+backpropagation through time.  Everything is computed at 64-bit precision.
 """
 
 from __future__ import annotations
@@ -110,14 +112,12 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
                   lambda g: (np.outer(g, x.data), w.data.T @ g))
 
 
-def concat(parts: list[Tensor]) -> Tensor:
-    sizes = [p.data.shape[0] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
-
-    return Tensor(np.concatenate([p.data for p in parts]), tuple(parts), vjp)
+def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
+    """Concatenation along ``axis`` (rows of 1-D vectors, columns with axis=1)."""
+    sizes = [p.data.shape[axis] for p in parts]
+    cuts = np.cumsum(sizes)[:-1]
+    return Tensor(np.concatenate([p.data for p in parts], axis=axis),
+                  tuple(parts), lambda g: tuple(np.split(g, cuts, axis=axis)))
 
 
 def narrow(a: Tensor, start: int, stop: int) -> Tensor:
@@ -156,6 +156,109 @@ def row(a: Tensor, index: int) -> Tensor:
         return (out,)
 
     return Tensor(a.data[index], (a,), vjp)
+
+
+def take_rows(a: Tensor, index) -> Tensor:
+    """Rows of a 2-D tensor gathered by an integer array.
+
+    An index of shape (m,) gives an (m, d) result; one of shape (m, q) gives
+    (m, q * d), each result row concatenating its q gathered rows.  Repeated
+    indices add their gradients.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    gathered = a.data[index]
+    shape = a.data.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        np.add.at(out, index, g.reshape(gathered.shape))
+        return (out,)
+
+    return Tensor(gathered.reshape(index.shape[0], -1), (a,), vjp)
+
+
+def lstm(W: Tensor, b: Tensor, X: Tensor, hidden: int,
+         reverse: bool = False) -> Tensor:
+    """One LSTM direction over the rows of X (T, d); the (T, H) hidden states.
+
+    Step t computes z = W [x_t; h_{t-1}] + b with W of shape (4H, d + H),
+    gates i, f, g, o in that order, c_t = f c_{t-1} + i g and
+    h_t = o tanh(c_t), from zero states.  With ``reverse`` the rows are read
+    last to first; row t of the result is still the state at x_t.
+
+    The node keeps the activated gates and the cells, O(T (d + 6H)) floats
+    with X and the result.  Its VJP is backpropagation through time written
+    out (Werbos 1990): one backward sweep of T products with W's recurrent
+    block, then dW = dZ^T [X | H_prev], db the column sum of dZ and
+    dX = dZ W_x, where dZ holds the pre-activation gradients.
+    """
+    H = hidden
+    w, bias = W.data, b.data
+    xs = X.data[::-1] if reverse else X.data
+    T, d = xs.shape
+    if w.shape != (4 * H, d + H) or bias.shape != (4 * H,):
+        raise ValueError(f"bad lstm shapes W {w.shape}, b {bias.shape} "
+                         f"for input width {d} and hidden {H}")
+    gates = np.empty((T, 4 * H))
+    cells = np.empty((T, H))
+    hs = np.empty((T, H))
+    # Each step applies the ufuncs of matvec, add, sigmoid, tanh and mul in
+    # their order, written into preallocated rows, so the states equal the
+    # per-step composition bit for bit: sigmoid(z) = 1 / (1 + exp(-z)) on all
+    # four blocks, then tanh over the g block.
+    xh = np.zeros(d + H)                  # [x_t; h_{t-1}]
+    z = np.empty(4 * H)
+    tmp = np.empty(H)
+    c = np.zeros(H)
+    for t in range(T):
+        xh[:d] = xs[t]
+        np.matmul(w, xh, out=z)
+        z += bias
+        act = gates[t]
+        np.negative(z, out=act)
+        np.exp(act, out=act)
+        act += 1.0
+        np.divide(1.0, act, out=act)
+        np.tanh(z[2 * H:3 * H], out=act[2 * H:3 * H])
+        np.multiply(act[H:2 * H], c, out=cells[t])
+        np.multiply(act[:H], act[2 * H:3 * H], out=tmp)
+        cells[t] += tmp
+        c = cells[t]
+        np.tanh(c, out=tmp)
+        np.multiply(act[3 * H:], tmp, out=hs[t])
+        xh[d:] = hs[t]
+
+    def vjp(g_out):
+        g_out = g_out[::-1] if reverse else g_out
+        i, f, g, o = (gates[:, k * H:(k + 1) * H] for k in range(4))
+        tanh_c = np.tanh(cells)
+        c_prev = np.vstack((np.zeros((1, H)), cells[:-1]))
+        h_prev = np.vstack((np.zeros((1, H)), hs[:-1]))
+        # dZ_t = [dc_t * cell_in_t, dh_t * out_t] with the per-step factors
+        # precomputed; only dh and dc carry across steps.
+        cell_in = np.hstack((g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                             i * (1.0 - g * g))).reshape(T, 3, H)
+        to_cell = o * (1.0 - tanh_c * tanh_c)
+        out = tanh_c * o * (1.0 - o)
+        w_h = np.ascontiguousarray(w[:, d:])
+        dZ = np.empty((T, 4 * H))
+        dZ_cell = dZ[:, :3 * H].reshape(T, 3, H)
+        dh = np.zeros(H)                  # gradient reaching h_t from step t+1
+        dc = np.zeros(H)                  # and reaching c_t from step t+1
+        tmp = np.empty(H)
+        for t in range(T - 1, -1, -1):
+            dh += g_out[t]
+            np.multiply(dh, to_cell[t], out=tmp)
+            dc += tmp
+            np.multiply(cell_in[t], dc, out=dZ_cell[t])
+            np.multiply(out[t], dh, out=dZ[t, 3 * H:])
+            np.matmul(dZ[t], w_h, out=dh)
+            dc *= f[t]
+        dW = dZ.T @ np.hstack((xs, h_prev))
+        dX = dZ @ w[:, :d]
+        return dW, dZ.sum(axis=0), dX[::-1] if reverse else dX
+
+    return Tensor(hs[::-1] if reverse else hs, (W, b, X), vjp)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -122,18 +122,17 @@ def replay(actions, n: int) -> RstTree:
 def oracle_actions(tree: RstTree) -> list[Action]:
     """The unique post-order derivation of a tree."""
     out: list[Action] = []
-
-    def walk(i: int, j: int) -> None:
-        if j == i + 1:
+    todo = [(0, tree.n, False)]     # (i, j, children done), in reverse order
+    while todo:
+        i, j, children_done = todo.pop()
+        if children_done:
+            rel, nuc = tree.label_at(i, j)
+            out.append(Action.reduce(rel, nuc))
+        elif j == i + 1:
             out.append(Action.shift())
-            return
-        k = tree.splits[(i, j)]
-        walk(i, k)
-        walk(k, j)
-        rel, nuc = tree.label_at(i, j)
-        out.append(Action.reduce(rel, nuc))
-
-    walk(0, tree.n)
+        else:
+            k = tree.splits[(i, j)]
+            todo += [(i, j, True), (k, j, False), (i, k, False)]
     return out
 
 
@@ -188,7 +187,7 @@ def parse_actions(text: str, rel_vocab: RelationVocab) -> list[Action]:
 
 def state_rep(state: ParserState, enc: EncodedDocument) -> Tensor:
     """Top stack spans (8H each) then front queue EDUs (4H each), zero-padded."""
-    h = enc.edus[0].shape[0]          # 4H
+    h = enc.matrix().shape[1]         # 4H
     parts = []
     for slot in range(STACK_SLOTS):
         if slot < len(state.stack):

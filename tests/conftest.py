@@ -33,6 +33,23 @@ def make_tree(n, splits, labels=None):
     return RstTree(spans, n, splits)
 
 
+def chain_tree(n, right=True, n_labels=3):
+    """The right-branching (or left-branching) tree over n EDUs, built
+    without recursion so that n can be in the thousands.  Every internal
+    span splits one EDU off its left (or right) end; relations and
+    nuclearities vary along the chain."""
+    spans = [LabeledSpan(i, i + 1, LEAF_RELATION, Nuclearity.LEAF)
+             for i in range(n)]
+    splits = {}
+    for m in range(2, n + 1):
+        i, j = (n - m, n) if right else (0, m)
+        splits[(i, j)] = i + 1 if right else j - 1
+        spans.append(LabeledSpan(i, j, 1 + m % n_labels,
+                                 (Nuclearity.NN, Nuclearity.NS,
+                                  Nuclearity.SN)[m % 3]))
+    return RstTree(spans, n, splits)
+
+
 def enumerate_splits(i, j):
     if j == i + 1:
         yield {}

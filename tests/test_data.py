@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_tree
+from conftest import chain_tree, make_tree
 
 from rstparse.core import Nuclearity, RelationVocab, validate_tree
 from rstparse.data import (
@@ -93,6 +93,14 @@ class TestTreeFiles:
             again = parse_tree_text(text, VOCAB, n_edus=n)
             assert again == tree
             assert again.labels == tree.labels
+
+    @pytest.mark.parametrize("right", [True, False])
+    def test_deep_chain_round_trip(self, right):
+        tree = chain_tree(5000, right)
+        assert validate_tree(tree) is None
+        again = parse_tree_text(serialize_tree(tree, VOCAB), VOCAB, n_edus=5000)
+        assert again == tree
+        assert again.labels == tree.labels
 
     def test_syntax_error_positions(self):
         with pytest.raises(TreeSyntaxError) as err:

@@ -20,7 +20,6 @@ from rstparse.encoder import (
     score_rel,
     score_span,
     span_rep,
-    span_rep_np,
 )
 
 
@@ -199,8 +198,9 @@ class TestEncoding:
         for e in enc.edus:
             assert e.shape == (12,)
         assert span_rep(enc, 0, 2).shape == (24,)
+        M = enc.matrix()
         np.testing.assert_array_equal(span_rep(enc, 1, 3).data,
-                                      span_rep_np(enc.matrix(), 1, 3))
+                                      np.concatenate([M[1], M[2]]))
         with pytest.raises(ValueError):
             span_rep(enc, 2, 2)
 

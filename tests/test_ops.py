@@ -163,6 +163,100 @@ class TestGradients:
         np.testing.assert_allclose(w.grad, want, rtol=1e-6, atol=1e-8)
 
 
+def lstm_reference(W, b, xs, hidden):
+    """One LSTM direction as a per-step composition of tape ops: the
+    matvec/concat/narrow/sigmoid/tanh/mul chain that ops.lstm fuses."""
+    h = ops.zeros(hidden)
+    c = ops.zeros(hidden)
+    out = []
+    for x in xs:
+        z = ops.add(ops.matvec(W, ops.concat([x, h])), b)
+        gate_in = ops.sigmoid(ops.narrow(z, 0, hidden))
+        gate_forget = ops.sigmoid(ops.narrow(z, hidden, 2 * hidden))
+        cand = ops.tanh(ops.narrow(z, 2 * hidden, 3 * hidden))
+        gate_out = ops.sigmoid(ops.narrow(z, 3 * hidden, 4 * hidden))
+        c = ops.add(ops.mul(gate_forget, c), ops.mul(gate_in, cand))
+        h = ops.mul(gate_out, ops.tanh(c))
+        out.append(h)
+    return out
+
+
+def lstm_inputs(hidden, d, T):
+    return (RNG.standard_normal((4 * hidden, d + hidden)),
+            RNG.standard_normal(4 * hidden), RNG.standard_normal((T, d)))
+
+
+class TestSequenceOps:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("hidden, d, T", [(3, 4, 5), (32, 20, 30)])
+    def test_lstm_forward_equals_per_step_composition(self, reverse, hidden,
+                                                      d, T):
+        W0, b0, X0 = lstm_inputs(hidden, d, T)
+        rows = [ops.tensor(x) for x in X0]
+        want = lstm_reference(ops.tensor(W0), ops.tensor(b0),
+                              rows[::-1] if reverse else rows, hidden)
+        want = np.stack([h.data for h in (want[::-1] if reverse else want)])
+        got = ops.lstm(ops.tensor(W0), ops.tensor(b0), ops.tensor(X0), hidden,
+                       reverse=reverse)
+        np.testing.assert_array_equal(got.data, want)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_gradients_match_finite_differences(self, reverse):
+        hidden, T = 3, 5
+        arrays = lstm_inputs(hidden, 4, T)
+        upstream = RNG.standard_normal((T, hidden))   # on every output row
+
+        def loss(W, b, X):
+            out = ops.lstm(W, b, X, hidden, reverse=reverse)
+            return ops.vsum(ops.cmul(out, upstream))
+
+        leaves = [ops.tensor(a) for a in arrays]
+        ops.backward(loss(*leaves))
+        for slot, (leaf, a0) in enumerate(zip(leaves, arrays)):
+            def f(v, slot=slot):
+                args = [ops.tensor(a) for a in arrays]
+                args[slot] = ops.tensor(v)
+                return loss(*args).item()
+
+            np.testing.assert_allclose(leaf.grad, fd_grad(f, a0), rtol=1e-6,
+                                       atol=1e-8)
+
+    def test_lstm_shape_mismatch(self):
+        W0, b0, X0 = lstm_inputs(3, 4, 5)
+        with pytest.raises(ValueError, match="lstm shapes"):
+            ops.lstm(ops.tensor(W0), ops.tensor(b0), ops.tensor(X0[:, :3]), 3)
+
+    def test_take_rows_accumulates_repeated_indices(self):
+        a = ops.tensor(np.arange(8.0).reshape(4, 2))
+        out = ops.take_rows(a, [2, 0, 2, 2])
+        np.testing.assert_array_equal(out.data, [[4, 5], [0, 1], [4, 5], [4, 5]])
+        g = RNG.standard_normal((4, 2))
+        ops.backward(ops.vsum(ops.cmul(out, g)))
+        want = np.zeros((4, 2))
+        want[2] = g[0] + g[2] + g[3]
+        want[0] = g[1]
+        np.testing.assert_allclose(a.grad, want, rtol=1e-15)
+
+    def test_take_rows_with_row_pairs_concatenates_them(self):
+        index = np.array([[1, 0], [2, 2]])
+        a0 = RNG.standard_normal((3, 2))
+        out = ops.take_rows(ops.tensor(a0), index)
+        np.testing.assert_array_equal(out.data, np.hstack([a0[index[:, 0]],
+                                                           a0[index[:, 1]]]))
+        mask = RNG.standard_normal((2, 4))
+        check_unary(lambda x: ops.vsum(ops.cmul(ops.take_rows(x, index), mask)),
+                    (3, 2))
+
+    def test_concat_along_columns(self):
+        mask = RNG.standard_normal((3, 6))
+
+        def build(x):
+            parts = [x, ops.scale(x, 2.0), ops.take_rows(x, [0, 0, 1])]
+            return ops.vsum(ops.cmul(ops.concat(parts, axis=1), mask))
+
+        check_unary(build, (3, 2))
+
+
 class TestTapeMechanics:
     def test_shared_node_accumulates(self):
         x = ops.tensor(3.0)

@@ -3,10 +3,13 @@
 perfbench/run.py resolves those names only when a traced run starts, so a
 renamed or re-signatured function would otherwise fail the benchmark alone.
 Here the tracer is built, installed around a tiny parse and training run,
-and removed again.
+and removed again.  The reference digests are recomputed with the
+benchmark's own functions, and the encoder's tape is counted as the
+benchmark counts it.
 """
 
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
@@ -70,3 +73,46 @@ def test_tracer_installs_and_restores_every_name(bench_run):
             "ops.backward", "training.adam", "training.eval",
             "metrics.evaluate"} <= seen
     assert tracer.counts["table_rows"] > 0 and tracer.counts["states"] > 0
+
+
+@pytest.mark.parametrize("workload", ["parse-long", "train-joint"])
+def test_reference_digest_matches(bench_run, workload, tmp_path):
+    """The trees of parse-long's reference documents, and the report rows of
+    train-joint's two-epoch reference training, digest as perfbench records.
+
+    A change that alters any parsed tree or report row fails here instead of
+    only in a full benchmark run.
+    """
+    wl = bench_run.WORKLOADS[workload]
+    docs, params = bench_run.setup(wl, 1, tmp_path)
+    res = bench_run.Results()
+    if wl.train:
+        bench_run.reference_training(wl, docs, res)
+    else:
+        n_ref = len(wl.reference_sizes)
+        bench_run.parse_body(wl, docs, params, res, lambda done: done < n_ref)
+    assert res.failed == 0
+    expected = json.loads((PERFBENCH / "digests.json").read_text())[workload]
+    assert res.digest.hexdigest() == expected
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.2])
+def test_encoder_tape_does_not_grow_with_tokens(bench_run, dropout):
+    """Two documents of four EDUs, with 3 and with 30 tokens per EDU, encode
+    to tapes of the same size, counted as the benchmark counts tape nodes:
+    the encoder records no node per token."""
+    from rstparse.core import Document, Edu
+    from rstparse.encoder import encode_document, make_dropout_masks
+
+    params = bench_run.new_params()
+    masks = make_dropout_masks(params, 4, dropout, np.random.default_rng(0))
+
+    def document(tokens_per_edu):
+        words = bench_run.WORD_TYPES[:tokens_per_edu]
+        tags = [bench_run.TAGS[t % len(bench_run.TAGS)] for t in range(tokens_per_edu)]
+        return Document(f"d{tokens_per_edu}", tuple(
+            Edu(tuple(words), tuple(tags), k + 1) for k in range(4)))
+
+    sizes = [bench_run.tape_size(encode_document(document(m), params, masks).tensor)
+             for m in (3, 30)]
+    assert sizes[0] == sizes[1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_tree
+from conftest import chain_tree, make_tree
 
 from rstparse.core import Action, Document, Nuclearity, RelationVocab
 from rstparse.data import generate_synthetic, random_tree
@@ -99,6 +99,13 @@ class TestOracle:
         assert actions == [Action.shift(), Action.shift(),
                            Action.reduce(1, Nuclearity.NN), Action.shift(),
                            Action.reduce(2, Nuclearity.NS)]
+
+    @pytest.mark.parametrize("right", [True, False])
+    def test_deep_chain_round_trip(self, right):
+        tree = chain_tree(5000, right)
+        actions = oracle_actions(tree)
+        assert len(actions) == 2 * 5000 - 1
+        assert replay(actions, 5000) == tree
 
 
 class TestActionIndexing:
