@@ -60,9 +60,6 @@ from .encoder import (
     ModelParams,
     RowFeedforward,
     encode_document,
-    score_nuc,
-    score_rel,
-    score_span,
 )
 from .ops import Tensor
 
@@ -309,12 +306,19 @@ class TableOracle:
         return t
 
 
+def _label_rows(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> tuple:
+    """The four EDU rows a label input concatenates, per cell (i, j) split
+    at k: the child span reps (i, k) and (k, j), that is M[i], M[k-1], M[k],
+    M[j-1]; a leaf (k = i) reads its own rep twice, M[i] four times."""
+    return i, np.where(j == i + 1, i, k - 1), k, j - 1
+
+
 class NeuralOracle:
     """Scores the chart decisions of one encoded document in batched numpy.
 
-    The scores come from the same parameters and dropout masks as the tape
-    scorers, so a tree decoded from them is the argmax of the function the
-    symbolic loss differentiates.
+    The scores come from the same parameters, inputs and dropout masks as
+    score_tree_symbolic, so a tree decoded from them is the argmax of the
+    function the symbolic loss differentiates.
 
     The span, relation and nuclearity inputs concatenate rows of the EDU
     matrix M, so construction projects M once through each column block of
@@ -348,15 +352,11 @@ class NeuralOracle:
         self._tables: ScoreTables | None = None
 
     def labels(self, i, j, k) -> tuple[np.ndarray, np.ndarray]:
-        """Relation and nuclearity rows of cells (i, j) split at k, batched.
-
-        An internal row reads the child span reps (i, k) and (k, j), that is
-        M[i], M[k-1], M[k], M[j-1]; a leaf row (k = i) reads its own rep
-        twice.  A span rep (a, b) reads M[a], M[b-1].
-        """
-        i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
-        b = np.where(j == i + 1, i, k - 1)
-        return self._rel(i, b, k, j - 1), self._nuc(i, b, k, j - 1)
+        """Relation and nuclearity rows of cells (i, j) split at k, batched
+        (inputs as _label_rows gives them; a span rep (a, b) reads M[a],
+        M[b-1])."""
+        rows = _label_rows(np.asarray(i), np.asarray(j), np.asarray(k))
+        return self._rel(*rows), self._nuc(*rows)
 
     def tables(self, n: int | None = None) -> ScoreTables:
         if n is not None and n != self.n:
@@ -676,16 +676,34 @@ def decode_loss_augmented(n: int, scores, gold: RstTree,
 def score_tree_symbolic(tree: RstTree, params: ModelParams,
                         enc: EncodedDocument,
                         masks: DropoutMasks | None = None) -> Tensor:
-    """score_tree rebuilt on the autograd tape, term by term."""
+    """score_tree on the autograd tape, each scorer applied once to a batch.
+
+    The span scorer gets every span but the root, the relation and
+    nuclearity scorers the tree's 2n - 1 label rows (the inputs
+    NeuralOracle.labels reads), each gathered from the EDU node in one
+    ``take_rows``; one-hot constants pick each row's relation and
+    nuclearity.  The tape holds the same number of nodes for any tree.
+    """
+    internal = list(tree.internal_items())
+    leaves = [(i, i + 1, i, l, p) for i, l, p in tree.leaf_items()]
+    I, J, K, L, P = (np.array(c) for c in zip(*(internal + leaves)))
+    M = enc.tensor
+
+    def apply(name, index):
+        mask = masks.hidden_for(name) if masks is not None else None
+        return Feedforward(params, name).apply(ops.take_rows(M, index), mask)
+
     terms = []
-    for i, j, k, l, p in tree.internal_items():
-        terms.append(score_span(params, enc, i, k, masks))
-        terms.append(score_span(params, enc, k, j, masks))
-        terms.append(ops.pick(score_rel(params, enc, i, j, k, masks), l))
-        terms.append(ops.pick(score_nuc(params, enc, i, j, k, masks), int(p)))
-    for i, l, p in tree.leaf_items():
-        terms.append(ops.pick(score_rel(params, enc, i, i + 1, i, masks), l))
-        terms.append(ops.pick(score_nuc(params, enc, i, i + 1, i, masks), int(p)))
+    # every span but the root is a child of an internal span
+    children = [(i, j - 1) for i, j in tree.labels if (i, j) != (0, tree.n)]
+    if children:
+        terms.append(ops.vsum(apply(SPAN, children)))
+    label_rows = np.stack(_label_rows(I, J, K), axis=1)
+    for name, picked in ((REL, L), (NUC, P)):
+        scores = apply(name, label_rows)
+        one_hot = np.zeros(scores.shape)
+        one_hot[np.arange(len(I)), picked] = 1.0
+        terms.append(ops.vsum(ops.cmul(scores, one_hot)))
     return ops.addn(terms)
 
 
@@ -741,14 +759,21 @@ def missing_prediction(n: int, scores, gold: RstTree,
     return score < score_tree(gold, s)
 
 
-def count_missing(docs, params: ModelParams, decoder: str = "partial") -> int:
-    """Documents whose decoded tree under-shoots the gold tree's score."""
+def count_missing(docs, params: ModelParams, decoder: str = "partial",
+                  trees: list | None = None) -> int:
+    """Documents whose decoded tree under-shoots the gold tree's score.
+
+    When ``trees`` is a list, each document's decoded tree is appended to
+    it, so a caller that also needs those predictions decodes only once.
+    """
+    decode = get_decoder(decoder)
     total = 0
     for doc in docs:
         if doc.gold is None:
             raise ValueError(f"document {doc.doc_id} has no gold tree")
-        enc = encode_document(doc, params)
-        if missing_prediction(doc.n, NeuralOracle(params, enc), doc.gold,
-                              decoder):
-            total += 1
+        scores = NeuralOracle(params, encode_document(doc, params))
+        tree, score = decode(doc.n, scores)
+        if trees is not None:
+            trees.append(tree)
+        total += score < score_tree(doc.gold, scores)
     return total

@@ -5,7 +5,8 @@ One parameter set backs every decoder.  Words are embedded as learned vector
 the whole document, and each EDU is summarized by the recurrent states at its
 first and last word (both directions, 4H total).  A span (i, j) is the
 concatenation of its first and last EDU vectors (8H).  All decision scores
-come from two-layer feedforward networks over these span vectors.
+come from two-layer feedforward networks over concatenations of EDU rows,
+applied to batches of rows both on the tape and in numpy.
 """
 
 from __future__ import annotations
@@ -229,7 +230,12 @@ class ModelParams:
 
 
 class Feedforward:
-    """Two-layer scorer W2 relu(W1 x + b1) + b2 with tape and batched views."""
+    """Two-layer scorer W2 relu(W1 x + b1) + b2, applied to rows of inputs.
+
+    ``apply`` records the network on the tape for a (B, d) batch of inputs
+    as one ``linear`` node per layer; ``output_np`` is the same network in
+    numpy from the first layer's product onwards.
+    """
 
     def __init__(self, params: ModelParams, prefix: str):
         tensors = params.tensors()
@@ -238,14 +244,12 @@ class Feedforward:
         self.W2 = tensors[f"{prefix}.W2"]
         self.b2 = tensors[f"{prefix}.b2"]
 
-    def apply(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        h = ops.relu(ops.add(ops.matvec(self.W1, x), self.b1))
+    def apply(self, X: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """The (B, d_out) scores of the B input rows of X."""
+        h = ops.relu(ops.linear(X, self.W1, self.b1))
         if mask is not None:
             h = ops.cmul(h, mask)
-        return ops.add(ops.matvec(self.W2, h), self.b2)
-
-    def apply_np(self, X: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        return self.output_np(X @ self.W1.data.T, mask)
+        return ops.linear(h, self.W2, self.b2)
 
     def output_np(self, Z: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         """The network from the first layer's product Z = X W1^T onwards."""
@@ -295,7 +299,7 @@ class RowFeedforward:
 class DropoutMasks:
     """Inverted-scale masks, fixed for one document pass.
 
-    The same masks feed both the numpy score tables used for decoding and the
+    The same masks feed both the numpy scores used for decoding and the
     tape rebuild of the chosen decisions, so the decoded tree is the argmax
     of exactly the function being differentiated.
     """
@@ -326,8 +330,9 @@ def make_dropout_masks(params: ModelParams, n_edus: int, dropout: float,
 class EncodedDocument:
     """The (n, 4H) EDU matrix as one tape node, with per-EDU row views.
 
-    ``matrix()`` is the node's data, read by the batched numpy scorers;
-    ``edus`` are row nodes of it for the tape scorers, made on first use.
+    ``matrix()`` is the node's data, read by the numpy scorers; the tape
+    losses gather their inputs from ``tensor``.  ``edus`` are row nodes of
+    it, made on first use.
     """
 
     __slots__ = ("tensor", "_edus")
@@ -391,33 +396,3 @@ def span_rep(enc: EncodedDocument, i: int, j: int) -> Tensor:
     if not 0 <= i < j <= enc.n:
         raise ValueError(f"span ({i}, {j}) out of range for {enc.n} EDUs")
     return ops.concat([enc.edus[i], enc.edus[j - 1]])
-
-
-def _pair_rep(enc: EncodedDocument, i: int, j: int, k: int) -> Tensor:
-    """Labeling input: child reps for internal spans, own rep twice for leaves.
-
-    k == i marks the leaf case (a one-EDU span has no real split point).
-    """
-    if k == i:
-        own = span_rep(enc, i, j)
-        return ops.concat([own, own])
-    return ops.concat([span_rep(enc, i, k), span_rep(enc, k, j)])
-
-
-def score_span(params: ModelParams, enc: EncodedDocument, i: int, j: int,
-               masks: DropoutMasks | None = None) -> Tensor:
-    mask = masks.hidden_for(SPAN) if masks is not None else None
-    return ops.pick(Feedforward(params, SPAN).apply(span_rep(enc, i, j), mask), 0)
-
-
-def score_rel(params: ModelParams, enc: EncodedDocument, i: int, j: int, k: int,
-              masks: DropoutMasks | None = None) -> Tensor:
-    """Vector of relation scores (one per label, reserved leaf label included)."""
-    mask = masks.hidden_for(REL) if masks is not None else None
-    return Feedforward(params, REL).apply(_pair_rep(enc, i, j, k), mask)
-
-
-def score_nuc(params: ModelParams, enc: EncodedDocument, i: int, j: int, k: int,
-              masks: DropoutMasks | None = None) -> Tensor:
-    mask = masks.hidden_for(NUC) if masks is not None else None
-    return Feedforward(params, NUC).apply(_pair_rep(enc, i, j, k), mask)

@@ -3,10 +3,13 @@
 A Tensor wraps an ndarray and remembers how it was produced; backward() walks
 the recorded graph once, in reverse topological order, accumulating gradients
 into every node it can reach.  Only the operations the parsers need exist:
-dense matvec, concatenation, slicing, element picks and row gathers,
-elementwise nonlinearities, sums, and one fused sequence op, ``lstm``, which
-runs a whole LSTM direction as a single node with hand-written
-backpropagation through time.  Everything is computed at 64-bit precision.
+dense matvec, batched affine maps over the rows of a matrix (``linear``),
+concatenation, slicing, element picks and row gathers, elementwise
+nonlinearities, sums, a masked margin hinge over a matrix of scores
+(``margin_hinge``), and one fused sequence op, ``lstm``, which runs a whole
+LSTM direction as a single node with hand-written backpropagation through
+time.  A loss over a batch of decisions is then a fixed number of nodes,
+however many decisions it has.  Everything is computed at 64-bit precision.
 """
 
 from __future__ import annotations
@@ -110,6 +113,17 @@ def matvec(w: Tensor, x: Tensor) -> Tensor:
         raise ValueError(f"bad matvec shapes {w.data.shape} @ {x.data.shape}")
     return Tensor(w.data @ x.data, (w, x),
                   lambda g: (np.outer(g, x.data), w.data.T @ g))
+
+
+def linear(X: Tensor, W: Tensor, b: Tensor) -> Tensor:
+    """Rows of X (B, d) through W (m, d) plus the bias b (m,): X W^T + b."""
+    x, w = X.data, W.data
+    if (x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]
+            or b.data.shape != (w.shape[0],)):
+        raise ValueError(f"bad linear shapes {x.shape} @ {w.shape}^T "
+                         f"+ {b.data.shape}")
+    return Tensor(x @ w.T + b.data, (X, W, b),
+                  lambda g: (g @ w, g.T @ x, g.sum(axis=0)))
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
@@ -274,6 +288,30 @@ def tanh(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     out = 1.0 / (1.0 + np.exp(-a.data))
     return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def margin_hinge(S: Tensor, gold, legal) -> Tensor:
+    """Sum over legal (r, a) of max(0, (S[r, a] - S[r, gold[r]]) + 1).
+
+    S holds one row of scores per decision, ``gold`` the gold column of each
+    row and ``legal`` a boolean mask of S's shape.  As relu does, the
+    gradient is zero where a term is exactly 0.
+    """
+    rows = np.arange(S.data.shape[0])
+    gold = np.asarray(gold, dtype=np.intp)
+    legal = np.asarray(legal, dtype=bool)
+    if legal.shape != S.data.shape or gold.shape != rows.shape:
+        raise ValueError(f"bad hinge shapes: scores {S.data.shape}, "
+                         f"gold {gold.shape}, legal {legal.shape}")
+    margins = (S.data - S.data[rows, gold][:, None]) + 1.0
+    active = legal & (margins > 0.0)
+
+    def vjp(g):
+        out = g * active
+        out[rows, gold] -= g * active.sum(axis=1)
+        return (out,)
+
+    return Tensor(np.maximum(margins, 0.0)[legal].sum(), (S,), vjp)
 
 
 def vsum(a: Tensor) -> Tensor:

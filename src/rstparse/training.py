@@ -132,12 +132,16 @@ def predict_tree(doc: Document, params: ModelParams, method: str):
     return tree
 
 
-def evaluate_model(docs, params: ModelParams, method: str) -> EvalReport:
+def evaluate_model(docs, params: ModelParams, method: str,
+                   trees: list | None = None) -> EvalReport:
+    """Scores of the documents' predicted trees against gold.  ``trees``,
+    when given, are those predictions, already decoded with ``method``."""
     pairs = []
-    for doc in docs:
+    for x, doc in enumerate(docs):
         if doc.gold is None:
             raise ValueError(f"document {doc.doc_id} has no gold tree")
-        pairs.append((doc.doc_id, predict_tree(doc, params, method), doc.gold))
+        tree = trees[x] if trees is not None else predict_tree(doc, params, method)
+        pairs.append((doc.doc_id, tree, doc.gold))
     return evaluate_trees(pairs)
 
 
@@ -209,6 +213,11 @@ def train(train_docs, dev_docs, vocabs: CorpusVocabs, cfg: TrainConfig,
     shuffle_rng = np.random.default_rng(shuffle_ss)
     drop_rng = np.random.default_rng(drop_ss)
     eval_method = "transition" if cfg.mode == "transition" else cfg.decoder
+    # After each epoch, dev evaluation and the missing count both decode
+    # without dropout under the same parameters; when they also read the
+    # same documents with the same decoder, one pass serves both.
+    one_pass = (eval_method == cfg.decoder and len(dev_docs) == len(train_docs)
+                and all(d is t for d, t in zip(dev_docs, train_docs)))
 
     reports: list[EpochReport] = []
     best_params = None
@@ -225,8 +234,9 @@ def train(train_docs, dev_docs, vocabs: CorpusVocabs, cfg: TrainConfig,
             ops.backward(loss)
             adam_step(params.arrays, params.gradients(), adam, cfg.lr,
                       clip=cfg.grad_clip)
-        dev_report = evaluate_model(dev_docs, params, eval_method)
-        missing = count_missing(train_docs, params, cfg.decoder)
+        trees = [] if one_pass else None
+        missing = count_missing(train_docs, params, cfg.decoder, trees)
+        dev_report = evaluate_model(dev_docs, params, eval_method, trees)
         report = EpochReport(epoch, total / len(train_docs),
                              dict(dev_report.micro), dict(dev_report.macro),
                              missing)

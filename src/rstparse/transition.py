@@ -33,13 +33,14 @@ from .encoder import (
     EncodedDocument,
     Feedforward,
     ModelParams,
+    RowFeedforward,
     encode_document,
-    span_rep,
 )
 from .ops import Tensor
 
 STACK_SLOTS = 3
 QUEUE_SLOTS = 3
+SLOTS = 2 * STACK_SLOTS + QUEUE_SLOTS     # EDU rows per action-scorer input
 
 
 class ParserState:
@@ -185,61 +186,54 @@ def parse_actions(text: str, rel_vocab: RelationVocab) -> list[Action]:
 
 # --- neural scoring -------------------------------------------------------
 
-def state_rep(state: ParserState, enc: EncodedDocument) -> Tensor:
-    """Top stack spans (8H each) then front queue EDUs (4H each), zero-padded."""
-    h = enc.matrix().shape[1]         # 4H
-    parts = []
+def slot_rows(state: ParserState) -> list[int]:
+    """The SLOTS rows of [M; 0] the action scorer's input concatenates.
+
+    Each of the top three stack spans gives its first and last EDU rows (a
+    span rep), each of the first three queued EDUs its own row; an empty
+    slot reads row n, the zero row appended below the EDU matrix M.
+    """
+    pad = state.n
+    rows = []
     for slot in range(STACK_SLOTS):
         if slot < len(state.stack):
             i, j = state.stack[-1 - slot]
-            parts.append(span_rep(enc, i, j))
+            rows += (i, j - 1)
         else:
-            parts.append(ops.zeros(2 * h))
+            rows += (pad, pad)
     for slot in range(QUEUE_SLOTS):
         edu = state.shifted + slot    # 0-based position of queued EDU
-        if edu < state.n:
-            parts.append(enc.edus[edu])
-        else:
-            parts.append(ops.zeros(h))
-    return ops.concat(parts)
+        rows.append(edu if edu < state.n else pad)
+    return rows
 
 
-def state_rep_np(state: ParserState, matrix: np.ndarray) -> np.ndarray:
-    h = matrix.shape[1]
-    parts = []
-    for slot in range(STACK_SLOTS):
-        if slot < len(state.stack):
-            i, j = state.stack[-1 - slot]
-            parts.append(matrix[i])
-            parts.append(matrix[j - 1])
-        else:
-            parts.append(np.zeros(2 * h))
-    for slot in range(QUEUE_SLOTS):
-        edu = state.shifted + slot
-        parts.append(matrix[edu] if edu < state.n else np.zeros(h))
-    return np.concatenate(parts)
-
-
-def score_actions(state: ParserState, enc: EncodedDocument, params: ModelParams,
-                  masks: DropoutMasks | None = None) -> Tensor:
-    mask = masks.hidden_for(ACTION) if masks is not None else None
-    return Feedforward(params, ACTION).apply(state_rep(state, enc), mask)
+def legal_mask(state: ParserState, n_actions: int) -> np.ndarray:
+    """legal_actions as a boolean mask over action indices: SHIFT iff the
+    queue is non-empty, every REDUCE iff the stack holds two spans or more."""
+    legal = np.empty(n_actions, dtype=bool)
+    legal[0] = state.shifted < state.n
+    legal[1:] = len(state.stack) >= 2
+    return legal
 
 
 def greedy_parse(doc: Document, params: ModelParams,
                  enc: EncodedDocument | None = None) -> RstTree:
-    """Best legal action at each state, ties to the lowest action index."""
+    """Best legal action at each state, ties to the lowest action index.
+
+    The first layer's slot projections of [M; 0] are made once per document
+    (see RowFeedforward), so scoring a state gathers SLOTS rows of them.
+    """
     if enc is None:
         enc = encode_document(doc, params)
-    matrix = enc.matrix()
-    ff = Feedforward(params, ACTION)
-    n_rel = params.n_rel
+    M = enc.matrix()
+    padded = np.vstack((M, np.zeros((1, M.shape[1]))))
+    scorer = RowFeedforward(Feedforward(params, ACTION), padded, SLOTS)
     state = initial_state(doc.n)
     while not is_terminal(state):
-        scores = ff.apply_np(state_rep_np(state, matrix)[None, :])[0]
-        legal = [action_index(a, n_rel) for a in legal_actions(state, n_rel)]
-        choice = legal[int(np.argmax(scores[legal]))]
-        state = apply_action(state, index_action(choice, n_rel))
+        scores = scorer(*([r] for r in slot_rows(state)))[0]
+        legal = legal_mask(state, params.n_actions)
+        choice = int(np.argmax(np.where(legal, scores, -np.inf)))
+        state = apply_action(state, index_action(choice, params.n_rel))
     return finish(state)
 
 
@@ -252,21 +246,27 @@ def transition_loss(doc: Document, params: ModelParams,
     max(0, 1 + S(s, a) - S(s, a*)); the total is divided by the full action
     inventory size.  The a = a* terms contribute a constant floor of
     (2n - 1) / |A|, so a fully separated model plateaus there, not at zero.
+
+    The gold derivation fixes every state before any scoring, so the states'
+    slot rows are collected first; the tape then holds one gather from
+    [M; 0], one batched scorer and one hinge, whatever n is.
     """
     if doc.gold is None:
         raise ValueError(f"document {doc.doc_id} has no gold tree")
     if enc is None:
         enc = encode_document(doc, params, masks)
-    n_rel = params.n_rel
-    terms: list[Tensor] = []
+    rows, gold, legal = [], [], []
     state = initial_state(doc.n)
     for gold_action in oracle_actions(doc.gold):
-        scores = score_actions(state, enc, params, masks)
-        star = ops.pick(scores, action_index(gold_action, n_rel))
-        for a in legal_actions(state, n_rel):
-            s_a = ops.pick(scores, action_index(a, n_rel))
-            terms.append(ops.relu((s_a - star) + 1.0))
+        rows.append(slot_rows(state))
+        gold.append(action_index(gold_action, params.n_rel))
+        legal.append(legal_mask(state, params.n_actions))
         state = apply_action(state, gold_action)
     if not is_terminal(state):
         raise ValueError("gold derivation did not terminate")
-    return ops.scale(ops.addn(terms), 1.0 / params.n_actions)
+    M = enc.tensor
+    padded = ops.concat([M, ops.zeros((1, M.shape[1]))], axis=0)
+    mask = masks.hidden_for(ACTION) if masks is not None else None
+    scores = Feedforward(params, ACTION).apply(ops.take_rows(padded, rows), mask)
+    return ops.scale(ops.margin_hinge(scores, gold, np.array(legal)),
+                     1.0 / params.n_actions)

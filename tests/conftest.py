@@ -6,11 +6,27 @@ The enumeration order is deliberate: splits ascending, left subtree before
 right, first maximum kept on ties. That is the same preference order the
 CKY backtrace uses, so on tied scores the brute-force winner and the chart
 winner are the same tree, not just the same score.
+
+Also here, as the reference for the batched losses: the per-decision tape
+composition the scorers used before, one input vector and one matvec per
+decision and five tape nodes per hinge term.
 """
 
 import numpy as np
 
+from rstparse import ops
 from rstparse.core import LEAF_RELATION, LabeledSpan, Nuclearity, RstTree
+from rstparse.encoder import ACTION, NUC, REL, SPAN, Feedforward, span_rep
+from rstparse.transition import (
+    QUEUE_SLOTS,
+    STACK_SLOTS,
+    action_index,
+    apply_action,
+    initial_state,
+    is_terminal,
+    legal_actions,
+    oracle_actions,
+)
 
 
 def make_tree(n, splits, labels=None):
@@ -108,6 +124,86 @@ def random_gold_tree(n, n_rel, rng):
     names = ["R%d" % i for i in range(1, n_rel)]
     vocab = RelationVocab(names)
     return random_tree(n, vocab, rng)
+
+
+# --- the per-decision tape composition ------------------------------------
+
+def ref_feedforward(params, name, x, masks=None):
+    """W2 relu(W1 x + b1) + b2 for one input vector x, one node per step."""
+    ff = Feedforward(params, name)
+    h = ops.relu(ops.add(ops.matvec(ff.W1, x), ff.b1))
+    if masks is not None:
+        h = ops.cmul(h, masks.hidden_for(name))
+    return ops.add(ops.matvec(ff.W2, h), ff.b2)
+
+
+def ref_pair_rep(enc, i, j, k):
+    """Labeling input: child reps for internal spans, own rep twice for
+    leaves (k == i)."""
+    if k == i:
+        own = span_rep(enc, i, j)
+        return ops.concat([own, own])
+    return ops.concat([span_rep(enc, i, k), span_rep(enc, k, j)])
+
+
+def ref_score_span(params, enc, i, j, masks=None):
+    return ops.pick(ref_feedforward(params, SPAN, span_rep(enc, i, j), masks), 0)
+
+
+def ref_score_rel(params, enc, i, j, k, masks=None):
+    return ref_feedforward(params, REL, ref_pair_rep(enc, i, j, k), masks)
+
+
+def ref_score_nuc(params, enc, i, j, k, masks=None):
+    return ref_feedforward(params, NUC, ref_pair_rep(enc, i, j, k), masks)
+
+
+def ref_score_tree_symbolic(tree, params, enc, masks=None):
+    terms = []
+    for i, j, k, l, p in tree.internal_items():
+        terms.append(ref_score_span(params, enc, i, k, masks))
+        terms.append(ref_score_span(params, enc, k, j, masks))
+        terms.append(ops.pick(ref_score_rel(params, enc, i, j, k, masks), l))
+        terms.append(ops.pick(ref_score_nuc(params, enc, i, j, k, masks), int(p)))
+    for i, l, p in tree.leaf_items():
+        terms.append(ops.pick(ref_score_rel(params, enc, i, i + 1, i, masks), l))
+        terms.append(ops.pick(ref_score_nuc(params, enc, i, i + 1, i, masks), int(p)))
+    return ops.addn(terms)
+
+
+def ref_state_rep(state, enc):
+    """Top stack spans (8H each) then front queue EDUs (4H each), zero-padded."""
+    h = enc.matrix().shape[1]
+    parts = []
+    for slot in range(STACK_SLOTS):
+        if slot < len(state.stack):
+            i, j = state.stack[-1 - slot]
+            parts.append(span_rep(enc, i, j))
+        else:
+            parts.append(ops.zeros(2 * h))
+    for slot in range(QUEUE_SLOTS):
+        edu = state.shifted + slot
+        parts.append(enc.edus[edu] if edu < state.n else ops.zeros(h))
+    return ops.concat(parts)
+
+
+def ref_score_actions(state, enc, params, masks=None):
+    return ref_feedforward(params, ACTION, ref_state_rep(state, enc), masks)
+
+
+def ref_transition_loss(doc, params, masks, enc):
+    n_rel = params.n_rel
+    terms = []
+    state = initial_state(doc.n)
+    for gold_action in oracle_actions(doc.gold):
+        scores = ref_score_actions(state, enc, params, masks)
+        star = ops.pick(scores, action_index(gold_action, n_rel))
+        for a in legal_actions(state, n_rel):
+            s_a = ops.pick(scores, action_index(a, n_rel))
+            terms.append(ops.relu((s_a - star) + 1.0))
+        state = apply_action(state, gold_action)
+    assert is_terminal(state)
+    return ops.scale(ops.addn(terms), 1.0 / params.n_actions)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

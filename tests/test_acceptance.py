@@ -180,17 +180,46 @@ def _fd_check(doc, params, cfg, rng, eps=1e-5, tol=1e-4):
     return worst, families
 
 
+def _other_structure(tree):
+    """The other binary tree over the same three EDUs, keeping the labels of
+    the root, of the internal child span and of the leaves."""
+    (child,) = [s for s in tree.splits if s != (0, 3)]
+    if child == (0, 2):
+        splits = {(0, 3): 1, (1, 3): 2}
+    else:
+        splits = {(0, 3): 2, (0, 2): 1}
+    (other,) = [s for s in splits if s != (0, 3)]
+    labels = {s: tree.label_at(*s) for s in ((0, 1), (1, 2), (2, 3), (0, 3))}
+    labels[other] = tree.label_at(*child)
+    return make_tree(3, splits, labels)
+
+
 def test_06_loss_gradients_match_finite_differences():
-    """Backward pass against central differences for all three objectives."""
+    """Backward pass against central differences for all three objectives.
+
+    The last case gives the chart loss a gold tree whose structure the
+    prediction does not share, so the span scorer's gradient (pred minus
+    gold) is not exactly zero."""
     covered = {}
-    for mode in ("chart", "transition", "joint"):
+    for mode, other_gold in (("chart", False), ("transition", False),
+                             ("joint", False), ("chart", True)):
         doc, params = small_params(seed=6)
         gold = random_tree(doc.n, relation_vocab(params.n_rel),
                            np.random.default_rng(4))
+        if other_gold:
+            gold = _other_structure(gold)
         doc = Document(doc.doc_id, doc.edus, gold)
         cfg = TrainConfig(mode=mode, decoder="partial", gamma=1.0,
                           dropout=0.0, hidden=3, ff_hidden=4,
                           word_dim=2, pos_dim=2)
+        if other_gold:
+            # At n = 3 the partial decoder keeps gold's structure under
+            # either gold and flips every label (distance 10, against 9 for
+            # the other structure); complete takes its structure from the
+            # augmented span scores alone.
+            cfg.decoder = "complete"
+            _, diag = joint_loss(doc, params, cfg)
+            assert diag.pred.splits != gold.splits, "pred has gold's structure"
         worst, families = _fd_check(doc, params, cfg,
                                     np.random.default_rng(100))
         for fam, mag in families.items():

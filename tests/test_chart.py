@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_best, make_tree
+from conftest import (
+    brute_force_best,
+    make_tree,
+    ref_score_nuc,
+    ref_score_rel,
+    ref_score_tree_symbolic,
+)
 
 from rstparse import ops
 from rstparse.chart import (
@@ -25,11 +31,13 @@ from rstparse.chart import (
 from rstparse.core import Document, Edu, Nuclearity, RelationVocab
 from rstparse.data import Vocab, random_tree
 from rstparse.encoder import (
+    NUC,
+    REL,
+    SPAN,
+    Feedforward,
     ModelParams,
     encode_document,
     make_dropout_masks,
-    score_nuc,
-    score_rel,
 )
 
 from test_encoder import make_doc, small_params
@@ -225,28 +233,54 @@ class TestAugmentation:
 
 class TestNeuralOracle:
     def test_tables_match_tape_scorers(self):
+        """Every entry of the dense tables equals the batched tape scorers
+        applied to all spans and all label rows in one gather each."""
         doc, params = small_params(seed=13)
+        n = doc.n
+        I, J, K = all_rows(n)
+        si, sj = np.triu_indices(n + 1, 1)
         for masks in (None, make_dropout_masks(params, doc.n, 0.3,
                                                np.random.default_rng(1))):
             enc = encode_document(doc, params, masks)
-            tabs = NeuralOracle(params, enc, masks).tables(doc.n)
-            n = doc.n
-            from rstparse.encoder import score_nuc, score_rel, score_span
+            tabs = NeuralOracle(params, enc, masks).tables(n)
 
-            for i in range(n):
-                for j in range(i + 1, n + 1):
-                    assert tabs.s_span(i, j) == pytest.approx(
-                        score_span(params, enc, i, j, masks).item(), abs=1e-12)
-                    ks = [i] if j == i + 1 else range(i + 1, j)
-                    for k in ks:
-                        np.testing.assert_allclose(
-                            tabs.s_rel(i, j, k),
-                            score_rel(params, enc, i, j, k, masks).data,
-                            atol=1e-12)
-                        np.testing.assert_allclose(
-                            tabs.s_nuc(i, j, k),
-                            score_nuc(params, enc, i, j, k, masks).data,
-                            atol=1e-12)
+            def tape(name, index):
+                mask = masks.hidden_for(name) if masks is not None else None
+                X = ops.take_rows(enc.tensor, index)
+                return Feedforward(params, name).apply(X, mask).data
+
+            span = tape(SPAN, np.stack((si, sj - 1), axis=1))[:, 0]
+            np.testing.assert_allclose(tabs.span[si, sj], span, rtol=0,
+                                       atol=1e-12)
+            b = np.where(J == I + 1, I, K - 1)
+            label_rows = np.stack((I, b, K, J - 1), axis=1)
+            rows = [tabs.row_index(i, j, k) for i, j, k in zip(I, J, K)]
+            np.testing.assert_allclose(tabs.rel[rows], tape(REL, label_rows),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tabs.nuc[rows], tape(NUC, label_rows),
+                                       rtol=0, atol=1e-12)
+
+    def test_symbolic_score_equals_per_decision_reference(self):
+        """The batched tape score of a tree equals the per-decision
+        composition in value and in every parameter gradient."""
+        rng = np.random.default_rng(17)
+        params = random_params(n_rel=5, seed=17)
+        for n in (1, 2, 7):
+            doc = random_document(n, rng)
+            tree = gold_tree(n, params.n_rel, rng)
+            for masks in (None, make_dropout_masks(params, n, 0.3, rng)):
+                got = []
+                for score in (score_tree_symbolic, ref_score_tree_symbolic):
+                    params.zero_grads()
+                    enc = encode_document(doc, params, masks)
+                    out = score(tree, params, enc, masks)
+                    ops.backward(out)
+                    got.append((out.item(), params.gradients()))
+                (value, grads), (ref_value, ref_grads) = got
+                assert value == pytest.approx(ref_value, abs=1e-12)
+                for name, g in ref_grads.items():
+                    np.testing.assert_allclose(grads[name], g, rtol=0,
+                                               atol=1e-12, err_msg=name)
 
     def test_symbolic_score_matches_numeric(self):
         doc, params = small_params(seed=21)
@@ -437,10 +471,10 @@ class TestOnDemandRows:
                 i, j, k = int(I[x]), int(J[x]), int(K[x])
                 one_rel, one_nuc = oracle.labels([i], [j], [k])
                 np.testing.assert_allclose(
-                    one_rel[0], score_rel(params, enc, i, j, k, masks).data,
+                    one_rel[0], ref_score_rel(params, enc, i, j, k, masks).data,
                     rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
-                    one_nuc[0], score_nuc(params, enc, i, j, k, masks).data,
+                    one_nuc[0], ref_score_nuc(params, enc, i, j, k, masks).data,
                     rtol=0, atol=1e-12)
             assert oracle._tables is None, "labels built the dense table"
 

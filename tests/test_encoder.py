@@ -16,11 +16,10 @@ from rstparse.encoder import (
     encode_document,
     glorot,
     make_dropout_masks,
-    score_nuc,
-    score_rel,
-    score_span,
     span_rep,
 )
+
+from conftest import ref_feedforward
 
 
 def make_doc(token_lists, doc_id="doc"):
@@ -215,19 +214,22 @@ class TestEncoding:
         for name in p.arrays:
             p.arrays[name][:] = 0.0
         enc = encode_document(doc, p)
-        assert score_span(p, enc, 0, 2).item() == 0.0
-        assert not score_rel(p, enc, 0, 3, 1).data.any()
-        assert not score_nuc(p, enc, 0, 3, 2).data.any()
+        for name, rows in ((SPAN, [[0, 1]]), (REL, [[0, 0, 1, 2]]),
+                           (NUC, [[0, 1, 2, 2]])):
+            X = ops.take_rows(enc.tensor, rows)
+            assert not Feedforward(p, name).apply(X).data.any()
 
     def test_score_widths(self):
         doc, p = small_params(n_rel=4)
         enc = encode_document(doc, p)
-        assert score_span(p, enc, 0, 3).shape == ()
-        assert score_rel(p, enc, 0, 3, 2).shape == (4,)
-        assert score_nuc(p, enc, 0, 3, 1).shape == (4,)
-        # leaf labeling input duplicates the span's own representation
-        leaf = score_rel(p, enc, 1, 2, 1)
-        assert leaf.shape == (4,)
+        # span (0, 3) reads EDU rows 0 and 2; label rows of (0, 3) split at 2
+        # read the child reps (0, 2) and (2, 3), and a leaf row (1, 2) reads
+        # its own rep twice
+        spans = ops.take_rows(enc.tensor, [[0, 2], [1, 1]])
+        labels = ops.take_rows(enc.tensor, [[0, 1, 2, 2], [1, 1, 1, 1]])
+        assert Feedforward(p, SPAN).apply(spans).shape == (2, 1)
+        assert Feedforward(p, REL).apply(labels).shape == (2, 4)
+        assert Feedforward(p, NUC).apply(labels).shape == (2, 4)
 
     def test_pretrained_channel_changes_encoding(self):
         doc, base = small_params(seed=2)
@@ -246,13 +248,15 @@ class TestEncoding:
     def test_encoder_gradient_matches_fd(self):
         doc, p = small_params(seed=6)
 
+        def span_score(enc):     # span (0, 2): EDU rows 0 and 1
+            X = ops.take_rows(enc.tensor, [[0, 1]])
+            return ops.vsum(Feedforward(p, SPAN).apply(X))
+
         def value():
-            enc = encode_document(doc, p)
-            return score_span(p, enc, 0, 2).item()
+            return span_score(encode_document(doc, p)).item()
 
         p.zero_grads()
-        enc = encode_document(doc, p)
-        ops.backward(score_span(p, enc, 0, 2))
+        ops.backward(span_score(encode_document(doc, p)))
         grads = p.gradients()
 
         eps = 1e-6
@@ -296,14 +300,19 @@ class TestDropout:
     def test_feedforward_applies_mask_on_both_paths(self):
         doc, p = small_params()
         enc = encode_document(doc, p)
-        x = span_rep(enc, 0, 2)
-        mask = np.zeros(p.ff_hidden)
+        X = ops.take_rows(enc.tensor, [[0, 1], [1, 2], [2, 2]])
         ff = Feedforward(p, SPAN)
-        out_t = ff.apply(x, mask).data
-        out_n = ff.apply_np(x.data[None, :], mask)[0]
-        np.testing.assert_allclose(out_t, out_n)
+        half = make_dropout_masks(p, doc.n, 0.5, np.random.default_rng(3))
+        mask = half.hidden_for(SPAN)
+        out = ff.apply(X, mask).data
+        np.testing.assert_allclose(out, ff.output_np(X.data @ ff.W1.data.T, mask))
+        # each row as the per-decision composition scores it
+        for r in range(3):
+            one = ref_feedforward(p, SPAN, ops.tensor(X.data[r]), half)
+            np.testing.assert_allclose(out[r], one.data, rtol=0, atol=1e-12)
         # with the hidden layer fully dropped only the bias survives
-        np.testing.assert_allclose(out_t, ff.b2.data)
+        np.testing.assert_allclose(ff.apply(X, np.zeros(p.ff_hidden)).data,
+                                   np.tile(ff.b2.data, (3, 1)))
 
     def test_row_feedforward_equals_feedforward_on_concatenated_rows(self):
         doc, p = small_params(seed=7)
@@ -315,6 +324,7 @@ class TestDropout:
         for m in (None, mask):
             ff = Feedforward(p, REL)
             np.testing.assert_allclose(RowFeedforward(ff, M, 4, m)(*idx),
-                                       ff.apply_np(X, m), rtol=0, atol=1e-12)
+                                       ff.apply(ops.tensor(X), m).data,
+                                       rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match="columns"):
             RowFeedforward(Feedforward(p, SPAN), M, 4)

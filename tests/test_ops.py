@@ -257,6 +257,74 @@ class TestSequenceOps:
         check_unary(build, (3, 2))
 
 
+class TestBatchOps:
+    def test_linear_forward_and_shapes(self):
+        X0, W0, b0 = (RNG.standard_normal(s) for s in ((5, 4), (3, 4), (3,)))
+        out = ops.linear(ops.tensor(X0), ops.tensor(W0), ops.tensor(b0))
+        np.testing.assert_allclose(out.data, X0 @ W0.T + b0, rtol=1e-15)
+        with pytest.raises(ValueError, match="linear shapes"):
+            ops.linear(ops.tensor(X0), ops.tensor(W0.T), ops.tensor(b0))
+        with pytest.raises(ValueError, match="linear shapes"):
+            ops.linear(ops.tensor(X0), ops.tensor(W0), ops.tensor(b0[:2]))
+
+    def test_linear_gradients_in_every_argument(self):
+        args = [RNG.standard_normal(s) for s in ((5, 4), (3, 4), (3,))]
+        upstream = RNG.standard_normal((5, 3))
+        for pos in range(3):
+            def build(x, pos=pos):
+                parts = [ops.tensor(a) for a in args]
+                parts[pos] = x
+                return ops.vsum(ops.cmul(ops.linear(*parts), upstream))
+
+            x = ops.tensor(args[pos])
+            ops.backward(build(x))
+            want = fd_grad(lambda v: build(ops.tensor(v)).item(), args[pos])
+            np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-8)
+
+    @staticmethod
+    def hinge_inputs():
+        S0 = 2.0 * RNG.standard_normal((4, 6))
+        gold = np.array([0, 3, 5, 2])
+        legal = np.ones((4, 6), dtype=bool)
+        legal[:, 1] = False
+        legal[2, 3:5] = False
+        legal[3, 0] = False
+        # keep every margin away from relu's kink
+        for r, g in enumerate(gold):
+            margin = S0[r] - S0[r, g] + 1.0
+            S0[r, np.abs(margin) < 0.05] += 0.1
+        return S0, gold, legal
+
+    def test_margin_hinge_value(self):
+        S0, gold, legal = self.hinge_inputs()
+        want = sum(max(0.0, (S0[r, a] - S0[r, gold[r]]) + 1.0)
+                   for r in range(4) for a in range(6) if legal[r, a])
+        got = ops.margin_hinge(ops.tensor(S0), gold, legal).item()
+        assert got == pytest.approx(want, rel=1e-14)
+
+    def test_margin_hinge_gradient_drops_illegal_columns(self):
+        S0, gold, legal = self.hinge_inputs()
+        S = ops.tensor(S0)
+        ops.backward(ops.margin_hinge(S, gold, legal))
+        want = fd_grad(lambda v: ops.margin_hinge(ops.tensor(v), gold,
+                                                  legal).item(), S0)
+        np.testing.assert_allclose(S.grad, want, rtol=1e-6, atol=1e-8)
+        illegal = ~legal
+        illegal[np.arange(4), gold] = False
+        assert not S.grad[illegal].any()
+
+    def test_margin_hinge_gradient_is_zero_at_the_kink(self):
+        """A term at exactly 0 passes no gradient, as relu's does."""
+        S = ops.tensor([[0.0, -1.0, 0.5]])
+        legal = np.array([[True, True, False]])
+        out = ops.margin_hinge(S, [0], legal)
+        assert out.item() == 1.0       # the gold term's own margin
+        ops.backward(out)
+        np.testing.assert_array_equal(S.grad, 0.0)
+        with pytest.raises(ValueError, match="hinge shapes"):
+            ops.margin_hinge(S, [0], legal[:, :2])
+
+
 class TestTapeMechanics:
     def test_shared_node_accumulates(self):
         x = ops.tensor(3.0)

@@ -116,3 +116,22 @@ def test_encoder_tape_does_not_grow_with_tokens(bench_run, dropout):
     sizes = [bench_run.tape_size(encode_document(document(m), params, masks).tensor)
              for m in (3, 30)]
     assert sizes[0] == sizes[1]
+
+
+def test_joint_loss_tape_does_not_grow_with_edus(bench_run):
+    """The joint loss of a 5-EDU and of a 17-EDU document, with dropout,
+    records tapes of the same size, counted as the benchmark counts tape
+    nodes: both losses score their decisions in batches."""
+    from rstparse.encoder import make_dropout_masks
+    from rstparse.training import joint_loss
+
+    params = bench_run.new_params()
+    rng = np.random.default_rng(1)
+    sizes = []
+    for n in (5, 17):
+        doc = bench_run.make_document(f"d{n}", n, rng)
+        masks = make_dropout_masks(params, n, 0.2, rng)
+        loss, diag = joint_loss(doc, params, bench_run.TRAIN_CONFIG, masks)
+        assert diag.loss > 0.0, "chart hinge inactive, the chart loss is off the tape"
+        sizes.append(bench_run.tape_size(loss))
+    assert sizes[0] == sizes[1]

@@ -165,6 +165,31 @@ class TestTrainLoop:
             np.testing.assert_array_equal(r1.params.arrays[name],
                                           r2.params.arrays[name])
 
+    def test_dev_equal_to_train_is_decoded_once(self, monkeypatch):
+        """With dev the training documents themselves and one decoder, the
+        post-epoch pass decodes each document once and reports what the two
+        separate passes report."""
+        import rstparse.training as training
+
+        corpus = generate_synthetic(6, 7, VOCAB, seed=5)
+        docs = list(corpus.documents)
+        # the same documents as new objects, in reverse order: decoded apart
+        copies = [Document(d.doc_id, d.edus, d.gold) for d in reversed(docs)]
+        predicted = []
+        predict = training.predict_tree
+        monkeypatch.setattr(training, "predict_tree",
+                            lambda *a: predicted.append(a) or predict(*a))
+        for mode in ("chart", "joint", "transition"):
+            cfg = tiny_config(max_epochs=3, dropout=0.1, mode=mode)
+            apart = train(docs, copies, corpus.vocabs, cfg)
+            predicted.clear()
+            shared = train(docs, docs, corpus.vocabs, cfg)
+            # transition mode evaluates greedily, apart from the count
+            want = 3 * len(docs) if mode == "transition" else 0
+            assert len(predicted) == want
+            assert ([report_row(r) for r in shared.reports]
+                    == [report_row(r) for r in apart.reports])
+
     def test_selection_keeps_first_best_epoch(self):
         corpus = tiny_corpus()
         docs = list(corpus.documents)

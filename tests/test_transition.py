@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
 
-from conftest import chain_tree, make_tree
+from conftest import (
+    chain_tree,
+    make_tree,
+    ref_score_actions,
+    ref_state_rep,
+    ref_transition_loss,
+)
 
+from rstparse import ops
 from rstparse.core import Action, Document, Nuclearity, RelationVocab
 from rstparse.data import generate_synthetic, random_tree
-from rstparse.encoder import encode_document
+from rstparse.encoder import (
+    ACTION,
+    Feedforward,
+    encode_document,
+    make_dropout_masks,
+    span_rep,
+)
 from rstparse.transition import (
     action_index,
     apply_action,
@@ -15,13 +28,12 @@ from rstparse.transition import (
     initial_state,
     is_terminal,
     legal_actions,
+    legal_mask,
     oracle_actions,
     parse_actions,
     replay,
-    score_actions,
     serialize_actions,
-    state_rep,
-    state_rep_np,
+    slot_rows,
     transition_loss,
 )
 
@@ -148,16 +160,26 @@ class TestSerialization:
             parse_actions("REDUCE:Cause:XX", vocab)
 
 
+def action_input(state, enc):
+    """The action scorer's input row: the state's slot rows of [M; 0]."""
+    M = enc.tensor
+    padded = ops.concat([M, ops.zeros((1, M.shape[1]))], axis=0)
+    return ops.take_rows(padded, [slot_rows(state)])
+
+
 class TestStateRep:
     def test_width_and_padding(self):
         doc, params = small_params(hidden=3)
         enc = encode_document(doc, params)
         s = initial_state(doc.n)
-        rep = state_rep(s, enc)
+        # 3 empty stack slots (2 rows each) read the zero row n, then the
+        # three queued EDUs
+        assert slot_rows(s) == [3] * 6 + [0, 1, 2]
+        rep = action_input(s, enc)
         # 2 reps per stack slot (3 slots) + 1 per queue slot (3 slots), 4H each
-        assert rep.shape == (9 * 12,)
-        np.testing.assert_array_equal(rep.data[:6 * 12], 0.0)
-        np.testing.assert_allclose(state_rep_np(s, enc.matrix()), rep.data)
+        assert rep.shape == (1, 9 * 12)
+        np.testing.assert_array_equal(rep.data[0, :6 * 12], 0.0)
+        np.testing.assert_array_equal(rep.data[0], ref_state_rep(s, enc).data)
 
     def test_filled_slots_match_span_reps(self):
         doc, params = small_params(hidden=3)
@@ -165,18 +187,31 @@ class TestStateRep:
         s = initial_state(doc.n)
         s = apply_action(s, Action.shift())
         s = apply_action(s, Action.shift())
-        rep = state_rep(s, enc).data
-        from rstparse.encoder import span_rep
+        assert slot_rows(s) == [1, 1, 0, 0, 3, 3, 2, 3, 3]
+        rep = action_input(s, enc).data[0]
 
         h = 12
         top = span_rep(enc, 1, 2).data        # stack top fills the first slot
         below = span_rep(enc, 0, 1).data
-        np.testing.assert_allclose(rep[:2 * h], top)
-        np.testing.assert_allclose(rep[2 * h:4 * h], below)
+        np.testing.assert_array_equal(rep[:2 * h], top)
+        np.testing.assert_array_equal(rep[2 * h:4 * h], below)
         np.testing.assert_array_equal(rep[4 * h:6 * h], 0.0)
         # one EDU left in the queue, then zero padding
-        np.testing.assert_allclose(rep[6 * h:7 * h], enc.edus[2].data)
+        np.testing.assert_array_equal(rep[6 * h:7 * h], enc.matrix()[2])
         np.testing.assert_array_equal(rep[7 * h:], 0.0)
+        np.testing.assert_array_equal(rep, ref_state_rep(s, enc).data)
+
+    def test_legal_mask_matches_legal_actions(self):
+        vocab = RelationVocab(["A", "B", "C"])
+        n_actions = 1 + 3 * (vocab.size - 1)
+        tree = random_tree(6, vocab, np.random.default_rng(8))
+        s = initial_state(6)
+        for a in oracle_actions(tree) + [None]:
+            want = [action_index(b, vocab.size)
+                    for b in legal_actions(s, vocab.size)]
+            assert np.flatnonzero(legal_mask(s, n_actions)).tolist() == want
+            if a is not None:
+                s = apply_action(s, a)
 
 
 class TestGreedyParse:
@@ -211,6 +246,28 @@ class TestGreedyParse:
         assert tree.splits == {(0, 3): 1, (1, 3): 2}
         for _, _, _, l, p in tree.internal_items():
             assert l == 1 and p == Nuclearity.NN
+
+    def test_equals_per_decision_reference(self):
+        """Greedy parses pick the same actions as scoring every state with
+        the per-decision composition and taking the best legal action."""
+        vocab = RelationVocab(["A", "B", "C", "D"])
+        corpus = generate_synthetic(12, 12, vocab, seed=31)
+        from rstparse.encoder import ModelParams
+
+        params = ModelParams.init(corpus.word_vocab, corpus.pos_vocab, vocab,
+                                  np.random.default_rng(4), word_dim=3,
+                                  pos_dim=3, hidden=3, ff_hidden=5)
+        for doc in corpus.documents:
+            enc = encode_document(doc, params)
+            s = initial_state(doc.n)
+            while not is_terminal(s):
+                scores = ref_score_actions(s, enc, params).data
+                legal = [action_index(a, params.n_rel)
+                         for a in legal_actions(s, params.n_rel)]
+                best = legal[int(np.argmax(scores[legal]))]
+                s = apply_action(s, index_action(best, params.n_rel))
+            tree, ref = greedy_parse(doc, params, enc), finish(s)
+            assert tree == ref and tree.labels == ref.labels
 
     def test_precomputed_encoding_gives_the_same_tree(self):
         doc, params = small_params(seed=12, n_rel=4)
@@ -260,5 +317,34 @@ class TestTransitionLoss:
         doc, params = small_params(n_rel=3)
         enc = encode_document(doc, params)
         s = initial_state(doc.n)
-        scores = score_actions(s, enc, params)
-        assert scores.shape == (params.n_actions,)
+        scores = Feedforward(params, ACTION).apply(action_input(s, enc))
+        assert scores.shape == (1, params.n_actions)
+        np.testing.assert_allclose(scores.data[0],
+                                   ref_score_actions(s, enc, params).data,
+                                   rtol=0, atol=1e-12)
+
+    def test_equals_per_decision_reference(self):
+        """The batched loss equals the per-state, per-action composition in
+        value and in every parameter gradient."""
+        vocab = RelationVocab(["A", "B", "C"])
+        corpus = generate_synthetic(4, 9, vocab, seed=23)
+        from rstparse.encoder import ModelParams
+
+        params = ModelParams.init(corpus.word_vocab, corpus.pos_vocab, vocab,
+                                  np.random.default_rng(2), word_dim=3,
+                                  pos_dim=3, hidden=3, ff_hidden=5)
+        rng = np.random.default_rng(5)
+        for doc in corpus.documents:
+            for masks in (None, make_dropout_masks(params, doc.n, 0.3, rng)):
+                got = []
+                for loss in (transition_loss, ref_transition_loss):
+                    params.zero_grads()
+                    enc = encode_document(doc, params, masks)
+                    out = loss(doc, params, masks, enc)
+                    ops.backward(out)
+                    got.append((out.item(), params.gradients()))
+                (value, grads), (ref_value, ref_grads) = got
+                assert value == pytest.approx(ref_value, abs=1e-12)
+                for name, g in ref_grads.items():
+                    np.testing.assert_allclose(grads[name], g, rtol=0,
+                                               atol=1e-12, err_msg=name)
