@@ -27,7 +27,6 @@ from .chart import (
     count_missing,
     decode_complete,
     decode_exact,
-    decode_loss_augmented,
     decode_partial,
     hamming,
     missing_prediction,

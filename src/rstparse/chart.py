@@ -9,18 +9,18 @@ Three bottom-up decoders share one score layout:
 * complete: the whole structure is chosen from span scores only, labels are
   filled in afterwards.
 
-A chart scorer is anything with ``n``, ``n_rel``, a dense ``span`` table of
-shape (n+1, n+1), ``labels(i, j, k)`` returning new arrays holding the
-relation and nuclearity rows of a batch of (span, split) cells, and
-``tables()`` returning the dense ScoreTables.  ScoreTables, NeuralOracle
-and LossAugmented are chart scorers; a TableOracle builds ScoreTables for a
-given n.  Only the exact decoder reads the dense label table, which has
-O(n^3) rows.  The partial decoder asks for
-one row per cell, at the split it chose (about n^2/2 rows, one batch per
-width), the complete decoder and score_tree for the 2n - 1 rows of one tree.
-On the neural path those rows are computed on demand from first-layer
-projections made once per document, so partial and complete never hold more
-than O(n^2) scores.
+A chart scorer has ``n``, ``n_rel``, a dense ``span`` table of shape
+(n+1, n+1), ``labels(i, j, k)`` returning new arrays holding the relation and
+nuclearity rows of a batch of (span, split) cells, and ``tables()`` returning
+the dense ScoreTables.  ScoreTables, NeuralOracle and LossAugmented are chart
+scorers; a TableOracle is a builder whose ``tables(n)`` makes ScoreTables.
+Only the exact decoder reads the dense label table, which has O(n^3) rows;
+one function, _dense_tables, fills it from a scorer's ``span`` and
+``labels``.  The partial decoder asks for one row per cell, at the split it
+chose (about n^2/2 rows, one batch per width), the complete decoder and
+score_tree for the 2n - 1 rows of one tree.  On the neural path those rows
+are computed on demand from first-layer projections made once per document,
+so partial and complete never hold more than O(n^2) scores.
 
 Also here: tree scoring, the hamming-style tree distance, loss-augmented
 decoding (a view that shifts the rows a decoder asks for), the structured
@@ -65,10 +65,11 @@ from .ops import Tensor
 
 NEG_INF = float("-inf")
 
-# Label rows computed per block when NeuralOracle builds the dense table.
+# Label rows asked for per block when _dense_tables fills the dense table.
 # Bounds the temporaries beside the table to O(_BLOCK_ROWS * ff_hidden) at
 # any n; one unblocked gather over all O(n^3) rows would hold several copies
-# of the table's size at once.
+# of the table's size at once.  LossAugmented shifts each block as it
+# arrives, so no plain table is made beside the shifted one.
 _BLOCK_ROWS = 1024
 
 
@@ -115,7 +116,6 @@ class ScoreTables:
     rel: np.ndarray        # (rows, n_rel)
     nuc: np.ndarray        # (rows, NUM_NUCLEARITIES)
     base: np.ndarray       # (n+1, n+1) int
-    augmented: bool = False
 
     def row_index(self, i: int, j: int, k: int) -> int:
         if j == i + 1:
@@ -136,18 +136,7 @@ class ScoreTables:
         rows = self.base[i, j] + np.where(j == i + 1, 0, k - i - 1)
         return self.rel[rows], self.nuc[rows]
 
-    def s_span(self, i: int, j: int) -> float:
-        return float(self.span[i, j])
-
-    def s_rel(self, i: int, j: int, k: int) -> np.ndarray:
-        return self.rel[self.row_index(i, j, k)]
-
-    def s_nuc(self, i: int, j: int, k: int) -> np.ndarray:
-        return self.nuc[self.row_index(i, j, k)]
-
-    def tables(self, n: int | None = None) -> "ScoreTables":
-        if n is not None and n != self.n:
-            raise ValueError(f"tables were built for n={self.n}, not {n}")
+    def tables(self) -> "ScoreTables":
         return self
 
     def first_bad(self) -> str | None:
@@ -198,11 +187,6 @@ def chart_scores(n: int, scores):
     return scores
 
 
-def as_tables(n: int, scores) -> ScoreTables:
-    """The dense ScoreTables of any chart scorer or TableOracle."""
-    return chart_scores(n, scores).tables(n)
-
-
 def random_tables(n: int, n_rel: int, rng: np.random.Generator,
                   quantum: float | None = None) -> ScoreTables:
     """Standard-normal score tables; the workhorse of the equivalence tests.
@@ -224,12 +208,7 @@ def random_tables(n: int, n_rel: int, rng: np.random.Generator,
 
 
 class TableOracle:
-    """Explicit score tables backed by dicts; unlisted entries score 0.
-
-    The text form accepts one entry per line: ``span i j value``,
-    ``rel i j k l value`` or ``nuc i j k p value`` (p numeric or one of
-    NN/NS/SN/LEAF); blank lines and ``#`` comments are skipped.
-    """
+    """Explicit score tables backed by dicts; unlisted entries score 0."""
 
     def __init__(self, n_rel: int,
                  span: dict[tuple[int, int], float] | None = None,
@@ -241,49 +220,6 @@ class TableOracle:
         self.span_scores = dict(span or {})
         self.rel_scores = dict(rel or {})
         self.nuc_scores = dict(nuc or {})
-
-    @classmethod
-    def from_text(cls, text: str, n_rel: int) -> "TableOracle":
-        span: dict = {}
-        rel: dict = {}
-        nuc: dict = {}
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            try:
-                kind = fields[0]
-                if kind == "span" and len(fields) == 4:
-                    span[(int(fields[1]), int(fields[2]))] = float(fields[3])
-                elif kind == "rel" and len(fields) == 6:
-                    key = tuple(int(x) for x in fields[1:5])
-                    rel[key] = float(fields[5])
-                elif kind == "nuc" and len(fields) == 6:
-                    i, j, k = (int(x) for x in fields[1:4])
-                    p = (int(fields[4]) if fields[4].isdigit()
-                         else int(Nuclearity[fields[4]]))
-                    nuc[(i, j, k, p)] = float(fields[5])
-                else:
-                    raise ValueError(f"unrecognized entry {line!r}")
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"score table line {lineno}: {exc}") from None
-        return cls(n_rel, span, rel, nuc)
-
-    def s_span(self, i: int, j: int) -> float:
-        return self.span_scores.get((i, j), 0.0)
-
-    def s_rel(self, i: int, j: int, k: int) -> np.ndarray:
-        out = np.zeros(self.n_rel)
-        for l in range(self.n_rel):
-            out[l] = self.rel_scores.get((i, j, k, l), 0.0)
-        return out
-
-    def s_nuc(self, i: int, j: int, k: int) -> np.ndarray:
-        out = np.zeros(NUM_NUCLEARITIES)
-        for p in range(NUM_NUCLEARITIES):
-            out[p] = self.nuc_scores.get((i, j, k, p), 0.0)
-        return out
 
     def tables(self, n: int) -> ScoreTables:
         base, rows = _layout(n)
@@ -306,6 +242,19 @@ class TableOracle:
         return t
 
 
+def _dense_tables(s) -> ScoreTables:
+    """The dense ScoreTables of chart scorer s: its span table, and every
+    label row asked of ``s.labels`` in _BLOCK_ROWS blocks, in _rows order."""
+    base, rows = _layout(s.n)
+    I, J, K = _rows(s.n)
+    rel = np.empty((rows, s.n_rel))
+    nuc = np.empty((rows, NUM_NUCLEARITIES))
+    for start in range(0, rows, _BLOCK_ROWS):
+        sl = slice(start, start + _BLOCK_ROWS)
+        rel[sl], nuc[sl] = s.labels(I[sl], J[sl], K[sl])
+    return ScoreTables(s.n, s.n_rel, s.span, rel, nuc, base)
+
+
 def _label_rows(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> tuple:
     """The four EDU rows a label input concatenates, per cell (i, j) split
     at k: the child span reps (i, k) and (k, j), that is M[i], M[k-1], M[k],
@@ -326,7 +275,7 @@ class NeuralOracle:
     table.  ``labels`` then computes the rows a decoder asks for by
     gathering and summing projections: a row costs O(ff_hidden * (4 +
     n_rel)), whatever n is.  ``tables`` builds the dense O(n^3) table that
-    only the exact decoder needs, in blocks of _BLOCK_ROWS rows, and keeps it.
+    only the exact decoder needs, anew on every call.
     """
 
     def __init__(self, params: ModelParams, enc: EncodedDocument,
@@ -349,7 +298,6 @@ class NeuralOracle:
         self.span = np.zeros((self.n + 1, self.n + 1))
         self.span[i, j] = span_ff(i, j - 1)[:, 0]
         _require_finite(_first_bad_span(self.span))
-        self._tables: ScoreTables | None = None
 
     def labels(self, i, j, k) -> tuple[np.ndarray, np.ndarray]:
         """Relation and nuclearity rows of cells (i, j) split at k, batched
@@ -358,20 +306,8 @@ class NeuralOracle:
         rows = _label_rows(np.asarray(i), np.asarray(j), np.asarray(k))
         return self._rel(*rows), self._nuc(*rows)
 
-    def tables(self, n: int | None = None) -> ScoreTables:
-        if n is not None and n != self.n:
-            raise ValueError(f"oracle encodes n={self.n}, asked for n={n}")
-        if self._tables is None:
-            base, rows = _layout(self.n)
-            I, J, K = _rows(self.n)
-            rel = np.empty((rows, self.n_rel))
-            nuc = np.empty((rows, NUM_NUCLEARITIES))
-            for s in range(0, rows, _BLOCK_ROWS):
-                sl = slice(s, s + _BLOCK_ROWS)
-                rel[sl], nuc[sl] = self.labels(I[sl], J[sl], K[sl])
-            self._tables = ScoreTables(self.n, self.n_rel, self.span, rel,
-                                       nuc, base)
-        return self._tables
+    def tables(self) -> ScoreTables:
+        return _dense_tables(self)
 
 
 class LossAugmented:
@@ -381,8 +317,8 @@ class LossAugmented:
     but gold's at spans gold contains, at every split, since the distance
     does not depend on the split.  For any tree T the augmented score is then
     exactly score_tree(T) + hamming(T, gold).  The shift is applied to the
-    rows a decoder asks for; ``tables()`` applies it to the dense table
-    through augment_tables.
+    rows a decoder asks for, so ``tables()`` builds the shifted dense table
+    from the inner scorer's rows, with no plain table beside it.
     """
 
     def __init__(self, scores, gold: RstTree):
@@ -398,8 +334,8 @@ class LossAugmented:
         _augment_rows(rel, nuc, self.gold_rel[i, j], self.gold_nuc[i, j])
         return rel, nuc
 
-    def tables(self, n: int | None = None) -> ScoreTables:
-        return augment_tables(self.inner.tables(n), self.gold)
+    def tables(self) -> ScoreTables:
+        return _dense_tables(self)
 
 
 # --- tree scoring ---------------------------------------------------------
@@ -520,7 +456,7 @@ def decode_exact(n: int, scores) -> tuple[RstTree, float]:
     full grammar constant (label pairs x splits x cells).  Reads the dense
     label table.
     """
-    t = as_tables(n, scores)
+    t = chart_scores(n, scores).tables()
     best, bsplit, brel, bnuc = _empty_chart(n)
     _fill_leaves(t, best, brel, bnuc)
     n_rel = t.n_rel
@@ -529,13 +465,14 @@ def decode_exact(n: int, scores) -> tuple[RstTree, float]:
         totals = _split_totals(t.span, best, width).tolist()
         for i, pair in enumerate(totals):
             j = i + width
+            # the cell's rows are contiguous, one per split k = i+1..j-1
             b0 = int(base[i, j])
+            cell = slice(b0, b0 + width - 1)
             bv = NEG_INF
             bk = bl = bp = -1
-            for x, k in enumerate(range(i + 1, j)):
-                stem = pair[x]
-                rrow = rel_rows[b0 + x].tolist()
-                nrow = nuc_rows[b0 + x].tolist()
+            for k, stem, rrow, nrow in zip(range(i + 1, j), pair,
+                                           rel_rows[cell].tolist(),
+                                           nuc_rows[cell].tolist()):
                 for l in range(1, n_rel):
                     vl = stem + rrow[l]
                     for p in range(3):
@@ -656,21 +593,7 @@ def augment_tables(t: ScoreTables, gold: RstTree) -> ScoreTables:
     For any tree T the augmented score is exactly
     score_tree(T) + hamming(T, gold).
     """
-    if gold.n != t.n:
-        raise ValueError(f"gold tree has n={gold.n}, tables n={t.n}")
-    gold_rel, gold_nuc = _gold_labels(gold)
-    I, J, _ = _rows(t.n)
-    rel = t.rel.copy()
-    nuc = t.nuc.copy()
-    _augment_rows(rel, nuc, gold_rel[I, J], gold_nuc[I, J])
-    return ScoreTables(t.n, t.n_rel, _augment_span(t.span, gold_rel), rel, nuc,
-                       t.base, augmented=True)
-
-
-def decode_loss_augmented(n: int, scores, gold: RstTree,
-                          decoder: str = "partial") -> tuple[RstTree, float]:
-    """Decode under gold-distance-augmented scores; returns the augmented score."""
-    return get_decoder(decoder)(n, LossAugmented(scores, gold))
+    return LossAugmented(t, gold).tables()
 
 
 def score_tree_symbolic(tree: RstTree, params: ModelParams,
@@ -734,7 +657,8 @@ def chart_loss(doc: Document, params: ModelParams, decoder: str = "partial",
     if enc is None:
         enc = encode_document(doc, params, masks)
     oracle = NeuralOracle(params, enc, masks)
-    pred, aug_score = decode_loss_augmented(doc.n, oracle, doc.gold, decoder)
+    decode = get_decoder(decoder)
+    pred, aug_score = decode(doc.n, LossAugmented(oracle, doc.gold))
     gold_score = score_tree(doc.gold, oracle)
     pred_score = score_tree(pred, oracle)
     dist = hamming(pred, doc.gold)

@@ -62,10 +62,6 @@ class RelationVocab:
     def name(self, index: int) -> str:
         return self.names[index]
 
-    def real_indices(self) -> range:
-        """Indices of the non-leaf relations."""
-        return range(1, self.size)
-
     def __len__(self) -> int:
         return self.size
 
@@ -141,9 +137,6 @@ class RstTree:
     def single_leaf(cls, relation: int = LEAF_RELATION,
                     nuclearity: Nuclearity = Nuclearity.LEAF) -> "RstTree":
         return cls([LabeledSpan(0, 1, relation, nuclearity)], 1, {})
-
-    def span_pairs(self) -> set[tuple[int, int]]:
-        return set(self.labels)
 
     def has_span(self, i: int, j: int) -> bool:
         return (i, j) in self.labels

@@ -91,7 +91,7 @@ def best_tree_for_structure(splits, n, tabs):
         nuc = int(np.argmax(tabs.nuc[row]))
         total += tabs.rel[row, rel] + tabs.nuc[row, nuc]
         if (i, i + 1) != (0, n):
-            total += tabs.s_span(i, i + 1)
+            total += float(tabs.span[i, i + 1])
         spans.append(LabeledSpan(i, i + 1, rel, Nuclearity(nuc)))
     for (i, j), k in splits.items():
         row = tabs.row_index(i, j, k)
@@ -99,7 +99,7 @@ def best_tree_for_structure(splits, n, tabs):
         nuc = int(np.argmax(tabs.nuc[row, :3]))
         total += tabs.rel[row, rel] + tabs.nuc[row, nuc]
         if (i, j) != (0, n):
-            total += tabs.s_span(i, j)
+            total += float(tabs.span[i, j])
         spans.append(LabeledSpan(i, j, rel, Nuclearity(nuc)))
     return RstTree(frozenset(spans), n, dict(splits)), total
 

@@ -19,7 +19,6 @@ from rstparse.chart import (
     count_missing,
     decode_complete,
     decode_exact,
-    decode_loss_augmented,
     decode_partial,
     get_decoder,
     hamming,
@@ -70,7 +69,7 @@ class TestScoreTree:
         assert score_tree(RstTree.single_leaf(), oracle) == 1.75
         tree, score = decode_exact(1, oracle)
         assert score == 1.75
-        assert tree.span_pairs() == {(0, 1)}
+        assert set(tree.labels) == {(0, 1)}
 
     def test_rejects_malformed_tree(self):
         tree = make_tree(3, {(0, 3): 1, (1, 3): 2})
@@ -214,7 +213,6 @@ class TestAugmentation:
         gold = gold_tree(5, 4, rng)
         aug = augment_tables(tabs, gold)
         assert score_tree(gold, aug) == score_tree(gold, tabs)
-        assert aug.augmented
 
     def test_exact_augmented_decode_dominates_gold(self):
         rng = np.random.default_rng(23)
@@ -222,7 +220,7 @@ class TestAugmentation:
             n = int(rng.integers(2, 7))
             tabs = random_tables(n, 4, rng, quantum=2**-10)
             gold = gold_tree(n, 4, rng)
-            _, aug_best = decode_loss_augmented(n, tabs, gold, "exact")
+            _, aug_best = decode_exact(n, LossAugmented(tabs, gold))
             assert aug_best >= score_tree(gold, tabs) - 1e-12
 
     def test_size_mismatch_rejected(self):
@@ -242,7 +240,7 @@ class TestNeuralOracle:
         for masks in (None, make_dropout_masks(params, doc.n, 0.3,
                                                np.random.default_rng(1))):
             enc = encode_document(doc, params, masks)
-            tabs = NeuralOracle(params, enc, masks).tables(n)
+            tabs = NeuralOracle(params, enc, masks).tables()
 
             def tape(name, index):
                 mask = masks.hidden_for(name) if masks is not None else None
@@ -285,7 +283,7 @@ class TestNeuralOracle:
     def test_symbolic_score_matches_numeric(self):
         doc, params = small_params(seed=21)
         enc = encode_document(doc, params)
-        tabs = NeuralOracle(params, enc).tables(doc.n)
+        tabs = NeuralOracle(params, enc).tables()
         tree, score = decode_exact(doc.n, tabs)
         sym = score_tree_symbolic(tree, params, enc)
         assert sym.item() == pytest.approx(score, abs=1e-9)
@@ -294,7 +292,7 @@ class TestNeuralOracle:
         doc, params = small_params()
         enc = encode_document(doc, params)
         with pytest.raises(ValueError):
-            NeuralOracle(params, enc).tables(doc.n + 1)
+            decode_exact(doc.n + 1, NeuralOracle(params, enc))
 
 
 class TestChartLoss:
@@ -357,28 +355,6 @@ class TestChartLoss:
 
 
 class TestTableOracle:
-    def test_from_text_round_trip(self):
-        text = """
-        # tiny instance
-        span 0 2 1.5
-        rel 0 3 1 1 2.0
-        nuc 0 3 1 NN 0.5
-        nuc 1 3 2 SN -1.0
-        """
-        oracle = TableOracle.from_text(text, 3)
-        assert oracle.s_span(0, 2) == 1.5
-        assert oracle.s_rel(0, 3, 1)[1] == 2.0
-        assert oracle.s_nuc(0, 3, 1)[int(Nuclearity.NN)] == 0.5
-        assert oracle.s_nuc(1, 3, 2)[int(Nuclearity.SN)] == -1.0
-        tabs = oracle.tables(3)
-        assert tabs.s_span(0, 2) == 1.5
-
-    def test_from_text_rejects_garbage(self):
-        with pytest.raises(ValueError, match="line 1"):
-            TableOracle.from_text("span 0 2", 3)
-        with pytest.raises(ValueError, match="line 2"):
-            TableOracle.from_text("span 0 2 1.0\nrel 0 1 2 x 1.0", 3)
-
     def test_out_of_range_entries_caught_at_table_build(self):
         oracle = TableOracle(3, span={(0, 9): 1.0})
         with pytest.raises(ValueError):
@@ -406,7 +382,7 @@ class TestRandomTables:
         with pytest.raises(ValueError):
             tabs.row_index(0, 3, 3)  # split outside the span
         with pytest.raises(ValueError):
-            tabs.tables(5)
+            decode_exact(5, tabs)
 
 
 def all_rows(n):
@@ -436,6 +412,10 @@ def random_params(n_rel=6, seed=0):
                             hidden=4, ff_hidden=8)
 
 
+def refuse_tables(self):
+    raise AssertionError("dense table requested")
+
+
 class RowCounter:
     """A chart scorer that forwards to ScoreTables and counts label rows."""
 
@@ -448,19 +428,21 @@ class RowCounter:
         self.rows += len(i)
         return self.inner.labels(i, j, k)
 
-    def tables(self, n=None):
-        raise AssertionError("dense table requested")
+    tables = refuse_tables
 
 
 class TestOnDemandRows:
-    def test_rows_match_tables_and_tape_scorers(self):
+    def test_rows_match_tables_and_tape_scorers(self, monkeypatch):
         rng = np.random.default_rng(3)
         params = random_params(n_rel=5, seed=3)
         doc = random_document(6, rng)
-        for masks in (None, make_dropout_masks(params, doc.n, 0.3,
-                                               np.random.default_rng(1))):
+        all_masks = (None, make_dropout_masks(params, doc.n, 0.3,
+                                              np.random.default_rng(1)))
+        dense = [NeuralOracle(params, encode_document(doc, params, masks),
+                              masks).tables() for masks in all_masks]
+        monkeypatch.setattr(NeuralOracle, "tables", refuse_tables)
+        for masks, tabs in zip(all_masks, dense):
             enc = encode_document(doc, params, masks)
-            tabs = NeuralOracle(params, enc, masks).tables()
             oracle = NeuralOracle(params, enc, masks)
             I, J, K = all_rows(doc.n)
             order = rng.permutation(len(I))
@@ -476,7 +458,6 @@ class TestOnDemandRows:
                 np.testing.assert_allclose(
                     one_nuc[0], ref_score_nuc(params, enc, i, j, k, masks).data,
                     rtol=0, atol=1e-12)
-            assert oracle._tables is None, "labels built the dense table"
 
     def test_partial_and_complete_agree_with_dense_tables(self):
         rng = np.random.default_rng(2020)
@@ -539,20 +520,54 @@ class TestOnDemandRows:
             decode_exact(n, RowCounter(tabs))
 
     def test_chart_loss_and_count_missing_skip_the_dense_table(self, monkeypatch):
-        def refuse(self, n=None):
-            raise AssertionError("dense table requested")
-
         rng = np.random.default_rng(8)
         params = random_params()
         vocab = RelationVocab(["R%d" % r for r in range(1, params.n_rel)])
         docs = [random_document(n, rng, random_tree(n, vocab, rng))
                 for n in (1, 3, 7)]
         masks = make_dropout_masks(params, 7, 0.2, rng)
-        monkeypatch.setattr(NeuralOracle, "tables", refuse)
+        monkeypatch.setattr(NeuralOracle, "tables", refuse_tables)
         for decoder in ("partial", "complete"):
             loss, diag = chart_loss(docs[2], params, decoder, masks)
             assert diag.distance == hamming(diag.pred, docs[2].gold)
             count_missing(docs, params, decoder)
+        # exact builds the shifted table only, never the plain one
+        loss, diag = chart_loss(docs[2], params, "exact", masks)
+        assert diag.distance == hamming(diag.pred, docs[2].gold)
+
+    def test_augmented_neural_table_is_the_plain_table_shifted(self):
+        """LossAugmented(oracle, gold).tables() equals oracle.tables() with
+        +1 on absent spans and +1 on every label but gold's in the rows of
+        gold spans, bit for bit."""
+        rng = np.random.default_rng(12)
+        params = random_params(n_rel=5, seed=12)
+        vocab = RelationVocab(["R%d" % r for r in range(1, params.n_rel)])
+        for n in (1, 2, 6, 19):  # 19 EDUs fill two _BLOCK_ROWS blocks
+            doc = random_document(n, rng)
+            gold = random_tree(n, vocab, rng)
+            for masks in (None, make_dropout_masks(params, n, 0.3, rng)):
+                oracle = NeuralOracle(params, encode_document(doc, params, masks),
+                                      masks)
+                plain = oracle.tables()
+                span = plain.span.copy()
+                rel = plain.rel.copy()
+                nuc = plain.nuc.copy()
+                for i, j in zip(*np.triu_indices(n + 1, 1)):
+                    if not gold.has_span(i, j):
+                        span[i, j] += 1.0
+                for row, (i, j, _) in enumerate(zip(*all_rows(n))):
+                    if gold.has_span(i, j):
+                        l, p = gold.label_at(i, j)
+                        rel[row] += 1.0
+                        rel[row, l] -= 1.0
+                        nuc[row] += 1.0
+                        nuc[row, int(p)] -= 1.0
+                aug = LossAugmented(oracle, gold).tables()
+                np.testing.assert_array_equal(np.triu(aug.span, 1),
+                                              np.triu(span, 1))
+                np.testing.assert_array_equal(aug.rel, rel)
+                np.testing.assert_array_equal(aug.nuc, nuc)
+                np.testing.assert_array_equal(aug.base, plain.base)
 
 
 class TestNonFiniteScores:

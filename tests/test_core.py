@@ -27,7 +27,6 @@ class TestRelationVocab:
         assert v.name(0) == "LEAF"
         assert v.index("Cause") == 1
         assert v.index("Elaboration") == 2
-        assert list(v.real_indices()) == [1, 2]
 
     def test_duplicate_and_reserved_names_rejected(self):
         with pytest.raises(ValueError):
@@ -55,7 +54,7 @@ class TestRstTree:
         t = RstTree.single_leaf()
         assert t.n == 1
         assert validate_tree(t) is None
-        assert t.span_pairs() == {(0, 1)}
+        assert set(t.labels) == {(0, 1)}
         assert list(t.leaf_items()) == [(0, LEAF_RELATION, Nuclearity.LEAF)]
         assert list(t.internal_items()) == []
 
@@ -66,7 +65,7 @@ class TestRstTree:
     def test_right_branching_three(self):
         t = make_tree(3, {(0, 3): 1, (1, 3): 2})
         assert validate_tree(t) is None
-        assert t.span_pairs() == {(0, 1), (1, 2), (2, 3), (1, 3), (0, 3)}
+        assert set(t.labels) == {(0, 1), (1, 2), (2, 3), (1, 3), (0, 3)}
         items = list(t.internal_items())
         assert [(i, j, k) for i, j, k, _, _ in items] == [(0, 3, 1), (1, 3, 2)]
 
