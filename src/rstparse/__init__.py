@@ -18,6 +18,7 @@ from .core import (
     validate_tree,
 )
 from .chart import (
+    ExactTooLarge,
     LossAugmented,
     NeuralOracle,
     ScoreTables,

@@ -3,6 +3,10 @@
 Three bottom-up decoders share one score layout:
 
 * exact: every cell maximizes jointly over split point and both labels.
+  Per span width, the cells x splits form one numpy batch, and Python loops
+  over the label pairs outside it, so the cost still grows with the label
+  set.  Its dense table and index arrays are bounded by EXACT_MEMORY_LIMIT;
+  a larger document raises ExactTooLarge before any table is built.
 * partial: each cell picks its split from span + subtree scores alone, then
   labels that split.  Same optimum whenever label scores do not disagree with
   span scores about the split; much cheaper when the label set is large.
@@ -71,6 +75,14 @@ NEG_INF = float("-inf")
 # of the table's size at once.  LossAugmented shifts each block as it
 # arrives, so no plain table is made beside the shifted one.
 _BLOCK_ROWS = 1024
+
+# Bytes decode_exact may hold for its dense label table and index arrays
+# (_exact_bytes).  At 19 relations this admits documents of up to 310 EDUs.
+EXACT_MEMORY_LIMIT = 2 ** 30
+
+
+class ExactTooLarge(ValueError):
+    """Exact decoding of a document would exceed EXACT_MEMORY_LIMIT."""
 
 
 def _cells(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -449,41 +461,90 @@ def _internal_labels(rel, nuc) -> tuple[np.ndarray, np.ndarray]:
     return 1 + np.argmax(rel[:, 1:], axis=1), np.argmax(nuc[:, :3], axis=1)
 
 
+def _exact_bytes(n: int, n_rel: int) -> int:
+    """Bytes decode_exact holds for n EDUs: the dense label table,
+    8 · rows(n) · (n_rel + 4), plus four 8-byte entries per internal row
+    (the _width_major arrays)."""
+    rows = n + (n ** 3 - n) // 6
+    return 8 * rows * (n_rel + 4) + 32 * (rows - n)
+
+
+def _width_major(n: int, span: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The internal label rows in width-major order, for decode_exact.
+
+    Returns the rows' indices into the dense table (_rows order sorted
+    stably by width, so the rows of one width form a cells x splits matrix,
+    cells by left end, splits ascending), the flat offsets of (i, k) and
+    (k, j) in an (n+1, n+1) chart, and span(i, k) + span(k, j) per row.
+    """
+    I, J, K = _rows(n)
+    rows = np.flatnonzero(J > I + 1)
+    rows = rows[np.argsort(J[rows] - I[rows], kind="stable")]
+    I, J, K = I[rows], J[rows], K[rows]
+    left = I * (n + 1) + K
+    right = K * (n + 1) + J
+    flat_span = np.ravel(span)
+    return rows, left, right, flat_span[left] + flat_span[right]
+
+
 def decode_exact(n: int, scores) -> tuple[RstTree, float]:
     """Joint max over (split, relation, nuclearity) per cell; the global argmax.
 
-    The inner loop visits every label pair per split, so the cost carries the
-    full grammar constant (label pairs x splits x cells).  Reads the dense
-    label table.
+    Cells of one width do not depend on each other, so each width's cells x
+    splits form one batch.  Python loops over the label pairs outside: for
+    each relation l >= 1 and nuclearity p < 3 it adds (stem + rel[l]) +
+    nuc[p] over the whole batch and keeps a running best per (cell, split)
+    with a strict >, so the lowest (l, p) wins ties; the first argmax over
+    each cell's splits then picks the lowest split.  The cost still carries
+    the full grammar constant: one batch step per label pair per width.
+
+    Reads the dense label table, so it first checks that the table and the
+    index arrays fit in EXACT_MEMORY_LIMIT bytes and raises ExactTooLarge,
+    before any table is built, when they do not.
     """
-    t = chart_scores(n, scores).tables()
+    s = chart_scores(n, scores)
+    size = _exact_bytes(n, s.n_rel)
+    if size > EXACT_MEMORY_LIMIT:
+        raise ExactTooLarge(
+            f"exact decoding of n={n} EDUs with n_rel={s.n_rel} relations "
+            f"needs {size:,} bytes, over the limit of "
+            f"{EXACT_MEMORY_LIMIT:,}; use the partial or complete decoder")
+    t = s.tables()
+    # built after the table, so that its temporaries and those of the
+    # table's blocks are not held at once
+    rows, left, right, pair = _width_major(n, t.span)
     best, bsplit, brel, bnuc = _empty_chart(n)
     _fill_leaves(t, best, brel, bnuc)
-    n_rel = t.n_rel
-    rel_rows, nuc_rows, base = t.rel, t.nuc, t.base
+    flat = best.reshape(-1)
+    start = 0
     for width in range(2, n + 1):
-        totals = _split_totals(t.span, best, width).tolist()
-        for i, pair in enumerate(totals):
-            j = i + width
-            # the cell's rows are contiguous, one per split k = i+1..j-1
-            b0 = int(base[i, j])
-            cell = slice(b0, b0 + width - 1)
-            bv = NEG_INF
-            bk = bl = bp = -1
-            for k, stem, rrow, nrow in zip(range(i + 1, j), pair,
-                                           rel_rows[cell].tolist(),
-                                           nuc_rows[cell].tolist()):
-                for l in range(1, n_rel):
-                    vl = stem + rrow[l]
-                    for p in range(3):
-                        v = vl + nrow[p]
-                        if v > bv:
-                            bv = v
-                            bk, bl, bp = k, l, p
-            best[i, j] = bv
-            bsplit[i, j] = bk
-            brel[i, j] = bl
-            bnuc[i, j] = bp
+        cells = n + 1 - width
+        batch = slice(start, start + cells * (width - 1))
+        start = batch.stop
+        stem = (pair[batch] + flat.take(left[batch])) + flat.take(right[batch])
+        rel = t.rel.take(rows[batch], axis=0).T
+        nuc = t.nuc.take(rows[batch], axis=0).T
+        top = np.full(len(stem), NEG_INF)
+        top_rel = np.zeros(len(stem), dtype=np.int64)
+        top_nuc = np.zeros(len(stem), dtype=np.int64)
+        # putmask, unlike copyto(where=), costs the same however many
+        # entries change, which early label pairs make about half of them
+        for l in range(1, t.n_rel):
+            stem_l = stem + rel[l]
+            for p in range(3):
+                v = stem_l + nuc[p]
+                better = v > top
+                np.putmask(top, better, v)
+                np.putmask(top_rel, better, l)
+                np.putmask(top_nuc, better, p)
+        x = np.argmax(top.reshape(cells, width - 1), axis=1)
+        won = x + np.arange(0, len(stem), width - 1)
+        # cells (i, i + width) lie n + 2 apart in the flattened chart
+        at = slice(width, width + cells * (n + 2), n + 2)
+        flat[at] = top.take(won)
+        bsplit.reshape(-1)[at] = x + np.arange(1, cells + 1)
+        brel.reshape(-1)[at] = top_rel.take(won)
+        bnuc.reshape(-1)[at] = top_nuc.take(won)
     return _backtrace(n, bsplit, brel, bnuc), float(best[0, n])
 
 

@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from .chart import DECODERS, NeuralOracle, score_tree
+from .chart import DECODERS, ExactTooLarge, NeuralOracle, score_tree
 from .core import Document
 from .data import (
     CorpusError,
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, ModelError) as exc:
+    except (CorpusError, ModelError, ExactTooLarge) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -498,25 +498,29 @@ _TAGS = ("NN", "VB", "JJ", "RB", "IN", "DT")
 
 
 def random_tree(n: int, rel_vocab: RelationVocab, rng: np.random.Generator) -> RstTree:
-    """Random binary tree over n EDUs via recursive uniform split sampling."""
+    """Random binary tree over n EDUs by uniform split sampling.
+
+    Draws k, then the relation, then the nuclearity at each internal span,
+    in pre-order with the left subtree before the right, from an explicit
+    stack, so any n works without recursion.
+    """
     if n >= 2 and rel_vocab.size < 2:
         raise ValueError("need at least one real relation label")
     spans: list[LabeledSpan] = []
     splits: dict[tuple[int, int], int] = {}
-
-    def build(i: int, j: int) -> None:
+    stack = [(0, n)]
+    while stack:
+        i, j = stack.pop()
         if j == i + 1:
             spans.append(LabeledSpan(i, j, LEAF_RELATION, Nuclearity.LEAF))
-            return
+            continue
         k = int(rng.integers(i + 1, j))
         rel = int(rng.integers(1, rel_vocab.size))
         nuc = INTERNAL_NUCLEARITIES[int(rng.integers(0, 3))]
         spans.append(LabeledSpan(i, j, rel, nuc))
         splits[(i, j)] = k
-        build(i, k)
-        build(k, j)
-
-    build(0, n)
+        stack.append((k, j))
+        stack.append((i, k))
     return RstTree(spans, n, splits)
 
 

@@ -9,13 +9,28 @@ winner are the same tree, not just the same score.
 
 Also here, as the reference for the batched losses: the per-decision tape
 composition the scorers used before, one input vector and one matvec per
-decision and five tape nodes per hinge term.
+decision and five tape nodes per hinge term.  Likewise the scalar exact
+decoder loop and the recursive random_tree, the references for the batched
+decoder and the iterative tree sampler.
 """
 
 import numpy as np
 
 from rstparse import ops
-from rstparse.core import LEAF_RELATION, LabeledSpan, Nuclearity, RstTree
+from rstparse.chart import (
+    _backtrace,
+    _empty_chart,
+    _fill_leaves,
+    _split_totals,
+    chart_scores,
+)
+from rstparse.core import (
+    INTERNAL_NUCLEARITIES,
+    LEAF_RELATION,
+    LabeledSpan,
+    Nuclearity,
+    RstTree,
+)
 from rstparse.encoder import ACTION, NUC, REL, SPAN, Feedforward, span_rep
 from rstparse.transition import (
     QUEUE_SLOTS,
@@ -114,6 +129,63 @@ def brute_force_best(n, tabs):
             best_score = score
             best_tree = tree
     return best_tree, best_score
+
+
+def ref_decode_exact(n, scores):
+    """The exact decoder as a scalar loop over (cell, split, relation,
+    nuclearity), a strict > keeping the first maximum: the reference for
+    chart.decode_exact's batched loop, which must give the same tree and
+    the same score bit for bit."""
+    t = chart_scores(n, scores).tables()
+    best, bsplit, brel, bnuc = _empty_chart(n)
+    _fill_leaves(t, best, brel, bnuc)
+    for width in range(2, n + 1):
+        totals = _split_totals(t.span, best, width).tolist()
+        for i, pair in enumerate(totals):
+            j = i + width
+            # the cell's rows are contiguous, one per split k = i+1..j-1
+            b0 = int(t.base[i, j])
+            cell = slice(b0, b0 + width - 1)
+            bv = float("-inf")
+            bk = bl = bp = -1
+            for k, stem, rrow, nrow in zip(range(i + 1, j), pair,
+                                           t.rel[cell].tolist(),
+                                           t.nuc[cell].tolist()):
+                for l in range(1, t.n_rel):
+                    vl = stem + rrow[l]
+                    for p in range(3):
+                        v = vl + nrow[p]
+                        if v > bv:
+                            bv = v
+                            bk, bl, bp = k, l, p
+            best[i, j] = bv
+            bsplit[i, j] = bk
+            brel[i, j] = bl
+            bnuc[i, j] = bp
+    return _backtrace(n, bsplit, brel, bnuc), float(best[0, n])
+
+
+def ref_random_tree(n, rel_vocab, rng):
+    """data.random_tree as it was first written, recursively: the reference
+    for the order of its draws (k, relation, nuclearity per node, in
+    pre-order, the left subtree before the right)."""
+    spans = []
+    splits = {}
+
+    def build(i, j):
+        if j == i + 1:
+            spans.append(LabeledSpan(i, j, LEAF_RELATION, Nuclearity.LEAF))
+            return
+        k = int(rng.integers(i + 1, j))
+        rel = int(rng.integers(1, rel_vocab.size))
+        nuc = INTERNAL_NUCLEARITIES[int(rng.integers(0, 3))]
+        spans.append(LabeledSpan(i, j, rel, nuc))
+        splits[(i, j)] = k
+        build(i, k)
+        build(k, j)
+
+    build(0, n)
+    return RstTree(spans, n, splits)
 
 
 def random_gold_tree(n, n_rel, rng):

@@ -4,13 +4,15 @@ import pytest
 from conftest import (
     brute_force_best,
     make_tree,
+    ref_decode_exact,
     ref_score_nuc,
     ref_score_rel,
     ref_score_tree_symbolic,
 )
 
-from rstparse import ops
+from rstparse import chart, ops
 from rstparse.chart import (
+    ExactTooLarge,
     LossAugmented,
     NeuralOracle,
     TableOracle,
@@ -165,6 +167,75 @@ class TestDecoders:
     def test_rejects_empty_document(self):
         with pytest.raises(ValueError):
             decode_exact(0, TableOracle(3))
+
+
+def signed_zeros(shape, rng):
+    return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+
+def fuzz_tables(x, rng):
+    """Tables for the exact-decoder fuzz test: every third rounded to a
+    coarse grid so that many decisions tie; every fourth with half its label
+    rows all zeros of either sign, and every eighth with a signed-zero span
+    table as well, so that whole scores can come out as -0.0."""
+    n = int(rng.integers(1, 30))
+    n_rel = int(rng.integers(2, 25))
+    tabs = random_tables(n, n_rel, rng, quantum=0.25 if x % 3 == 0 else None)
+    if x % 4 == 1:
+        rows = rng.random(len(tabs.rel)) < 0.5
+        tabs.rel[rows] = signed_zeros((rows.sum(), n_rel), rng)
+        tabs.nuc[rows] = signed_zeros((rows.sum(), 4), rng)
+    if x % 8 == 1:
+        tabs.span[:] = signed_zeros(tabs.span.shape, rng)
+    return tabs
+
+
+class TestExactAgainstScalarLoop:
+    def test_fuzz_trees_and_scores_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        negative_zeros = 0
+        for x in range(300):
+            tabs = fuzz_tables(x, rng)
+            n = tabs.n
+            gold = gold_tree(n, tabs.n_rel, rng)
+            for scores in (tabs, LossAugmented(tabs, gold)):
+                tree, score = decode_exact(n, scores)
+                want_tree, want = ref_decode_exact(n, scores)
+                assert tree == want_tree, (x, n, tabs.n_rel)
+                assert tree.splits == want_tree.splits
+                assert score.hex() == want.hex(), (x, score, want)
+                negative_zeros += score.hex() == "-0x0.0p+0"
+        # the signed-zero tables do reach the root
+        assert negative_zeros > 0
+
+
+class TestExactMemoryBudget:
+    def test_budget_counts_table_and_index_arrays(self):
+        rows = 80 + (80 ** 3 - 80) // 6
+        assert rows == 85400
+        assert chart._exact_bytes(80, 19) == 8 * rows * 23 + 32 * (rows - 80)
+        assert chart._exact_bytes(310, 19) <= chart.EXACT_MEMORY_LIMIT
+        assert chart._exact_bytes(311, 19) > chart.EXACT_MEMORY_LIMIT
+
+    def test_raises_before_any_table_is_built(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        params = random_params()
+        doc = random_document(7, rng, gold_tree(7, params.n_rel, rng))
+        oracle = NeuralOracle(params, encode_document(doc, params))
+        need = chart._exact_bytes(7, params.n_rel)
+        monkeypatch.setattr(NeuralOracle, "tables", refuse_tables)
+        monkeypatch.setattr(chart, "EXACT_MEMORY_LIMIT", need - 1)
+        assert issubclass(ExactTooLarge, ValueError)
+        with pytest.raises(ExactTooLarge, match=f"n=7 EDUs with n_rel="
+                           f"{params.n_rel} relations needs {need:,} bytes"):
+            decode_exact(7, oracle)
+        with pytest.raises(ExactTooLarge):
+            chart_loss(doc, params, "exact")
+        # partial and complete have no such limit
+        chart_loss(doc, params, "partial")
+        monkeypatch.setattr(chart, "EXACT_MEMORY_LIMIT", need)
+        with pytest.raises(AssertionError, match="dense"):
+            decode_exact(7, oracle)
 
 
 class TestHamming:

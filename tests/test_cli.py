@@ -173,6 +173,23 @@ class TestPipeline:
             rows = fh.read().strip().split("\n")
         assert any(r.startswith("<micro>") for r in rows)
 
+    def test_exact_over_memory_limit_is_a_data_error(
+            self, corpus_dir, trained_model, tmp_path, monkeypatch, capsys):
+        from rstparse import chart
+
+        monkeypatch.setattr(chart, "EXACT_MEMORY_LIMIT", 1000)
+        edus = sorted(
+            os.path.join(corpus_dir, f) for f in os.listdir(corpus_dir)
+            if f.endswith(".edus"))
+        capsys.readouterr()
+        code = main(["parse", "--model", trained_model, "--out-dir",
+                     str(tmp_path / "pred"), "--decoder", "exact"] + edus)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("data error: exact decoding of n=")
+        assert "over the limit of 1,000" in err
+        assert "Traceback" not in err
+
     def test_eval_missing_prediction_fails(self, corpus_dir, trained_model,
                                            tmp_path, capsys):
         pred_dir = str(tmp_path / "pred")

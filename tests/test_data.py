@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import chain_tree, make_tree
+from conftest import chain_tree, make_tree, ref_random_tree
 
 from rstparse.core import Nuclearity, RelationVocab, validate_tree
 from rstparse.data import (
@@ -293,3 +293,33 @@ class TestSynthetic:
         rng = np.random.default_rng(4)
         seen = {random_tree(3, VOCAB, rng).splits[(0, 3)] for _ in range(40)}
         assert seen == {1, 2}
+
+    def test_random_tree_draws_as_the_recursive_reference(self, monkeypatch):
+        """Same draws in the same order: equal corpora over 200 seeds."""
+        import rstparse.data as data
+
+        for seed in range(200):
+            got = generate_synthetic(4, 30, VOCAB, seed=seed)
+            monkeypatch.setattr(data, "random_tree", ref_random_tree)
+            want = generate_synthetic(4, 30, VOCAB, seed=seed)
+            monkeypatch.undo()
+            assert got.documents == want.documents
+            for a, b in zip(got.documents, want.documents):
+                assert list(a.gold.splits.items()) == \
+                    list(b.gold.splits.items())
+
+    def test_random_tree_5000_deep(self):
+        """A generator that always returns its low bound splits one EDU off
+        the left each time: a right chain 5,000 spans deep, no recursion."""
+
+        class LowBound:
+            def integers(self, low, high):
+                assert low < high
+                return low
+
+        n = 5000
+        tree = random_tree(n, VOCAB, LowBound())
+        assert validate_tree(tree) is None
+        assert tree.splits == {(i, n): i + 1 for i in range(n - 1)}
+        assert {tree.label_at(i, n) for i in range(n - 1)} == {
+            (1, Nuclearity.NN)}
