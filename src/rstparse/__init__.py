@@ -21,6 +21,7 @@ from .chart import (
     ExactTooLarge,
     LossAugmented,
     NeuralOracle,
+    NonFiniteScore,
     ScoreTables,
     TableOracle,
     augment_tables,
@@ -51,6 +52,7 @@ from .metrics import EvalReport, aggregate, evaluate_trees, score_pair
 from .training import (
     TrainConfig,
     TrainResult,
+    TrainingDiverged,
     adam_step,
     evaluate_model,
     joint_loss,

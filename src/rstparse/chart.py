@@ -85,6 +85,10 @@ class ExactTooLarge(ValueError):
     """Exact decoding of a document would exceed EXACT_MEMORY_LIMIT."""
 
 
+class NonFiniteScore(ValueError):
+    """A score, or a projection scores are made from, is NaN or infinite."""
+
+
 def _cells(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Spans (i, j) in row order, with the number of label rows of each."""
     i, j = np.triu_indices(n + 1, 1)
@@ -178,7 +182,7 @@ def _first_bad_span(span: np.ndarray) -> str | None:
 
 def _require_finite(what: str | None) -> None:
     if what is not None:
-        raise ValueError(f"non-finite score: {what}")
+        raise NonFiniteScore(f"non-finite score: {what}")
 
 
 def chart_scores(n: int, scores):

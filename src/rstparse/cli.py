@@ -1,7 +1,8 @@
 """Command-line interface: train, parse, eval, oracle, compare.
 
 Exit codes: 0 success, 1 data error (unreadable/malformed corpus or model,
-missing documents), 2 configuration error (bad flags, bad config keys).
+missing documents), 2 configuration error (bad flags, bad config keys,
+training that diverged, whose remedy is a smaller lr or a grad_clip).
 Training settings come from defaults, then an optional ``key = value`` config
 file, then explicit flags, in that order.
 """
@@ -31,6 +32,7 @@ from .training import (
     PARSE_METHODS,
     REPORT_HEADER,
     TrainConfig,
+    TrainingDiverged,
     predict_tree,
     report_row,
     train,
@@ -317,7 +319,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, TrainingDiverged) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CorpusError, ModelError, ExactTooLarge) as exc:

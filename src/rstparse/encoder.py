@@ -118,11 +118,16 @@ class ModelParams:
                     self.arrays[name] = t.data
         return self._tensors
 
+    def leaf_gradients(self) -> dict[str, np.ndarray | ops.RowGrad]:
+        """Each parameter's gradient as ``ops.backward`` left it: a RowGrad
+        for an embedding table read by one gather, otherwise an ndarray
+        (zeros where no gradient reached the parameter)."""
+        return {name: t.grad if t.grad is not None else np.zeros_like(t.data)
+                for name, t in self.tensors().items()}
+
     def gradients(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, t in self.tensors().items():
-            out[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
-        return out
+        """Every parameter's gradient as a dense array of its shape."""
+        return {name: ops.dense(g) for name, g in self.leaf_gradients().items()}
 
     def zero_grads(self) -> None:
         if self._tensors is not None:

@@ -9,10 +9,15 @@ nonlinearities, sums, a masked margin hinge over a matrix of scores
 (``margin_hinge``), and one fused sequence op, ``lstm``, which runs a whole
 LSTM direction as a single node with hand-written backpropagation through
 time.  A loss over a batch of decisions is then a fixed number of nodes,
-however many decisions it has.  Everything is computed at 64-bit precision.
+however many decisions it has.  The gradient a row gather sends to its
+table is a ``RowGrad``, the gathered rows with their upstream gradients,
+made dense only where something needs the whole array.  Everything is
+computed at 64-bit precision.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -172,21 +177,63 @@ def row(a: Tensor, index: int) -> Tensor:
     return Tensor(a.data[index], (a,), vjp)
 
 
+class RowGrad:
+    """The gradient of a table read through ``take_rows``, kept as rows.
+
+    ``index`` holds the gathered row numbers in gather order, flattened, and
+    ``values`` the upstream gradient of each, one row per index entry; no
+    (V, d) array is allocated until ``dense()`` asks for one.  ``rows()`` are
+    the distinct row numbers, ascending, and ``sums()`` each one's summed
+    gradient.  Both forms add a row's terms with ``np.add.at`` in index order
+    from 0.0, so each row has the same bits in either.
+    """
+
+    def __init__(self, shape: tuple[int, int], index: np.ndarray,
+                 values: np.ndarray):
+        self.shape = shape
+        self.index = index
+        self.values = values
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, self.index, self.values)
+        return out
+
+    @functools.cached_property
+    def _reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        rows, where = np.unique(self.index, return_inverse=True)
+        sums = np.zeros((rows.size, self.shape[1]))
+        np.add.at(sums, where, self.values)
+        return rows, sums
+
+    def rows(self) -> np.ndarray:
+        return self._reduced[0]
+
+    def sums(self) -> np.ndarray:
+        return self._reduced[1]
+
+
+def dense(g):
+    """A gradient as an ndarray: ``g`` itself, or a RowGrad's ``dense()``."""
+    return g.dense() if isinstance(g, RowGrad) else g
+
+
 def take_rows(a: Tensor, index) -> Tensor:
     """Rows of a 2-D tensor gathered by an integer array.
 
     An index of shape (m,) gives an (m, d) result; one of shape (m, q) gives
     (m, q * d), each result row concatenating its q gathered rows.  Repeated
-    indices add their gradients.
+    indices add their gradients.  The gradient for ``a`` is a RowGrad, so a
+    gather of a few rows from a large table costs O(m * d) in the backward
+    pass; ``backward`` turns it dense where it meets anything but a leaf.
     """
     index = np.asarray(index, dtype=np.intp)
     gathered = a.data[index]
     shape = a.data.shape
+    flat = index.ravel()
 
     def vjp(g):
-        out = np.zeros(shape)
-        np.add.at(out, index, g.reshape(gathered.shape))
-        return (out,)
+        return (RowGrad(shape, flat, g.reshape(flat.size, shape[1])),)
 
     return Tensor(gathered.reshape(index.shape[0], -1), (a,), vjp)
 
@@ -324,7 +371,10 @@ def backward(root: Tensor) -> None:
     """Accumulate d(root)/d(node) into node.grad for every reachable node.
 
     The root must be a scalar.  Gradients add up across calls until the
-    tensors' .grad fields are cleared.
+    tensors' .grad fields are cleared.  A leaf whose only gradient comes
+    from one ``take_rows`` keeps it as that RowGrad; a RowGrad that reaches
+    an op node, or meets a second contribution, is made dense first, so op
+    VJPs and every other leaf see ndarrays.
     """
     if root.data.shape != ():
         raise ValueError("backward expects a scalar root")
@@ -345,21 +395,26 @@ def backward(root: Tensor) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
-    grads: dict[int, np.ndarray] = {id(root): np.ones(())}
+    grads: dict[int, np.ndarray | RowGrad] = {id(root): np.ones(())}
     for node in reversed(order):
-        g = grads.get(id(node))
+        g = grads.pop(id(node), None)
         if g is None:
             continue
         if node._vjp is None:
-            if node.grad is None:
-                node.grad = np.zeros(node.data.shape)
-            node.grad += g
+            if node.grad is None and isinstance(g, RowGrad):
+                node.grad = g
+                continue
+            node.grad = (np.zeros(node.data.shape) if node.grad is None
+                         else dense(node.grad))
+            node.grad += dense(g)
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
+        for parent, pg in zip(node._parents, node._vjp(dense(g))):
             if pg is None:
                 continue
             acc = grads.get(id(parent))
             if acc is None:
-                grads[id(parent)] = np.asarray(pg, dtype=np.float64).copy()
+                grads[id(parent)] = (pg if isinstance(pg, RowGrad) else
+                                     np.asarray(pg, dtype=np.float64).copy())
             else:
-                acc += pg
+                acc = grads[id(parent)] = dense(acc)
+                acc += dense(pg)

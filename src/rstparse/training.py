@@ -11,12 +11,20 @@ score; ties keep the earlier epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops
-from .chart import ChartDiagnostics, DECODERS, NeuralOracle, chart_loss, count_missing
+from .chart import (
+    DECODERS,
+    ChartDiagnostics,
+    NeuralOracle,
+    NonFiniteScore,
+    chart_loss,
+    count_missing,
+)
 from .core import Document
 from .data import CorpusVocabs, PretrainedEmbeddings
 from .encoder import ModelParams, encode_document, make_dropout_masks
@@ -53,8 +61,23 @@ class TrainConfig:
             raise ValueError("max_epochs must be at least 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        if self.grad_clip is not None and not (math.isfinite(self.grad_clip)
+                                               and self.grad_clip > 0.0):
+            raise ValueError("grad_clip must be None or finite and positive, "
+                             f"got {self.grad_clip}")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
+            raise ValueError(f"gamma must be finite and non-negative, "
+                             f"got {self.gamma}")
+        for key in ("hidden", "ff_hidden"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, "
+                                 f"got {getattr(self, key)}")
+        for key in ("word_dim", "pos_dim"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative, "
+                                 f"got {getattr(self, key)}")
         metric, _, averaging = self.selection.rpartition("_")
         if metric not in METRICS or averaging not in ("micro", "macro"):
             raise ValueError(f"bad selection key {self.selection!r} "
@@ -80,9 +103,13 @@ def joint_loss(doc: Document, params: ModelParams, cfg: TrainConfig,
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count.  ``touched`` maps each table that has
+    received an ``ops.RowGrad`` to a mask of the rows any gradient has
+    reached so far; outside the mask m = v = 0.  It costs one bool per row."""
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    touched: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def init(cls, arrays: dict[str, np.ndarray]) -> "AdamState":
@@ -90,16 +117,34 @@ class AdamState:
                    {k: np.zeros_like(a) for k, a in arrays.items()})
 
 
-def adam_step(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+def adam_step(arrays: dict[str, np.ndarray],
+              grads: dict[str, np.ndarray | ops.RowGrad],
               state: AdamState, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8,
               clip: float | None = None) -> None:
-    """One in-place Adam update; arrays keep their identity (shared storage)."""
+    """One in-place Adam update (Kingma & Ba 2015); arrays keep their
+    identity (shared storage).
+
+    A gradient is an ndarray or an ``ops.RowGrad``.  For a RowGrad the
+    update runs only on the rows in ``state.touched``, this step's among
+    them, with g = 0 on the rows this step missed: the dense update's
+    expressions in its order, so each of those rows gets the dense result
+    bit for bit.  Every other row has m = v = g = 0, from which the dense
+    update subtracts exactly 0.0, so skipping it changes nothing; the cost
+    is O(touched rows * d), not O(V * d).  This is not lazy Adam: a touched
+    row's moments decay at every step, as in the dense update.
+
+    With ``clip``, every gradient is made dense first, so the global norm
+    sums the arrays it always summed.  A non-finite gradient raises
+    FloatingPointError before anything changes.
+    """
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        values = g.sums() if isinstance(g, ops.RowGrad) else g
+        if not np.all(np.isfinite(values)):
             raise FloatingPointError(f"non-finite gradient in {name!r} "
                                      f"at step {state.t + 1}")
     if clip is not None:
+        grads = {k: ops.dense(g) for k, g in grads.items()}
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         if norm > clip:
             factor = clip / norm
@@ -108,13 +153,29 @@ def adam_step(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
     for name, g in grads.items():
-        m = state.m[name]
-        v = state.v[name]
+        m, v = state.m[name], state.v[name]
+        rows = None
+        if isinstance(g, ops.RowGrad):
+            mask = state.touched.setdefault(
+                name, np.zeros(g.shape[0], dtype=bool))
+            mask[g.rows()] = True
+            rows = np.flatnonzero(mask)
+            g_rows = np.zeros((rows.size, g.shape[1]))
+            g_rows[np.searchsorted(rows, g.rows())] = g.sums()
+            m, v, g = m[rows], v[rows], g_rows
+        elif name in state.touched:       # the mask must cover every m, v != 0
+            state.touched[name] |= np.any(g != 0.0, axis=1)
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * g * g
-        arrays[name] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        if rows is None:
+            arrays[name] -= step
+        else:
+            state.m[name][rows] = m
+            state.v[name][rows] = v
+            arrays[name][rows] -= step
 
 
 # --- prediction and evaluation -------------------------------------------
@@ -146,6 +207,11 @@ def evaluate_model(docs, params: ModelParams, method: str,
 
 
 # --- the loop -------------------------------------------------------------
+
+class TrainingDiverged(ValueError):
+    """Training produced a non-finite score or gradient; the usual remedy is
+    a smaller ``lr`` or a ``grad_clip``."""
+
 
 @dataclass
 class EpochReport:
@@ -229,14 +295,24 @@ def train(train_docs, dev_docs, vocabs: CorpusVocabs, cfg: TrainConfig,
             doc = train_docs[idx]
             params.zero_grads()
             masks = make_dropout_masks(params, doc.n, cfg.dropout, drop_rng)
-            loss, _ = joint_loss(doc, params, cfg, masks)
-            total += loss.item()
-            ops.backward(loss)
-            adam_step(params.arrays, params.gradients(), adam, cfg.lr,
-                      clip=cfg.grad_clip)
+            try:
+                loss, _ = joint_loss(doc, params, cfg, masks)
+                total += loss.item()
+                ops.backward(loss)
+                adam_step(params.arrays, params.leaf_gradients(), adam,
+                          cfg.lr, clip=cfg.grad_clip)
+            except (NonFiniteScore, FloatingPointError) as exc:
+                raise TrainingDiverged(f"training diverged in epoch {epoch} "
+                                       f"at document {doc.doc_id}: {exc}"
+                                       ) from exc
         trees = [] if one_pass else None
-        missing = count_missing(train_docs, params, cfg.decoder, trees)
-        dev_report = evaluate_model(dev_docs, params, eval_method, trees)
+        try:
+            missing = count_missing(train_docs, params, cfg.decoder, trees)
+            dev_report = evaluate_model(dev_docs, params, eval_method, trees)
+        except NonFiniteScore as exc:
+            raise TrainingDiverged(f"training diverged in epoch {epoch}: "
+                                   f"decoding after the update for document "
+                                   f"{doc.doc_id} failed: {exc}") from exc
         report = EpochReport(epoch, total / len(train_docs),
                              dict(dev_report.micro), dict(dev_report.macro),
                              missing)

@@ -11,7 +11,8 @@ Also here, as the reference for the batched losses: the per-decision tape
 composition the scorers used before, one input vector and one matvec per
 decision and five tape nodes per hinge term.  Likewise the scalar exact
 decoder loop and the recursive random_tree, the references for the batched
-decoder and the iterative tree sampler.
+decoder and the iterative tree sampler; and the dense embedding gradient and
+dense Adam step, the references for row gradients and Adam over touched rows.
 """
 
 import numpy as np
@@ -276,6 +277,48 @@ def ref_transition_loss(doc, params, masks, enc):
         state = apply_action(state, gold_action)
     assert is_terminal(state)
     return ops.scale(ops.addn(terms), 1.0 / params.n_actions)
+
+
+# --- dense embedding gradients and dense Adam -----------------------------
+
+def ref_take_rows(a, index):
+    """ops.take_rows with its gradient made dense in the VJP: np.add.at
+    into a zeros array of the whole table."""
+    index = np.asarray(index, dtype=np.intp)
+    gathered = a.data[index]
+    shape = a.data.shape
+
+    def vjp(g):
+        out = np.zeros(shape)
+        np.add.at(out, index, g.reshape(gathered.shape))
+        return (out,)
+
+    return ops.Tensor(gathered.reshape(index.shape[0], -1), (a,), vjp)
+
+
+def ref_adam_step(arrays, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8,
+                  clip=None):
+    """training.adam_step over dense gradients, every row of every array."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient in {name!r} "
+                                     f"at step {state.t + 1}")
+    if clip is not None:
+        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        if norm > clip:
+            factor = clip / norm
+            grads = {k: g * factor for k, g in grads.items()}
+    state.t += 1
+    c1 = 1.0 - beta1 ** state.t
+    c2 = 1.0 - beta2 ** state.t
+    for name, g in grads.items():
+        m = state.m[name]
+        v = state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        arrays[name] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,5 +1,6 @@
 import os
 
+import numpy as np
 import pytest
 
 from rstparse.cli import (
@@ -140,6 +141,31 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "m.npz"),
                      "--config", tiny_settings, "--dev-size", "3"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--grad-clip", "-1"], ["--hidden", "0"]])
+    def test_bad_training_value_is_a_config_error(self, corpus_dir,
+                                                  tiny_settings, tmp_path,
+                                                  capsys, flags):
+        model = tmp_path / "m.npz"
+        code = main(["train", "--corpus", corpus_dir, "--out", str(model),
+                     "--config", tiny_settings] + flags)
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_diverged_training_is_a_config_error(self, corpus_dir,
+                                                 tiny_settings, tmp_path,
+                                                 capsys):
+        model = tmp_path / "m.npz"
+        with np.errstate(all="ignore"):
+            code = main(["train", "--corpus", corpus_dir, "--out", str(model),
+                         "--config", tiny_settings, "--lr", "1e300",
+                         "--mode", "joint"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: training diverged in epoch 1" in err
+        assert "document doc" in err and "non-finite" in err
+        assert not model.exists()
 
 
 class TestPipeline:

@@ -8,6 +8,7 @@ cover the tape mechanics.
 import numpy as np
 import pytest
 
+from conftest import ref_take_rows
 from rstparse import ops
 
 
@@ -235,7 +236,7 @@ class TestSequenceOps:
         want = np.zeros((4, 2))
         want[2] = g[0] + g[2] + g[3]
         want[0] = g[1]
-        np.testing.assert_allclose(a.grad, want, rtol=1e-15)
+        np.testing.assert_allclose(a.grad.dense(), want, rtol=1e-15)
 
     def test_take_rows_with_row_pairs_concatenates_them(self):
         index = np.array([[1, 0], [2, 2]])
@@ -244,8 +245,43 @@ class TestSequenceOps:
         np.testing.assert_array_equal(out.data, np.hstack([a0[index[:, 0]],
                                                            a0[index[:, 1]]]))
         mask = RNG.standard_normal((2, 4))
-        check_unary(lambda x: ops.vsum(ops.cmul(ops.take_rows(x, index), mask)),
-                    (3, 2))
+
+        def build(x):
+            return ops.vsum(ops.cmul(ops.take_rows(x, index), mask))
+
+        x0 = RNG.standard_normal((3, 2))
+        x = ops.tensor(x0)
+        ops.backward(build(x))
+        want = fd_grad(lambda v: build(ops.tensor(v)).item(), x0)
+        np.testing.assert_allclose(x.grad.dense(), want, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(40,), (25, 3)])
+    def test_take_rows_row_grad_has_the_dense_bits(self, shape):
+        rng = np.random.default_rng(len(shape))
+        table = rng.standard_normal((9, 4))
+        index = rng.integers(0, 8, size=shape)     # row 8 never gathered
+        upstream = rng.standard_normal((shape[0], 4 * int(np.prod(shape[1:]))))
+        grads = []
+        for take in (ops.take_rows, ref_take_rows):
+            a = ops.tensor(table)
+            ops.backward(ops.vsum(ops.cmul(take(a, index), upstream)))
+            grads.append(a.grad)
+        rows, want = grads
+        assert isinstance(rows, ops.RowGrad)
+        assert rows.dense().tobytes() == want.tobytes()
+        np.testing.assert_array_equal(rows.rows(), np.unique(index))
+        assert rows.sums().tobytes() == want[rows.rows()].tobytes()
+
+    def test_row_grad_turns_dense_past_a_leaf(self):
+        # through an op node, and meeting a second contribution
+        a0 = np.random.default_rng(3).standard_normal((4, 2))
+        for build in (lambda x: ops.take_rows(ops.scale(x, 2.0), [3, 1]),
+                      lambda x: ops.concat([ops.take_rows(x, [3, 1]), x])):
+            x = ops.tensor(a0)
+            ops.backward(ops.vsum(build(x)))
+            assert isinstance(x.grad, np.ndarray)
+            want = fd_grad(lambda v: ops.vsum(build(ops.tensor(v))).item(), a0)
+            np.testing.assert_allclose(x.grad, want, rtol=1e-6, atol=1e-8)
 
     def test_concat_along_columns(self):
         mask = RNG.standard_normal((3, 6))

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from rstparse.chart import chart_loss
+from conftest import ref_adam_step, ref_take_rows
+from rstparse import ops
+from rstparse.chart import NonFiniteScore, chart_loss
 from rstparse.core import Document, RelationVocab
-from rstparse.data import generate_synthetic
+from rstparse.data import PretrainedEmbeddings, generate_synthetic
+from rstparse.encoder import ModelParams, make_dropout_masks
 from rstparse.training import (
     AdamState,
     TrainConfig,
+    TrainingDiverged,
     adam_step,
     evaluate_model,
     joint_loss,
@@ -37,6 +41,23 @@ class TestConfig:
                     dict(selection="bleu_micro"), dict(selection="span_mean")):
             with pytest.raises(ValueError):
                 tiny_config(**bad).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", -0.1),
+        ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", float("nan")),
+        ("grad_clip", float("inf")),
+        ("gamma", -0.5), ("gamma", float("nan")), ("gamma", float("inf")),
+        ("hidden", 0), ("ff_hidden", 0),
+        ("word_dim", -1), ("pos_dim", -1),
+    ])
+    def test_validate_names_the_bad_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            tiny_config(**{key: value}).validate()
+
+    def test_validate_accepts_the_edges(self):
+        tiny_config(grad_clip=None, gamma=0.0, hidden=1, ff_hidden=1,
+                    word_dim=0, pos_dim=0).validate()
+        tiny_config(grad_clip=1e-3).validate()
 
     def test_defaults_follow_reference_setup(self):
         cfg = TrainConfig()
@@ -90,6 +111,50 @@ class TestAdam:
         # the Adam normalization makes both steps finite; the clipped state
         # must carry the capped first moment
         assert np.abs(s1.m["w"]).max() < np.abs(s2.m["w"]).max()
+
+    def test_dense_gradient_extends_the_row_mask(self):
+        # a table that has had row gradients, then a dense one, then rows
+        rng = np.random.default_rng(4)
+        start = rng.standard_normal((6, 2))
+        dense_g = np.zeros((6, 2))
+        dense_g[4] = rng.standard_normal(2)
+        steps = [ops.RowGrad((6, 2), np.array([1, 1]), rng.standard_normal((2, 2))),
+                 dense_g,
+                 ops.RowGrad((6, 2), np.array([2]), rng.standard_normal((1, 2)))]
+        rows, ref = {"w": start.copy()}, {"w": start.copy()}
+        s_rows, s_ref = AdamState.init(rows), AdamState.init(ref)
+        for g in steps:
+            adam_step(rows, {"w": g}, s_rows, lr=0.1)
+            ref_adam_step(ref, {"w": ops.dense(g)}, s_ref, lr=0.1)
+        np.testing.assert_array_equal(np.flatnonzero(s_rows.touched["w"]),
+                                      [1, 2, 4])
+        assert rows["w"].tobytes() == ref["w"].tobytes()
+        assert s_rows.m["w"].tobytes() == s_ref.m["w"].tobytes()
+
+    def test_clipping_sums_the_dense_gradient(self):
+        # np.sum groups a dense table's terms otherwise than those of its
+        # rows alone: with these draws two of the four norms differ in the
+        # last bit, so the norm must be taken over the dense arrays
+        start = np.random.default_rng(0).standard_normal((200, 4))
+        rng = np.random.default_rng(1)
+        rows, ref = {"w": start.copy()}, {"w": start.copy()}
+        s_rows, s_ref = AdamState.init(rows), AdamState.init(ref)
+        for _ in range(4):
+            g = ops.RowGrad((200, 4), rng.integers(0, 200, size=30),
+                            rng.standard_normal((30, 4)))
+            adam_step(rows, {"w": g}, s_rows, lr=0.1, clip=0.5)
+            ref_adam_step(ref, {"w": g.dense()}, s_ref, lr=0.1, clip=0.5)
+        assert rows["w"].tobytes() == ref["w"].tobytes()
+        assert s_rows.m["w"].tobytes() == s_ref.m["w"].tobytes()
+        assert s_rows.v["w"].tobytes() == s_ref.v["w"].tobytes()
+
+    def test_non_finite_row_gradient_aborts(self):
+        arrays = {"w": np.ones((3, 2))}
+        g = ops.RowGrad((3, 2), np.array([0, 2]),
+                        np.array([[1.0, 2.0], [np.inf, 0.0]]))
+        with pytest.raises(FloatingPointError, match="w"):
+            adam_step(arrays, {"w": g}, AdamState.init(arrays), lr=0.1)
+        np.testing.assert_array_equal(arrays["w"], 1.0)
 
     def test_bias_correction_first_step_magnitude(self):
         # after one step the corrected update is lr * g / (|g| + eps)
@@ -259,3 +324,119 @@ class TestPredict:
                                   word_dim=2, pos_dim=2, hidden=2, ff_hidden=2)
         with pytest.raises(ValueError):
             predict_tree(corpus.documents[0], params, "beam")
+
+
+def _train_steps(corpus, cfg, dense, pretrained=None, steps=6):
+    """``steps`` updates as train makes them, cycling through the documents;
+    ``dense`` takes the dense references' gradients and Adam step."""
+    params = ModelParams.init(corpus.word_vocab, corpus.pos_vocab,
+                              corpus.rel_vocab, np.random.default_rng(5),
+                              word_dim=cfg.word_dim, pos_dim=cfg.pos_dim,
+                              hidden=cfg.hidden, ff_hidden=cfg.ff_hidden,
+                              pretrained=pretrained)
+    adam = AdamState.init(params.arrays)
+    drop_rng = np.random.default_rng(9)
+    docs = corpus.documents
+    for s in range(steps):
+        doc = docs[s % len(docs)]
+        params.zero_grads()
+        masks = make_dropout_masks(params, doc.n, cfg.dropout, drop_rng)
+        loss, _ = joint_loss(doc, params, cfg, masks)
+        ops.backward(loss)
+        if dense:
+            ref_adam_step(params.arrays, params.gradients(), adam, cfg.lr,
+                          clip=cfg.grad_clip)
+        else:
+            adam_step(params.arrays, params.leaf_gradients(), adam, cfg.lr,
+                      clip=cfg.grad_clip)
+    return params, adam
+
+
+class TestRowGradients:
+    """Row gradients and Adam over touched rows against the dense reference:
+    every parameter and moment byte for byte."""
+
+    @pytest.mark.parametrize("case", ["joint-dropout", "chart", "clip",
+                                      "pretrained"])
+    def test_row_path_equals_dense_path(self, case, monkeypatch):
+        corpus = generate_synthetic(5, 6, VOCAB, seed=8)
+        cfg = tiny_config(lr=0.05, hidden=3, ff_hidden=3, word_dim=3,
+                          pos_dim=2, mode="joint", dropout=0.2)
+        pretrained = None
+        if case == "chart":
+            cfg = tiny_config(lr=0.05, mode="chart", dropout=0.0)
+        elif case == "clip":
+            cfg.grad_clip = 0.05
+        elif case == "pretrained":
+            table = np.random.default_rng(2).standard_normal(
+                (len(corpus.word_vocab), 2))
+            pretrained = PretrainedEmbeddings(table, len(table), len(table))
+        params, adam = _train_steps(corpus, cfg, False, pretrained)
+        with monkeypatch.context() as mp:
+            mp.setattr(ops, "take_rows", ref_take_rows)
+            ref_params, ref_adam = _train_steps(corpus, cfg, True, pretrained)
+        assert adam.t == ref_adam.t == 6
+        for name, want in ref_params.arrays.items():
+            assert params.arrays[name].tobytes() == want.tobytes(), name
+            assert adam.m[name].tobytes() == ref_adam.m[name].tobytes(), name
+            assert adam.v[name].tobytes() == ref_adam.v[name].tobytes(), name
+        if case == "clip":
+            assert adam.touched == {}
+        else:
+            # some rows were skipped, so the test covers the skipping
+            assert not adam.touched["word_emb"].all()
+
+    def test_one_step_touches_only_the_document_rows(self):
+        corpus = generate_synthetic(5, 6, VOCAB, seed=8)
+        cfg = tiny_config(mode="joint", dropout=0.2)
+        params = ModelParams.init(corpus.word_vocab, corpus.pos_vocab,
+                                  corpus.rel_vocab, np.random.default_rng(5),
+                                  word_dim=2, pos_dim=2, hidden=2, ff_hidden=2)
+        before = params.arrays["word_emb"].copy()
+        adam = AdamState.init(params.arrays)
+        doc = corpus.documents[0]
+        masks = make_dropout_masks(params, doc.n, cfg.dropout,
+                                   np.random.default_rng(1))
+        loss, _ = joint_loss(doc, params, cfg, masks)
+        ops.backward(loss)
+        g = params.tensors()["word_emb"].grad
+        assert isinstance(g, ops.RowGrad)
+        ids = np.unique([params.word_vocab.lookup(tok)
+                         for edu in doc.edus for tok in edu.tokens])
+        np.testing.assert_array_equal(g.rows(), ids)
+        adam_step(params.arrays, params.leaf_gradients(), adam, cfg.lr)
+        touched = adam.touched["word_emb"]
+        np.testing.assert_array_equal(np.flatnonzero(touched), ids)
+        outside = ~touched
+        assert outside.any()
+        assert (params.arrays["word_emb"][outside].tobytes()
+                == before[outside].tobytes())
+        zeros = np.zeros((int(outside.sum()), 2)).tobytes()
+        assert adam.m["word_emb"][outside].tobytes() == zeros
+        assert adam.v["word_emb"][outside].tobytes() == zeros
+        assert not np.array_equal(params.arrays["word_emb"][ids], before[ids])
+
+
+class TestDivergence:
+    def test_huge_lr_ends_in_training_diverged(self):
+        corpus = tiny_corpus()
+        docs = list(corpus.documents)
+        for mode in ("chart", "transition", "joint"):
+            with pytest.raises(TrainingDiverged,
+                               match=r"epoch 1 .*document doc\d+") as info:
+                with np.errstate(all="ignore"):
+                    train(docs, docs, corpus.vocabs,
+                          tiny_config(mode=mode, lr=1e300, max_epochs=1))
+            assert isinstance(info.value.__cause__,
+                              (NonFiniteScore, FloatingPointError))
+
+    def test_divergence_in_the_post_epoch_decoding(self):
+        # one document: its single update already breaks the decoding after it
+        corpus = generate_synthetic(1, 5, VOCAB, seed=31)
+        docs = list(corpus.documents)
+        with pytest.raises(TrainingDiverged,
+                           match=r"epoch 1: decoding after the update for "
+                                 r"document doc0000 failed: non-finite"):
+            with np.errstate(all="ignore"):
+                train(docs, docs, corpus.vocabs,
+                      tiny_config(mode="joint", lr=1e300, max_epochs=1))
