@@ -5,8 +5,9 @@ Three bottom-up decoders share one score layout:
 * exact: every cell maximizes jointly over split point and both labels.
   Per span width, the cells x splits form one numpy batch, and Python loops
   over the label pairs outside it, so the cost still grows with the label
-  set.  Its dense table and index arrays are bounded by EXACT_MEMORY_LIMIT;
-  a larger document raises ExactTooLarge before any table is built.
+  set.  It holds its dense table and O(n^2) more (_exact_bytes), bounded by
+  EXACT_MEMORY_LIMIT; a larger document raises ExactTooLarge before any
+  table is built.
 * partial: each cell picks its split from span + subtree scores alone, then
   labels that split.  Same optimum whenever label scores do not disagree with
   span scores about the split; much cheaper when the label set is large.
@@ -70,14 +71,17 @@ from .ops import Tensor
 NEG_INF = float("-inf")
 
 # Label rows asked for per block when _dense_tables fills the dense table.
-# Bounds the temporaries beside the table to O(_BLOCK_ROWS * ff_hidden) at
-# any n; one unblocked gather over all O(n^3) rows would hold several copies
-# of the table's size at once.  LossAugmented shifts each block as it
-# arrives, so no plain table is made beside the shifted one.
+# Bounds the temporaries beside the table at any n: on the neural path, at
+# most 8 * _BLOCK_ROWS * (3 * ff_hidden + 2 * (n_rel + 4) + 8) bytes (three
+# first-layer arrays, a block of relation and nuclearity rows and a shifted
+# copy, and the block's index arrays).  One unblocked gather over all O(n^3)
+# rows would hold several copies of the table's size at once.  LossAugmented
+# shifts each block as it arrives, so no plain table is made beside the
+# shifted one.
 _BLOCK_ROWS = 1024
 
-# Bytes decode_exact may hold for its dense label table and index arrays
-# (_exact_bytes).  At 19 relations this admits documents of up to 310 EDUs.
+# Bytes decode_exact may hold beside one block's temporaries (_exact_bytes).
+# At 19 relations this admits documents of up to 326 EDUs.
 EXACT_MEMORY_LIMIT = 2 ** 30
 
 
@@ -108,13 +112,13 @@ def _layout(n: int) -> tuple[np.ndarray, int]:
     return base, int(counts.sum())
 
 
-def _rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, k) of every label row in layout order; leaf rows have k = i."""
-    i, j, counts, starts = _cells(n)
-    I = np.repeat(i, counts)
-    J = np.repeat(j, counts)
-    K = np.arange(int(counts.sum())) - np.repeat(starts, counts) + I + 1
-    return I, J, np.where(J == I + 1, I, K)
+def _row_cells(cells, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(i, j, k) of the given label rows, found among the cell starts of
+    ``cells`` (as _cells returns them); leaf rows have k = i."""
+    i, j, _, starts = cells
+    c = np.searchsorted(starts, rows, side="right") - 1
+    I, J = i[c], j[c]
+    return I, J, np.where(J == I + 1, I, rows - starts[c] + I + 1)
 
 
 @dataclass
@@ -161,12 +165,13 @@ class ScoreTables:
         if where is not None:
             return where
         for name, arr in (("rel", self.rel), ("nuc", self.nuc)):
-            bad = ~np.isfinite(arr)
-            if bad.any():
-                row, col = np.argwhere(bad)[0]
-                I, J, K = _rows(self.n)
-                return (f"{name}[{I[row]}, {J[row]}, {K[row]}][{col}] "
-                        f"= {arr[row, col]}")
+            # a block at a time, so as to hold nothing of the table's length
+            for start in range(0, len(arr), _BLOCK_ROWS):
+                ok = np.isfinite(arr[start:start + _BLOCK_ROWS])
+                if not ok.all():
+                    row, col = np.argwhere(~ok)[0] + (start, 0)
+                    (i,), (j,), (k,) = _row_cells(_cells(self.n), row[None])
+                    return f"{name}[{i}, {j}, {k}][{col}] = {arr[row, col]}"
         return None
 
 
@@ -260,14 +265,21 @@ class TableOracle:
 
 def _dense_tables(s) -> ScoreTables:
     """The dense ScoreTables of chart scorer s: its span table, and every
-    label row asked of ``s.labels`` in _BLOCK_ROWS blocks, in _rows order."""
+    label row asked of ``s.labels`` in _BLOCK_ROWS blocks, in layout order.
+
+    Each block's (i, j, k) come from the O(n^2) cell starts, so nothing of
+    the table's length is held beside it.  The blocks must stay as they are:
+    a label row's last bit can depend on the size of the batch it was
+    scored in (BLAS picks its matmul kernel by the product's size).
+    """
+    cells = _cells(s.n)
     base, rows = _layout(s.n)
-    I, J, K = _rows(s.n)
     rel = np.empty((rows, s.n_rel))
     nuc = np.empty((rows, NUM_NUCLEARITIES))
     for start in range(0, rows, _BLOCK_ROWS):
-        sl = slice(start, start + _BLOCK_ROWS)
-        rel[sl], nuc[sl] = s.labels(I[sl], J[sl], K[sl])
+        sl = slice(start, min(start + _BLOCK_ROWS, rows))
+        block = np.arange(sl.start, sl.stop)
+        rel[sl], nuc[sl] = s.labels(*_row_cells(cells, block))
     return ScoreTables(s.n, s.n_rel, s.span, rel, nuc, base)
 
 
@@ -467,28 +479,67 @@ def _internal_labels(rel, nuc) -> tuple[np.ndarray, np.ndarray]:
 
 def _exact_bytes(n: int, n_rel: int) -> int:
     """Bytes decode_exact holds for n EDUs: the dense label table,
-    8 · rows(n) · (n_rel + 4), plus four 8-byte entries per internal row
-    (the _width_major arrays)."""
+    8 · rows(n) · (n_rel + 4); the arrays of one width, at most
+    m = floor(n/2) · ceil(n/2) (cell, split) pairs, each with its relation
+    and nuclearity rows and 9 more 8-byte entries (_width_scores' index
+    arrays or _exact_width's running bests); and the O(n^2) chart and
+    layout arrays, 40 · (n + 1)^2."""
     rows = n + (n ** 3 - n) // 6
-    return 8 * rows * (n_rel + 4) + 32 * (rows - n)
+    m = (n // 2) * ((n + 1) // 2)
+    return 8 * rows * (n_rel + 4) + 8 * m * (n_rel + 13) + 40 * (n + 1) ** 2
 
 
-def _width_major(n: int, span: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The internal label rows in width-major order, for decode_exact.
+def _width_scores(t: ScoreTables, flat_span: np.ndarray,
+                  flat_best: np.ndarray, width: int) -> tuple[np.ndarray, ...]:
+    """The cells x splits of one width, for decode_exact, cells by left end
+    i, splits k = i+1..j-1 ascending: span(i, k) + span(k, j) + best(i, k) +
+    best(k, j), and the relation and nuclearity rows, transposed, at table
+    rows base[i, j] + (k - i - 1).  (i, k) and (k, j) are read at flat
+    offsets i(n+1) + k and k(n+1) + j of the (n+1, n+1) charts."""
+    n = t.n
+    i = np.arange(n + 1 - width)[:, None]
+    j = i + width
+    k = i + np.arange(1, width)
+    rows = ((t.base[i, j] - i - 1) + k).ravel()
+    left = (i * (n + 1) + k).ravel()
+    right = (k * (n + 1) + j).ravel()
+    pair = flat_span.take(left) + flat_span.take(right)
+    stem = (pair + flat_best.take(left)) + flat_best.take(right)
+    return stem, t.rel.take(rows, axis=0).T, t.nuc.take(rows, axis=0).T
 
-    Returns the rows' indices into the dense table (_rows order sorted
-    stably by width, so the rows of one width form a cells x splits matrix,
-    cells by left end, splits ascending), the flat offsets of (i, k) and
-    (k, j) in an (n+1, n+1) chart, and span(i, k) + span(k, j) per row.
-    """
-    I, J, K = _rows(n)
-    rows = np.flatnonzero(J > I + 1)
-    rows = rows[np.argsort(J[rows] - I[rows], kind="stable")]
-    I, J, K = I[rows], J[rows], K[rows]
-    left = I * (n + 1) + K
-    right = K * (n + 1) + J
-    flat_span = np.ravel(span)
-    return rows, left, right, flat_span[left] + flat_span[right]
+
+def _exact_width(t: ScoreTables, flat_span: np.ndarray, chart,
+                 width: int) -> None:
+    """decode_exact's step for the cells of one width: their best score,
+    split, relation and nuclearity, written into ``chart`` (as _empty_chart
+    makes it).  The width's arrays are freed on return, so those of two
+    widths are never held at once."""
+    best, bsplit, brel, bnuc = chart
+    n = t.n
+    cells = n + 1 - width
+    flat = best.reshape(-1)
+    stem, rel, nuc = _width_scores(t, flat_span, flat, width)
+    top = np.full(len(stem), NEG_INF)
+    top_rel = np.zeros(len(stem), dtype=np.int64)
+    top_nuc = np.zeros(len(stem), dtype=np.int64)
+    # putmask, unlike copyto(where=), costs the same however many
+    # entries change, which early label pairs make about half of them
+    for l in range(1, t.n_rel):
+        stem_l = stem + rel[l]
+        for p in range(3):
+            v = stem_l + nuc[p]
+            better = v > top
+            np.putmask(top, better, v)
+            np.putmask(top_rel, better, l)
+            np.putmask(top_nuc, better, p)
+    x = np.argmax(top.reshape(cells, width - 1), axis=1)
+    won = x + np.arange(0, len(stem), width - 1)
+    # cells (i, i + width) lie n + 2 apart in the flattened chart
+    at = slice(width, width + cells * (n + 2), n + 2)
+    flat[at] = top.take(won)
+    bsplit.reshape(-1)[at] = x + np.arange(1, cells + 1)
+    brel.reshape(-1)[at] = top_rel.take(won)
+    bnuc.reshape(-1)[at] = top_nuc.take(won)
 
 
 def decode_exact(n: int, scores) -> tuple[RstTree, float]:
@@ -503,8 +554,9 @@ def decode_exact(n: int, scores) -> tuple[RstTree, float]:
     the full grammar constant: one batch step per label pair per width.
 
     Reads the dense label table, so it first checks that the table and the
-    index arrays fit in EXACT_MEMORY_LIMIT bytes and raises ExactTooLarge,
-    before any table is built, when they do not.
+    arrays of one width fit in EXACT_MEMORY_LIMIT bytes and raises
+    ExactTooLarge, before any table is built, when they do not.  Each
+    width's index arrays are made when it is reached, from ``base``.
     """
     s = chart_scores(n, scores)
     size = _exact_bytes(n, s.n_rel)
@@ -514,41 +566,12 @@ def decode_exact(n: int, scores) -> tuple[RstTree, float]:
             f"needs {size:,} bytes, over the limit of "
             f"{EXACT_MEMORY_LIMIT:,}; use the partial or complete decoder")
     t = s.tables()
-    # built after the table, so that its temporaries and those of the
-    # table's blocks are not held at once
-    rows, left, right, pair = _width_major(n, t.span)
-    best, bsplit, brel, bnuc = _empty_chart(n)
+    chart = _empty_chart(n)
+    best, bsplit, brel, bnuc = chart
     _fill_leaves(t, best, brel, bnuc)
-    flat = best.reshape(-1)
-    start = 0
+    flat_span = np.ravel(t.span)
     for width in range(2, n + 1):
-        cells = n + 1 - width
-        batch = slice(start, start + cells * (width - 1))
-        start = batch.stop
-        stem = (pair[batch] + flat.take(left[batch])) + flat.take(right[batch])
-        rel = t.rel.take(rows[batch], axis=0).T
-        nuc = t.nuc.take(rows[batch], axis=0).T
-        top = np.full(len(stem), NEG_INF)
-        top_rel = np.zeros(len(stem), dtype=np.int64)
-        top_nuc = np.zeros(len(stem), dtype=np.int64)
-        # putmask, unlike copyto(where=), costs the same however many
-        # entries change, which early label pairs make about half of them
-        for l in range(1, t.n_rel):
-            stem_l = stem + rel[l]
-            for p in range(3):
-                v = stem_l + nuc[p]
-                better = v > top
-                np.putmask(top, better, v)
-                np.putmask(top_rel, better, l)
-                np.putmask(top_nuc, better, p)
-        x = np.argmax(top.reshape(cells, width - 1), axis=1)
-        won = x + np.arange(0, len(stem), width - 1)
-        # cells (i, i + width) lie n + 2 apart in the flattened chart
-        at = slice(width, width + cells * (n + 2), n + 2)
-        flat[at] = top.take(won)
-        bsplit.reshape(-1)[at] = x + np.arange(1, cells + 1)
-        brel.reshape(-1)[at] = top_rel.take(won)
-        bnuc.reshape(-1)[at] = top_nuc.take(won)
+        _exact_width(t, flat_span, chart, width)
     return _backtrace(n, bsplit, brel, bnuc), float(best[0, n])
 
 

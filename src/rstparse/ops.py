@@ -411,10 +411,12 @@ def backward(root: Tensor) -> None:
         for parent, pg in zip(node._parents, node._vjp(dense(g))):
             if pg is None:
                 continue
+            # A first gradient is kept as it is and sums are made out of
+            # place: a VJP may hand one array, or views of it, to several
+            # parents, so no stored gradient is ever written to.
             acc = grads.get(id(parent))
             if acc is None:
                 grads[id(parent)] = (pg if isinstance(pg, RowGrad) else
-                                     np.asarray(pg, dtype=np.float64).copy())
+                                     np.asarray(pg, dtype=np.float64))
             else:
-                acc = grads[id(parent)] = dense(acc)
-                acc += dense(pg)
+                grads[id(parent)] = dense(acc) + dense(pg)

@@ -295,20 +295,25 @@ def train(train_docs, dev_docs, vocabs: CorpusVocabs, cfg: TrainConfig,
             doc = train_docs[idx]
             params.zero_grads()
             masks = make_dropout_masks(params, doc.n, cfg.dropout, drop_rng)
+            # Overflow and invalid values are not warned about: the
+            # finiteness checks turn them into TrainingDiverged.
             try:
-                loss, _ = joint_loss(doc, params, cfg, masks)
-                total += loss.item()
-                ops.backward(loss)
-                adam_step(params.arrays, params.leaf_gradients(), adam,
-                          cfg.lr, clip=cfg.grad_clip)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss, _ = joint_loss(doc, params, cfg, masks)
+                    total += loss.item()
+                    ops.backward(loss)
+                    adam_step(params.arrays, params.leaf_gradients(), adam,
+                              cfg.lr, clip=cfg.grad_clip)
             except (NonFiniteScore, FloatingPointError) as exc:
                 raise TrainingDiverged(f"training diverged in epoch {epoch} "
                                        f"at document {doc.doc_id}: {exc}"
                                        ) from exc
         trees = [] if one_pass else None
         try:
-            missing = count_missing(train_docs, params, cfg.decoder, trees)
-            dev_report = evaluate_model(dev_docs, params, eval_method, trees)
+            with np.errstate(over="ignore", invalid="ignore"):
+                missing = count_missing(train_docs, params, cfg.decoder, trees)
+                dev_report = evaluate_model(dev_docs, params, eval_method,
+                                            trees)
         except NonFiniteScore as exc:
             raise TrainingDiverged(f"training diverged in epoch {epoch}: "
                                    f"decoding after the update for document "

@@ -11,23 +11,32 @@ Also here, as the reference for the batched losses: the per-decision tape
 composition the scorers used before, one input vector and one matvec per
 decision and five tape nodes per hinge term.  Likewise the scalar exact
 decoder loop and the recursive random_tree, the references for the batched
-decoder and the iterative tree sampler; and the dense embedding gradient and
-dense Adam step, the references for row gradients and Adam over touched rows.
+decoder and the iterative tree sampler; the dense-table build that sliced
+its blocks from full-length (i, j, k) arrays, the reference for the build
+from cell starts; the dense embedding gradient and dense Adam step, the
+references for row gradients and Adam over touched rows; and the backward
+pass that copied every first gradient it stored, the reference for the one
+that keeps them as they are.
 """
 
 import numpy as np
 
 from rstparse import ops
 from rstparse.chart import (
+    _BLOCK_ROWS,
+    ScoreTables,
     _backtrace,
+    _cells,
     _empty_chart,
     _fill_leaves,
+    _layout,
     _split_totals,
     chart_scores,
 )
 from rstparse.core import (
     INTERNAL_NUCLEARITIES,
     LEAF_RELATION,
+    NUM_NUCLEARITIES,
     LabeledSpan,
     Nuclearity,
     RstTree,
@@ -164,6 +173,30 @@ def ref_decode_exact(n, scores):
             brel[i, j] = bl
             bnuc[i, j] = bp
     return _backtrace(n, bsplit, brel, bnuc), float(best[0, n])
+
+
+def ref_rows(n):
+    """(i, j, k) of every label row in layout order, leaf rows with k = i,
+    as three arrays of the table's length."""
+    i, j, counts, starts = _cells(n)
+    I = np.repeat(i, counts)
+    J = np.repeat(j, counts)
+    K = np.arange(int(counts.sum())) - np.repeat(starts, counts) + I + 1
+    return I, J, np.where(J == I + 1, I, K)
+
+
+def ref_dense_tables(s):
+    """chart._dense_tables with each block's (i, j, k) sliced from ref_rows:
+    the reference for the build from cell starts, which must ask for the
+    same blocks and so give the same bits."""
+    base, rows = _layout(s.n)
+    I, J, K = ref_rows(s.n)
+    rel = np.empty((rows, s.n_rel))
+    nuc = np.empty((rows, NUM_NUCLEARITIES))
+    for start in range(0, rows, _BLOCK_ROWS):
+        sl = slice(start, start + _BLOCK_ROWS)
+        rel[sl], nuc[sl] = s.labels(I[sl], J[sl], K[sl])
+    return ScoreTables(s.n, s.n_rel, s.span, rel, nuc, base)
 
 
 def ref_random_tree(n, rel_vocab, rng):
@@ -319,6 +352,52 @@ def ref_adam_step(arrays, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8,
         v *= beta2
         v += (1.0 - beta2) * g * g
         arrays[name] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+# --- the copying backward pass --------------------------------------------
+
+def ref_backward(root):
+    """ops.backward storing a copy of every first gradient of an op node and
+    adding later ones into that copy in place."""
+    order = []
+    seen = set()
+    stack = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in seen:
+                stack.append((parent, False))
+
+    grads = {id(root): np.ones(())}
+    for node in reversed(order):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._vjp is None:
+            if node.grad is None and isinstance(g, ops.RowGrad):
+                node.grad = g
+                continue
+            node.grad = (np.zeros(node.data.shape) if node.grad is None
+                         else ops.dense(node.grad))
+            node.grad += ops.dense(g)
+            continue
+        for parent, pg in zip(node._parents, node._vjp(ops.dense(g))):
+            if pg is None:
+                continue
+            acc = grads.get(id(parent))
+            if acc is None:
+                grads[id(parent)] = (pg if isinstance(pg, ops.RowGrad) else
+                                     np.asarray(pg, dtype=np.float64).copy())
+            else:
+                acc = grads[id(parent)] = ops.dense(acc)
+                acc += ops.dense(pg)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import (
     brute_force_best,
     make_tree,
     ref_decode_exact,
+    ref_dense_tables,
     ref_score_nuc,
     ref_score_rel,
     ref_score_tree_symbolic,
@@ -213,9 +216,39 @@ class TestExactMemoryBudget:
     def test_budget_counts_table_and_index_arrays(self):
         rows = 80 + (80 ** 3 - 80) // 6
         assert rows == 85400
-        assert chart._exact_bytes(80, 19) == 8 * rows * 23 + 32 * (rows - 80)
-        assert chart._exact_bytes(310, 19) <= chart.EXACT_MEMORY_LIMIT
-        assert chart._exact_bytes(311, 19) > chart.EXACT_MEMORY_LIMIT
+        # the table, the 40 x 40 cells x splits of width 41, and the chart
+        assert chart._exact_bytes(80, 19) == (8 * rows * 23 + 8 * 1600 * 32
+                                              + 40 * 81 ** 2)
+        for n in range(1, 40):
+            widest = max([(n + 1 - w) * (w - 1) for w in range(2, n + 1)],
+                         default=0)
+            table = 8 * (n + (n ** 3 - n) // 6) * 9
+            assert chart._exact_bytes(n, 5) == (table + 8 * widest * 18
+                                                + 40 * (n + 1) ** 2)
+        assert chart._exact_bytes(326, 19) <= chart.EXACT_MEMORY_LIMIT
+        assert chart._exact_bytes(327, 19) > chart.EXACT_MEMORY_LIMIT
+
+    @pytest.mark.parametrize("n", [7, 40, 80])
+    def test_traced_peak_is_within_the_budget(self, n):
+        """decode_exact's traced peak stays within _exact_bytes plus one
+        table block's temporaries, whose bound does not depend on n."""
+        rng = np.random.default_rng(n)
+        params = random_params(n_rel=19, seed=n, ff_hidden=64)
+        oracle = NeuralOracle(params, encode_document(random_document(n, rng),
+                                                      params))
+        block = 8 * chart._BLOCK_ROWS * (3 * params.ff_hidden
+                                         + 2 * (params.n_rel + 4) + 8)
+        budget = chart._exact_bytes(n, params.n_rel) + block
+        gold = gold_tree(n, params.n_rel, rng)
+        for scores in (oracle, LossAugmented(oracle, gold), oracle.tables()):
+            tracemalloc.start()
+            try:
+                held = tracemalloc.get_traced_memory()[0]
+                decode_exact(n, scores)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget, (type(scores).__name__, peak, budget)
 
     def test_raises_before_any_table_is_built(self, monkeypatch):
         rng = np.random.default_rng(6)
@@ -476,11 +509,11 @@ def random_document(n, rng, gold=None):
     return Document("d%d" % n, tuple(edus), gold)
 
 
-def random_params(n_rel=6, seed=0):
+def random_params(n_rel=6, seed=0, ff_hidden=8):
     return ModelParams.init(Vocab(WORDS), Vocab(["T0", "T1", "T2"]),
                             RelationVocab(["R%d" % r for r in range(1, n_rel)]),
                             np.random.default_rng(seed), word_dim=4, pos_dim=3,
-                            hidden=4, ff_hidden=8)
+                            hidden=4, ff_hidden=ff_hidden)
 
 
 def refuse_tables(self):
@@ -606,6 +639,25 @@ class TestOnDemandRows:
         loss, diag = chart_loss(docs[2], params, "exact", masks)
         assert diag.distance == hamming(diag.pred, docs[2].gold)
 
+    def test_table_has_the_bits_of_the_reference_build(self):
+        """The dense table, its blocks' (i, j, k) found from cell starts,
+        equals the build that sliced them from full-length arrays byte for
+        byte: the same blocks are asked for, and a label row's last bit can
+        depend on the size of the batch it is scored in."""
+        rng = np.random.default_rng(13)
+        params = random_params(n_rel=19, seed=13, ff_hidden=64)
+        for n in (1, 2, 6, 19, 45):  # 19 and 45 EDUs cross block boundaries
+            doc = random_document(n, rng)
+            gold = gold_tree(n, params.n_rel, rng)
+            for masks in (None, make_dropout_masks(params, n, 0.3, rng)):
+                oracle = NeuralOracle(params, encode_document(doc, params, masks),
+                                      masks)
+                for scores in (oracle, LossAugmented(oracle, gold)):
+                    got, want = scores.tables(), ref_dense_tables(scores)
+                    assert got.rel.tobytes() == want.rel.tobytes(), n
+                    assert got.nuc.tobytes() == want.nuc.tobytes(), n
+                    np.testing.assert_array_equal(got.base, want.base)
+
     def test_augmented_neural_table_is_the_plain_table_shifted(self):
         """LossAugmented(oracle, gold).tables() equals oracle.tables() with
         +1 on absent spans and +1 on every label but gold's in the rows of
@@ -657,6 +709,15 @@ class TestNonFiniteScores:
         tabs.nuc[tabs.row_index(0, 4, 2), 1] = -np.inf
         with pytest.raises(ValueError, match=r"nuc\[0, 4, 2\]\[1\] = -inf"):
             decode(5, tabs)
+
+    def test_label_past_the_first_block_named(self):
+        tabs = random_tables(20, 3, np.random.default_rng(2))  # 1,350 rows
+        assert tabs.row_index(17, 20, 18) > chart._BLOCK_ROWS
+        tabs.nuc[3, 0] = np.inf
+        tabs.rel[tabs.row_index(17, 20, 18), 2] = np.nan
+        # every relation row is checked before any nuclearity row
+        with pytest.raises(ValueError, match=r"rel\[17, 20, 18\]\[2\] = nan"):
+            decode_exact(20, tabs)
 
     def test_unused_entries_are_not_checked(self):
         # the span table's diagonal and lower triangle are never read

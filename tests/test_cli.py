@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import rstparse
 from rstparse.cli import (
     ConfigError,
     build_parser,
@@ -166,6 +169,23 @@ class TestTrainCommand:
         assert "config error: training diverged in epoch 1" in err
         assert "document doc" in err and "non-finite" in err
         assert not model.exists()
+
+    def test_diverged_training_prints_only_its_error(self, corpus_dir,
+                                                     tiny_settings, tmp_path):
+        # a fresh interpreter with numpy's default error handling, where
+        # a RuntimeWarning would reach stderr
+        src = os.path.dirname(os.path.dirname(rstparse.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rstparse.cli", "train", "--corpus",
+             corpus_dir, "--out", str(tmp_path / "m.npz"), "--config",
+             tiny_settings, "--lr", "1e300", "--mode", "joint"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("config error: training diverged in "
+                                   "epoch 1 at document doc")
 
 
 class TestPipeline:

@@ -8,7 +8,7 @@ cover the tape mechanics.
 import numpy as np
 import pytest
 
-from conftest import ref_take_rows
+from conftest import ref_backward, ref_take_rows
 from rstparse import ops
 
 
@@ -403,3 +403,41 @@ class TestTapeMechanics:
         g = x.grad.copy()
         ops.backward(ops.vsum(ops.scale(x, 2.0)))
         np.testing.assert_allclose(x.grad, g + 2.0)
+
+    def test_uncopied_first_gradients_give_the_copying_bits(self):
+        """backward keeps a node's first gradient as it is and sums out of
+        place; every leaf gets the bits of the copying reference, over two
+        calls."""
+        rng = np.random.default_rng(11)
+        x0, y0, z0, e0 = (rng.standard_normal((3, 2)) for _ in range(4))
+        mask = rng.standard_normal((6, 2))
+
+        def graph():
+            x, y, z, e = (ops.tensor(v) for v in (x0, y0, z0, e0))
+            w = ops.tensor(np.ones(2))
+            # add hands one array to a and to b, and each then gets a
+            # second gradient
+            a, b = ops.scale(x, 2.0), ops.relu(y)
+            terms = [ops.vsum(ops.cmul(ops.add(a, b), mask[:3])),
+                     ops.vsum(ops.cmul(a, mask[3:])),
+                     ops.vsum(ops.scale(b, -1.5))]
+            # concat hands its views to the leaf z and to the node c, which
+            # then gets a second gradient
+            c = ops.scale(z, 0.5)
+            terms += [ops.vsum(ops.cmul(ops.concat([z, c]), mask)),
+                      ops.vsum(ops.cmul(c, mask[:3])),
+                      ops.vsum(ops.take_rows(e, [2, 0, 2])),
+                      # -0.0 reaches w, whose gradient is +0.0
+                      ops.vsum(ops.scale(w, -0.0))]
+            return ops.addn(terms), (x, y, z, e, w)
+
+        bits = []
+        for backward in (ops.backward, ref_backward):
+            root, leaves = graph()
+            backward(root)
+            first = [type(t.grad) for t in leaves]
+            backward(root)
+            bits.append((first, [ops.dense(t.grad).tobytes() for t in leaves]))
+        assert bits[0] == bits[1]
+        assert bits[0][0][3] is ops.RowGrad
+        assert bits[0][1][4] == np.zeros(2).tobytes()
