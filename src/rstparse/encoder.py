@@ -366,9 +366,9 @@ def encode_document(doc: Document, params: ModelParams,
     and gather each EDU's first- and last-token states.
 
     The tape holds a fixed number of nodes whatever the document's length:
-    one gather per embedding table, one column concatenation, one fused
-    ``ops.lstm`` per direction, one gather of the EDU rows and the dropout
-    mask.
+    one gather per embedding table, one column concatenation of the token
+    inputs, one fused ``ops.bilstm`` for both directions, one gather of the
+    EDU rows and the dropout mask.
     """
     tensors = params.tensors()
     words = [params.word_vocab.lookup(tok)
@@ -381,16 +381,14 @@ def encode_document(doc: Document, params: ModelParams,
     parts.append(ops.take_rows(tensors["pos_emb"], tags))
     X = ops.concat(parts, axis=1)
 
-    fwd = ops.lstm(tensors["lstm_fwd.W"], tensors["lstm_fwd.b"], X,
-                   params.hidden)
-    bwd = ops.lstm(tensors["lstm_bwd.W"], tensors["lstm_bwd.b"], X,
-                   params.hidden, reverse=True)
+    states = ops.bilstm(tensors["lstm_fwd.W"], tensors["lstm_fwd.b"],
+                        tensors["lstm_bwd.W"], tensors["lstm_bwd.b"], X,
+                        params.hidden)
     # EDU row: [fwd; bwd] at its first token, then at its last token.
     lengths = np.array([len(edu.tokens) for edu in doc.edus])
     last = np.cumsum(lengths) - 1
     first = last - lengths + 1
-    edus = ops.take_rows(ops.concat([fwd, bwd], axis=1),
-                         np.stack((first, last), axis=1))
+    edus = ops.take_rows(states, np.stack((first, last), axis=1))
     if masks is not None:
         edus = ops.cmul(edus, masks.edu)
     return EncodedDocument(edus)

@@ -6,9 +6,9 @@ into every node it can reach.  Only the operations the parsers need exist:
 dense matvec, batched affine maps over the rows of a matrix (``linear``),
 concatenation, slicing, element picks and row gathers, elementwise
 nonlinearities, sums, a masked margin hinge over a matrix of scores
-(``margin_hinge``), and one fused sequence op, ``lstm``, which runs a whole
-LSTM direction as a single node with hand-written backpropagation through
-time.  A loss over a batch of decisions is then a fixed number of nodes,
+(``margin_hinge``), and one fused sequence op, ``bilstm``, which runs both
+directions of a bidirectional LSTM as a single node, advancing them in one
+loop, with hand-written backpropagation through time.  A loss over a batch of decisions is then a fixed number of nodes,
 however many decisions it has.  The gradient a row gather sends to its
 table is a ``RowGrad``, the gathered rows with their upstream gradients,
 made dense only where something needs the whole array.  Everything is
@@ -23,7 +23,7 @@ import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, data, _parents=(), _vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -184,8 +184,8 @@ class RowGrad:
     ``values`` the upstream gradient of each, one row per index entry; no
     (V, d) array is allocated until ``dense()`` asks for one.  ``rows()`` are
     the distinct row numbers, ascending, and ``sums()`` each one's summed
-    gradient.  Both forms add a row's terms with ``np.add.at`` in index order
-    from 0.0, so each row has the same bits in either.
+    gradient.  Both forms add a row's terms in index order from 0.0, so each
+    row has the same bits in either, and the bits of ``np.add.at``.
     """
 
     def __init__(self, shape: tuple[int, int], index: np.ndarray,
@@ -195,8 +195,24 @@ class RowGrad:
         self.values = values
 
     def dense(self) -> np.ndarray:
+        """The (V, d) gradient, built one occurrence rank at a time: the
+        first gathers of each row are added at once, then the second ones,
+        and so on.  No row repeats within a rank, so each rank is one
+        buffered ``out[rows] += values``, which for the few-rank gathers of
+        the EDU matrix is much cheaper than ``np.add.at``."""
+        index = self.index
         out = np.zeros(self.shape)
-        np.add.at(out, self.index, self.values)
+        order = np.argsort(index, kind="stable")
+        ranked = index[order]
+        starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+        rank = np.arange(index.size) - np.repeat(
+            starts, np.diff(np.r_[starts, index.size]))
+        by_rank = order[np.argsort(rank, kind="stable")]
+        stop = 0
+        for count in np.bincount(rank).tolist():
+            at = by_rank[stop:stop + count]
+            stop += count
+            out[index[at]] += self.values[at]
         return out
 
     @functools.cached_property
@@ -238,88 +254,145 @@ def take_rows(a: Tensor, index) -> Tensor:
     return Tensor(gathered.reshape(index.shape[0], -1), (a,), vjp)
 
 
-def lstm(W: Tensor, b: Tensor, X: Tensor, hidden: int,
-         reverse: bool = False) -> Tensor:
-    """One LSTM direction over the rows of X (T, d); the (T, H) hidden states.
+_BILSTM_CHUNK = 64      # steps whose [x; h] inputs are laid out at a time
 
-    Step t computes z = W [x_t; h_{t-1}] + b with W of shape (4H, d + H),
-    gates i, f, g, o in that order, c_t = f c_{t-1} + i g and
-    h_t = o tanh(c_t), from zero states.  With ``reverse`` the rows are read
-    last to first; row t of the result is still the state at x_t.
 
-    The node keeps the activated gates and the cells, O(T (d + 6H)) floats
-    with X and the result.  Its VJP is backpropagation through time written
-    out (Werbos 1990): one backward sweep of T products with W's recurrent
-    block, then dW = dZ^T [X | H_prev], db the column sum of dZ and
-    dX = dZ W_x, where dZ holds the pre-activation gradients.
+def bilstm(W_f: Tensor, b_f: Tensor, W_b: Tensor, b_b: Tensor, X: Tensor,
+           hidden: int) -> Tensor:
+    """A bidirectional LSTM over the rows of X (T, d): the (T, 2H) states
+    [fwd | bwd], row t of each half being that direction's state at x_t.
+
+    Each direction's step computes z = W [x; h_prev] + b with W of shape
+    (4H, d + H), gates i, f, g, o in that order, c = f c_prev + i g and
+    h = o tanh(c), from zero states; the forward direction reads the rows
+    first to last and the backward one last to first.  One Python loop
+    advances both.  Their states are interleaved by (unit, direction), so
+    step s runs each direction's matrix-vector product and then every
+    elementwise step once, on one contiguous array covering both: 2
+    products and 11 other numpy calls per step.  The ufuncs are those of
+    the per-step composition, in its order, so each half equals a
+    one-direction LSTM bit for bit.  Only the products read strided
+    vectors; the backward sweep's products are fed contiguous copies, as
+    strided operands there change the last bits.
+
+    The node keeps the activated gates, the cells and its result, about
+    12 T H floats.  Its VJP is backpropagation through time written out
+    (Werbos 1990): one backward sweep of both directions, T steps of one
+    product with each W's recurrent block, then per direction
+    dW = dZ^T [X | H_prev], db the column sum of dZ and dX = dZ W_x, where
+    dZ holds the pre-activation gradients; X's gradient is the sum of the
+    two dX.
     """
     H = hidden
-    w, bias = W.data, b.data
-    xs = X.data[::-1] if reverse else X.data
-    T, d = xs.shape
-    if w.shape != (4 * H, d + H) or bias.shape != (4 * H,):
-        raise ValueError(f"bad lstm shapes W {w.shape}, b {bias.shape} "
-                         f"for input width {d} and hidden {H}")
-    gates = np.empty((T, 4 * H))
-    cells = np.empty((T, H))
-    hs = np.empty((T, H))
-    # Each step applies the ufuncs of matvec, add, sigmoid, tanh and mul in
-    # their order, written into preallocated rows, so the states equal the
-    # per-step composition bit for bit: sigmoid(z) = 1 / (1 + exp(-z)) on all
-    # four blocks, then tanh over the g block.
-    xh = np.zeros(d + H)                  # [x_t; h_{t-1}]
-    z = np.empty(4 * H)
-    tmp = np.empty(H)
-    c = np.zeros(H)
-    for t in range(T):
-        xh[:d] = xs[t]
-        np.matmul(w, xh, out=z)
-        z += bias
-        act = gates[t]
-        np.negative(z, out=act)
-        np.exp(act, out=act)
-        act += 1.0
-        np.divide(1.0, act, out=act)
-        np.tanh(z[2 * H:3 * H], out=act[2 * H:3 * H])
-        np.multiply(act[H:2 * H], c, out=cells[t])
-        np.multiply(act[:H], act[2 * H:3 * H], out=tmp)
-        cells[t] += tmp
-        c = cells[t]
-        np.tanh(c, out=tmp)
-        np.multiply(act[3 * H:], tmp, out=hs[t])
-        xh[d:] = hs[t]
+    x = X.data
+    T, d = x.shape
+    ws = (W_f.data, W_b.data)
+    for w, b in zip(ws, (b_f.data, b_b.data)):
+        if w.shape != (4 * H, d + H) or b.shape != (4 * H,):
+            raise ValueError(f"bad lstm shapes W {w.shape}, b {b.shape} "
+                             f"for input width {d} and hidden {H}")
+    xs = (x, x[::-1])                     # the rows in each direction's order
+    bias = np.stack((b_f.data, b_b.data), axis=1).ravel()
+    gates = np.empty((T, 8 * H))          # blocks i, f, g, o of 2H each
+    ig, fg, gg, og = (gates[:, k * 2 * H:(k + 1) * 2 * H] for k in range(4))
+    cells = np.zeros((T + 1, 2 * H))      # cells[s + 1] is step s's cell
+    out = np.empty((T, 2 * H))
+    # xh[j, :, r] is direction r's [x; h_prev] at the chunk's j-th step;
+    # the output multiply writes both h straight into the next step's row.
+    rows = min(_BILSTM_CHUNK, T) + 1
+    xh = np.zeros((rows, d + H, 2))
+    x_in = (xh[:, :, 0], xh[:, :, 1])
+    h_in = xh[:, d:].reshape(rows, 2 * H)
+    z = np.empty(8 * H)
+    z_dir = (z[0::2], z[1::2])
+    z_g = z[4 * H:6 * H]
+    tmp = np.empty(2 * H)
+    for s0 in range(0, T, _BILSTM_CHUNK):
+        m = min(_BILSTM_CHUNK, T - s0)
+        for r in range(2):
+            x_in[r][:m, :d] = xs[r][s0:s0 + m]
+        for s in range(s0, s0 + m):
+            j = s - s0
+            np.matmul(ws[0], x_in[0][j], out=z_dir[0])
+            np.matmul(ws[1], x_in[1][j], out=z_dir[1])
+            z += bias
+            act = gates[s]
+            np.negative(z, out=act)
+            np.exp(act, out=act)
+            act += 1.0
+            np.divide(1.0, act, out=act)
+            g_s = gg[s]
+            np.tanh(z_g, out=g_s)
+            c = cells[s + 1]
+            np.multiply(fg[s], cells[s], out=c)
+            np.multiply(ig[s], g_s, out=tmp)
+            c += tmp
+            np.tanh(c, out=tmp)
+            np.multiply(og[s], tmp, out=h_in[j + 1])
+        out[s0:s0 + m, :H] = xh[1:m + 1, d:, 0]
+        out[T - s0 - m:T - s0, H:] = xh[m:0:-1, d:, 1]
+        h_in[0] = h_in[m]
+    hs = (out[:, :H], out[::-1, H:])      # each direction's states by step
 
     def vjp(g_out):
-        g_out = g_out[::-1] if reverse else g_out
-        i, f, g, o = (gates[:, k * H:(k + 1) * H] for k in range(4))
-        tanh_c = np.tanh(cells)
-        c_prev = np.vstack((np.zeros((1, H)), cells[:-1]))
-        h_prev = np.vstack((np.zeros((1, H)), hs[:-1]))
-        # dZ_t = [dc_t * cell_in_t, dh_t * out_t] with the per-step factors
-        # precomputed; only dh and dc carry across steps.
-        cell_in = np.hstack((g * i * (1.0 - i), c_prev * f * (1.0 - f),
-                             i * (1.0 - g * g))).reshape(T, 3, H)
-        to_cell = o * (1.0 - tanh_c * tanh_c)
-        out = tanh_c * o * (1.0 - o)
-        w_h = np.ascontiguousarray(w[:, d:])
-        dZ = np.empty((T, 4 * H))
-        dZ_cell = dZ[:, :3 * H].reshape(T, 3, H)
-        dh = np.zeros(H)                  # gradient reaching h_t from step t+1
-        dc = np.zeros(H)                  # and reaching c_t from step t+1
-        tmp = np.empty(H)
-        for t in range(T - 1, -1, -1):
-            dh += g_out[t]
-            np.multiply(dh, to_cell[t], out=tmp)
+        tanh_c = np.tanh(cells[1:])
+        # dZ[s] = [dc * cell_in, dh * out_gate] at step s, interleaved as
+        # the gates are: the per-step factors are written into dZ first and
+        # multiplied in place during the sweep; only dh and dc carry across
+        # steps.
+        dZ = np.empty((T, 8 * H))
+        zi, zf, zg, zo = (dZ[:, k * 2 * H:(k + 1) * 2 * H] for k in range(4))
+        np.multiply(gg, ig, out=zi)
+        zi *= 1.0 - ig
+        np.multiply(cells[:-1], fg, out=zf)
+        zf *= 1.0 - fg
+        np.multiply(gg, gg, out=zg)
+        np.subtract(1.0, zg, out=zg)
+        np.multiply(ig, zg, out=zg)
+        to_cell = og * (1.0 - tanh_c * tanh_c)
+        np.multiply(tanh_c, og, out=zo)
+        zo *= 1.0 - og
+        del tanh_c
+        g_steps = np.empty((T, H, 2))
+        g_steps[:, :, 0] = g_out[:, :H]
+        g_steps[:, :, 1] = g_out[::-1, H:]
+        g_steps = g_steps.reshape(T, 2 * H)
+        z_cell = dZ[:, :6 * H].reshape(T, 3, 2 * H)
+        z_dirs = dZ.reshape(T, 4 * H, 2).transpose(0, 2, 1)
+        w_h = [np.ascontiguousarray(w[:, d:]) for w in ws]
+        dh = np.zeros(2 * H)              # gradient reaching h from step s+1
+        dc = np.zeros(2 * H)              # and reaching c from step s+1
+        dz = np.empty((2, 4 * H))         # dZ[s] of each direction
+        dh_dir = np.empty((2, H))
+        dh_units = dh.reshape(H, 2)
+        tmp = np.empty(2 * H)
+        for s in range(T - 1, -1, -1):
+            dh += g_steps[s]
+            np.multiply(dh, to_cell[s], out=tmp)
             dc += tmp
-            np.multiply(cell_in[t], dc, out=dZ_cell[t])
-            np.multiply(out[t], dh, out=dZ[t, 3 * H:])
-            np.matmul(dZ[t], w_h, out=dh)
-            dc *= f[t]
-        dW = dZ.T @ np.hstack((xs, h_prev))
-        dX = dZ @ w[:, :d]
-        return dW, dZ.sum(axis=0), dX[::-1] if reverse else dX
+            cell_part, out_part = z_cell[s], zo[s]
+            np.multiply(cell_part, dc, out=cell_part)
+            np.multiply(out_part, dh, out=out_part)
+            np.copyto(dz, z_dirs[s])
+            np.matmul(dz[0], w_h[0], out=dh_dir[0])
+            np.matmul(dz[1], w_h[1], out=dh_dir[1])
+            np.copyto(dh_units, dh_dir.T)
+            dc *= fg[s]
+        del g_steps, to_cell, w_h
+        grads = []
+        for r, w in enumerate(ws):
+            dZ_r = np.ascontiguousarray(z_dirs[:, r])
+            xh_r = np.empty((T, d + H))   # [X | H_prev] in step order
+            xh_r[:, :d] = xs[r]
+            xh_r[0, d:] = 0.0
+            xh_r[1:, d:] = hs[r][:-1]
+            grads += [dZ_r.T @ xh_r, dZ_r.sum(axis=0), dZ_r @ w[:, :d]]
+            del dZ_r, xh_r
+        dX = grads[2]
+        dX += grads[5][::-1]
+        return grads[0], grads[1], grads[3], grads[4], dX
 
-    return Tensor(hs[::-1] if reverse else hs, (W, b, X), vjp)
+    return Tensor(out, (W_f, b_f, W_b, b_b, X), vjp)
 
 
 def relu(a: Tensor) -> Tensor:

@@ -181,15 +181,18 @@ def adam_step(arrays: dict[str, np.ndarray],
 # --- prediction and evaluation -------------------------------------------
 
 def predict_tree(doc: Document, params: ModelParams, method: str):
-    """Parse one document with a chart decoder or the greedy transition parser."""
+    """Parse one document with a chart decoder or the greedy transition parser.
+
+    The oracle keeps only the EDU matrix's projections, so the encoder's
+    tape (the LSTM's saved gates and cells) is freed before decoding starts.
+    """
     if method == "transition":
         return greedy_parse(doc, params)
     decode = DECODERS.get(method)
     if decode is None:
         raise ValueError(f"unknown parse method {method!r}; "
                          f"choose from {PARSE_METHODS}")
-    enc = encode_document(doc, params)
-    tree, _ = decode(doc.n, NeuralOracle(params, enc))
+    tree, _ = decode(doc.n, NeuralOracle(params, encode_document(doc, params)))
     return tree
 
 

@@ -14,9 +14,12 @@ decoder loop and the recursive random_tree, the references for the batched
 decoder and the iterative tree sampler; the dense-table build that sliced
 its blocks from full-length (i, j, k) arrays, the reference for the build
 from cell starts; the dense embedding gradient and dense Adam step, the
-references for row gradients and Adam over touched rows; and the backward
-pass that copied every first gradient it stored, the reference for the one
-that keeps them as they are.
+references for row gradients and Adam over touched rows; the row
+gradient's dense form built with ``np.add.at``, the reference for the one
+built by occurrence rank; the backward pass that copied every first
+gradient it stored, the reference for the one that keeps them as they are;
+and the one-direction LSTM op with the encoder composed from two of them,
+the references for ``ops.bilstm``.
 """
 
 import numpy as np
@@ -352,6 +355,127 @@ def ref_adam_step(arrays, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8,
         v *= beta2
         v += (1.0 - beta2) * g * g
         arrays[name] -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def ref_row_grad_dense(g):
+    """RowGrad.dense with ``np.add.at`` into a zeros array."""
+    out = np.zeros(g.shape)
+    np.add.at(out, g.index, g.values)
+    return out
+
+
+# --- the one-direction LSTM ---------------------------------------------
+
+def ref_lstm(W, b, X, hidden, reverse=False):
+    """One LSTM direction over the rows of X (T, d); the (T, H) hidden states:
+    the one-direction op the encoder ran before ops.bilstm, the reference
+    for each half of it and for its gradients, which must match bit for bit.
+
+    Step t computes z = W [x_t; h_{t-1}] + b with W of shape (4H, d + H),
+    gates i, f, g, o in that order, c_t = f c_{t-1} + i g and
+    h_t = o tanh(c_t), from zero states.  With ``reverse`` the rows are read
+    last to first; row t of the result is still the state at x_t.
+
+    The node keeps the activated gates and the cells, O(T (d + 6H)) floats
+    with X and the result.  Its VJP is backpropagation through time written
+    out (Werbos 1990): one backward sweep of T products with W's recurrent
+    block, then dW = dZ^T [X | H_prev], db the column sum of dZ and
+    dX = dZ W_x, where dZ holds the pre-activation gradients.
+    """
+    H = hidden
+    w, bias = W.data, b.data
+    xs = X.data[::-1] if reverse else X.data
+    T, d = xs.shape
+    if w.shape != (4 * H, d + H) or bias.shape != (4 * H,):
+        raise ValueError(f"bad lstm shapes W {w.shape}, b {bias.shape} "
+                         f"for input width {d} and hidden {H}")
+    gates = np.empty((T, 4 * H))
+    cells = np.empty((T, H))
+    hs = np.empty((T, H))
+    # Each step applies the ufuncs of matvec, add, sigmoid, tanh and mul in
+    # their order, written into preallocated rows, so the states equal the
+    # per-step composition bit for bit: sigmoid(z) = 1 / (1 + exp(-z)) on all
+    # four blocks, then tanh over the g block.
+    xh = np.zeros(d + H)                  # [x_t; h_{t-1}]
+    z = np.empty(4 * H)
+    tmp = np.empty(H)
+    c = np.zeros(H)
+    for t in range(T):
+        xh[:d] = xs[t]
+        np.matmul(w, xh, out=z)
+        z += bias
+        act = gates[t]
+        np.negative(z, out=act)
+        np.exp(act, out=act)
+        act += 1.0
+        np.divide(1.0, act, out=act)
+        np.tanh(z[2 * H:3 * H], out=act[2 * H:3 * H])
+        np.multiply(act[H:2 * H], c, out=cells[t])
+        np.multiply(act[:H], act[2 * H:3 * H], out=tmp)
+        cells[t] += tmp
+        c = cells[t]
+        np.tanh(c, out=tmp)
+        np.multiply(act[3 * H:], tmp, out=hs[t])
+        xh[d:] = hs[t]
+
+    def vjp(g_out):
+        g_out = g_out[::-1] if reverse else g_out
+        i, f, g, o = (gates[:, k * H:(k + 1) * H] for k in range(4))
+        tanh_c = np.tanh(cells)
+        c_prev = np.vstack((np.zeros((1, H)), cells[:-1]))
+        h_prev = np.vstack((np.zeros((1, H)), hs[:-1]))
+        # dZ_t = [dc_t * cell_in_t, dh_t * out_t] with the per-step factors
+        # precomputed; only dh and dc carry across steps.
+        cell_in = np.hstack((g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                             i * (1.0 - g * g))).reshape(T, 3, H)
+        to_cell = o * (1.0 - tanh_c * tanh_c)
+        out = tanh_c * o * (1.0 - o)
+        w_h = np.ascontiguousarray(w[:, d:])
+        dZ = np.empty((T, 4 * H))
+        dZ_cell = dZ[:, :3 * H].reshape(T, 3, H)
+        dh = np.zeros(H)                  # gradient reaching h_t from step t+1
+        dc = np.zeros(H)                  # and reaching c_t from step t+1
+        tmp = np.empty(H)
+        for t in range(T - 1, -1, -1):
+            dh += g_out[t]
+            np.multiply(dh, to_cell[t], out=tmp)
+            dc += tmp
+            np.multiply(cell_in[t], dc, out=dZ_cell[t])
+            np.multiply(out[t], dh, out=dZ[t, 3 * H:])
+            np.matmul(dZ[t], w_h, out=dh)
+            dc *= f[t]
+        dW = dZ.T @ np.hstack((xs, h_prev))
+        dX = dZ @ w[:, :d]
+        return dW, dZ.sum(axis=0), dX[::-1] if reverse else dX
+
+    return ops.Tensor(hs[::-1] if reverse else hs, (W, b, X), vjp)
+
+
+def ref_encode_document(doc, params, masks=None):
+    """encoder.encode_document as it ran before ops.bilstm: one reference
+    LSTM node per direction and a column concat of their states."""
+    tensors = params.tensors()
+    words = [params.word_vocab.lookup(tok)
+             for edu in doc.edus for tok in edu.tokens]
+    tags = [params.pos_vocab.lookup(tag)
+            for edu in doc.edus for tag in edu.pos_tags]
+    parts = [ops.take_rows(tensors["word_emb"], words)]
+    if params.pretrained is not None:
+        parts.append(ops.tensor(params.pretrained[words]))
+    parts.append(ops.take_rows(tensors["pos_emb"], tags))
+    X = ops.concat(parts, axis=1)
+    fwd = ref_lstm(tensors["lstm_fwd.W"], tensors["lstm_fwd.b"], X,
+                   params.hidden)
+    bwd = ref_lstm(tensors["lstm_bwd.W"], tensors["lstm_bwd.b"], X,
+                   params.hidden, reverse=True)
+    lengths = np.array([len(edu.tokens) for edu in doc.edus])
+    last = np.cumsum(lengths) - 1
+    first = last - lengths + 1
+    edus = ops.take_rows(ops.concat([fwd, bwd], axis=1),
+                         np.stack((first, last), axis=1))
+    if masks is not None:
+        edus = ops.cmul(edus, masks.edu)
+    return edus
 
 
 # --- the copying backward pass --------------------------------------------

@@ -19,7 +19,7 @@ from rstparse.encoder import (
     span_rep,
 )
 
-from conftest import ref_feedforward
+from conftest import ref_encode_document, ref_feedforward
 
 
 def make_doc(token_lists, doc_id="doc"):
@@ -274,6 +274,37 @@ class TestEncoding:
                 fd = (up - down) / (2 * eps)
                 got = grads[name].reshape(-1)[idx]
                 assert got == pytest.approx(fd, rel=1e-4, abs=1e-8), name
+
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("pretrained", [False, True])
+    def test_encoding_equals_reference_composition(self, dropout, pretrained):
+        # the EDU matrix and every parameter gradient, byte for byte, against
+        # two one-direction LSTM nodes and a column concat
+        rng = np.random.default_rng(5)
+        doc = make_doc([["w%d" % rng.integers(9) for _ in range(k)]
+                        for k in (3, 1, 7, 4, 12, 2)])
+        wv = Vocab.from_documents([doc], "tokens")
+        pv = Vocab.from_documents([doc], "pos_tags")
+        pre = (PretrainedEmbeddings(rng.standard_normal((len(wv), 5)),
+                                    found=len(wv) - 1, vocab_size=len(wv))
+               if pretrained else None)
+        p = ModelParams.init(wv, pv, RelationVocab(["R1", "R2"]), rng,
+                             word_dim=6, pos_dim=3, hidden=5, ff_hidden=4,
+                             pretrained=pre)
+        for name in ("lstm_fwd.b", "lstm_bwd.b"):
+            p.arrays[name][:] = rng.standard_normal(p.arrays[name].shape)
+        masks = make_dropout_masks(p, doc.n, dropout, rng)
+        upstream = rng.standard_normal((doc.n, p.edu_dim))
+        got = []
+        for encode in (lambda: encode_document(doc, p, masks).tensor,
+                       lambda: ref_encode_document(doc, p, masks)):
+            p.zero_grads()
+            M = encode()
+            ops.backward(ops.vsum(ops.cmul(M, upstream)))
+            got.append([M.data] + list(p.gradients().values()))
+        for a, b in zip(*got):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestDropout:

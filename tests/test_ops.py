@@ -5,10 +5,12 @@ a few structural cases (shared nodes, diamond graphs, repeated backward)
 cover the tape mechanics.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import ref_backward, ref_take_rows
+from conftest import ref_backward, ref_lstm, ref_row_grad_dense, ref_take_rows
 from rstparse import ops
 
 
@@ -166,7 +168,7 @@ class TestGradients:
 
 def lstm_reference(W, b, xs, hidden):
     """One LSTM direction as a per-step composition of tape ops: the
-    matvec/concat/narrow/sigmoid/tanh/mul chain that ops.lstm fuses."""
+    matvec/concat/narrow/sigmoid/tanh/mul chain that ops.bilstm fuses."""
     h = ops.zeros(hidden)
     c = ops.zeros(hidden)
     out = []
@@ -182,9 +184,19 @@ def lstm_reference(W, b, xs, hidden):
     return out
 
 
-def lstm_inputs(hidden, d, T):
-    return (RNG.standard_normal((4 * hidden, d + hidden)),
-            RNG.standard_normal(4 * hidden), RNG.standard_normal((T, d)))
+def bilstm_inputs(hidden, d, T, rng=RNG):
+    """W_f, b_f, W_b, b_b and X for ops.bilstm."""
+    w = (4 * hidden, d + hidden)
+    return (rng.standard_normal(w), rng.standard_normal(4 * hidden),
+            rng.standard_normal(w), rng.standard_normal(4 * hidden),
+            rng.standard_normal((T, d)))
+
+
+def two_lstms(W_f, b_f, W_b, b_b, X, hidden):
+    """What the encoder recorded before ops.bilstm: one reference LSTM node
+    per direction and a column concat of their states."""
+    return ops.concat([ref_lstm(W_f, b_f, X, hidden),
+                       ref_lstm(W_b, b_b, X, hidden, reverse=True)], axis=1)
 
 
 class TestSequenceOps:
@@ -192,23 +204,47 @@ class TestSequenceOps:
     @pytest.mark.parametrize("hidden, d, T", [(3, 4, 5), (32, 20, 30)])
     def test_lstm_forward_equals_per_step_composition(self, reverse, hidden,
                                                       d, T):
-        W0, b0, X0 = lstm_inputs(hidden, d, T)
-        rows = [ops.tensor(x) for x in X0]
+        # the forward half of ops.bilstm, or with reverse the backward half,
+        # against the per-step composition over the rows in its order
+        arrays = bilstm_inputs(hidden, d, T)
+        W0, b0 = arrays[2:4] if reverse else arrays[:2]
+        rows = [ops.tensor(x) for x in arrays[4]]
         want = lstm_reference(ops.tensor(W0), ops.tensor(b0),
                               rows[::-1] if reverse else rows, hidden)
         want = np.stack([h.data for h in (want[::-1] if reverse else want)])
-        got = ops.lstm(ops.tensor(W0), ops.tensor(b0), ops.tensor(X0), hidden,
-                       reverse=reverse)
-        np.testing.assert_array_equal(got.data, want)
+        got = ops.bilstm(*(ops.tensor(a) for a in arrays), hidden).data
+        np.testing.assert_array_equal(
+            got[:, hidden:] if reverse else got[:, :hidden], want)
 
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_lstm_gradients_match_finite_differences(self, reverse):
+    @pytest.mark.parametrize("zero", [False, True])
+    @pytest.mark.parametrize("hidden", [1, 3, 5, 64])
+    def test_bilstm_equals_two_lstms_bit_for_bit(self, hidden, zero):
+        # states and all five gradients, byte for byte; with zero, every
+        # weight and bias is +0.0 or -0.0
+        rng = np.random.default_rng(hidden + 100 * zero)
+        for d in (0, 1, 13, 96):
+            for T in (1, 2, 40, 600):
+                arrays = bilstm_inputs(hidden, d, T, rng)
+                if zero:
+                    arrays = [np.where(rng.random(a.shape) < 0.5, -0.0, 0.0)
+                              for a in arrays[:4]] + [arrays[4]]
+                upstream = rng.standard_normal((T, 2 * hidden))
+                got = []
+                for op in (ops.bilstm, two_lstms):
+                    leaves = [ops.tensor(a) for a in arrays]
+                    out = op(*leaves, hidden)
+                    ops.backward(ops.vsum(ops.cmul(out, upstream)))
+                    got.append([out.data] + [leaf.grad for leaf in leaves])
+                for a, b in zip(*got):
+                    assert a.tobytes() == b.tobytes(), (d, T)
+
+    def test_bilstm_gradients_match_finite_differences(self):
         hidden, T = 3, 5
-        arrays = lstm_inputs(hidden, 4, T)
-        upstream = RNG.standard_normal((T, hidden))   # on every output row
+        arrays = bilstm_inputs(hidden, 4, T)
+        upstream = RNG.standard_normal((T, 2 * hidden))   # on every output
 
-        def loss(W, b, X):
-            out = ops.lstm(W, b, X, hidden, reverse=reverse)
+        def loss(*leaves):
+            out = ops.bilstm(*leaves, hidden)
             return ops.vsum(ops.cmul(out, upstream))
 
         leaves = [ops.tensor(a) for a in arrays]
@@ -222,10 +258,36 @@ class TestSequenceOps:
             np.testing.assert_allclose(leaf.grad, fd_grad(f, a0), rtol=1e-6,
                                        atol=1e-8)
 
+    @pytest.mark.parametrize("T", [5, 82, 600])
+    def test_bilstm_holds_no_more_than_two_lstms_and_a_concat(self, T):
+        # at the benchmark's widths (H = 64, d = 96): what the node keeps
+        # after its forward pass, and the peak over forward and backward
+        hidden = 64
+        arrays = bilstm_inputs(hidden, 96, T)
+        upstream = RNG.standard_normal((T, 2 * hidden))
+        use = {}
+        for op in (ops.bilstm, two_lstms):
+            leaves = [ops.tensor(a) for a in arrays]
+            tracemalloc.start()
+            try:
+                out = op(*leaves, hidden)
+                held = tracemalloc.get_traced_memory()[0]
+                ops.backward(ops.vsum(ops.cmul(out, upstream)))
+                use[op] = held, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (held, peak), (ref_held, ref_peak) = use[ops.bilstm], use[two_lstms]
+        assert held <= ref_held
+        assert peak <= ref_peak
+
     def test_lstm_shape_mismatch(self):
-        W0, b0, X0 = lstm_inputs(3, 4, 5)
+        arrays = bilstm_inputs(3, 4, 5)
         with pytest.raises(ValueError, match="lstm shapes"):
-            ops.lstm(ops.tensor(W0), ops.tensor(b0), ops.tensor(X0[:, :3]), 3)
+            ops.bilstm(*(ops.tensor(a) for a in arrays[:4]),
+                       ops.tensor(arrays[4][:, :3]), 3)
+        with pytest.raises(ValueError, match="lstm shapes"):
+            ops.bilstm(*(ops.tensor(a) for a in arrays[:3]),
+                       ops.tensor(arrays[3][:-1]), ops.tensor(arrays[4]), 3)
 
     def test_take_rows_accumulates_repeated_indices(self):
         a = ops.tensor(np.arange(8.0).reshape(4, 2))
@@ -271,6 +333,25 @@ class TestSequenceOps:
         assert rows.dense().tobytes() == want.tobytes()
         np.testing.assert_array_equal(rows.rows(), np.unique(index))
         assert rows.sums().tobytes() == want[rows.rows()].tobytes()
+
+    @pytest.mark.parametrize("shape", [(60,), (30, 4)])
+    def test_row_grad_dense_has_the_add_at_bytes(self, shape):
+        # rows gathered up to a dozen times, -0.0 upstream values (a row
+        # reached only by -0.0 sums to +0.0), one row never gathered
+        rng = np.random.default_rng(sum(shape))
+        index = rng.integers(0, 7, size=shape)
+        index.flat[0] = 7                 # gathered once, with -0.0 only
+        table = ops.tensor(rng.standard_normal((9, 3)))
+        out = ops.take_rows(table, index)
+        upstream = rng.standard_normal(out.shape)
+        upstream[rng.random(out.shape) < 0.3] = -0.0
+        upstream[0, :3] = -0.0
+        ops.backward(ops.vsum(ops.cmul(out, upstream)))
+        g = table.grad
+        want = ref_row_grad_dense(g)
+        assert g.dense().tobytes() == want.tobytes()
+        assert not np.signbit(want[7:]).any()
+        assert g.sums().tobytes() == want[g.rows()].tobytes()
 
     def test_row_grad_turns_dense_past_a_leaf(self):
         # through an op node, and meeting a second contribution

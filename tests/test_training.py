@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,31 @@ class TestPredict:
                 if method == "transition":
                     # the state machine builds gold-convention labels
                     assert validate_tree(tree) is None
+
+    @pytest.mark.parametrize("method", ["exact", "partial", "complete"])
+    def test_encoder_tape_is_freed_before_decoding(self, monkeypatch, method):
+        from rstparse import chart, training
+
+        corpus = tiny_corpus()
+        params = ModelParams.init(corpus.word_vocab, corpus.pos_vocab,
+                                  corpus.rel_vocab, np.random.default_rng(5),
+                                  word_dim=2, pos_dim=2, hidden=2, ff_hidden=2)
+        encode, decode = training.encode_document, chart.DECODERS[method]
+        refs, alive = [], []
+
+        def encode_and_watch(*args):
+            enc = encode(*args)
+            refs.append(weakref.ref(enc.tensor))
+            return enc
+
+        def decode_and_check(n, oracle):
+            alive.append(refs[-1]() is not None)
+            return decode(n, oracle)
+
+        monkeypatch.setattr(training, "encode_document", encode_and_watch)
+        monkeypatch.setitem(chart.DECODERS, method, decode_and_check)
+        predict_tree(corpus.documents[0], params, method)
+        assert alive == [False]
 
     def test_unknown_method(self):
         corpus = tiny_corpus()
