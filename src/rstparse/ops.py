@@ -8,8 +8,9 @@ concatenation, slicing, element picks and row gathers, elementwise
 nonlinearities, sums, a masked margin hinge over a matrix of scores
 (``margin_hinge``), and one fused sequence op, ``bilstm``, which runs both
 directions of a bidirectional LSTM as a single node, advancing them in one
-loop, with hand-written backpropagation through time.  A loss over a batch of decisions is then a fixed number of nodes,
-however many decisions it has.  The gradient a row gather sends to its
+loop, with hand-written backpropagation through time.  A loss over a batch
+of decisions is then a fixed number of nodes, however many decisions it
+has.  The gradient a row gather sends to its
 table is a ``RowGrad``, the gathered rows with their upstream gradients,
 made dense only where something needs the whole array.  Everything is
 computed at 64-bit precision.
