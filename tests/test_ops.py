@@ -238,6 +238,35 @@ class TestSequenceOps:
                 for a, b in zip(*got):
                     assert a.tobytes() == b.tobytes(), (d, T)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_gradients_match_finite_differences(self, reverse):
+        # one direction of ops.bilstm: upstream only on its half of the
+        # states, so the other direction's weights get no gradient
+        hidden, T = 3, 5
+        arrays = bilstm_inputs(hidden, 4, T)
+        upstream = np.zeros((T, 2 * hidden))
+        half = slice(hidden, None) if reverse else slice(None, hidden)
+        upstream[:, half] = RNG.standard_normal((T, hidden))
+
+        def loss(*leaves):
+            out = ops.bilstm(*leaves, hidden)
+            return ops.vsum(ops.cmul(out, upstream))
+
+        leaves = [ops.tensor(a) for a in arrays]
+        ops.backward(loss(*leaves))
+        own, other = ((2, 3), (0, 1)) if reverse else ((0, 1), (2, 3))
+        for slot in other:
+            assert not np.any(leaves[slot].grad)
+        for slot in own + (4,):
+            def f(v, slot=slot):
+                args = [ops.tensor(a) for a in arrays]
+                args[slot] = ops.tensor(v)
+                return loss(*args).item()
+
+            np.testing.assert_allclose(leaves[slot].grad,
+                                       fd_grad(f, arrays[slot]), rtol=1e-6,
+                                       atol=1e-8)
+
     def test_bilstm_gradients_match_finite_differences(self):
         hidden, T = 3, 5
         arrays = bilstm_inputs(hidden, 4, T)
