@@ -765,15 +765,21 @@ def chart_loss(doc: Document, params: ModelParams, decoder: str = "partial",
 
 def missing_prediction(n: int, scores, gold: RstTree,
                        decoder: str = "partial") -> bool:
-    """True when the decoded tree scores strictly below gold (plain scores)."""
+    """True when the decoded tree scores strictly below gold (plain scores).
+
+    Both trees are scored by ``score_tree``, so a decoded tree that equals
+    gold, or ties it, is never counted: the decoder's own running total adds
+    in another order and may read label rows scored in other batches.
+    """
     s = chart_scores(n, scores)
-    _, score = get_decoder(decoder)(n, s)
-    return score < score_tree(gold, s)
+    pred, _ = get_decoder(decoder)(n, s)
+    return score_tree(pred, s) < score_tree(gold, s)
 
 
 def count_missing(docs, params: ModelParams, decoder: str = "partial",
                   trees: list | None = None) -> int:
-    """Documents whose decoded tree under-shoots the gold tree's score.
+    """Documents whose decoded tree under-shoots the gold tree's score, both
+    scored by ``score_tree`` (see missing_prediction).
 
     When ``trees`` is a list, each document's decoded tree is appended to
     it, so a caller that also needs those predictions decodes only once.
@@ -784,8 +790,8 @@ def count_missing(docs, params: ModelParams, decoder: str = "partial",
         if doc.gold is None:
             raise ValueError(f"document {doc.doc_id} has no gold tree")
         scores = NeuralOracle(params, encode_document(doc, params))
-        tree, score = decode(doc.n, scores)
+        tree, _ = decode(doc.n, scores)
         if trees is not None:
             trees.append(tree)
-        total += score < score_tree(doc.gold, scores)
+        total += score_tree(tree, scores) < score_tree(doc.gold, scores)
     return total

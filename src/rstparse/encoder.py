@@ -271,7 +271,13 @@ class RowFeedforward:
     P_b[a_b] with P_b = M W1_b^T, W1_b being W1's b-th column block.  The
     projections are computed once, so an input row costs q gathered rows of
     width ff_hidden instead of a product with the whole of W1 (Chen & Manning
-    2014).  ``__call__`` takes one index array per block.
+    2014).  ``proj`` holds them stacked, P_b being ``proj[b]``, of shape
+    (q, N, ff_hidden).
+
+    ``__call__`` takes one index array per block and scores a batch of rows.
+    ``one`` scores a single row from its q indices with one gather and one
+    sum over the blocks; both add the blocks in order, so a row's bits do
+    not depend on which of the two scored it.
     """
 
     def __init__(self, ff: Feedforward, M: np.ndarray, blocks: int,
@@ -282,7 +288,10 @@ class RowFeedforward:
             raise ValueError(f"W1 has {W1.shape[1]} columns, not {blocks} x {d}")
         self.ff = ff
         self.mask = mask
-        self.proj = [M @ W1[:, b * d:(b + 1) * d].T for b in range(blocks)]
+        self.proj = np.empty((blocks, M.shape[0], W1.shape[0]))
+        for b in range(blocks):
+            np.matmul(M, W1[:, b * d:(b + 1) * d].T, out=self.proj[b])
+        self._blocks = np.arange(blocks)
 
     def first_bad(self) -> str | None:
         """Where the projections hold a non-finite value, or None."""
@@ -297,6 +306,17 @@ class RowFeedforward:
         Z = self.proj[0][index[0]]
         for P, idx in zip(self.proj[1:], index[1:]):
             Z += P[idx]
+        return self.ff.output_np(Z, self.mask)
+
+    def one(self, rows) -> np.ndarray:
+        """The (1, d_out) scores of the input reading row rows[b] of block b:
+        ``__call__`` with one-element index arrays, bit for bit.
+
+        The running sum over the gathered rows adds the blocks one after
+        another, in order, as ``__call__`` does.  ``np.add.reduce`` would
+        not always: over a (q, 1) array it sums pairwise.
+        """
+        Z = np.add.accumulate(self.proj[self._blocks, rows], axis=0)[-1:]
         return self.ff.output_np(Z, self.mask)
 
 

@@ -221,18 +221,23 @@ def greedy_parse(doc: Document, params: ModelParams,
     """Best legal action at each state, ties to the lowest action index.
 
     The first layer's slot projections of [M; 0] are made once per document
-    (see RowFeedforward), so scoring a state gathers SLOTS rows of them.
+    (see RowFeedforward), so scoring a state is one gather of SLOTS rows of
+    them and one sum.  Only the EDU matrix is kept, so an encoding made here
+    has its tape freed before the loop.  While the stack holds fewer than
+    two spans SHIFT is the only legal action, and the state is not scored.
     """
-    if enc is None:
-        enc = encode_document(doc, params)
-    M = enc.matrix()
+    M = (enc if enc is not None else encode_document(doc, params)).matrix()
     padded = np.vstack((M, np.zeros((1, M.shape[1]))))
     scorer = RowFeedforward(Feedforward(params, ACTION), padded, SLOTS)
+    reduce_only = np.arange(params.n_actions) > 0
     state = initial_state(doc.n)
     while not is_terminal(state):
-        scores = scorer(*([r] for r in slot_rows(state)))[0]
-        legal = legal_mask(state, params.n_actions)
-        choice = int(np.argmax(np.where(legal, scores, -np.inf)))
+        choice = 0
+        if len(state.stack) >= 2:
+            scores = scorer.one(slot_rows(state))[0]
+            if state.shifted == state.n:
+                scores = np.where(reduce_only, scores, -np.inf)
+            choice = int(np.argmax(scores))
         state = apply_action(state, index_action(choice, params.n_rel))
     return finish(state)
 

@@ -19,7 +19,9 @@ gradient's dense form built with ``np.add.at``, the reference for the one
 built by occurrence rank; the backward pass that copied every first
 gradient it stored, the reference for the one that keeps them as they are;
 and the one-direction LSTM op with the encoder composed from two of them,
-the references for ``ops.bilstm``.
+the references for ``ops.bilstm``; and the greedy loop that scored every
+state, forced shifts included, with the per-block projection list it read,
+the references for the one-gather greedy parse and the stacked projections.
 """
 
 import numpy as np
@@ -44,16 +46,30 @@ from rstparse.core import (
     Nuclearity,
     RstTree,
 )
-from rstparse.encoder import ACTION, NUC, REL, SPAN, Feedforward, span_rep
+from rstparse.encoder import (
+    ACTION,
+    NUC,
+    REL,
+    SPAN,
+    Feedforward,
+    RowFeedforward,
+    encode_document,
+    span_rep,
+)
 from rstparse.transition import (
     QUEUE_SLOTS,
+    SLOTS,
     STACK_SLOTS,
     action_index,
     apply_action,
+    finish,
+    index_action,
     initial_state,
     is_terminal,
     legal_actions,
+    legal_mask,
     oracle_actions,
+    slot_rows,
 )
 
 
@@ -313,6 +329,32 @@ def ref_transition_loss(doc, params, masks, enc):
         state = apply_action(state, gold_action)
     assert is_terminal(state)
     return ops.scale(ops.addn(terms), 1.0 / params.n_actions)
+
+
+def ref_greedy_parse(doc, params, enc=None):
+    """transition.greedy_parse as it ran before it skipped forced shifts:
+    every state scored through RowFeedforward's batch call with one-element
+    index arrays, then the argmax over its legal_mask."""
+    if enc is None:
+        enc = encode_document(doc, params)
+    M = enc.matrix()
+    padded = np.vstack((M, np.zeros((1, M.shape[1]))))
+    scorer = RowFeedforward(Feedforward(params, ACTION), padded, SLOTS)
+    state = initial_state(doc.n)
+    while not is_terminal(state):
+        scores = scorer(*([r] for r in slot_rows(state)))[0]
+        legal = legal_mask(state, params.n_actions)
+        choice = int(np.argmax(np.where(legal, scores, -np.inf)))
+        state = apply_action(state, index_action(choice, params.n_rel))
+    return finish(state)
+
+
+def ref_projections(ff, M, blocks):
+    """RowFeedforward's projections as it made them before they were
+    stacked: one fresh product per column block of the first layer."""
+    d = M.shape[1]
+    W1 = ff.W1.data
+    return [M @ W1[:, b * d:(b + 1) * d].T for b in range(blocks)]
 
 
 # --- dense embedding gradients and dense Adam -----------------------------

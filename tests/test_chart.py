@@ -458,6 +458,37 @@ class TestChartLoss:
         assert count_missing(docs, params, "exact") == 0
 
 
+class TestMissingCount:
+    """The missing-prediction diagnostic scores the decoded tree and gold
+    alike, with score_tree: a decoder's own running total adds in another
+    order and reads label rows scored in other batches, so it can fall a
+    last bit below the same tree's score_tree."""
+
+    def test_own_prediction_as_gold_is_never_missing(self):
+        rng = np.random.default_rng(29)
+        params = random_params(n_rel=19, seed=7, ff_hidden=64)
+        for n in range(2, 31):
+            doc = random_document(n, rng)
+            oracle = NeuralOracle(params, encode_document(doc, params))
+            for name in ("exact", "partial", "complete"):
+                pred, _ = get_decoder(name)(n, oracle)
+                assert not missing_prediction(n, oracle, pred, name), (n, name)
+                docs = [Document(doc.doc_id, doc.edus, pred)]
+                assert count_missing(docs, params, name) == 0, (n, name)
+
+    def test_exact_count_on_a_neural_oracle_is_zero(self):
+        rng = np.random.default_rng(31)
+        params = random_params(n_rel=19, seed=8, ff_hidden=64)
+        docs = []
+        for n in range(1, 31):
+            doc = random_document(n, rng)
+            oracle = NeuralOracle(params, encode_document(doc, params))
+            pred, _ = decode_exact(n, oracle)
+            for gold in (pred, gold_tree(n, params.n_rel, rng)):
+                docs.append(Document(doc.doc_id, doc.edus, gold))
+        assert count_missing(docs, params, "exact") == 0
+
+
 class TestTableOracle:
     def test_out_of_range_entries_caught_at_table_build(self):
         oracle = TableOracle(3, span={(0, 9): 1.0})

@@ -19,7 +19,7 @@ from rstparse.encoder import (
     span_rep,
 )
 
-from conftest import ref_encode_document, ref_feedforward
+from conftest import ref_encode_document, ref_feedforward, ref_projections
 
 
 def make_doc(token_lists, doc_id="doc"):
@@ -359,3 +359,50 @@ class TestDropout:
                                        rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match="columns"):
             RowFeedforward(Feedforward(p, SPAN), M, 4)
+
+
+class _Weights:
+    """Just enough of ModelParams for ``Feedforward(_Weights(...), "ff")``."""
+
+    def __init__(self, rng, d_in, ff_hidden, d_out):
+        self._tensors = {
+            "ff.W1": ops.tensor(rng.normal(size=(ff_hidden, d_in))),
+            "ff.b1": ops.tensor(rng.normal(size=ff_hidden)),
+            "ff.W2": ops.tensor(rng.normal(size=(d_out, ff_hidden))),
+            "ff.b2": ops.tensor(rng.normal(size=d_out))}
+
+    def tensors(self):
+        return self._tensors
+
+
+class TestRowFeedforward:
+    def test_stacked_projections_equal_per_block_products(self):
+        rng = np.random.default_rng(17)
+        for q, d, ff_hidden, N in [(q, d, f, N) for q in (2, 4, 9)
+                                   for d in (1, 3, 16, 256)
+                                   for f in (2, 5, 64)
+                                   for N in (1, 2, 81, 601)]:
+            ff = Feedforward(_Weights(rng, q * d, ff_hidden, 3), "ff")
+            M = rng.normal(size=(N, d))
+            got = RowFeedforward(ff, M, q).proj
+            assert got.shape == (q, N, ff_hidden)
+            for b, want in enumerate(ref_projections(ff, M, q)):
+                assert got[b].tobytes() == want.tobytes(), (q, d, N, b)
+
+    def test_one_equals_batch_call_with_one_element_indices(self):
+        rng = np.random.default_rng(23)
+        for q in (2, 4, 9):
+            for ff_hidden in (1, 2, 5, 64):
+                for N in (2, 3, 10, 81, 300, 601):
+                    ff = Feedforward(_Weights(rng, q * 4, ff_hidden, 7), "ff")
+                    M = rng.normal(size=(N, 4))
+                    mask = (rng.random(ff_hidden) >= 0.5) * 2.0
+                    for m in (None, mask):
+                        scorer = RowFeedforward(ff, M, q, m)
+                        for _ in range(4):
+                            rows = rng.integers(0, N, size=q).tolist()
+                            got = scorer.one(rows)
+                            want = scorer(*([r] for r in rows))
+                            assert got.shape == (1, 7)
+                            assert got.tobytes() == want.tobytes(), \
+                                (q, ff_hidden, N, rows)

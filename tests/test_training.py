@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 from conftest import ref_adam_step, ref_take_rows
 from rstparse import ops
 from rstparse.chart import NonFiniteScore, chart_loss
-from rstparse.core import Document, RelationVocab
-from rstparse.data import PretrainedEmbeddings, generate_synthetic
-from rstparse.encoder import ModelParams, make_dropout_masks
+from rstparse.core import Document, Edu, RelationVocab
+from rstparse.data import PretrainedEmbeddings, Vocab, generate_synthetic
+from rstparse.encoder import ModelParams, encode_document, make_dropout_masks
 from rstparse.training import (
     AdamState,
     TrainConfig,
@@ -341,6 +342,36 @@ class TestPredict:
         monkeypatch.setitem(chart.DECODERS, method, decode_and_check)
         predict_tree(corpus.documents[0], params, method)
         assert alive == [False]
+
+    @pytest.mark.parametrize("n", [17, 65, 80])
+    def test_transition_parse_peaks_no_higher_than_its_encoder(self, n):
+        """The greedy parser keeps only the EDU matrix, so the encoder's
+        tape is gone before its loop and the parse's traced peak is the
+        encoder's own (perfbench's model shape: H = 64, 19 relations, EDUs
+        of 3-12 tokens)."""
+        words = ["w%d" % w for w in range(50)]
+        edus = []
+        for t in range(n):
+            size = 3 + (7 * t) % 10
+            tokens = tuple(words[(5 * t + k) % 50] for k in range(size))
+            edus.append(Edu(tokens, ("T0",) * size, t + 1))
+        doc = Document("d", tuple(edus), None)
+        rel = RelationVocab(["R%d" % r for r in range(1, 19)])
+        params = ModelParams.init(Vocab(words), Vocab(["T0"]), rel,
+                                  np.random.default_rng(0), word_dim=64,
+                                  pos_dim=32, hidden=64, ff_hidden=64)
+        predict_tree(doc, params, "transition")   # first-call set-up
+        peaks = []
+        for run in (lambda: encode_document(doc, params),
+                    lambda: predict_tree(doc, params, "transition")):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        encoder, parse = peaks
+        assert parse <= encoder + 64 * 1024, (encoder, parse)
 
     def test_unknown_method(self):
         corpus = tiny_corpus()

@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     chain_tree,
     make_tree,
+    ref_greedy_parse,
     ref_score_actions,
     ref_state_rep,
     ref_transition_loss,
@@ -37,6 +38,7 @@ from rstparse.transition import (
     transition_loss,
 )
 
+from test_chart import random_document, random_params
 from test_encoder import small_params
 
 
@@ -268,6 +270,38 @@ class TestGreedyParse:
                 s = apply_action(s, index_action(best, params.n_rel))
             tree, ref = greedy_parse(doc, params, enc), finish(s)
             assert tree == ref and tree.labels == ref.labels
+
+    def test_equals_reference_loop(self):
+        """Trees and labels equal the loop that scored every state through
+        the batch call, on 200 documents of 1-40 EDUs: random weights at
+        two relation counts, all-zero weights (every score tied), weights
+        scaled up a thousandfold, and action scores that are NaN."""
+        rng = np.random.default_rng(41)
+
+        def zeroed(p):
+            for arr in p.arrays.values():
+                arr[:] = 0.0
+
+        def scaled(p):
+            for arr in p.arrays.values():
+                arr *= 1e3
+
+        def nan_actions(p):
+            W2 = p.arrays["action.W2"]
+            W2[rng.random(W2.shape[0]) < 0.3] = np.nan
+
+        cases = [(6, None), (2, None), (4, zeroed), (19, scaled),
+                 (5, nan_actions)]
+        for seed, (n_rel, change) in enumerate(cases):
+            params = random_params(n_rel=n_rel, seed=seed, ff_hidden=6)
+            if change is not None:
+                change(params)
+            for n in range(1, 41):
+                doc = random_document(n, rng)
+                with np.errstate(over="ignore"):   # saturating sigmoids
+                    tree = greedy_parse(doc, params)
+                    ref = ref_greedy_parse(doc, params)
+                assert tree == ref and tree.labels == ref.labels, (seed, n)
 
     def test_precomputed_encoding_gives_the_same_tree(self):
         doc, params = small_params(seed=12, n_rel=4)
