@@ -289,8 +289,10 @@ class RowFeedforward:
         self.ff = ff
         self.mask = mask
         self.proj = np.empty((blocks, M.shape[0], W1.shape[0]))
-        for b in range(blocks):
-            np.matmul(M, W1[:, b * d:(b + 1) * d].T, out=self.proj[b])
+        # one view per block: a tuple iterates faster than the array
+        self._views = tuple(self.proj)
+        for b, P in enumerate(self._views):
+            np.matmul(M, W1[:, b * d:(b + 1) * d].T, out=P)
         self._blocks = np.arange(blocks)
 
     def first_bad(self) -> str | None:
@@ -303,8 +305,8 @@ class RowFeedforward:
         return None
 
     def __call__(self, *index: np.ndarray) -> np.ndarray:
-        Z = self.proj[0][index[0]]
-        for P, idx in zip(self.proj[1:], index[1:]):
+        Z = self._views[0][index[0]]
+        for P, idx in zip(self._views[1:], index[1:]):
             Z += P[idx]
         return self.ff.output_np(Z, self.mask)
 

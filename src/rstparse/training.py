@@ -183,8 +183,9 @@ def adam_step(arrays: dict[str, np.ndarray],
 def predict_tree(doc: Document, params: ModelParams, method: str):
     """Parse one document with a chart decoder or the greedy transition parser.
 
-    The oracle keeps only the EDU matrix's projections, so the encoder's
-    tape (the LSTM's saved gates and cells) is freed before decoding starts.
+    The oracle and the greedy parser keep only the EDU matrix and its
+    projections, so the encoder's tape (the LSTM's saved gates and cells)
+    is freed before decoding starts.
     """
     if method == "transition":
         return greedy_parse(doc, params)
