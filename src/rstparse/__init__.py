@@ -47,7 +47,7 @@ from .data import (
     save_corpus,
     split_train_dev,
 )
-from .encoder import ModelError, ModelParams, encode_document, span_rep
+from .encoder import ModelError, ModelParams, encode_document
 from .metrics import EvalReport, aggregate, evaluate_trees, score_pair
 from .training import (
     TrainConfig,
@@ -61,7 +61,6 @@ from .training import (
 )
 from .transition import (
     greedy_parse,
-    legal_actions,
     oracle_actions,
     replay,
     transition_loss,

@@ -60,7 +60,6 @@ from .encoder import (
     REL,
     NUC,
     DropoutMasks,
-    EncodedDocument,
     Feedforward,
     ModelParams,
     RowFeedforward,
@@ -291,7 +290,8 @@ def _label_rows(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> tuple:
 
 
 class NeuralOracle:
-    """Scores the chart decisions of one encoded document in batched numpy.
+    """Scores the chart decisions of one document in batched numpy, from its
+    EDU matrix M (the node encode_document returns; only ``M.data`` is read).
 
     The scores come from the same parameters, inputs and dropout masks as
     score_tree_symbolic, so a tree decoded from them is the argmax of the
@@ -306,11 +306,11 @@ class NeuralOracle:
     only the exact decoder needs, anew on every call.
     """
 
-    def __init__(self, params: ModelParams, enc: EncodedDocument,
+    def __init__(self, params: ModelParams, enc: Tensor,
                  masks: DropoutMasks | None = None):
-        self.n = enc.n
+        self.n = enc.shape[0]
         self.n_rel = params.n_rel
-        M = enc.matrix()
+        M = enc.data
 
         def scorer(name, blocks):
             mask = masks.hidden_for(name) if masks is not None else None
@@ -684,25 +684,23 @@ def augment_tables(t: ScoreTables, gold: RstTree) -> ScoreTables:
     return LossAugmented(t, gold).tables()
 
 
-def score_tree_symbolic(tree: RstTree, params: ModelParams,
-                        enc: EncodedDocument,
+def score_tree_symbolic(tree: RstTree, params: ModelParams, enc: Tensor,
                         masks: DropoutMasks | None = None) -> Tensor:
     """score_tree on the autograd tape, each scorer applied once to a batch.
 
     The span scorer gets every span but the root, the relation and
     nuclearity scorers the tree's 2n - 1 label rows (the inputs
-    NeuralOracle.labels reads), each gathered from the EDU node in one
-    ``take_rows``; one-hot constants pick each row's relation and
+    NeuralOracle.labels reads), each gathered from the EDU node ``enc`` in
+    one ``take_rows``; one-hot constants pick each row's relation and
     nuclearity.  The tape holds the same number of nodes for any tree.
     """
     internal = list(tree.internal_items())
     leaves = [(i, i + 1, i, l, p) for i, l, p in tree.leaf_items()]
     I, J, K, L, P = (np.array(c) for c in zip(*(internal + leaves)))
-    M = enc.tensor
 
     def apply(name, index):
         mask = masks.hidden_for(name) if masks is not None else None
-        return Feedforward(params, name).apply(ops.take_rows(M, index), mask)
+        return Feedforward(params, name).apply(ops.take_rows(enc, index), mask)
 
     terms = []
     # every span but the root is a child of an internal span
@@ -731,13 +729,16 @@ class ChartDiagnostics:
 
 def chart_loss(doc: Document, params: ModelParams, decoder: str = "partial",
                masks: DropoutMasks | None = None,
-               enc: EncodedDocument | None = None
+               enc: Tensor | None = None
                ) -> tuple[Tensor, ChartDiagnostics]:
     """Margin loss max(0, score(T^) + distance(T^, gold) - score(gold)) with
     T^ from loss-augmented decoding.
 
     The returned tensor carries the tape for the active hinge; when the margin
-    is already satisfied it is a constant zero.  Only the exact decoder
+    is already satisfied it is a constant zero.  The hinge is judged on
+    score_tree(T^) + distance against score_tree(gold), the two sums
+    ``missing`` compares, not on the decoder's own running total, so a
+    prediction equal to gold never builds a tape.  Only the exact decoder
     builds the dense label table.
     """
     if doc.gold is None:
@@ -751,29 +752,38 @@ def chart_loss(doc: Document, params: ModelParams, decoder: str = "partial",
     pred_score = score_tree(pred, oracle)
     dist = hamming(pred, doc.gold)
 
-    if aug_score - gold_score <= 0.0:
+    if pred_score + dist - gold_score <= 0.0:
         loss = ops.tensor(0.0)
     else:
-        diff = (score_tree_symbolic(pred, params, enc, masks)
-                - score_tree_symbolic(doc.gold, params, enc, masks))
-        loss = ops.relu(diff + float(dist))
+        margin = ops.add(score_tree_symbolic(pred, params, enc, masks),
+                         ops.scale(score_tree_symbolic(doc.gold, params, enc,
+                                                       masks), -1.0))
+        loss = ops.relu(ops.shift(margin, float(dist)))
     diag = ChartDiagnostics(pred, aug_score, pred_score, gold_score, dist,
-                            missing=pred_score < gold_score,
+                            missing=below_gold(pred_score, gold_score),
                             loss=float(loss.item()))
     return loss, diag
+
+
+def below_gold(pred_score: float, gold_score: float) -> bool:
+    """The missing-prediction test: a predicted tree is missing when its
+    ``score_tree`` is strictly below gold's under the same scores, so a
+    prediction that equals gold, or ties it, is never counted.  Training's
+    count, ``chart_loss`` and ``rstparse compare`` all decide it here."""
+    return pred_score < gold_score
 
 
 def missing_prediction(n: int, scores, gold: RstTree,
                        decoder: str = "partial") -> bool:
     """True when the decoded tree scores strictly below gold (plain scores).
 
-    Both trees are scored by ``score_tree``, so a decoded tree that equals
-    gold, or ties it, is never counted: the decoder's own running total adds
-    in another order and may read label rows scored in other batches.
+    Both trees are scored by ``score_tree`` (see below_gold): the decoder's
+    own running total adds in another order and may read label rows scored
+    in other batches.
     """
     s = chart_scores(n, scores)
     pred, _ = get_decoder(decoder)(n, s)
-    return score_tree(pred, s) < score_tree(gold, s)
+    return below_gold(score_tree(pred, s), score_tree(gold, s))
 
 
 def count_missing(docs, params: ModelParams, decoder: str = "partial",
@@ -793,5 +803,6 @@ def count_missing(docs, params: ModelParams, decoder: str = "partial",
         tree, _ = decode(doc.n, scores)
         if trees is not None:
             trees.append(tree)
-        total += score_tree(tree, scores) < score_tree(doc.gold, scores)
+        total += below_gold(score_tree(tree, scores),
+                            score_tree(doc.gold, scores))
     return total

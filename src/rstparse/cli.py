@@ -14,12 +14,14 @@ import os
 import sys
 import time
 
-from .chart import DECODERS, ExactTooLarge, NeuralOracle, score_tree
+from .chart import (DECODERS, ExactTooLarge, NeuralOracle, below_gold,
+                    score_tree)
 from .core import Document
 from .data import (
     CorpusError,
     load_corpus,
     load_embeddings,
+    open_text,
     parse_edus_text,
     parse_manifest,
     parse_tree_text,
@@ -66,7 +68,7 @@ _COERCERS = {
 def parse_config_file(path: str) -> dict:
     values = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path, ConfigError) as fh:
             lines = fh.read().split("\n")
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
@@ -148,7 +150,7 @@ def _load_documents(paths) -> list[Document]:
         doc_id = os.path.basename(path)
         if doc_id.endswith(".edus"):
             doc_id = doc_id[:-len(".edus")]
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             docs.append(Document(doc_id, parse_edus_text(fh.read())))
     return docs
 
@@ -174,7 +176,7 @@ def cmd_eval(args) -> int:
         if not os.path.exists(pred_path):
             missing.append(doc.doc_id)
             continue
-        with open(pred_path, encoding="utf-8") as fh:
+        with open_text(pred_path) as fh:
             pred = parse_tree_text(fh.read(), gold.rel_vocab, n_edus=doc.n)
         pairs.append((doc.doc_id, pred, doc.gold))
     if missing:
@@ -189,9 +191,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    with open(args.manifest, encoding="utf-8") as fh:
+    with open_text(args.manifest) as fh:
         rel_vocab = parse_manifest(fh.read())
-    with open(args.tree, encoding="utf-8") as fh:
+    with open_text(args.tree) as fh:
         tree = parse_tree_text(fh.read(), rel_vocab)
     actions = oracle_actions(tree)
     line = serialize_actions(actions, rel_vocab)
@@ -241,7 +243,7 @@ def cmd_compare(args) -> int:
     for m in methods:
         report = evaluate_trees([(doc_id, tree, doc.gold) for doc_id, tree, doc
                                  in zip(ids, trees[m], corpus.documents)])
-        miss = sum(s < g - 1e-12 for s, g in zip(scores[m], gold_scores))
+        miss = sum(below_gold(s, g) for s, g in zip(scores[m], gold_scores))
         print(f"{m:12s} {report.micro['span']:6.1f} "
               f"{report.micro['nuclearity']:6.1f} "
               f"{report.micro['relation']:6.1f} {miss:8d} {times[m]:8.3f}")

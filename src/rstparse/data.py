@@ -10,12 +10,15 @@ On-disk layout of a corpus directory:
 * ``<doc_id>.tree`` -- one s-expression: ``(LEAF k)`` for EDU k (1-based) or
   ``(<NN|NS|SN> <Relation> <child> <child>)``.
 
-Files are UTF-8 with LF line endings.
+Files are UTF-8 with LF line endings.  Every text file is opened with
+``open_text``, so bytes that are not UTF-8 raise a CorpusError naming the
+file.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -62,6 +65,18 @@ class UnknownRelationError(CorpusError):
 
 class TreeInvariantError(CorpusError):
     pass
+
+
+@contextmanager
+def open_text(path: str, error: type[Exception] = CorpusError):
+    """``path`` opened as UTF-8 text.  Bytes that are not UTF-8, met while
+    the file is read, raise ``error`` naming the file; a file that cannot be
+    opened stays an OSError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 class Vocab:
@@ -366,7 +381,7 @@ def load_corpus(directory: str, require_trees: bool = True) -> Corpus:
     manifest = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise CorpusError(f"missing manifest {manifest}")
-    with open(manifest, encoding="utf-8") as fh:
+    with open_text(manifest) as fh:
         rel_vocab = parse_manifest(fh.read())
 
     docs = []
@@ -376,11 +391,11 @@ def load_corpus(directory: str, require_trees: bool = True) -> Corpus:
         doc_id = name[:-len(".edus")]
         edus_path = os.path.join(directory, name)
         tree_path = os.path.join(directory, doc_id + ".tree")
-        with open(edus_path, encoding="utf-8") as fh:
+        with open_text(edus_path) as fh:
             edus_text = fh.read()
         tree_text = None
         if os.path.exists(tree_path):
-            with open(tree_path, encoding="utf-8") as fh:
+            with open_text(tree_path) as fh:
                 tree_text = fh.read()
         elif require_trees:
             raise CorpusError(f"missing tree file for {doc_id}")
@@ -453,7 +468,7 @@ def load_embeddings(path: str, vocab: Vocab) -> PretrainedEmbeddings:
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

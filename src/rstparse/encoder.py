@@ -3,10 +3,12 @@
 One parameter set backs every decoder.  Words are embedded as learned vector
 + optional frozen pretrained vector + POS vector, run through a bi-LSTM over
 the whole document, and each EDU is summarized by the recurrent states at its
-first and last word (both directions, 4H total).  A span (i, j) is the
-concatenation of its first and last EDU vectors (8H).  All decision scores
-come from two-layer feedforward networks over concatenations of EDU rows,
-applied to batches of rows both on the tape and in numpy.
+first and last word (both directions, 4H total).  ``encode_document``
+returns them as one (n, 4H) tape node, the EDU matrix M, which is all the
+parsers read.  A span (i, j) is the concatenation of rows M[i] and M[j-1]
+(8H).  All decision scores come from two-layer feedforward networks over
+concatenations of EDU rows, applied to batches of rows both on the tape
+(gathered from M with ``ops.take_rows``) and in numpy (from ``M.data``).
 """
 
 from __future__ import annotations
@@ -354,38 +356,12 @@ def make_dropout_masks(params: ModelParams, n_edus: int, dropout: float,
     return DropoutMasks(draw((n_edus, params.edu_dim)), hidden)
 
 
-class EncodedDocument:
-    """The (n, 4H) EDU matrix as one tape node, with per-EDU row views.
-
-    ``matrix()`` is the node's data, read by the numpy scorers; the tape
-    losses gather their inputs from ``tensor``.  ``edus`` are row nodes of
-    it, made on first use.
-    """
-
-    __slots__ = ("tensor", "_edus")
-
-    def __init__(self, tensor: Tensor):
-        self.tensor = tensor
-        self._edus: list[Tensor] | None = None
-
-    @property
-    def n(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def edus(self) -> list[Tensor]:
-        if self._edus is None:
-            self._edus = [ops.row(self.tensor, t) for t in range(self.n)]
-        return self._edus
-
-    def matrix(self) -> np.ndarray:
-        return self.tensor.data
-
-
 def encode_document(doc: Document, params: ModelParams,
-                    masks: DropoutMasks | None = None) -> EncodedDocument:
-    """Embed every token, run both LSTM directions over the whole document,
-    and gather each EDU's first- and last-token states.
+                    masks: DropoutMasks | None = None) -> Tensor:
+    """The (n, 4H) EDU matrix as one tape node: embed every token, run both
+    LSTM directions over the whole document, and gather each EDU's first-
+    and last-token states.  The numpy scorers read its ``data``; the tape
+    losses gather their inputs from the node itself.
 
     The tape holds a fixed number of nodes whatever the document's length:
     one gather per embedding table, one column concatenation of the token
@@ -413,11 +389,5 @@ def encode_document(doc: Document, params: ModelParams,
     edus = ops.take_rows(states, np.stack((first, last), axis=1))
     if masks is not None:
         edus = ops.cmul(edus, masks.edu)
-    return EncodedDocument(edus)
+    return edus
 
-
-def span_rep(enc: EncodedDocument, i: int, j: int) -> Tensor:
-    """Span (i, j) covers EDUs i+1..j (1-based); rep is first EDU + last EDU."""
-    if not 0 <= i < j <= enc.n:
-        raise ValueError(f"span ({i}, {j}) out of range for {enc.n} EDUs")
-    return ops.concat([enc.edus[i], enc.edus[j - 1]])

@@ -2,18 +2,20 @@
 
 A Tensor wraps an ndarray and remembers how it was produced; backward() walks
 the recorded graph once, in reverse topological order, accumulating gradients
-into every node it can reach.  Only the operations the parsers need exist:
-dense matvec, batched affine maps over the rows of a matrix (``linear``),
-concatenation, slicing, element picks and row gathers, elementwise
-nonlinearities, sums, a masked margin hinge over a matrix of scores
-(``margin_hinge``), and one fused sequence op, ``bilstm``, which runs both
-directions of a bidirectional LSTM as a single node, advancing them in one
-loop, with hand-written backpropagation through time.  A loss over a batch
-of decisions is then a fixed number of nodes, however many decisions it
-has.  The gradient a row gather sends to its
-table is a ``RowGrad``, the gathered rows with their upstream gradients,
-made dense only where something needs the whole array.  Everything is
-computed at 64-bit precision.
+into every node it can reach.  Only the operations the parsers run exist:
+sums (``add``, ``addn``, ``vsum``), a constant shift and scale, a product
+with a constant array (``cmul``), batched affine maps over the rows of a
+matrix (``linear``), concatenation, row gathers (``take_rows``), ``relu``,
+a masked margin hinge over a matrix of scores (``margin_hinge``), and one
+fused sequence op, ``bilstm``, which runs both directions of a
+bidirectional LSTM as a single node, advancing them in one loop, with
+hand-written backpropagation through time.  A loss over a batch of
+decisions is then a fixed number of nodes, however many decisions it has.
+Expressions are calls, ``shift(add(a, scale(b, -1.0)), c)`` for
+a - b + c: a Tensor has no arithmetic operators.  The gradient a row
+gather sends to its table is a ``RowGrad``, the gathered rows with their
+upstream gradients, made dense only where something needs the whole
+array.  Everything is computed at 64-bit precision.
 """
 
 from __future__ import annotations
@@ -38,31 +40,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, scale(other, -1.0))
-        return shift(self, -float(other))
-
-    def __rsub__(self, other):
-        return shift(scale(self, -1.0), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -101,24 +78,10 @@ def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(a.data * c, (a,), lambda g: (g * c,))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"shape mismatch {a.data.shape} vs {b.data.shape}")
-    return Tensor(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
 def cmul(a: Tensor, mask: np.ndarray) -> Tensor:
     """Elementwise product with a constant array (dropout masks, fixed weights)."""
     mask = np.asarray(mask, dtype=np.float64)
     return Tensor(a.data * mask, (a,), lambda g: (g * mask,))
-
-
-def matvec(w: Tensor, x: Tensor) -> Tensor:
-    """(m, k) @ (k,) -> (m,)."""
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
-        raise ValueError(f"bad matvec shapes {w.data.shape} @ {x.data.shape}")
-    return Tensor(w.data @ x.data, (w, x),
-                  lambda g: (np.outer(g, x.data), w.data.T @ g))
 
 
 def linear(X: Tensor, W: Tensor, b: Tensor) -> Tensor:
@@ -138,44 +101,6 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     cuts = np.cumsum(sizes)[:-1]
     return Tensor(np.concatenate([p.data for p in parts], axis=axis),
                   tuple(parts), lambda g: tuple(np.split(g, cuts, axis=axis)))
-
-
-def narrow(a: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice of a 1-D tensor."""
-    size = a.data.shape[0]
-    if not 0 <= start <= stop <= size:
-        raise ValueError(f"narrow [{start}:{stop}] out of bounds for size {size}")
-
-    def vjp(g):
-        out = np.zeros(size)
-        out[start:stop] = g
-        return (out,)
-
-    return Tensor(a.data[start:stop], (a,), vjp)
-
-
-def pick(a: Tensor, index: int) -> Tensor:
-    """Scalar element of a 1-D tensor."""
-    size = a.data.shape[0]
-
-    def vjp(g):
-        out = np.zeros(size)
-        out[index] = g
-        return (out,)
-
-    return Tensor(a.data[index], (a,), vjp)
-
-
-def row(a: Tensor, index: int) -> Tensor:
-    """One row of a 2-D tensor (embedding lookup)."""
-    shape = a.data.shape
-
-    def vjp(g):
-        out = np.zeros(shape)
-        out[index] = g
-        return (out,)
-
-    return Tensor(a.data[index], (a,), vjp)
 
 
 class RowGrad:
@@ -399,16 +324,6 @@ def bilstm(W_f: Tensor, b_f: Tensor, W_b: Tensor, b_b: Tensor, X: Tensor,
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     return Tensor(out, (a,), lambda g: (g * (a.data > 0.0),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def margin_hinge(S: Tensor, gold, legal) -> Tensor:

@@ -86,7 +86,7 @@ class TrainConfig:
 
 def joint_loss(doc: Document, params: ModelParams, cfg: TrainConfig,
                masks=None) -> tuple[Tensor, ChartDiagnostics | None]:
-    """Mode-dispatched loss over one shared document encoding."""
+    """Mode-dispatched loss; both losses read one EDU node, encoded once."""
     if doc.gold is None:
         raise ValueError(f"document {doc.doc_id} has no gold tree")
     enc = encode_document(doc, params, masks)

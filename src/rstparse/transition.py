@@ -1,4 +1,4 @@
-"""Shift-reduce parsing over the same encoded document as the chart decoders.
+"""Shift-reduce parsing over the same EDU matrix as the chart decoders.
 
 A state is (stack of finished spans, queue of not-yet-shifted EDUs).  SHIFT
 moves the next EDU onto the stack as a leaf; REDUCE merges the top two stack
@@ -18,7 +18,6 @@ from . import ops
 from .core import (
     Action,
     Document,
-    INTERNAL_NUCLEARITIES,
     LabeledSpan,
     LEAF_RELATION,
     Nuclearity,
@@ -30,7 +29,6 @@ from .core import (
 from .encoder import (
     ACTION,
     DropoutMasks,
-    EncodedDocument,
     Feedforward,
     ModelParams,
     RowFeedforward,
@@ -74,18 +72,6 @@ def initial_state(n: int) -> ParserState:
 
 def is_terminal(state: ParserState) -> bool:
     return state.shifted == state.n and len(state.stack) == 1
-
-
-def legal_actions(state: ParserState, n_rel: int) -> list[Action]:
-    """Legal actions in index order: SHIFT first, then every REDUCE variant."""
-    out = []
-    if state.shifted < state.n:
-        out.append(Action.shift())
-    if len(state.stack) >= 2:
-        for rel in range(1, n_rel):
-            for nuc in INTERNAL_NUCLEARITIES:
-                out.append(Action.reduce(rel, nuc))
-    return out
 
 
 def apply_action(state: ParserState, action: Action) -> ParserState:
@@ -208,8 +194,9 @@ def slot_rows(state: ParserState) -> list[int]:
 
 
 def legal_mask(state: ParserState, n_actions: int) -> np.ndarray:
-    """legal_actions as a boolean mask over action indices: SHIFT iff the
-    queue is non-empty, every REDUCE iff the stack holds two spans or more."""
+    """The legal actions as a boolean mask over action indices: SHIFT iff
+    the queue is non-empty, every REDUCE iff the stack holds two spans or
+    more."""
     legal = np.empty(n_actions, dtype=bool)
     legal[0] = state.shifted < state.n
     legal[1:] = len(state.stack) >= 2
@@ -217,16 +204,17 @@ def legal_mask(state: ParserState, n_actions: int) -> np.ndarray:
 
 
 def greedy_parse(doc: Document, params: ModelParams,
-                 enc: EncodedDocument | None = None) -> RstTree:
+                 enc: Tensor | None = None) -> RstTree:
     """Best legal action at each state, ties to the lowest action index.
 
     The first layer's slot projections of [M; 0] are made once per document
     (see RowFeedforward), so scoring a state is one gather of SLOTS rows of
-    them and one sum.  Only the EDU matrix is kept, so an encoding made here
-    has its tape freed before the loop.  While the stack holds fewer than
-    two spans SHIFT is the only legal action, and the state is not scored.
+    them and one sum.  ``enc`` is the EDU node encode_document returns; only
+    its ``data`` is kept, so an encoding made here has its tape freed before
+    the loop.  While the stack holds fewer than two spans SHIFT is the only
+    legal action, and the state is not scored.
     """
-    M = (enc if enc is not None else encode_document(doc, params)).matrix()
+    M = (enc if enc is not None else encode_document(doc, params)).data
     padded = np.vstack((M, np.zeros((1, M.shape[1]))))
     scorer = RowFeedforward(Feedforward(params, ACTION), padded, SLOTS)
     reduce_only = np.arange(params.n_actions) > 0
@@ -244,7 +232,7 @@ def greedy_parse(doc: Document, params: ModelParams,
 
 def transition_loss(doc: Document, params: ModelParams,
                     masks: DropoutMasks | None = None,
-                    enc: EncodedDocument | None = None) -> Tensor:
+                    enc: Tensor | None = None) -> Tensor:
     """Per-state margin loss, teacher-forced along the gold derivation.
 
     For each visited state with gold action a*, every LEGAL action a pays
@@ -254,7 +242,8 @@ def transition_loss(doc: Document, params: ModelParams,
 
     The gold derivation fixes every state before any scoring, so the states'
     slot rows are collected first; the tape then holds one gather from
-    [M; 0], one batched scorer and one hinge, whatever n is.
+    [M; 0], M being the EDU node ``enc``, one batched scorer and one hinge,
+    whatever n is.
     """
     if doc.gold is None:
         raise ValueError(f"document {doc.doc_id} has no gold tree")
@@ -269,8 +258,7 @@ def transition_loss(doc: Document, params: ModelParams,
         state = apply_action(state, gold_action)
     if not is_terminal(state):
         raise ValueError("gold derivation did not terminate")
-    M = enc.tensor
-    padded = ops.concat([M, ops.zeros((1, M.shape[1]))], axis=0)
+    padded = ops.concat([enc, ops.zeros((1, enc.shape[1]))], axis=0)
     mask = masks.hidden_for(ACTION) if masks is not None else None
     scores = Feedforward(params, ACTION).apply(ops.take_rows(padded, rows), mask)
     return ops.scale(ops.margin_hinge(scores, gold, np.array(legal)),

@@ -9,7 +9,10 @@ winner are the same tree, not just the same score.
 
 Also here, as the reference for the batched losses: the per-decision tape
 composition the scorers used before, one input vector and one matvec per
-decision and five tape nodes per hinge term.  Likewise the scalar exact
+decision and five tape nodes per hinge term, with the tape ops only it
+uses (``ref_matvec``, ``ref_pick``, ``ref_row``, ``ref_narrow``,
+``ref_mul``, ``ref_tanh`` and ``ref_sigmoid``), the span representation
+and the list of legal actions it reads.  Likewise the scalar exact
 decoder loop and the recursive random_tree, the references for the batched
 decoder and the iterative tree sampler; the dense-table build that sliced
 its blocks from full-length (i, j, k) arrays, the reference for the build
@@ -40,6 +43,7 @@ from rstparse.chart import (
 )
 from rstparse.core import (
     INTERNAL_NUCLEARITIES,
+    Action,
     LEAF_RELATION,
     NUM_NUCLEARITIES,
     LabeledSpan,
@@ -54,7 +58,6 @@ from rstparse.encoder import (
     Feedforward,
     RowFeedforward,
     encode_document,
-    span_rep,
 )
 from rstparse.transition import (
     QUEUE_SLOTS,
@@ -66,7 +69,6 @@ from rstparse.transition import (
     index_action,
     initial_state,
     is_terminal,
-    legal_actions,
     legal_mask,
     oracle_actions,
     slot_rows,
@@ -251,28 +253,106 @@ def random_gold_tree(n, n_rel, rng):
     return random_tree(n, vocab, rng)
 
 
+# --- the per-decision tape ops --------------------------------------------
+
+def ref_mul(a, b):
+    """Elementwise product of two tensors."""
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"shape mismatch {a.data.shape} vs {b.data.shape}")
+    return ops.Tensor(a.data * b.data, (a, b),
+                      lambda g: (g * b.data, g * a.data))
+
+
+def ref_matvec(w, x):
+    """(m, k) @ (k,) -> (m,)."""
+    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
+        raise ValueError(f"bad matvec shapes {w.data.shape} @ {x.data.shape}")
+    return ops.Tensor(w.data @ x.data, (w, x),
+                      lambda g: (np.outer(g, x.data), w.data.T @ g))
+
+
+def _scatter(shape, index):
+    """The VJP of reading a[index] from an array of ``shape``."""
+    def vjp(g):
+        out = np.zeros(shape)
+        out[index] = g
+        return (out,)
+    return vjp
+
+
+def ref_narrow(a, start, stop):
+    """Contiguous slice of a 1-D tensor."""
+    size = a.data.shape[0]
+    if not 0 <= start <= stop <= size:
+        raise ValueError(f"narrow [{start}:{stop}] out of bounds for size {size}")
+    return ops.Tensor(a.data[start:stop], (a,),
+                      _scatter(size, slice(start, stop)))
+
+
+def ref_pick(a, index):
+    """Scalar element of a 1-D tensor."""
+    return ops.Tensor(a.data[index], (a,), _scatter(a.data.shape, index))
+
+
+def ref_row(a, index):
+    """One row of a 2-D tensor."""
+    return ops.Tensor(a.data[index], (a,), _scatter(a.data.shape, index))
+
+
+def ref_tanh(a):
+    out = np.tanh(a.data)
+    return ops.Tensor(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def ref_sigmoid(a):
+    out = 1.0 / (1.0 + np.exp(-a.data))
+    return ops.Tensor(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def ref_span_rep(enc, i, j):
+    """Span (i, j) covers EDUs i+1..j (1-based); its rep is the rows of its
+    first and last EDU in the EDU node ``enc``, concatenated."""
+    n = enc.shape[0]
+    if not 0 <= i < j <= n:
+        raise ValueError(f"span ({i}, {j}) out of range for {n} EDUs")
+    return ops.concat([ref_row(enc, i), ref_row(enc, j - 1)])
+
+
+def ref_legal_actions(state, n_rel):
+    """Legal actions in index order: SHIFT first, then every REDUCE variant."""
+    out = []
+    if state.shifted < state.n:
+        out.append(Action.shift())
+    if len(state.stack) >= 2:
+        for rel in range(1, n_rel):
+            for nuc in INTERNAL_NUCLEARITIES:
+                out.append(Action.reduce(rel, nuc))
+    return out
+
+
 # --- the per-decision tape composition ------------------------------------
 
 def ref_feedforward(params, name, x, masks=None):
     """W2 relu(W1 x + b1) + b2 for one input vector x, one node per step."""
     ff = Feedforward(params, name)
-    h = ops.relu(ops.add(ops.matvec(ff.W1, x), ff.b1))
+    h = ops.relu(ops.add(ref_matvec(ff.W1, x), ff.b1))
     if masks is not None:
         h = ops.cmul(h, masks.hidden_for(name))
-    return ops.add(ops.matvec(ff.W2, h), ff.b2)
+    return ops.add(ref_matvec(ff.W2, h), ff.b2)
 
 
 def ref_pair_rep(enc, i, j, k):
     """Labeling input: child reps for internal spans, own rep twice for
     leaves (k == i)."""
     if k == i:
-        own = span_rep(enc, i, j)
+        own = ref_span_rep(enc, i, j)
         return ops.concat([own, own])
-    return ops.concat([span_rep(enc, i, k), span_rep(enc, k, j)])
+    return ops.concat([ref_span_rep(enc, i, k), ref_span_rep(enc, k, j)])
 
 
 def ref_score_span(params, enc, i, j, masks=None):
-    return ops.pick(ref_feedforward(params, SPAN, span_rep(enc, i, j), masks), 0)
+    return ref_pick(ref_feedforward(params, SPAN, ref_span_rep(enc, i, j),
+                                    masks), 0)
 
 
 def ref_score_rel(params, enc, i, j, k, masks=None):
@@ -288,27 +368,27 @@ def ref_score_tree_symbolic(tree, params, enc, masks=None):
     for i, j, k, l, p in tree.internal_items():
         terms.append(ref_score_span(params, enc, i, k, masks))
         terms.append(ref_score_span(params, enc, k, j, masks))
-        terms.append(ops.pick(ref_score_rel(params, enc, i, j, k, masks), l))
-        terms.append(ops.pick(ref_score_nuc(params, enc, i, j, k, masks), int(p)))
+        terms.append(ref_pick(ref_score_rel(params, enc, i, j, k, masks), l))
+        terms.append(ref_pick(ref_score_nuc(params, enc, i, j, k, masks), int(p)))
     for i, l, p in tree.leaf_items():
-        terms.append(ops.pick(ref_score_rel(params, enc, i, i + 1, i, masks), l))
-        terms.append(ops.pick(ref_score_nuc(params, enc, i, i + 1, i, masks), int(p)))
+        terms.append(ref_pick(ref_score_rel(params, enc, i, i + 1, i, masks), l))
+        terms.append(ref_pick(ref_score_nuc(params, enc, i, i + 1, i, masks), int(p)))
     return ops.addn(terms)
 
 
 def ref_state_rep(state, enc):
     """Top stack spans (8H each) then front queue EDUs (4H each), zero-padded."""
-    h = enc.matrix().shape[1]
+    h = enc.shape[1]
     parts = []
     for slot in range(STACK_SLOTS):
         if slot < len(state.stack):
             i, j = state.stack[-1 - slot]
-            parts.append(span_rep(enc, i, j))
+            parts.append(ref_span_rep(enc, i, j))
         else:
             parts.append(ops.zeros(2 * h))
     for slot in range(QUEUE_SLOTS):
         edu = state.shifted + slot
-        parts.append(enc.edus[edu] if edu < state.n else ops.zeros(h))
+        parts.append(ref_row(enc, edu) if edu < state.n else ops.zeros(h))
     return ops.concat(parts)
 
 
@@ -322,10 +402,11 @@ def ref_transition_loss(doc, params, masks, enc):
     state = initial_state(doc.n)
     for gold_action in oracle_actions(doc.gold):
         scores = ref_score_actions(state, enc, params, masks)
-        star = ops.pick(scores, action_index(gold_action, n_rel))
-        for a in legal_actions(state, n_rel):
-            s_a = ops.pick(scores, action_index(a, n_rel))
-            terms.append(ops.relu((s_a - star) + 1.0))
+        star = ref_pick(scores, action_index(gold_action, n_rel))
+        for a in ref_legal_actions(state, n_rel):
+            s_a = ref_pick(scores, action_index(a, n_rel))
+            margin = ops.add(s_a, ops.scale(star, -1.0))
+            terms.append(ops.relu(ops.shift(margin, 1.0)))
         state = apply_action(state, gold_action)
     assert is_terminal(state)
     return ops.scale(ops.addn(terms), 1.0 / params.n_actions)
@@ -337,7 +418,7 @@ def ref_greedy_parse(doc, params, enc=None):
     index arrays, then the argmax over its legal_mask."""
     if enc is None:
         enc = encode_document(doc, params)
-    M = enc.matrix()
+    M = enc.data
     padded = np.vstack((M, np.zeros((1, M.shape[1]))))
     scorer = RowFeedforward(Feedforward(params, ACTION), padded, SLOTS)
     state = initial_state(doc.n)

@@ -348,7 +348,7 @@ class TestNeuralOracle:
 
             def tape(name, index):
                 mask = masks.hidden_for(name) if masks is not None else None
-                X = ops.take_rows(enc.tensor, index)
+                X = ops.take_rows(enc, index)
                 return Feedforward(params, name).apply(X, mask).data
 
             span = tape(SPAN, np.stack((si, sj - 1), axis=1))[:, 0]
@@ -447,6 +447,22 @@ class TestChartLoss:
         doc, params = small_params()
         with pytest.raises(ValueError):
             chart_loss(doc, params)
+
+    def test_gold_prediction_builds_no_tape(self, monkeypatch):
+        """The hinge is judged on score_tree's sums: gold predicted with a
+        decoder total a last bit above gold's score_tree gives a constant
+        zero, not a tape whose relu reads 0."""
+        doc, params = small_params(seed=31)
+        gold = gold_tree(doc.n, params.n_rel, np.random.default_rng(2))
+        doc = Document(doc.doc_id, doc.edus, gold)
+        oracle = NeuralOracle(params, encode_document(doc, params))
+        above = np.nextafter(score_tree(gold, oracle), np.inf)
+        monkeypatch.setitem(chart.DECODERS, "partial",
+                            lambda n, scores: (gold, above))
+        loss, diag = chart_loss(doc, params, "partial")
+        assert diag.augmented_score > diag.gold_score
+        assert diag.distance == 0 and not diag.missing
+        assert loss._parents == () and loss.item() == 0.0
 
     def test_count_missing_zero_for_exact(self):
         doc, params = small_params(seed=2)

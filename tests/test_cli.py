@@ -306,6 +306,88 @@ class TestPipeline:
             assert m in out
         assert "gold" in out
 
+    def test_compare_counts_missing_as_training_does(
+            self, corpus_dir, trained_model, monkeypatch, capsys):
+        """A prediction 1e-13 under gold is missing in compare's column, as
+        it is in count_missing and missing_prediction: both use below_gold."""
+        from rstparse import cli
+
+        load = cli.load_corpus
+        golds = []
+
+        def load_and_keep_golds(path):
+            corpus = load(path)
+            golds.extend(doc.gold for doc in corpus.documents)
+            return corpus
+
+        def score(tree, scores):      # every prediction 1e-13 under gold
+            return 1.0 if any(tree is g for g in golds) else 1.0 - 1e-13
+
+        monkeypatch.setattr(cli, "load_corpus", load_and_keep_golds)
+        monkeypatch.setattr(cli, "score_tree", score)
+        capsys.readouterr()
+        assert main(["compare", "--model", trained_model,
+                     "--corpus", corpus_dir]) == 0
+        rows = capsys.readouterr().out.split("\n\n")[1].splitlines()[1:]
+        missing = {row.split()[0]: int(row.split()[4]) for row in rows}
+        assert missing == {"exact": 3, "partial": 3, "complete": 3,
+                           "transition": 3}
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in any text file a command reads ends in a
+    typed error naming the file, with the documented exit code."""
+
+    BAD = b"caf\xe9_NN is_VB\n"
+
+    @pytest.mark.parametrize("entry", ["parse", "eval", "train-corpus",
+                                       "train-config", "train-embeddings",
+                                       "oracle"])
+    def test_typed_error_names_the_file(self, entry, corpus_dir,
+                                        tiny_settings, tmp_path, capsys):
+        from rstparse.encoder import ModelParams
+        from rstparse.data import load_corpus
+
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(self.BAD)
+        bad = str(bad)
+        out = str(tmp_path / "out")
+        if entry == "parse":
+            corpus = load_corpus(corpus_dir)
+            model = str(tmp_path / "model.npz")
+            ModelParams.init(corpus.word_vocab, corpus.pos_vocab,
+                             corpus.rel_vocab, np.random.default_rng(0),
+                             word_dim=2, pos_dim=2, hidden=2,
+                             ff_hidden=2).save(model)
+            argv = ["parse", "--model", model, "--out-dir", out, bad]
+        elif entry in ("eval", "train-corpus"):
+            name = sorted(f for f in os.listdir(corpus_dir)
+                          if f.endswith(".tree" if entry == "eval"
+                                        else ".edus"))[0]
+            bad = os.path.join(corpus_dir, name)
+            with open(bad, "ab") as fh:
+                fh.write(self.BAD)
+            argv = (["eval", "--gold", corpus_dir, "--pred", out]
+                    if entry == "eval" else
+                    ["train", "--corpus", corpus_dir, "--out", out,
+                     "--config", tiny_settings])
+        elif entry == "train-config":
+            argv = ["train", "--corpus", corpus_dir, "--out", out,
+                    "--config", bad]
+        elif entry == "train-embeddings":
+            argv = ["train", "--corpus", corpus_dir, "--out", out,
+                    "--config", tiny_settings, "--embeddings", bad]
+        else:
+            argv = ["oracle", os.path.join(corpus_dir, "doc0000.tree"),
+                    "--manifest", bad]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        kind = "config" if entry == "train-config" else "data"
+        assert code == (2 if kind == "config" else 1), err
+        assert err.startswith(f"{kind} error: {bad}: not UTF-8 text"), err
+        assert "Traceback" not in err
+
 
 class TestOracleCommand:
     def test_replay_round_trip(self, corpus_dir, capsys):

@@ -16,10 +16,15 @@ from rstparse.encoder import (
     encode_document,
     glorot,
     make_dropout_masks,
-    span_rep,
 )
 
-from conftest import ref_encode_document, ref_feedforward, ref_projections
+from conftest import (
+    ref_encode_document,
+    ref_feedforward,
+    ref_projections,
+    ref_row,
+    ref_span_rep,
+)
 
 
 def make_doc(token_lists, doc_id="doc"):
@@ -193,20 +198,20 @@ class TestEncoding:
     def test_edu_and_span_shapes(self):
         doc, p = small_params(hidden=3)
         enc = encode_document(doc, p)
-        assert enc.n == 3
-        for e in enc.edus:
-            assert e.shape == (12,)
-        assert span_rep(enc, 0, 2).shape == (24,)
-        M = enc.matrix()
-        np.testing.assert_array_equal(span_rep(enc, 1, 3).data,
+        assert enc.shape == (3, 12)
+        for t in range(3):
+            assert ref_row(enc, t).shape == (12,)
+        assert ref_span_rep(enc, 0, 2).shape == (24,)
+        M = enc.data
+        np.testing.assert_array_equal(ref_span_rep(enc, 1, 3).data,
                                       np.concatenate([M[1], M[2]]))
         with pytest.raises(ValueError):
-            span_rep(enc, 2, 2)
+            ref_span_rep(enc, 2, 2)
 
     def test_deterministic_encoding(self):
         doc, p = small_params(seed=9)
-        a = encode_document(doc, p).matrix()
-        b = encode_document(doc, p).matrix()
+        a = encode_document(doc, p).data
+        b = encode_document(doc, p).data
         np.testing.assert_array_equal(a, b)
 
     def test_zero_params_score_zero(self):
@@ -216,7 +221,7 @@ class TestEncoding:
         enc = encode_document(doc, p)
         for name, rows in ((SPAN, [[0, 1]]), (REL, [[0, 0, 1, 2]]),
                            (NUC, [[0, 1, 2, 2]])):
-            X = ops.take_rows(enc.tensor, rows)
+            X = ops.take_rows(enc, rows)
             assert not Feedforward(p, name).apply(X).data.any()
 
     def test_score_widths(self):
@@ -225,8 +230,8 @@ class TestEncoding:
         # span (0, 3) reads EDU rows 0 and 2; label rows of (0, 3) split at 2
         # read the child reps (0, 2) and (2, 3), and a leaf row (1, 2) reads
         # its own rep twice
-        spans = ops.take_rows(enc.tensor, [[0, 2], [1, 1]])
-        labels = ops.take_rows(enc.tensor, [[0, 1, 2, 2], [1, 1, 1, 1]])
+        spans = ops.take_rows(enc, [[0, 2], [1, 1]])
+        labels = ops.take_rows(enc, [[0, 1, 2, 2], [1, 1, 1, 1]])
         assert Feedforward(p, SPAN).apply(spans).shape == (2, 1)
         assert Feedforward(p, REL).apply(labels).shape == (2, 4)
         assert Feedforward(p, NUC).apply(labels).shape == (2, 4)
@@ -242,14 +247,13 @@ class TestEncoding:
                              pretrained=pre)
         # input dim now includes the frozen channel
         assert p.arrays["lstm_fwd.W"].shape == (12, 2 + 3 + 2 + 3)
-        enc = encode_document(doc, p)
-        assert enc.edus[0].shape == (12,)
+        assert encode_document(doc, p).shape == (3, 12)
 
     def test_encoder_gradient_matches_fd(self):
         doc, p = small_params(seed=6)
 
         def span_score(enc):     # span (0, 2): EDU rows 0 and 1
-            X = ops.take_rows(enc.tensor, [[0, 1]])
+            X = ops.take_rows(enc, [[0, 1]])
             return ops.vsum(Feedforward(p, SPAN).apply(X))
 
         def value():
@@ -297,7 +301,7 @@ class TestEncoding:
         masks = make_dropout_masks(p, doc.n, dropout, rng)
         upstream = rng.standard_normal((doc.n, p.edu_dim))
         got = []
-        for encode in (lambda: encode_document(doc, p, masks).tensor,
+        for encode in (lambda: encode_document(doc, p, masks),
                        lambda: ref_encode_document(doc, p, masks)):
             p.zero_grads()
             M = encode()
@@ -331,7 +335,7 @@ class TestDropout:
     def test_feedforward_applies_mask_on_both_paths(self):
         doc, p = small_params()
         enc = encode_document(doc, p)
-        X = ops.take_rows(enc.tensor, [[0, 1], [1, 2], [2, 2]])
+        X = ops.take_rows(enc, [[0, 1], [1, 2], [2, 2]])
         ff = Feedforward(p, SPAN)
         half = make_dropout_masks(p, doc.n, 0.5, np.random.default_rng(3))
         mask = half.hidden_for(SPAN)
@@ -347,7 +351,7 @@ class TestDropout:
 
     def test_row_feedforward_equals_feedforward_on_concatenated_rows(self):
         doc, p = small_params(seed=7)
-        M = encode_document(doc, p).matrix()
+        M = encode_document(doc, p).data
         rng = np.random.default_rng(0)
         idx = [rng.integers(0, doc.n, size=10) for _ in range(4)]
         X = np.hstack([M[i] for i in idx])

@@ -113,7 +113,7 @@ def test_encoder_tape_does_not_grow_with_tokens(bench_run, dropout):
         return Document(f"d{tokens_per_edu}", tuple(
             Edu(tuple(words), tuple(tags), k + 1) for k in range(4)))
 
-    sizes = [bench_run.tape_size(encode_document(document(m), params, masks).tensor)
+    sizes = [bench_run.tape_size(encode_document(document(m), params, masks))
              for m in (3, 30)]
     assert sizes[0] == sizes[1]
 

@@ -1,0 +1,88 @@
+"""The package holds only what runs: every public module-level function and
+class in ``src/rstparse`` is read by something other than its own
+definition and the tests.
+
+A name counts as used when another module of the package reads it as
+``module.name`` (the module bound by an import of it) or imports it with
+``from .module import name``, when its own module names it outside its
+definition, or when ``perfbench/`` reads it, as ``module.name`` or by name
+(``tracer.wrap(module, "name", ...)``).  Exports from
+``rstparse/__init__.py`` are imports of the second kind.  Code that only
+the tests call belongs in their reference, ``tests/conftest.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rstparse"
+BENCH = ROOT / "perfbench"
+
+
+def parse(paths):
+    return {p: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in paths}
+
+
+def public_defs(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def names_read_from(tree, module):
+    """The names of rstparse's ``module`` that ``tree`` reads."""
+    bound, names = set(), set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        relative = node.level == 1
+        if node.module == (module if relative else f"rstparse.{module}"):
+            names.update(alias.name for alias in node.names)
+        elif node.module == (None if relative else "rstparse"):
+            bound.update(alias.asname or alias.name for alias in node.names
+                         if alias.name == module)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id in bound:
+                names.add(node.attr)
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            target, name = node.args[:2]
+            if (isinstance(target, ast.Name) and target.id in bound
+                    and isinstance(name, ast.Constant)
+                    and isinstance(name.value, str)):
+                names.add(name.value)
+    return names
+
+
+def names_read_outside(tree, definition):
+    """Bare names read in ``tree`` outside the statement ``definition``."""
+    return {node.id for stmt in tree.body if stmt is not definition
+            for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+
+
+def unused_names():
+    package = parse(sorted(PACKAGE.glob("*.py")))
+    bench = parse(sorted(BENCH.glob("*.py")))
+    unused = []
+    for path, tree in package.items():
+        module = path.stem
+        read = set()
+        for other, other_tree in list(package.items()) + list(bench.items()):
+            if other != path:
+                read |= names_read_from(other_tree, module)
+        for node in public_defs(tree):
+            if (node.name not in read
+                    and node.name not in names_read_outside(tree, node)):
+                unused.append(f"{module}.{node.name}")
+    return unused
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    assert unused_names() == []
+
+
+def test_a_numpy_function_of_the_same_name_is_not_a_use():
+    tree = ast.parse("import numpy as np\nfrom . import ops\n"
+                     "y = np.tanh(x)\nz = ops.relu(x)\n")
+    assert names_read_from(tree, "ops") == {"relu"}

@@ -331,7 +331,7 @@ class TestPredict:
 
         def encode_and_watch(*args):
             enc = encode(*args)
-            refs.append(weakref.ref(enc.tensor))
+            refs.append(weakref.ref(enc))
             return enc
 
         def decode_and_check(n, oracle):

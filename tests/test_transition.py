@@ -5,7 +5,9 @@ from conftest import (
     chain_tree,
     make_tree,
     ref_greedy_parse,
+    ref_legal_actions,
     ref_score_actions,
+    ref_span_rep,
     ref_state_rep,
     ref_transition_loss,
 )
@@ -18,7 +20,6 @@ from rstparse.encoder import (
     Feedforward,
     encode_document,
     make_dropout_masks,
-    span_rep,
 )
 from rstparse.transition import (
     action_index,
@@ -28,7 +29,6 @@ from rstparse.transition import (
     index_action,
     initial_state,
     is_terminal,
-    legal_actions,
     legal_mask,
     oracle_actions,
     parse_actions,
@@ -75,17 +75,17 @@ class TestStateMachine:
 
     def test_legal_actions_in_index_order(self):
         s = initial_state(3)
-        assert legal_actions(s, 3) == [Action.shift()]
+        assert ref_legal_actions(s, 3) == [Action.shift()]
         s = apply_action(s, Action.shift())
         s = apply_action(s, Action.shift())
-        acts = legal_actions(s, 3)
+        acts = ref_legal_actions(s, 3)
         # SHIFT, then REDUCE over (relation, nuclearity) in index order
         assert acts[0] == Action.shift()
         assert len(acts) == 1 + 3 * 2
         assert [action_index(a, 3) for a in acts] == list(range(7))
         # queue exhausted: reduces only
         s2 = apply_action(s, Action.shift())
-        acts2 = legal_actions(s2, 3)
+        acts2 = ref_legal_actions(s2, 3)
         assert Action.shift() not in acts2
         assert len(acts2) == 6
 
@@ -164,8 +164,7 @@ class TestSerialization:
 
 def action_input(state, enc):
     """The action scorer's input row: the state's slot rows of [M; 0]."""
-    M = enc.tensor
-    padded = ops.concat([M, ops.zeros((1, M.shape[1]))], axis=0)
+    padded = ops.concat([enc, ops.zeros((1, enc.shape[1]))], axis=0)
     return ops.take_rows(padded, [slot_rows(state)])
 
 
@@ -193,13 +192,13 @@ class TestStateRep:
         rep = action_input(s, enc).data[0]
 
         h = 12
-        top = span_rep(enc, 1, 2).data        # stack top fills the first slot
-        below = span_rep(enc, 0, 1).data
+        top = ref_span_rep(enc, 1, 2).data    # stack top fills the first slot
+        below = ref_span_rep(enc, 0, 1).data
         np.testing.assert_array_equal(rep[:2 * h], top)
         np.testing.assert_array_equal(rep[2 * h:4 * h], below)
         np.testing.assert_array_equal(rep[4 * h:6 * h], 0.0)
         # one EDU left in the queue, then zero padding
-        np.testing.assert_array_equal(rep[6 * h:7 * h], enc.matrix()[2])
+        np.testing.assert_array_equal(rep[6 * h:7 * h], enc.data[2])
         np.testing.assert_array_equal(rep[7 * h:], 0.0)
         np.testing.assert_array_equal(rep, ref_state_rep(s, enc).data)
 
@@ -210,7 +209,7 @@ class TestStateRep:
         s = initial_state(6)
         for a in oracle_actions(tree) + [None]:
             want = [action_index(b, vocab.size)
-                    for b in legal_actions(s, vocab.size)]
+                    for b in ref_legal_actions(s, vocab.size)]
             assert np.flatnonzero(legal_mask(s, n_actions)).tolist() == want
             if a is not None:
                 s = apply_action(s, a)
@@ -265,7 +264,7 @@ class TestGreedyParse:
             while not is_terminal(s):
                 scores = ref_score_actions(s, enc, params).data
                 legal = [action_index(a, params.n_rel)
-                         for a in legal_actions(s, params.n_rel)]
+                         for a in ref_legal_actions(s, params.n_rel)]
                 best = legal[int(np.argmax(scores[legal]))]
                 s = apply_action(s, index_action(best, params.n_rel))
             tree, ref = greedy_parse(doc, params, enc), finish(s)
@@ -325,7 +324,7 @@ class TestTransitionLoss:
         total = 0
         st = initial_state(doc.n)
         for a in oracle_actions(gold):
-            total += len(legal_actions(st, params.n_rel))
+            total += len(ref_legal_actions(st, params.n_rel))
             st = apply_action(st, a)
         assert loss.item() == pytest.approx(total / params.n_actions)
 
