@@ -42,7 +42,6 @@ from .data import (
     generate_synthetic,
     load_corpus,
     load_embeddings,
-    parse_document,
     random_tree,
     save_corpus,
     split_train_dev,

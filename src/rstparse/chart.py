@@ -32,9 +32,10 @@ decoding (a view that shifts the rows a decoder asks for), the structured
 margin loss, and the missing-prediction diagnostic (a decoded tree scoring
 strictly below gold under the same scores).
 
-Scores entering a decoder are checked once for NaN and infinity: the
-projections and span table of a NeuralOracle when it is built, ScoreTables
-whenever they are passed in.  A bad entry raises ValueError naming it.
+Scores entering a decoder are checked for NaN and infinity, all with one
+scan, first_nonfinite: the projections and span table of a NeuralOracle when
+it is built and its label rows as they are computed, ScoreTables whenever
+they are passed in.  A bad entry raises NonFiniteScore naming it.
 
 Tie-breaking is deterministic everywhere: lowest split, then lowest relation
 index, then lowest nuclearity index.
@@ -166,20 +167,28 @@ class ScoreTables:
         for name, arr in (("rel", self.rel), ("nuc", self.nuc)):
             # a block at a time, so as to hold nothing of the table's length
             for start in range(0, len(arr), _BLOCK_ROWS):
-                ok = np.isfinite(arr[start:start + _BLOCK_ROWS])
-                if not ok.all():
-                    row, col = np.argwhere(~ok)[0] + (start, 0)
-                    (i,), (j,), (k,) = _row_cells(_cells(self.n), row[None])
+                at = first_nonfinite(arr[start:start + _BLOCK_ROWS])
+                if at is not None:
+                    row, col = at[0] + start, at[1]
+                    (i,), (j,), (k,) = _row_cells(_cells(self.n), np.array([row]))
                     return f"{name}[{i}, {j}, {k}][{col}] = {arr[row, col]}"
         return None
+
+
+def first_nonfinite(a: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first NaN or infinite entry of ``a``, or None."""
+    ok = np.isfinite(a)
+    if ok.all():
+        return None
+    return tuple(int(x) for x in np.unravel_index(np.argmin(ok), a.shape))
 
 
 def _first_bad_span(span: np.ndarray) -> str | None:
     i, j = np.triu_indices(span.shape[0], 1)
     vals = span[i, j]
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        x = int(np.argmax(bad))
+    at = first_nonfinite(vals)
+    if at is not None:
+        (x,) = at
         return f"span[{i[x]}, {j[x]}] = {vals[x]}"
     return None
 
@@ -320,8 +329,10 @@ class NeuralOracle:
         self._rel = scorer(REL, 4)
         self._nuc = scorer(NUC, 4)
         for name, ff in ((SPAN, span_ff), (REL, self._rel), (NUC, self._nuc)):
-            where = ff.first_bad()
-            _require_finite(where and f"{name} projection, {where}")
+            at = first_nonfinite(ff.proj)
+            if at is not None:
+                _require_finite("{} projection, block {}, EDU {}, unit {}"
+                                .format(name, *at))
         i, j = np.triu_indices(self.n + 1, 1)
         self.span = np.zeros((self.n + 1, self.n + 1))
         self.span[i, j] = span_ff(i, j - 1)[:, 0]
@@ -330,9 +341,19 @@ class NeuralOracle:
     def labels(self, i, j, k) -> tuple[np.ndarray, np.ndarray]:
         """Relation and nuclearity rows of cells (i, j) split at k, batched
         (inputs as _label_rows gives them; a span rep (a, b) reads M[a],
-        M[b-1])."""
-        rows = _label_rows(np.asarray(i), np.asarray(j), np.asarray(k))
-        return self._rel(*rows), self._nuc(*rows)
+        M[b-1]).  Finite projections can still give an infinite row, so the
+        first NaN or infinite entry, relation rows before nuclearity rows,
+        raises NonFiniteScore."""
+        i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
+        rows = _label_rows(i, j, k)
+        rel, nuc = self._rel(*rows), self._nuc(*rows)
+        for name, arr in (("rel", rel), ("nuc", nuc)):
+            at = first_nonfinite(arr)
+            if at is not None:
+                x, col = at
+                _require_finite(f"{name}[{i[x]}, {j[x]}, {k[x]}][{col}] = "
+                                f"{arr[x, col]}")
+        return rel, nuc
 
     def tables(self) -> ScoreTables:
         return _dense_tables(self)
@@ -368,6 +389,13 @@ class LossAugmented:
 
 # --- tree scoring ---------------------------------------------------------
 
+def _tree_rows(tree: RstTree) -> tuple[np.ndarray, ...]:
+    """(i, j, k, relation, nuclearity) arrays of a tree's 2n - 1 label rows:
+    internal spans sorted, then leaves, with k = i."""
+    leaves = [(i, i + 1, i, l, p) for i, l, p in tree.leaf_items()]
+    return tuple(np.array(c) for c in zip(*tree.internal_items(), *leaves))
+
+
 def _check_labels(tree: RstTree, n_rel: int) -> None:
     for (i, j), (l, p) in tree.labels.items():
         if not 0 <= l < n_rel or not 0 <= int(p) < NUM_NUCLEARITIES:
@@ -384,19 +412,18 @@ def score_tree(tree: RstTree, scores) -> float:
         raise ValueError(err)
     s = chart_scores(tree.n, scores)
     _check_labels(tree, s.n_rel)
-    internal = list(tree.internal_items())
-    leaves = [(i, i + 1, i, l, p) for i, l, p in tree.leaf_items()]
-    I, J, K, L, P = (np.array(c) for c in zip(*(internal + leaves)))
+    I, J, K, L, P = _tree_rows(tree)
     picked = np.arange(len(I))
     rel, nuc = s.labels(I, J, K)
     rel = rel[picked, L].tolist()
     nuc = nuc[picked, P].tolist()
     span = s.span
     total = 0.0
-    for x, (i, j, k, _, _) in enumerate(internal):
-        total += span[i, k] + span[k, j] + rel[x] + nuc[x]
-    for x in range(len(internal), len(I)):
-        total += rel[x] + nuc[x]
+    for x, (i, j, k) in enumerate(zip(I.tolist(), J.tolist(), K.tolist())):
+        if j > i + 1:
+            total += span[i, k] + span[k, j] + rel[x] + nuc[x]
+        else:
+            total += rel[x] + nuc[x]
     return float(total)
 
 
@@ -429,30 +456,43 @@ def _fill_leaves(s, best, brel, bnuc) -> None:
     bnuc[i, i + 1] = p
 
 
-def _backtrace(n: int, bsplit, brel, bnuc) -> RstTree:
-    spans = []
-    splits: dict[tuple[int, int], int] = {}
+def _tree_cells(n: int, bsplit) -> list[tuple[int, int, int]]:
+    """(i, j, k) of every cell of the tree the chart's splits hold, leaves
+    with k = i: the root first, each right subtree before its left one.
+    decode_complete asks for the label rows in this order, and below BLAS's
+    small-matrix size a row's bits can depend on its place in the batch."""
+    cells = []
     stack = [(0, n)]
     while stack:
         i, j = stack.pop()
-        spans.append(LabeledSpan(i, j, int(brel[i, j]),
-                                 Nuclearity(int(bnuc[i, j]))))
+        k = i if j == i + 1 else int(bsplit[i, j])
+        cells.append((i, j, k))
         if j > i + 1:
-            k = int(bsplit[i, j])
-            splits[(i, j)] = k
-            stack.append((i, k))
-            stack.append((k, j))
-    return RstTree(spans, n, splits)
+            stack += [(i, k), (k, j)]
+    return cells
+
+
+def _backtrace(n: int, cells, brel, bnuc) -> RstTree:
+    """The tree of ``cells`` (as _tree_cells gives them), labelled from the
+    chart's relations and nuclearities."""
+    spans = [LabeledSpan(i, j, int(brel[i, j]), Nuclearity(int(bnuc[i, j])))
+             for i, j, _ in cells]
+    return RstTree(spans, n, {(i, j): k for i, j, k in cells if j > i + 1})
 
 
 def _split_totals(span, best, width: int) -> np.ndarray:
     """span(i,k) + span(k,j) + best(i,k) + best(k,j) for every cell (i, j) of
     one width, j = i + width: one row per i, one column per split
-    k = i+1..j-1."""
-    i = np.arange(span.shape[0] - width)[:, None]
-    ks = i + np.arange(1, width)
-    j = i + width
-    return span[i, ks] + span[ks, j] + best[i, ks] + best[ks, j]
+    k = i+1..j-1.  (i, k) and (k, j) are read at the flat offsets i(n+1) + k
+    and k(n+1) + j of the (n+1, n+1) charts, with ``take``."""
+    n1 = span.shape[0]
+    i = np.arange(n1 - width)[:, None]
+    k = i + np.arange(1, width)
+    left = i * n1 + k
+    right = k * n1 + (i + width)
+    s, b = span.reshape(-1), best.reshape(-1)
+    pair = s.take(left) + s.take(right)
+    return (pair + b.take(left)) + b.take(right)
 
 
 def _best_splits(span, best, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -481,35 +521,24 @@ def _exact_bytes(n: int, n_rel: int) -> int:
     """Bytes decode_exact holds for n EDUs: the dense label table,
     8 · rows(n) · (n_rel + 4); the arrays of one width, at most
     m = floor(n/2) · ceil(n/2) (cell, split) pairs, each with its relation
-    and nuclearity rows and 9 more 8-byte entries (_width_scores' index
-    arrays or _exact_width's running bests); and the O(n^2) chart and
-    layout arrays, 40 · (n + 1)^2."""
+    and nuclearity rows and 9 more 8-byte entries (_split_totals' offsets,
+    _width_labels' rows or _exact_width's running bests); and the O(n^2)
+    chart and layout arrays, 40 · (n + 1)^2."""
     rows = n + (n ** 3 - n) // 6
     m = (n // 2) * ((n + 1) // 2)
     return 8 * rows * (n_rel + 4) + 8 * m * (n_rel + 13) + 40 * (n + 1) ** 2
 
 
-def _width_scores(t: ScoreTables, flat_span: np.ndarray,
-                  flat_best: np.ndarray, width: int) -> tuple[np.ndarray, ...]:
-    """The cells x splits of one width, for decode_exact, cells by left end
-    i, splits k = i+1..j-1 ascending: span(i, k) + span(k, j) + best(i, k) +
-    best(k, j), and the relation and nuclearity rows, transposed, at table
-    rows base[i, j] + (k - i - 1).  (i, k) and (k, j) are read at flat
-    offsets i(n+1) + k and k(n+1) + j of the (n+1, n+1) charts."""
-    n = t.n
-    i = np.arange(n + 1 - width)[:, None]
-    j = i + width
-    k = i + np.arange(1, width)
-    rows = ((t.base[i, j] - i - 1) + k).ravel()
-    left = (i * (n + 1) + k).ravel()
-    right = (k * (n + 1) + j).ravel()
-    pair = flat_span.take(left) + flat_span.take(right)
-    stem = (pair + flat_best.take(left)) + flat_best.take(right)
-    return stem, t.rel.take(rows, axis=0).T, t.nuc.take(rows, axis=0).T
+def _width_labels(t: ScoreTables, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The relation and nuclearity rows, transposed, of one width's cells x
+    splits, cells by left end i, splits k = i+1..j-1 ascending: table rows
+    base[i, i + width] + (k - i - 1)."""
+    i = np.arange(t.n + 1 - width)
+    rows = (t.base[i, i + width][:, None] + np.arange(width - 1)).ravel()
+    return t.rel.take(rows, axis=0).T, t.nuc.take(rows, axis=0).T
 
 
-def _exact_width(t: ScoreTables, flat_span: np.ndarray, chart,
-                 width: int) -> None:
+def _exact_width(t: ScoreTables, chart, width: int) -> None:
     """decode_exact's step for the cells of one width: their best score,
     split, relation and nuclearity, written into ``chart`` (as _empty_chart
     makes it).  The width's arrays are freed on return, so those of two
@@ -518,7 +547,8 @@ def _exact_width(t: ScoreTables, flat_span: np.ndarray, chart,
     n = t.n
     cells = n + 1 - width
     flat = best.reshape(-1)
-    stem, rel, nuc = _width_scores(t, flat_span, flat, width)
+    stem = _split_totals(t.span, best, width).ravel()
+    rel, nuc = _width_labels(t, width)
     top = np.full(len(stem), NEG_INF)
     top_rel = np.zeros(len(stem), dtype=np.int64)
     top_nuc = np.zeros(len(stem), dtype=np.int64)
@@ -569,10 +599,9 @@ def decode_exact(n: int, scores) -> tuple[RstTree, float]:
     chart = _empty_chart(n)
     best, bsplit, brel, bnuc = chart
     _fill_leaves(t, best, brel, bnuc)
-    flat_span = np.ravel(t.span)
     for width in range(2, n + 1):
-        _exact_width(t, flat_span, chart, width)
-    return _backtrace(n, bsplit, brel, bnuc), float(best[0, n])
+        _exact_width(t, chart, width)
+    return _backtrace(n, _tree_cells(n, bsplit), brel, bnuc), float(best[0, n])
 
 
 def decode_partial(n: int, scores) -> tuple[RstTree, float]:
@@ -594,7 +623,7 @@ def decode_partial(n: int, scores) -> tuple[RstTree, float]:
         bsplit[i, j] = k
         brel[i, j] = l
         bnuc[i, j] = p
-    return _backtrace(n, bsplit, brel, bnuc), float(best[0, n])
+    return _backtrace(n, _tree_cells(n, bsplit), brel, bnuc), float(best[0, n])
 
 
 def decode_complete(n: int, scores) -> tuple[RstTree, float]:
@@ -610,22 +639,14 @@ def decode_complete(n: int, scores) -> tuple[RstTree, float]:
         i, k, pair = _best_splits(s.span, struct, width)
         struct[i, i + width] = pair
         bsplit[i, i + width] = k
-    cells = []
-    stack = [(0, n)]
-    while stack:
-        i, j = stack.pop()
-        k = i if j == i + 1 else int(bsplit[i, j])
-        cells.append((i, j, k))
-        if j > i + 1:
-            stack.append((i, k))
-            stack.append((k, j))
+    cells = _tree_cells(n, bsplit)
     I, J, K = (np.array(c) for c in zip(*cells))
     rel, nuc = s.labels(I, J, K)
     leaf = J == I + 1
     l, p = _internal_labels(rel, nuc)
     brel[I, J] = np.where(leaf, np.argmax(rel, axis=1), l)
     bnuc[I, J] = np.where(leaf, np.argmax(nuc, axis=1), p)
-    tree = _backtrace(n, bsplit, brel, bnuc)
+    tree = _backtrace(n, cells, brel, bnuc)
     return tree, score_tree(tree, s)
 
 
@@ -694,9 +715,7 @@ def score_tree_symbolic(tree: RstTree, params: ModelParams, enc: Tensor,
     one ``take_rows``; one-hot constants pick each row's relation and
     nuclearity.  The tape holds the same number of nodes for any tree.
     """
-    internal = list(tree.internal_items())
-    leaves = [(i, i + 1, i, l, p) for i, l, p in tree.leaf_items()]
-    I, J, K, L, P = (np.array(c) for c in zip(*(internal + leaves)))
+    I, J, K, L, P = _tree_rows(tree)
 
     def apply(name, index):
         mask = masks.hidden_for(name) if masks is not None else None

@@ -1,8 +1,9 @@
 """Command-line interface: train, parse, eval, oracle, compare.
 
 Exit codes: 0 success, 1 data error (unreadable/malformed corpus or model,
-missing documents), 2 configuration error (bad flags, bad config keys,
-training that diverged, whose remedy is a smaller lr or a grad_clip).
+missing documents, non-finite scores, a document too long to decode
+exactly), 2 configuration error (bad flags, bad config keys, training that
+diverged, whose remedy is a smaller lr or a grad_clip).
 Training settings come from defaults, then an optional ``key = value`` config
 file, then explicit flags, in that order.
 """
@@ -14,8 +15,10 @@ import os
 import sys
 import time
 
-from .chart import (DECODERS, ExactTooLarge, NeuralOracle, below_gold,
-                    score_tree)
+import numpy as np
+
+from .chart import (DECODERS, ExactTooLarge, NeuralOracle, NonFiniteScore,
+                    below_gold, score_tree)
 from .core import Document
 from .data import (
     CorpusError,
@@ -31,6 +34,7 @@ from .data import (
 from .encoder import ModelError, ModelParams, encode_document
 from .metrics import evaluate_trees, format_report, machine_rows
 from .training import (
+    MODES,
     PARSE_METHODS,
     REPORT_HEADER,
     TrainConfig,
@@ -276,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word-dim", dest="word_dim", type=int)
     p.add_argument("--pos-dim", dest="pos_dim", type=int)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--mode", choices=("chart", "transition", "joint"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--decoder", choices=tuple(DECODERS))
     p.add_argument("--seed", type=int)
     p.add_argument("--grad-clip", dest="grad_clip", type=float)
@@ -320,11 +324,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # an overflow ends in NonFiniteScore alone, with no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, TrainingDiverged) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, ModelError, ExactTooLarge) as exc:
+    except (CorpusError, ModelError, ExactTooLarge, NonFiniteScore) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -133,11 +133,6 @@ class RstTree:
         self.splits = dict(splits)
         self.labels = labels
 
-    @classmethod
-    def single_leaf(cls, relation: int = LEAF_RELATION,
-                    nuclearity: Nuclearity = Nuclearity.LEAF) -> "RstTree":
-        return cls([LabeledSpan(0, 1, relation, nuclearity)], 1, {})
-
     def has_span(self, i: int, j: int) -> bool:
         return (i, j) in self.labels
 

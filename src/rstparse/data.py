@@ -11,8 +11,8 @@ On-disk layout of a corpus directory:
   ``(<NN|NS|SN> <Relation> <child> <child>)``.
 
 Files are UTF-8 with LF line endings.  Every text file is opened with
-``open_text``, so bytes that are not UTF-8 raise a CorpusError naming the
-file.
+``open_text``, so bytes that are not UTF-8, and errors in the text read
+from it, raise a CorpusError naming the file.
 """
 
 from __future__ import annotations
@@ -70,13 +70,18 @@ class TreeInvariantError(CorpusError):
 @contextmanager
 def open_text(path: str, error: type[Exception] = CorpusError):
     """``path`` opened as UTF-8 text.  Bytes that are not UTF-8, met while
-    the file is read, raise ``error`` naming the file; a file that cannot be
-    opened stays an OSError."""
+    the file is read, raise ``error`` naming the file.  A CorpusError raised
+    while it is open, such as a parse error in its text, keeps its type and
+    gets the file's name before its message.  A file that cannot be opened
+    stays an OSError."""
     try:
         with open(path, encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except CorpusError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 class Vocab:
@@ -239,12 +244,18 @@ def parse_tree_text(text: str, rel_vocab: RelationVocab,
 
     pos = 0
 
-    def expect(what: str):
+    def take(what: str, want: str | None = None):
+        """The next token with its line and column; it must be ``want``
+        when that is given."""
         nonlocal pos
         if pos >= len(tokens):
             raise TreeSyntaxError(f"expected {what}, found end of input",
                                   tokens[-1][1], tokens[-1][2])
-        return tokens[pos]
+        tok, line, col = tokens[pos]
+        if want is not None and tok != want:
+            raise TreeSyntaxError(f"expected {what}, found {tok!r}", line, col)
+        pos += 1
+        return tok, line, col
 
     spans: list[LabeledSpan] = []
     splits: dict[tuple[int, int], int] = {}
@@ -253,19 +264,14 @@ def parse_tree_text(text: str, rel_vocab: RelationVocab,
     # stack instead of recursion reads trees of any depth.
     open_nodes: list[list] = []
     while True:
-        tok, line, col = expect("'('")
-        if tok != "(":
-            raise TreeSyntaxError(f"expected '(', found {tok!r}", line, col)
-        pos += 1
-        head, line, col = expect("node head")
-        pos += 1
+        take("'('", "(")
+        head, line, col = take("node head")
         if head != LEAF_RELATION_NAME:
             if head not in ("NN", "NS", "SN"):
                 raise TreeSyntaxError(f"expected NN, NS, SN or {LEAF_RELATION_NAME},"
                                       f" found {head!r}", line, col)
             nuc = Nuclearity[head]
-            rel_name, rline, rcol = expect("relation label")
-            pos += 1
+            rel_name, rline, rcol = take("relation label")
             try:
                 rel = rel_vocab.index(rel_name)
             except KeyError:
@@ -277,15 +283,11 @@ def parse_tree_text(text: str, rel_vocab: RelationVocab,
                     f"line {rline}, column {rcol}: reserved label on internal node")
             open_nodes.append([nuc, rel])
             continue
-        num, nline, ncol = expect("EDU number")
-        pos += 1
+        num, nline, ncol = take("EDU number")
         if not num.isdigit() or int(num) < 1:
             raise TreeSyntaxError(f"bad EDU number {num!r}", nline, ncol)
         k = int(num)
-        close, cline, ccol = expect("')'")
-        if close != ")":
-            raise TreeSyntaxError(f"expected ')', found {close!r}", cline, ccol)
-        pos += 1
+        take("')'", ")")
         spans.append(LabeledSpan(k - 1, k, LEAF_RELATION, Nuclearity.LEAF))
         done = (k - 1, k)
         # Close every open node whose second child this completes.
@@ -294,10 +296,7 @@ def parse_tree_text(text: str, rel_vocab: RelationVocab,
             if left[1] != done[0]:
                 raise TreeInvariantError(
                     f"children spans {left} and {done} are not adjacent")
-            close, cline, ccol = expect("')'")
-            if close != ")":
-                raise TreeSyntaxError(f"expected ')', found {close!r}", cline, ccol)
-            pos += 1
+            take("')'", ")")
             i, j = left[0], done[1]
             spans.append(LabeledSpan(i, j, rel, nuc))
             splits[(i, j)] = left[1]
@@ -350,15 +349,6 @@ def serialize_tree(tree: RstTree, rel_vocab: RelationVocab) -> str:
     return "".join(out) + "\n"
 
 
-def parse_document(doc_id: str, edus_text: str, tree_text: str | None,
-                   rel_vocab: RelationVocab) -> Document:
-    edus = parse_edus_text(edus_text)
-    gold = None
-    if tree_text is not None:
-        gold = parse_tree_text(tree_text, rel_vocab, n_edus=len(edus))
-    return Document(doc_id, edus, gold)
-
-
 # --- corpus directories ---------------------------------------------------
 
 def parse_manifest(text: str) -> RelationVocab:
@@ -377,7 +367,7 @@ def parse_manifest(text: str) -> RelationVocab:
         raise UnknownRelationError(str(exc)) from None
 
 
-def load_corpus(directory: str, require_trees: bool = True) -> Corpus:
+def load_corpus(directory: str) -> Corpus:
     manifest = os.path.join(directory, MANIFEST_NAME)
     if not os.path.exists(manifest):
         raise CorpusError(f"missing manifest {manifest}")
@@ -392,17 +382,12 @@ def load_corpus(directory: str, require_trees: bool = True) -> Corpus:
         edus_path = os.path.join(directory, name)
         tree_path = os.path.join(directory, doc_id + ".tree")
         with open_text(edus_path) as fh:
-            edus_text = fh.read()
-        tree_text = None
-        if os.path.exists(tree_path):
-            with open_text(tree_path) as fh:
-                tree_text = fh.read()
-        elif require_trees:
+            edus = parse_edus_text(fh.read())
+        if not os.path.exists(tree_path):
             raise CorpusError(f"missing tree file for {doc_id}")
-        try:
-            docs.append(parse_document(doc_id, edus_text, tree_text, rel_vocab))
-        except CorpusError as exc:
-            raise type(exc)(f"{doc_id}: {exc}") from None
+        with open_text(tree_path) as fh:
+            gold = parse_tree_text(fh.read(), rel_vocab, n_edus=len(edus))
+        docs.append(Document(doc_id, edus, gold))
     if not docs:
         raise CorpusError(f"no .edus files in {directory}")
 
@@ -479,18 +464,17 @@ def load_embeddings(path: str, vocab: Vocab) -> PretrainedEmbeddings:
                 dim = int(fields[1])
                 continue
             if len(fields) < 2:
-                raise CorpusError(f"{path}, line {lineno}: too few fields")
+                raise CorpusError(f"line {lineno}: too few fields")
             token = fields[0]
             try:
                 vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
             except ValueError:
-                raise CorpusError(
-                    f"{path}, line {lineno}: unparseable float") from None
+                raise CorpusError(f"line {lineno}: unparseable float") from None
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:
                 raise CorpusError(
-                    f"{path}, line {lineno}: expected {dim} values, found {len(vec)}")
+                    f"line {lineno}: expected {dim} values, found {len(vec)}")
             vectors[token] = vec
     if not vectors:
         raise CorpusError(f"{path}: empty embedding file")

@@ -29,12 +29,18 @@ REL = "rel"
 NUC = "nuc"
 ACTION = "action"
 
-STACK_ARITY = 3
-QUEUE_ARITY = 3
+STACK_SLOTS = 3
+QUEUE_SLOTS = 3
+SLOTS = 2 * STACK_SLOTS + QUEUE_SLOTS     # EDU rows per action-scorer input
 
 
 class ModelError(ValueError):
     """A model file that cannot be read or does not describe a valid model."""
+
+
+def action_count(n_rel: int) -> int:
+    """SHIFT, then one REDUCE per real relation and internal nuclearity."""
+    return 1 + 3 * (n_rel - 1)
 
 
 def scorer_widths(hidden: int, n_rel: int) -> dict[str, tuple[int, int]]:
@@ -42,8 +48,7 @@ def scorer_widths(hidden: int, n_rel: int) -> dict[str, tuple[int, int]]:
     return {SPAN: (8 * hidden, 1),
             REL: (16 * hidden, n_rel),
             NUC: (16 * hidden, NUM_NUCLEARITIES),
-            ACTION: ((2 * STACK_ARITY + QUEUE_ARITY) * 4 * hidden,
-                     1 + 3 * (n_rel - 1))}
+            ACTION: (SLOTS * 4 * hidden, action_count(n_rel))}
 
 
 def glorot(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
@@ -79,7 +84,7 @@ class ModelParams:
 
     @property
     def n_actions(self) -> int:
-        return 1 + 3 * (self.n_rel - 1)
+        return action_count(self.n_rel)
 
     @property
     def edu_dim(self) -> int:
@@ -296,15 +301,6 @@ class RowFeedforward:
         for b, P in enumerate(self._views):
             np.matmul(M, W1[:, b * d:(b + 1) * d].T, out=P)
         self._blocks = np.arange(blocks)
-
-    def first_bad(self) -> str | None:
-        """Where the projections hold a non-finite value, or None."""
-        for b, P in enumerate(self.proj):
-            bad = ~np.isfinite(P)
-            if bad.any():
-                row, col = np.argwhere(bad)[0]
-                return f"block {b}, EDU {row}, unit {col}"
-        return None
 
     def __call__(self, *index: np.ndarray) -> np.ndarray:
         Z = self._views[0][index[0]]

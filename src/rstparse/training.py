@@ -34,6 +34,7 @@ from .transition import greedy_parse, transition_loss
 
 MODES = ("chart", "transition", "joint")
 PARSE_METHODS = ("exact", "partial", "complete", "transition")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8    # Kingma & Ba 2015
 
 
 @dataclass
@@ -86,9 +87,8 @@ class TrainConfig:
 
 def joint_loss(doc: Document, params: ModelParams, cfg: TrainConfig,
                masks=None) -> tuple[Tensor, ChartDiagnostics | None]:
-    """Mode-dispatched loss; both losses read one EDU node, encoded once."""
-    if doc.gold is None:
-        raise ValueError(f"document {doc.doc_id} has no gold tree")
+    """Mode-dispatched loss; both losses read one EDU node, encoded once.
+    Each loss raises ValueError for a document without a gold tree."""
     enc = encode_document(doc, params, masks)
     if cfg.mode == "transition":
         return transition_loss(doc, params, masks, enc), None
@@ -119,8 +119,7 @@ class AdamState:
 
 def adam_step(arrays: dict[str, np.ndarray],
               grads: dict[str, np.ndarray | ops.RowGrad],
-              state: AdamState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8,
+              state: AdamState, lr: float,
               clip: float | None = None) -> None:
     """One in-place Adam update (Kingma & Ba 2015); arrays keep their
     identity (shared storage).
@@ -150,8 +149,8 @@ def adam_step(arrays: dict[str, np.ndarray],
             factor = clip / norm
             grads = {k: g * factor for k, g in grads.items()}
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
     for name, g in grads.items():
         m, v = state.m[name], state.v[name]
         rows = None
@@ -165,11 +164,11 @@ def adam_step(arrays: dict[str, np.ndarray],
             m, v, g = m[rows], v[rows], g_rows
         elif name in state.touched:       # the mask must cover every m, v != 0
             state.touched[name] |= np.any(g != 0.0, axis=1)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        step = lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        step = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         if rows is None:
             arrays[name] -= step
         else:

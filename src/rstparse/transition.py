@@ -26,19 +26,20 @@ from .core import (
     RstTree,
     SHIFT,
 )
+from .chart import NonFiniteScore, first_nonfinite
 from .encoder import (
     ACTION,
+    QUEUE_SLOTS,
+    SLOTS,
+    STACK_SLOTS,
     DropoutMasks,
     Feedforward,
     ModelParams,
     RowFeedforward,
+    action_count,
     encode_document,
 )
 from .ops import Tensor
-
-STACK_SLOTS = 3
-QUEUE_SLOTS = 3
-SLOTS = 2 * STACK_SLOTS + QUEUE_SLOTS     # EDU rows per action-scorer input
 
 
 class ParserState:
@@ -57,11 +58,6 @@ class ParserState:
         self.shifted = shifted
         self.spans = spans
         self.splits = splits
-
-    @property
-    def queue(self) -> range:
-        """1-based indices of the EDUs still waiting."""
-        return range(self.shifted + 1, self.n + 1)
 
 
 def initial_state(n: int) -> ParserState:
@@ -130,7 +126,7 @@ def action_index(action: Action, n_rel: int) -> int:
 
 
 def index_action(index: int, n_rel: int) -> Action:
-    n_actions = 1 + 3 * (n_rel - 1)
+    n_actions = action_count(n_rel)
     if not 0 <= index < n_actions:
         raise ValueError(f"action index {index} out of range 0..{n_actions - 1}")
     if index == 0:
@@ -212,7 +208,8 @@ def greedy_parse(doc: Document, params: ModelParams,
     them and one sum.  ``enc`` is the EDU node encode_document returns; only
     its ``data`` is kept, so an encoding made here has its tape freed before
     the loop.  While the stack holds fewer than two spans SHIFT is the only
-    legal action, and the state is not scored.
+    legal action, and the state is not scored.  A scored state with a NaN or
+    infinite score raises NonFiniteScore.
     """
     M = (enc if enc is not None else encode_document(doc, params)).data
     padded = np.vstack((M, np.zeros((1, M.shape[1]))))
@@ -223,6 +220,10 @@ def greedy_parse(doc: Document, params: ModelParams,
         choice = 0
         if len(state.stack) >= 2:
             scores = scorer.one(slot_rows(state))[0]
+            at = first_nonfinite(scores)
+            if at is not None:    # every action so far added one span
+                raise NonFiniteScore(f"non-finite score: action[{at[0]}] = "
+                                     f"{scores[at]} at step {len(state.spans)}")
             if state.shifted == state.n:
                 scores = np.where(reduce_only, scores, -np.inf)
             choice = int(np.argmax(scores))

@@ -24,7 +24,10 @@ gradient it stored, the reference for the one that keeps them as they are;
 and the one-direction LSTM op with the encoder composed from two of them,
 the references for ``ops.bilstm``; and the greedy loop that scored every
 state, forced shifts included, with the per-block projection list it read,
-the references for the one-gather greedy parse and the stacked projections.
+the references for the one-gather greedy parse and the stacked projections;
+and the split totals read with 2-D fancy indexing, the reference for the
+flat-offset kernel the decoders share.  ``single_leaf`` and ``queue`` are
+conveniences only the tests read.
 """
 
 import numpy as np
@@ -38,7 +41,7 @@ from rstparse.chart import (
     _empty_chart,
     _fill_leaves,
     _layout,
-    _split_totals,
+    _tree_cells,
     chart_scores,
 )
 from rstparse.core import (
@@ -53,16 +56,16 @@ from rstparse.core import (
 from rstparse.encoder import (
     ACTION,
     NUC,
+    QUEUE_SLOTS,
     REL,
+    SLOTS,
     SPAN,
+    STACK_SLOTS,
     Feedforward,
     RowFeedforward,
     encode_document,
 )
 from rstparse.transition import (
-    QUEUE_SLOTS,
-    SLOTS,
-    STACK_SLOTS,
     action_index,
     apply_action,
     finish,
@@ -93,6 +96,16 @@ def make_tree(n, splits, labels=None):
 
     rec(0, n)
     return RstTree(spans, n, splits)
+
+
+def single_leaf():
+    """The one tree over a single EDU."""
+    return RstTree([LabeledSpan(0, 1, LEAF_RELATION, Nuclearity.LEAF)], 1, {})
+
+
+def queue(state):
+    """1-based indices of the EDUs a parser state has still to shift."""
+    return range(state.shifted + 1, state.n + 1)
 
 
 def chain_tree(n, right=True, n_labels=3):
@@ -162,6 +175,17 @@ def brute_force_best(n, tabs):
     return best_tree, best_score
 
 
+def ref_split_totals(span, best, width):
+    """chart._split_totals with 2-D fancy indexing: span(i,k) + span(k,j) +
+    best(i,k) + best(k,j) for the cells (i, i + width), one row per i, one
+    column per split k; the reference for the kernel that reads the charts
+    at flat offsets, which must add in the same order."""
+    i = np.arange(span.shape[0] - width)[:, None]
+    ks = i + np.arange(1, width)
+    j = i + width
+    return span[i, ks] + span[ks, j] + best[i, ks] + best[ks, j]
+
+
 def ref_decode_exact(n, scores):
     """The exact decoder as a scalar loop over (cell, split, relation,
     nuclearity), a strict > keeping the first maximum: the reference for
@@ -171,7 +195,7 @@ def ref_decode_exact(n, scores):
     best, bsplit, brel, bnuc = _empty_chart(n)
     _fill_leaves(t, best, brel, bnuc)
     for width in range(2, n + 1):
-        totals = _split_totals(t.span, best, width).tolist()
+        totals = ref_split_totals(t.span, best, width).tolist()
         for i, pair in enumerate(totals):
             j = i + width
             # the cell's rows are contiguous, one per split k = i+1..j-1
@@ -193,7 +217,7 @@ def ref_decode_exact(n, scores):
             bsplit[i, j] = bk
             brel[i, j] = bl
             bnuc[i, j] = bp
-    return _backtrace(n, bsplit, brel, bnuc), float(best[0, n])
+    return _backtrace(n, _tree_cells(n, bsplit), brel, bnuc), float(best[0, n])
 
 
 def ref_rows(n):

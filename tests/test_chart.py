@@ -11,6 +11,8 @@ from conftest import (
     ref_score_nuc,
     ref_score_rel,
     ref_score_tree_symbolic,
+    ref_split_totals,
+    single_leaf,
 )
 
 from rstparse import chart, ops
@@ -67,11 +69,9 @@ class TestScoreTree:
         assert score_tree(tree, oracle) == 12.125
 
     def test_single_leaf_document(self):
-        from rstparse.core import RstTree
-
         oracle = TableOracle(2, rel={(0, 1, 0, 0): 1.5},
                              nuc={(0, 1, 0, 3): 0.25})
-        assert score_tree(RstTree.single_leaf(), oracle) == 1.75
+        assert score_tree(single_leaf(), oracle) == 1.75
         tree, score = decode_exact(1, oracle)
         assert score == 1.75
         assert set(tree.labels) == {(0, 1)}
@@ -210,6 +210,25 @@ class TestExactAgainstScalarLoop:
                 negative_zeros += score.hex() == "-0x0.0p+0"
         # the signed-zero tables do reach the root
         assert negative_zeros > 0
+
+
+class TestSplitTotals:
+    def test_flat_offsets_equal_the_2d_reference(self):
+        """The kernel all three decoders share reads the charts at flat
+        offsets; it must give the 2-D gather's bits for every width."""
+        for n in list(range(1, 41)) + [80]:
+            rng = np.random.default_rng(n)
+            span, best = rng.standard_normal((2, n + 1, n + 1))
+            # signed zeros and a coarse grid, so that sums tie and cancel
+            span[rng.random(span.shape) < 0.2] = -0.0
+            best = np.round(best * 8) / 8
+            for s in (span, np.asfortranarray(span)):
+                for width in range(2, n + 1):
+                    got = chart._split_totals(s, best, width)
+                    want = ref_split_totals(s, best, width)
+                    assert got.shape == want.shape == (n + 1 - width,
+                                                       width - 1)
+                    assert got.tobytes() == want.tobytes(), (n, width)
 
 
 class TestExactMemoryBudget:

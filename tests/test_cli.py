@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,122 @@ class TestNonUtf8Input:
         assert code == (2 if kind == "config" else 1), err
         assert err.startswith(f"{kind} error: {bad}: not UTF-8 text"), err
         assert "Traceback" not in err
+
+
+def one_error_line(argv, capsys):
+    """main's exit code and its one stderr line; numpy warnings, raised as
+    errors here, would end in a traceback instead."""
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    return code, lines[0]
+
+
+class TestNonFiniteModel:
+    """A model that loads, with finite arrays, but whose scores overflow:
+    every parse method ends in a data error naming the first bad score."""
+
+    @pytest.fixture
+    def save_model(self, corpus_dir, tmp_path):
+        from rstparse.data import load_corpus
+        from rstparse.encoder import ModelParams
+
+        corpus = load_corpus(corpus_dir)
+
+        def save(**values):
+            params = ModelParams.init(
+                corpus.word_vocab, corpus.pos_vocab, corpus.rel_vocab,
+                np.random.default_rng(0), word_dim=2, pos_dim=2, hidden=2,
+                ff_hidden=2)
+            for name, value in values.items():
+                params.arrays[name][...] = value
+            path = str(tmp_path / "model.npz")
+            params.save(path)
+            return path
+
+        return save
+
+    def parse(self, model, decoder, corpus_dir, tmp_path, capsys):
+        edus = sorted(os.path.join(corpus_dir, f)
+                      for f in os.listdir(corpus_dir) if f.endswith(".edus"))
+        return one_error_line(["parse", "--model", model, "--out-dir",
+                               str(tmp_path / "pred"), "--decoder", decoder]
+                              + edus, capsys)
+
+    @pytest.mark.parametrize("decoder, message", [
+        ("partial", "span[0, 1] = inf"),
+        ("transition", "action[0] = -inf at step 2"),
+    ])
+    def test_overflowing_span_and_action_scores(
+            self, decoder, message, save_model, corpus_dir, tmp_path, capsys):
+        model = save_model(**{"span.W2": 1e308, "span.b1": 1.0,
+                              "action.W2": -1e308, "action.b1": 1.0})
+        code, line = self.parse(model, decoder, corpus_dir, tmp_path, capsys)
+        assert code == 1
+        assert line == f"data error: non-finite score: {message}"
+
+    @pytest.mark.parametrize("decoder, cell", [
+        ("exact", "0, 1, 0"), ("partial", "0, 1, 0"), ("complete", "0, 3, 2"),
+    ])
+    def test_overflowing_relation_scores(self, decoder, cell, save_model,
+                                         corpus_dir, tmp_path, capsys):
+        model = save_model(**{"rel.W2": 1e308, "rel.b1": 1.0})
+        code, line = self.parse(model, decoder, corpus_dir, tmp_path, capsys)
+        assert code == 1
+        assert line == f"data error: non-finite score: rel[{cell}][0] = inf"
+
+
+class TestMalformedFileNamed:
+    """A file named on the command line that does not parse is named in
+    the data error, before the line and column."""
+
+    def test_parse(self, corpus_dir, tmp_path, capsys):
+        from rstparse.data import load_corpus
+        from rstparse.encoder import ModelParams
+
+        corpus = load_corpus(corpus_dir)
+        model = str(tmp_path / "model.npz")
+        ModelParams.init(corpus.word_vocab, corpus.pos_vocab,
+                         corpus.rel_vocab, np.random.default_rng(0),
+                         word_dim=2, pos_dim=2, hidden=2,
+                         ff_hidden=2).save(model)
+        bad = tmp_path / "d.edus"
+        bad.write_text("foo bar_NN\n")
+        code, line = one_error_line(["parse", "--model", model, "--out-dir",
+                                     str(tmp_path / "out"), str(bad)], capsys)
+        assert code == 1
+        assert line.startswith(f"data error: {bad}: line 1, column 1: ")
+
+    def test_eval(self, corpus_dir, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for name in os.listdir(corpus_dir):
+            if name.endswith(".tree"):
+                (pred / name).write_text("(NN Cause (LEAF 1)\n")
+        bad = pred / "doc0000.tree"
+        code, line = one_error_line(["eval", "--gold", corpus_dir, "--pred",
+                                     str(pred)], capsys)
+        assert code == 1
+        assert line.startswith(f"data error: {bad}: line ")
+
+    @pytest.mark.parametrize("which", ["tree", "manifest"])
+    def test_oracle(self, which, corpus_dir, tmp_path, capsys):
+        tree = os.path.join(corpus_dir, "doc0000.tree")
+        manifest = os.path.join(corpus_dir, "relations.txt")
+        bad = tmp_path / "bad"
+        if which == "tree":
+            bad.write_text("(NN Nope (LEAF 1) (LEAF 2))\n")
+            tree = str(bad)
+        else:
+            bad.write_text("Cause\nCause\n")
+            manifest = str(bad)
+        code, line = one_error_line(["oracle", tree, "--manifest", manifest],
+                                    capsys)
+        assert code == 1
+        assert line.startswith(f"data error: {bad}: ")
 
 
 class TestOracleCommand:

@@ -17,7 +17,7 @@ from rstparse.core import (
 )
 
 
-from conftest import make_tree
+from conftest import make_tree, single_leaf
 
 
 class TestRelationVocab:
@@ -51,7 +51,7 @@ class TestNuclearity:
 
 class TestRstTree:
     def test_single_leaf(self):
-        t = RstTree.single_leaf()
+        t = single_leaf()
         assert t.n == 1
         assert validate_tree(t) is None
         assert set(t.labels) == {(0, 1)}
@@ -133,7 +133,7 @@ class TestDocument:
     def test_gold_tree_size_checked(self):
         edus = [Edu(("a",), ("DT",), 1), Edu(("b",), ("NN",), 2)]
         with pytest.raises(ValueError):
-            Document("d", edus, RstTree.single_leaf())
+            Document("d", edus, single_leaf())
 
     def test_n_property(self):
         edus = [Edu(("a",), ("DT",), 1), Edu(("b",), ("NN",), 2)]

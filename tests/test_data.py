@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,12 @@ class TestCorpusIO:
         bad.write_text("(NS Nope (LEAF 1) (LEAF 2))\n")
         with pytest.raises(UnknownRelationError, match=doc_id):
             load_corpus(str(tmp_path / "c"))
+        # a syntax error keeps its type and position
+        bad.write_text("\n(NS Elaboration (LEAF 1)\n")
+        with pytest.raises(TreeSyntaxError,
+                           match=f"^{re.escape(str(bad))}: line 2, ") as err:
+            load_corpus(str(tmp_path / "c"))
+        assert err.value.line == 2
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorpusError, match="manifest"):
@@ -186,12 +194,8 @@ class TestCorpusIO:
         save_corpus(corpus, str(tmp_path / "c"))
         victim = corpus.documents[0].doc_id
         (tmp_path / "c" / (victim + ".tree")).unlink()
-        with pytest.raises(CorpusError, match="missing tree"):
+        with pytest.raises(CorpusError, match=f"missing tree file for {victim}"):
             load_corpus(str(tmp_path / "c"))
-        partial = load_corpus(str(tmp_path / "c"), require_trees=False)
-        golds = {d.doc_id: d.gold for d in partial.documents}
-        assert golds[victim] is None
-        assert sum(g is not None for g in golds.values()) == 1
 
 
 class TestSplit:

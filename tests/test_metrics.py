@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import make_tree
+from conftest import make_tree, single_leaf
 
-from rstparse.core import Nuclearity, RelationVocab, RstTree
+from rstparse.core import Nuclearity, RelationVocab
 from rstparse.data import random_tree
 from rstparse.metrics import (
     DocScore,
@@ -61,7 +61,7 @@ class TestScorePair:
         assert c.triple("relation") == (1, 2, 2)
 
     def test_single_leaf_document(self):
-        t = RstTree.single_leaf()
+        t = single_leaf()
         c = score_pair(t, t)
         assert c.triple("span") == (1, 1, 1)
         assert c.triple("nuclearity") == (0, 0, 0)
@@ -69,7 +69,7 @@ class TestScorePair:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            score_pair(RstTree.single_leaf(), make_tree(2, {(0, 2): 1}))
+            score_pair(single_leaf(), make_tree(2, {(0, 2): 1}))
 
     def test_matched_bounded_by_totals(self):
         rng = np.random.default_rng(0)

@@ -7,16 +7,23 @@ A name counts as used when another module of the package reads it as
 ``from .module import name``, when its own module names it outside its
 definition, or when ``perfbench/`` reads it, as ``module.name`` or by name
 (``tracer.wrap(module, "name", ...)``).  Exports from
-``rstparse/__init__.py`` are imports of the second kind.  Code that only
-the tests call belongs in their reference, ``tests/conftest.py``.
+``rstparse/__init__.py`` are imports of the second kind.
+
+Every public method and property of those classes is read too: some code
+in ``src/`` or ``perfbench/``, or the acceptance tests, reads its name as an
+attribute (``x.name``, or ``tracer.wrap(cls, "name", ...)``) outside its own
+definition.  Code that only the other tests call belongs in their
+reference, ``tests/conftest.py``.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rstparse"
 BENCH = ROOT / "perfbench"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
 def parse(paths):
@@ -78,8 +85,44 @@ def unused_names():
     return unused
 
 
+def attributes_read(node):
+    """How often each name is read as an attribute under ``node``: loads of
+    ``x.name`` and string second arguments, as in ``wrap(cls, "name")``."""
+    read = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            read[sub.attr] += 1
+        elif (isinstance(sub, ast.Call) and len(sub.args) >= 2
+              and isinstance(sub.args[1], ast.Constant)
+              and isinstance(sub.args[1].value, str)):
+            read[sub.args[1].value] += 1
+    return read
+
+
+def unused_methods():
+    package = parse(sorted(PACKAGE.glob("*.py")))
+    readers = list(package.values()) + list(
+        parse(sorted(BENCH.glob("*.py")) + [ACCEPTANCE]).values())
+    read = sum((attributes_read(tree) for tree in readers), Counter())
+    unused = []
+    for path, tree in package.items():
+        for cls in public_defs(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")
+                        and read[node.name] <= attributes_read(node)[node.name]):
+                    unused.append(f"{path.stem}.{cls.name}.{node.name}")
+    return unused
+
+
 def test_every_public_definition_is_used_outside_the_tests():
     assert unused_names() == []
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    assert unused_methods() == []
 
 
 def test_a_numpy_function_of_the_same_name_is_not_a_use():
