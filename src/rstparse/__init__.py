@@ -3,7 +3,6 @@ complete-independence) and a shift-reduce parser over one learned span
 representation, trained with structured margin losses."""
 
 from .core import (
-    Action,
     Document,
     Edu,
     LabeledSpan,
@@ -12,9 +11,7 @@ from .core import (
     Nuclearity,
     RelationVocab,
     RstTree,
-    span_count,
     structural_error,
-    tree_structures_count,
     validate_tree,
 )
 from .chart import (

@@ -11,6 +11,7 @@ file, then explicit flags, in that order.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -34,7 +35,6 @@ from .data import (
 from .encoder import ModelError, ModelParams, encode_document
 from .metrics import evaluate_trees, format_report, machine_rows
 from .training import (
-    MODES,
     PARSE_METHODS,
     REPORT_HEADER,
     TrainConfig,
@@ -51,22 +51,14 @@ class ConfigError(Exception):
     pass
 
 
-_COERCERS = {
-    "max_epochs": int,
-    "lr": float,
-    "dropout": float,
-    "hidden": int,
-    "ff_hidden": int,
-    "word_dim": int,
-    "pos_dim": int,
-    "gamma": float,
-    "mode": str,
-    "decoder": str,
-    "seed": int,
-    "grad_clip": lambda v: None if v.lower() == "none" else float(v),
-    "selection": str,
-    "dev_size": int,
-}
+def optional_float(text: str) -> float | None:
+    return None if text.lower() == "none" else float(text)
+
+
+# Each training setting, as a config key and a --flag: the fields of
+# TrainConfig, typed as their defaults, and dev_size.
+_COERCERS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+_COERCERS.update(grad_clip=optional_float, dev_size=int)
 
 
 def parse_config_file(path: str) -> dict:
@@ -98,10 +90,8 @@ def parse_config_file(path: str) -> dict:
 
 def build_train_config(args) -> tuple[TrainConfig, int]:
     values = parse_config_file(args.config) if args.config else {}
-    for key in _COERCERS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values.update((key, getattr(args, key)) for key in _COERCERS
+                  if hasattr(args, key))
     dev_size = values.pop("dev_size", 0)
     cfg = TrainConfig()
     for key, val in values.items():
@@ -149,11 +139,18 @@ def cmd_train(args) -> int:
 
 
 def _load_documents(paths) -> list[Document]:
-    docs = []
+    """One document per path, its id the base name without ``.edus``.  Two
+    paths with one id would write one prediction file, so they are a
+    CorpusError."""
+    docs, seen = [], {}
     for path in paths:
         doc_id = os.path.basename(path)
         if doc_id.endswith(".edus"):
             doc_id = doc_id[:-len(".edus")]
+        if doc_id in seen:
+            raise CorpusError(f"{seen[doc_id]} and {path} both give document "
+                              f"id {doc_id!r}")
+        seen[doc_id] = path
         with open_text(path) as fh:
             docs.append(Document(doc_id, parse_edus_text(fh.read())))
     return docs
@@ -161,8 +158,9 @@ def _load_documents(paths) -> list[Document]:
 
 def cmd_parse(args) -> int:
     params = ModelParams.load(args.model)
+    docs = _load_documents(args.edus)
     os.makedirs(args.out_dir, exist_ok=True)
-    for doc in _load_documents(args.edus):
+    for doc in docs:
         tree = predict_tree(doc, params, args.decoder)
         out_path = os.path.join(args.out_dir, doc.doc_id + ".tree")
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -214,6 +212,10 @@ def cmd_oracle(args) -> int:
 def cmd_compare(args) -> int:
     params = ModelParams.load(args.model)
     corpus = load_corpus(args.corpus)
+    if corpus.rel_vocab != params.rel_vocab:
+        raise CorpusError(f"{args.corpus} has relations "
+                          f"{list(corpus.rel_vocab.names[1:])}, the model "
+                          f"{list(params.rel_vocab.names[1:])}")
     methods = list(PARSE_METHODS)
 
     scores: dict[str, list[float]] = {m: [] for m in methods}
@@ -270,21 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="epoch report path "
                                     "(default: <out>.report.tsv)")
     p.add_argument("--embeddings", help="GloVe-style pretrained vectors")
-    p.add_argument("--dev-size", dest="dev_size", type=int,
-                   help="held-out documents; 0 evaluates on the training set")
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--ff-hidden", dest="ff_hidden", type=int)
-    p.add_argument("--word-dim", dest="word_dim", type=int)
-    p.add_argument("--pos-dim", dest="pos_dim", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--decoder", choices=tuple(DECODERS))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--grad-clip", dest="grad_clip", type=float)
-    p.add_argument("--selection")
+    for key, coerce in _COERCERS.items():    # absent unless given
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=coerce,
+                       default=argparse.SUPPRESS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("parse", help="parse .edus files with a trained model")

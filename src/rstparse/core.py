@@ -1,4 +1,4 @@
-"""Core data model for binary discourse trees: EDUs, labeled spans, trees, actions.
+"""Core data model for binary discourse trees: EDUs, labeled spans, trees.
 
 Spans use fencepost indices 0..n; span (i, j) covers EDUs i+1..j (1-based), and
 a span is a leaf exactly when j == i + 1.  Leaf spans carry the reserved labels
@@ -8,7 +8,6 @@ of NN/NS/SN.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Iterator, Mapping
@@ -29,9 +28,6 @@ INTERNAL_NUCLEARITIES = (Nuclearity.NN, Nuclearity.NS, Nuclearity.SN)
 # Reserved relation index for leaf spans; every vocabulary places it at row 0.
 LEAF_RELATION = 0
 LEAF_RELATION_NAME = "LEAF"
-
-SHIFT = "SHIFT"
-REDUCE = "REDUCE"
 
 
 class RelationVocab:
@@ -217,52 +213,6 @@ def validate_tree(tree: RstTree) -> str | None:
             if s.nuclearity not in INTERNAL_NUCLEARITIES:
                 return f"internal span ({s.i}, {s.j}) carries leaf nuclearity"
     return None
-
-
-def span_count(n: int) -> int:
-    """Number of spans in a binary tree over n EDUs (2n - 1)."""
-    if n < 1:
-        raise ValueError("need at least one EDU")
-    return 2 * n - 1
-
-
-def tree_structures_count(n: int) -> int:
-    """Number of distinct binary tree structures over n leaves (Catalan(n - 1))."""
-    if not 1 <= n <= 16:
-        raise ValueError("n out of supported range 1..16")
-    m = n - 1
-    return math.comb(2 * m, m) // (m + 1)
-
-
-@dataclass(frozen=True)
-class Action:
-    """A parser action: SHIFT, or REDUCE carrying a relation and a nuclearity."""
-
-    kind: str
-    relation: int | None = None
-    nuclearity: Nuclearity | None = None
-
-    def __post_init__(self):
-        if self.kind == SHIFT:
-            if self.relation is not None or self.nuclearity is not None:
-                raise ValueError("SHIFT carries no labels")
-        elif self.kind == REDUCE:
-            if self.relation is None or self.nuclearity is None:
-                raise ValueError("REDUCE needs a relation and a nuclearity")
-            if self.relation == LEAF_RELATION:
-                raise ValueError("REDUCE cannot carry the reserved leaf relation")
-            if self.nuclearity not in INTERNAL_NUCLEARITIES:
-                raise ValueError("REDUCE nuclearity must be NN, NS or SN")
-        else:
-            raise ValueError(f"unknown action kind {self.kind!r}")
-
-    @classmethod
-    def shift(cls) -> "Action":
-        return cls(SHIFT)
-
-    @classmethod
-    def reduce(cls, relation: int, nuclearity: Nuclearity) -> "Action":
-        return cls(REDUCE, relation, Nuclearity(nuclearity))
 
 
 @dataclass(frozen=True)

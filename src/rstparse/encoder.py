@@ -9,6 +9,10 @@ parsers read.  A span (i, j) is the concatenation of rows M[i] and M[j-1]
 (8H).  All decision scores come from two-layer feedforward networks over
 concatenations of EDU rows, applied to batches of rows both on the tape
 (gathered from M with ``ops.take_rows``) and in numpy (from ``M.data``).
+
+The action scorer's columns are the shift-reduce parser's actions, and an
+action is its column index: SHIFT is 0 and REDUCE(r, p) is 1 + 3 (r - 1) + p.
+``action_count``, ``reduce_action`` and ``reduce_labels`` hold that layout.
 """
 
 from __future__ import annotations
@@ -20,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .core import Document, RelationVocab, NUM_NUCLEARITIES
+from .core import (
+    Document,
+    INTERNAL_NUCLEARITIES,
+    LEAF_RELATION,
+    NUM_NUCLEARITIES,
+    Nuclearity,
+    RelationVocab,
+)
 from .data import Vocab, PretrainedEmbeddings
 from .ops import Tensor
 
@@ -33,6 +44,8 @@ STACK_SLOTS = 3
 QUEUE_SLOTS = 3
 SLOTS = 2 * STACK_SLOTS + QUEUE_SLOTS     # EDU rows per action-scorer input
 
+SHIFT = 0                                 # the action index of SHIFT
+
 
 class ModelError(ValueError):
     """A model file that cannot be read or does not describe a valid model."""
@@ -41,6 +54,24 @@ class ModelError(ValueError):
 def action_count(n_rel: int) -> int:
     """SHIFT, then one REDUCE per real relation and internal nuclearity."""
     return 1 + 3 * (n_rel - 1)
+
+
+def reduce_action(relation: int, nuclearity: Nuclearity) -> int:
+    """The index of REDUCE(relation, nuclearity): 1 + 3 (relation - 1) +
+    nuclearity.  A REDUCE carries a real relation and NN, NS or SN."""
+    if relation <= LEAF_RELATION:
+        raise ValueError(f"REDUCE needs a real relation, got {relation}")
+    if nuclearity not in INTERNAL_NUCLEARITIES:
+        raise ValueError("REDUCE nuclearity must be NN, NS or SN")
+    return 1 + 3 * (relation - 1) + int(nuclearity)
+
+
+def reduce_labels(action: int) -> tuple[int, Nuclearity]:
+    """The (relation, nuclearity) of REDUCE action index ``action``."""
+    if action <= SHIFT:
+        raise ValueError(f"action {action} is not a REDUCE")
+    relation, nuclearity = divmod(action - 1, 3)
+    return relation + 1, Nuclearity(nuclearity)
 
 
 def scorer_widths(hidden: int, n_rel: int) -> dict[str, tuple[int, int]]:

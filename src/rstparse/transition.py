@@ -6,8 +6,10 @@ entries under a relation and nuclearity.  Every binary tree over n EDUs has
 exactly one derivation of length 2n - 1 (post-order), which is what the
 oracle emits and the margin loss is teacher-forced on.
 
-Action indexing is fixed: 0 = SHIFT, then REDUCE actions ordered by relation
-index, nuclearity index within relation.
+An action is an int, the index of its column in the action scorer's output
+(``encoder.reduce_action`` and ``reduce_labels`` hold the layout).  Written
+out, as ``oracle --replay`` prints and reads them, actions are ``SHIFT`` and
+``REDUCE:<relation>:<NN|NS|SN>``.
 """
 
 from __future__ import annotations
@@ -16,30 +18,32 @@ import numpy as np
 
 from . import ops
 from .core import (
-    Action,
     Document,
     LabeledSpan,
     LEAF_RELATION,
     Nuclearity,
-    REDUCE,
     RelationVocab,
     RstTree,
-    SHIFT,
 )
 from .chart import NonFiniteScore, first_nonfinite
 from .encoder import (
     ACTION,
     QUEUE_SLOTS,
+    SHIFT,
     SLOTS,
     STACK_SLOTS,
     DropoutMasks,
     Feedforward,
     ModelParams,
     RowFeedforward,
-    action_count,
     encode_document,
+    reduce_action,
+    reduce_labels,
 )
 from .ops import Tensor
+
+SHIFT_TOKEN = "SHIFT"
+REDUCE_TOKEN = "REDUCE"
 
 
 class ParserState:
@@ -70,8 +74,8 @@ def is_terminal(state: ParserState) -> bool:
     return state.shifted == state.n and len(state.stack) == 1
 
 
-def apply_action(state: ParserState, action: Action) -> ParserState:
-    if action.kind == SHIFT:
+def apply_action(state: ParserState, action: int) -> ParserState:
+    if action == SHIFT:
         if state.shifted >= state.n:
             raise ValueError("SHIFT with an empty queue")
         t = state.shifted
@@ -81,7 +85,7 @@ def apply_action(state: ParserState, action: Action) -> ParserState:
     if len(state.stack) < 2:
         raise ValueError("REDUCE needs two stack entries")
     (li, lj), (ri, rj) = state.stack[-2], state.stack[-1]
-    span = LabeledSpan(li, rj, action.relation, action.nuclearity)
+    span = LabeledSpan(li, rj, *reduce_labels(action))
     return ParserState(state.n, state.stack[:-2] + ((li, rj),), state.shifted,
                        state.spans + (span,), state.splits + (((li, rj), lj),))
 
@@ -102,59 +106,42 @@ def replay(actions, n: int) -> RstTree:
     return finish(state)
 
 
-def oracle_actions(tree: RstTree) -> list[Action]:
+def oracle_actions(tree: RstTree) -> list[int]:
     """The unique post-order derivation of a tree."""
-    out: list[Action] = []
+    out: list[int] = []
     todo = [(0, tree.n, False)]     # (i, j, children done), in reverse order
     while todo:
         i, j, children_done = todo.pop()
         if children_done:
-            rel, nuc = tree.label_at(i, j)
-            out.append(Action.reduce(rel, nuc))
+            out.append(reduce_action(*tree.label_at(i, j)))
         elif j == i + 1:
-            out.append(Action.shift())
+            out.append(SHIFT)
         else:
             k = tree.splits[(i, j)]
             todo += [(i, j, True), (k, j, False), (i, k, False)]
     return out
 
 
-def action_index(action: Action, n_rel: int) -> int:
-    if action.kind == SHIFT:
-        return 0
-    return 1 + (action.relation - 1) * 3 + int(action.nuclearity)
-
-
-def index_action(index: int, n_rel: int) -> Action:
-    n_actions = action_count(n_rel)
-    if not 0 <= index < n_actions:
-        raise ValueError(f"action index {index} out of range 0..{n_actions - 1}")
-    if index == 0:
-        return Action.shift()
-    rel, nuc = divmod(index - 1, 3)
-    return Action.reduce(rel + 1, Nuclearity(nuc))
-
-
 def serialize_actions(actions, rel_vocab: RelationVocab) -> str:
     parts = []
     for a in actions:
-        if a.kind == SHIFT:
-            parts.append(SHIFT)
+        if a == SHIFT:
+            parts.append(SHIFT_TOKEN)
         else:
-            parts.append(f"{REDUCE}:{rel_vocab.name(a.relation)}"
-                         f":{Nuclearity(a.nuclearity).name}")
+            rel, nuc = reduce_labels(a)
+            parts.append(f"{REDUCE_TOKEN}:{rel_vocab.name(rel)}:{nuc.name}")
     return " ".join(parts)
 
 
-def parse_actions(text: str, rel_vocab: RelationVocab) -> list[Action]:
+def parse_actions(text: str, rel_vocab: RelationVocab) -> list[int]:
     out = []
     for item in text.split():
-        if item == SHIFT:
-            out.append(Action.shift())
+        if item == SHIFT_TOKEN:
+            out.append(SHIFT)
             continue
-        if not item.startswith(REDUCE + ":"):
+        if not item.startswith(REDUCE_TOKEN + ":"):
             raise ValueError(f"unrecognized action {item!r}")
-        rest = item[len(REDUCE) + 1:]
+        rest = item[len(REDUCE_TOKEN) + 1:]
         rel_name, _, nuc_name = rest.rpartition(":")
         if not rel_name or nuc_name not in ("NN", "NS", "SN"):
             raise ValueError(f"unrecognized action {item!r}")
@@ -162,7 +149,10 @@ def parse_actions(text: str, rel_vocab: RelationVocab) -> list[Action]:
             rel = rel_vocab.index(rel_name)
         except KeyError:
             raise ValueError(f"unknown relation in action {item!r}") from None
-        out.append(Action.reduce(rel, Nuclearity[nuc_name]))
+        try:
+            out.append(reduce_action(rel, Nuclearity[nuc_name]))
+        except ValueError as exc:
+            raise ValueError(f"action {item!r}: {exc}") from None
     return out
 
 
@@ -194,8 +184,8 @@ def legal_mask(state: ParserState, n_actions: int) -> np.ndarray:
     the queue is non-empty, every REDUCE iff the stack holds two spans or
     more."""
     legal = np.empty(n_actions, dtype=bool)
-    legal[0] = state.shifted < state.n
-    legal[1:] = len(state.stack) >= 2
+    legal[:] = len(state.stack) >= 2
+    legal[SHIFT] = state.shifted < state.n
     return legal
 
 
@@ -207,27 +197,26 @@ def greedy_parse(doc: Document, params: ModelParams,
     (see RowFeedforward), so scoring a state is one gather of SLOTS rows of
     them and one sum.  ``enc`` is the EDU node encode_document returns; only
     its ``data`` is kept, so an encoding made here has its tape freed before
-    the loop.  While the stack holds fewer than two spans SHIFT is the only
-    legal action, and the state is not scored.  A scored state with a NaN or
-    infinite score raises NonFiniteScore.
+    the loop.  Legality comes from legal_mask.  While no REDUCE is legal
+    (the stack holds fewer than two spans) SHIFT is the only legal action,
+    and the state is not scored.  A scored state with a NaN or infinite
+    score raises NonFiniteScore.
     """
     M = (enc if enc is not None else encode_document(doc, params)).data
     padded = np.vstack((M, np.zeros((1, M.shape[1]))))
     scorer = RowFeedforward(Feedforward(params, ACTION), padded, SLOTS)
-    reduce_only = np.arange(params.n_actions) > 0
     state = initial_state(doc.n)
     while not is_terminal(state):
-        choice = 0
-        if len(state.stack) >= 2:
+        legal = legal_mask(state, params.n_actions)
+        choice = SHIFT
+        if legal[-1]:    # the REDUCEs are all legal or none is
             scores = scorer.one(slot_rows(state))[0]
             at = first_nonfinite(scores)
             if at is not None:    # every action so far added one span
                 raise NonFiniteScore(f"non-finite score: action[{at[0]}] = "
                                      f"{scores[at]} at step {len(state.spans)}")
-            if state.shifted == state.n:
-                scores = np.where(reduce_only, scores, -np.inf)
-            choice = int(np.argmax(scores))
-        state = apply_action(state, index_action(choice, params.n_rel))
+            choice = int(np.argmax(np.where(legal, scores, -np.inf)))
+        state = apply_action(state, choice)
     return finish(state)
 
 
@@ -250,13 +239,13 @@ def transition_loss(doc: Document, params: ModelParams,
         raise ValueError(f"document {doc.doc_id} has no gold tree")
     if enc is None:
         enc = encode_document(doc, params, masks)
-    rows, gold, legal = [], [], []
+    gold = oracle_actions(doc.gold)
+    rows, legal = [], []
     state = initial_state(doc.n)
-    for gold_action in oracle_actions(doc.gold):
+    for action in gold:
         rows.append(slot_rows(state))
-        gold.append(action_index(gold_action, params.n_rel))
         legal.append(legal_mask(state, params.n_actions))
-        state = apply_action(state, gold_action)
+        state = apply_action(state, action)
     if not is_terminal(state):
         raise ValueError("gold derivation did not terminate")
     padded = ops.concat([enc, ops.zeros((1, enc.shape[1]))], axis=0)

@@ -12,7 +12,10 @@ composition the scorers used before, one input vector and one matvec per
 decision and five tape nodes per hinge term, with the tape ops only it
 uses (``ref_matvec``, ``ref_pick``, ``ref_row``, ``ref_narrow``,
 ``ref_mul``, ``ref_tanh`` and ``ref_sigmoid``), the span representation
-and the list of legal actions it reads.  Likewise the scalar exact
+and the list of legal actions it reads; these references, and the greedy
+loop below with its ``ref_apply``, spell out the action layout (SHIFT 0,
+REDUCE(r, p) 1 + 3 (r - 1) + p) themselves, not through the code they
+check.  Likewise the scalar exact
 decoder loop and the recursive random_tree, the references for the batched
 decoder and the iterative tree sampler; the dense-table build that sliced
 its blocks from full-length (i, j, k) arrays, the reference for the build
@@ -26,9 +29,12 @@ the references for ``ops.bilstm``; and the greedy loop that scored every
 state, forced shifts included, with the per-block projection list it read,
 the references for the one-gather greedy parse and the stacked projections;
 and the split totals read with 2-D fancy indexing, the reference for the
-flat-offset kernel the decoders share.  ``single_leaf`` and ``queue`` are
-conveniences only the tests read.
+flat-offset kernel the decoders share.  ``single_leaf``, ``queue``,
+``span_count`` and ``tree_structures_count`` are conveniences only the
+tests read.
 """
+
+import math
 
 import numpy as np
 
@@ -46,7 +52,6 @@ from rstparse.chart import (
 )
 from rstparse.core import (
     INTERNAL_NUCLEARITIES,
-    Action,
     LEAF_RELATION,
     NUM_NUCLEARITIES,
     LabeledSpan,
@@ -66,13 +71,11 @@ from rstparse.encoder import (
     encode_document,
 )
 from rstparse.transition import (
-    action_index,
+    ParserState,
     apply_action,
     finish,
-    index_action,
     initial_state,
     is_terminal,
-    legal_mask,
     oracle_actions,
     slot_rows,
 )
@@ -106,6 +109,21 @@ def single_leaf():
 def queue(state):
     """1-based indices of the EDUs a parser state has still to shift."""
     return range(state.shifted + 1, state.n + 1)
+
+
+def span_count(n: int) -> int:
+    """Number of spans in a binary tree over n EDUs (2n - 1)."""
+    if n < 1:
+        raise ValueError("need at least one EDU")
+    return 2 * n - 1
+
+
+def tree_structures_count(n: int) -> int:
+    """Number of distinct binary tree structures over n leaves (Catalan(n - 1))."""
+    if not 1 <= n <= 16:
+        raise ValueError("n out of supported range 1..16")
+    m = n - 1
+    return math.comb(2 * m, m) // (m + 1)
 
 
 def chain_tree(n, right=True, n_labels=3):
@@ -342,16 +360,36 @@ def ref_span_rep(enc, i, j):
     return ops.concat([ref_row(enc, i), ref_row(enc, j - 1)])
 
 
+def ref_action(span):
+    """The index of the action that built ``span``, the layout spelled out:
+    SHIFT is 0, REDUCE(r, p) is 1 + 3 (r - 1) + p."""
+    if span.is_leaf:
+        return 0
+    return 1 + 3 * (span.relation - 1) + int(span.nuclearity)
+
+
 def ref_legal_actions(state, n_rel):
-    """Legal actions in index order: SHIFT first, then every REDUCE variant."""
+    """Legal action indices in order: SHIFT, then every REDUCE variant."""
     out = []
     if state.shifted < state.n:
-        out.append(Action.shift())
+        out.append(0)
     if len(state.stack) >= 2:
         for rel in range(1, n_rel):
             for nuc in INTERNAL_NUCLEARITIES:
-                out.append(Action.reduce(rel, nuc))
+                out.append(1 + 3 * (rel - 1) + int(nuc))
     return out
+
+
+def ref_apply(state, action):
+    """apply_action with the layout spelled out: 0 shifts, 1 + 3 (r - 1) + p
+    reduces the top two stack spans under relation r and nuclearity p."""
+    if action == 0:
+        return apply_action(state, 0)
+    (i, k), (_, j) = state.stack[-2:]
+    rel, nuc = divmod(action - 1, 3)
+    span = LabeledSpan(i, j, rel + 1, Nuclearity(nuc))
+    return ParserState(state.n, state.stack[:-2] + ((i, j),), state.shifted,
+                       state.spans + (span,), state.splits + (((i, j), k),))
 
 
 # --- the per-decision tape composition ------------------------------------
@@ -426,12 +464,12 @@ def ref_transition_loss(doc, params, masks, enc):
     state = initial_state(doc.n)
     for gold_action in oracle_actions(doc.gold):
         scores = ref_score_actions(state, enc, params, masks)
-        star = ref_pick(scores, action_index(gold_action, n_rel))
+        after = apply_action(state, gold_action)
+        star = ref_pick(scores, ref_action(after.spans[-1]))
         for a in ref_legal_actions(state, n_rel):
-            s_a = ref_pick(scores, action_index(a, n_rel))
-            margin = ops.add(s_a, ops.scale(star, -1.0))
+            margin = ops.add(ref_pick(scores, a), ops.scale(star, -1.0))
             terms.append(ops.relu(ops.shift(margin, 1.0)))
-        state = apply_action(state, gold_action)
+        state = after
     assert is_terminal(state)
     return ops.scale(ops.addn(terms), 1.0 / params.n_actions)
 
@@ -439,7 +477,8 @@ def ref_transition_loss(doc, params, masks, enc):
 def ref_greedy_parse(doc, params, enc=None):
     """transition.greedy_parse as it ran before it skipped forced shifts:
     every state scored through RowFeedforward's batch call with one-element
-    index arrays, then the argmax over its legal_mask."""
+    index arrays, then the first best of its ref_legal_actions, applied
+    through ref_apply."""
     if enc is None:
         enc = encode_document(doc, params)
     M = enc.data
@@ -448,9 +487,9 @@ def ref_greedy_parse(doc, params, enc=None):
     state = initial_state(doc.n)
     while not is_terminal(state):
         scores = scorer(*([r] for r in slot_rows(state)))[0]
-        legal = legal_mask(state, params.n_actions)
-        choice = int(np.argmax(np.where(legal, scores, -np.inf)))
-        state = apply_action(state, index_action(choice, params.n_rel))
+        legal = ref_legal_actions(state, params.n_rel)
+        choice = legal[int(np.argmax(scores[legal]))]
+        state = ref_apply(state, choice)
     return finish(state)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,7 +16,9 @@ from rstparse.cli import (
     parse_config_file,
 )
 from rstparse.core import RelationVocab
-from rstparse.data import generate_synthetic, save_corpus
+from rstparse.data import generate_synthetic, load_corpus, save_corpus
+from rstparse.encoder import ModelParams
+from rstparse.training import TrainConfig
 
 VOCAB = RelationVocab(["Cause", "Elaboration", "Joint"])
 
@@ -88,6 +91,35 @@ class TestPrecedence:
         assert cfg.max_epochs == 15   # untouched default
         assert dev_size == 0
 
+    def test_every_setting_is_a_flag_and_a_config_key(self, tmp_path):
+        """Each TrainConfig field, and dev_size, read from a flag or from
+        the config file; every value differs from its default."""
+        want = dict(max_epochs=3, lr=0.5, dropout=0.1, hidden=4, ff_hidden=5,
+                    word_dim=6, pos_dim=7, gamma=0.25, mode="joint",
+                    decoder="exact", seed=9, grad_clip=2.5,
+                    selection="span_macro", dev_size=1)
+        keys = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert sorted(want) == sorted(keys + ["dev_size"])
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in want.items()))
+        flags = [x for k, v in want.items()
+                 for x in ("--" + k.replace("_", "-"), str(v))]
+        base = ["train", "--corpus", "x", "--out", "y"]
+        for argv in (flags, ["--config", str(cfgfile)]):
+            cfg, dev_size = build_train_config(
+                build_parser().parse_args(base + argv))
+            assert dataclasses.asdict(cfg) | {"dev_size": dev_size} == want
+            assert dataclasses.asdict(TrainConfig()).items().isdisjoint(
+                dataclasses.asdict(cfg).items())
+
+    def test_grad_clip_none_as_a_flag(self, tmp_path):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("grad_clip = 2\n")
+        args = build_parser().parse_args(
+            ["train", "--corpus", "x", "--out", "y", "--config", str(cfgfile),
+             "--grad-clip", "None"])
+        assert build_train_config(args)[0].grad_clip is None
+
     def test_invalid_combination_is_a_config_error(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("dropout = 1.5\n")
@@ -146,7 +178,8 @@ class TestTrainCommand:
                      "--config", tiny_settings, "--dev-size", "3"])
         assert code == 2
 
-    @pytest.mark.parametrize("flags", [["--grad-clip", "-1"], ["--hidden", "0"]])
+    @pytest.mark.parametrize("flags", [["--grad-clip", "-1"], ["--hidden", "0"],
+                                       ["--mode", "beam"]])
     def test_bad_training_value_is_a_config_error(self, corpus_dir,
                                                   tiny_settings, tmp_path,
                                                   capsys, flags):
@@ -333,6 +366,57 @@ class TestPipeline:
         missing = {row.split()[0]: int(row.split()[4]) for row in rows}
         assert missing == {"exact": 3, "partial": 3, "complete": 3,
                            "transition": 3}
+
+
+class TestInputsMustMatch:
+    def test_parse_rejects_files_with_one_document_id(self, corpus_dir,
+                                                      tmp_path, capsys):
+        """a/d.edus and b/d.edus would both write d.tree: a data error
+        before anything is parsed or written."""
+        corpus = load_corpus(corpus_dir)
+        model = str(tmp_path / "model.npz")
+        ModelParams.init(corpus.word_vocab, corpus.pos_vocab,
+                         corpus.rel_vocab, np.random.default_rng(0),
+                         word_dim=2, pos_dim=2, hidden=2,
+                         ff_hidden=2).save(model)
+        text = (tmp_path / "corpus" / "doc0000.edus").read_text()
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "d.edus")
+            paths[-1].write_text(text)
+        out = tmp_path / "out"
+        code, line = one_error_line(["parse", "--model", model, "--out-dir",
+                                     str(out)] + [str(p) for p in paths],
+                                    capsys)
+        assert code == 1
+        assert line == (f"data error: {paths[0]} and {paths[1]} both give "
+                        "document id 'd'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("names", [
+        ["Cause", "Elaboration", "Joint", "Contrast", "Background"],
+        ["Alpha", "Beta", "Gamma"],
+    ])
+    def test_compare_rejects_other_relations(self, names, corpus_dir,
+                                             tmp_path, capsys):
+        """A corpus whose relations are not the model's, in number or in
+        name, is a data error naming both lists, not a traceback or gold
+        trees scored under the wrong relation indices."""
+        corpus = load_corpus(corpus_dir)
+        model = str(tmp_path / "model.npz")
+        ModelParams.init(corpus.word_vocab, corpus.pos_vocab,
+                         corpus.rel_vocab, np.random.default_rng(0),
+                         word_dim=2, pos_dim=2, hidden=2,
+                         ff_hidden=2).save(model)
+        other = str(tmp_path / "other")
+        save_corpus(generate_synthetic(3, 5, RelationVocab(names), seed=31),
+                    other)
+        code, line = one_error_line(["compare", "--model", model,
+                                     "--corpus", other], capsys)
+        assert code == 1
+        assert line == (f"data error: {other} has relations {names}, the "
+                        "model ['Cause', 'Elaboration', 'Joint']")
 
 
 class TestNonUtf8Input:
@@ -528,3 +612,8 @@ class TestArgparseBehavior:
         code = main(["parse", "--model", "m", "--decoder", "beam",
                      "--out-dir", str(tmp_path), "x.edus"])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--lr", "--grad-clip", "--dev-size"])
+    def test_unreadable_train_value_exit_code(self, flag):
+        assert main(["train", "--corpus", "x", "--out", "y", flag,
+                     "fast"]) == 2

@@ -1,7 +1,6 @@
 import pytest
 
 from rstparse.core import (
-    Action,
     Document,
     Edu,
     LEAF_RELATION,
@@ -10,14 +9,12 @@ from rstparse.core import (
     NUM_NUCLEARITIES,
     RelationVocab,
     RstTree,
-    span_count,
     structural_error,
-    tree_structures_count,
     validate_tree,
 )
 
 
-from conftest import make_tree, single_leaf
+from conftest import make_tree, single_leaf, span_count, tree_structures_count
 
 
 class TestRelationVocab:
@@ -107,21 +104,6 @@ class TestRstTree:
         # 1, 1, 2, 5, 14, 42 structures for n = 1..6
         got = [tree_structures_count(n) for n in range(1, 7)]
         assert got == [1, 1, 2, 5, 14, 42]
-
-
-class TestAction:
-    def test_shift_reduce_constructors(self):
-        s = Action.shift()
-        r = Action.reduce(2, Nuclearity.SN)
-        assert s.kind == "SHIFT" and r.kind == "REDUCE"
-        assert s.relation is None
-        assert r.relation == 2 and r.nuclearity == Nuclearity.SN
-
-    def test_reduce_rejects_leaf_labels(self):
-        with pytest.raises(ValueError):
-            Action.reduce(LEAF_RELATION, Nuclearity.NN)
-        with pytest.raises(ValueError):
-            Action.reduce(1, Nuclearity.LEAF)
 
 
 class TestDocument:

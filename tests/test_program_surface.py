@@ -5,9 +5,10 @@ definition and the tests.
 A name counts as used when another module of the package reads it as
 ``module.name`` (the module bound by an import of it) or imports it with
 ``from .module import name``, when its own module names it outside its
-definition, or when ``perfbench/`` reads it, as ``module.name`` or by name
-(``tracer.wrap(module, "name", ...)``).  Exports from
-``rstparse/__init__.py`` are imports of the second kind.
+definition, or when ``perfbench/`` or the acceptance tests read it, as
+``module.name``, by an import or by name (``tracer.wrap(module, "name",
+...)``).  An export from ``rstparse/__init__.py`` is not a use: it only
+passes the name on.
 
 Every public method and property of those classes is read too: some code
 in ``src/`` or ``perfbench/``, or the acceptance tests, reads its name as an
@@ -70,12 +71,14 @@ def names_read_outside(tree, definition):
 
 def unused_names():
     package = parse(sorted(PACKAGE.glob("*.py")))
-    bench = parse(sorted(BENCH.glob("*.py")))
+    readers = parse(sorted(BENCH.glob("*.py")) + [ACCEPTANCE])
+    readers.update((p, t) for p, t in package.items()
+                   if p.name != "__init__.py")
     unused = []
     for path, tree in package.items():
         module = path.stem
         read = set()
-        for other, other_tree in list(package.items()) + list(bench.items()):
+        for other, other_tree in readers.items():
             if other != path:
                 read |= names_read_from(other_tree, module)
         for node in public_defs(tree):

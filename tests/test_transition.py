@@ -5,6 +5,7 @@ from conftest import (
     chain_tree,
     make_tree,
     queue,
+    ref_apply,
     ref_greedy_parse,
     ref_legal_actions,
     ref_score_actions,
@@ -15,20 +16,28 @@ from conftest import (
 
 from rstparse import ops
 from rstparse.chart import NonFiniteScore
-from rstparse.core import Action, Document, Nuclearity, RelationVocab
+from rstparse.core import (
+    INTERNAL_NUCLEARITIES,
+    LEAF_RELATION,
+    Document,
+    Nuclearity,
+    RelationVocab,
+)
 from rstparse.data import generate_synthetic, random_tree
 from rstparse.encoder import (
     ACTION,
+    SHIFT,
     Feedforward,
+    action_count,
     encode_document,
     make_dropout_masks,
+    reduce_action,
+    reduce_labels,
 )
 from rstparse.transition import (
-    action_index,
     apply_action,
     finish,
     greedy_parse,
-    index_action,
     initial_state,
     is_terminal,
     legal_mask,
@@ -55,10 +64,10 @@ class TestStateMachine:
 
     def test_shift_then_reduce(self):
         s = initial_state(2)
-        s = apply_action(s, Action.shift())
-        s = apply_action(s, Action.shift())
+        s = apply_action(s, SHIFT)
+        s = apply_action(s, SHIFT)
         assert s.stack == ((0, 1), (1, 2))
-        s = apply_action(s, Action.reduce(1, Nuclearity.NS))
+        s = apply_action(s, reduce_action(1, Nuclearity.NS))
         assert s.stack == ((0, 2),)
         assert is_terminal(s)
         tree = finish(s)
@@ -68,32 +77,30 @@ class TestStateMachine:
     def test_illegal_moves_rejected(self):
         s = initial_state(1)
         with pytest.raises(ValueError):
-            apply_action(s, Action.reduce(1, Nuclearity.NN))
-        s = apply_action(s, Action.shift())
+            apply_action(s, reduce_action(1, Nuclearity.NN))
+        s = apply_action(s, SHIFT)
         with pytest.raises(ValueError):
-            apply_action(s, Action.shift())
+            apply_action(s, SHIFT)
         with pytest.raises(ValueError):
             finish(initial_state(2))
 
     def test_legal_actions_in_index_order(self):
         s = initial_state(3)
-        assert ref_legal_actions(s, 3) == [Action.shift()]
-        s = apply_action(s, Action.shift())
-        s = apply_action(s, Action.shift())
+        assert ref_legal_actions(s, 3) == [SHIFT]
+        s = apply_action(s, SHIFT)
+        s = apply_action(s, SHIFT)
         acts = ref_legal_actions(s, 3)
         # SHIFT, then REDUCE over (relation, nuclearity) in index order
-        assert acts[0] == Action.shift()
-        assert len(acts) == 1 + 3 * 2
-        assert [action_index(a, 3) for a in acts] == list(range(7))
+        assert acts == [SHIFT] + [reduce_action(r, p) for r in (1, 2)
+                                  for p in INTERNAL_NUCLEARITIES]
+        assert acts == list(range(7))
         # queue exhausted: reduces only
-        s2 = apply_action(s, Action.shift())
-        acts2 = ref_legal_actions(s2, 3)
-        assert Action.shift() not in acts2
-        assert len(acts2) == 6
+        s2 = apply_action(s, SHIFT)
+        assert ref_legal_actions(s2, 3) == list(range(1, 7))
 
     def test_replay_reports_failing_step(self):
         with pytest.raises(ValueError, match="step 1"):
-            replay([Action.shift(), Action.reduce(1, Nuclearity.NN)], 2)
+            replay([SHIFT, reduce_action(1, Nuclearity.NN)], 2)
 
 
 class TestOracle:
@@ -111,10 +118,8 @@ class TestOracle:
         tree = make_tree(3, {(0, 3): 2, (0, 2): 1},
                          labels={(0, 3): (2, Nuclearity.NS),
                                  (0, 2): (1, Nuclearity.NN)})
-        actions = oracle_actions(tree)
-        assert actions == [Action.shift(), Action.shift(),
-                           Action.reduce(1, Nuclearity.NN), Action.shift(),
-                           Action.reduce(2, Nuclearity.NS)]
+        # SHIFT is 0, REDUCE(1, NN) is 1 and REDUCE(2, NS) is 1 + 3 + 1
+        assert oracle_actions(tree) == [0, 0, 1, 0, 5]
 
     @pytest.mark.parametrize("right", [True, False])
     def test_deep_chain_round_trip(self, right):
@@ -126,29 +131,34 @@ class TestOracle:
 
 class TestActionIndexing:
     def test_bijection(self):
-        n_rel = 4
-        count = 1 + 3 * (n_rel - 1)
-        seen = set()
-        for idx in range(count):
-            a = index_action(idx, n_rel)
-            assert action_index(a, n_rel) == idx
-            seen.add(a)
-        assert len(seen) == count
-        assert index_action(0, n_rel) == Action.shift()
+        """Every REDUCE index, for 2-20 relations, names one (relation,
+        internal nuclearity) pair, relation-major, and maps back to itself."""
+        for n_rel in range(2, 21):
+            indices = list(range(SHIFT + 1, action_count(n_rel)))
+            labels = [reduce_labels(a) for a in indices]
+            assert labels == [(r, p) for r in range(1, n_rel)
+                              for p in INTERNAL_NUCLEARITIES]
+            assert all(type(p) is Nuclearity for _, p in labels)
+            assert [reduce_action(r, p) for r, p in labels] == indices
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            index_action(7, 3)
+            reduce_labels(SHIFT)
         with pytest.raises(ValueError):
-            index_action(-1, 3)
+            reduce_labels(-1)
+
+    def test_reduce_rejects_leaf_labels(self):
+        with pytest.raises(ValueError):
+            reduce_action(LEAF_RELATION, Nuclearity.NN)
+        with pytest.raises(ValueError):
+            reduce_action(1, Nuclearity.LEAF)
 
 
 class TestSerialization:
     def test_round_trip(self):
         vocab = RelationVocab(["Cause", "Attribution"])
-        actions = [Action.shift(), Action.shift(),
-                   Action.reduce(2, Nuclearity.SN), Action.shift(),
-                   Action.reduce(1, Nuclearity.NN)]
+        actions = [SHIFT, SHIFT, reduce_action(2, Nuclearity.SN), SHIFT,
+                   reduce_action(1, Nuclearity.NN)]
         text = serialize_actions(actions, vocab)
         assert text == ("SHIFT SHIFT REDUCE:Attribution:SN SHIFT "
                         "REDUCE:Cause:NN")
@@ -162,6 +172,8 @@ class TestSerialization:
             parse_actions("REDUCE:Nope:NN", vocab)
         with pytest.raises(ValueError):
             parse_actions("REDUCE:Cause:XX", vocab)
+        with pytest.raises(ValueError, match="LEAF"):
+            parse_actions("REDUCE:LEAF:NN", vocab)
 
 
 def action_input(state, enc):
@@ -188,8 +200,8 @@ class TestStateRep:
         doc, params = small_params(hidden=3)
         enc = encode_document(doc, params)
         s = initial_state(doc.n)
-        s = apply_action(s, Action.shift())
-        s = apply_action(s, Action.shift())
+        s = apply_action(s, SHIFT)
+        s = apply_action(s, SHIFT)
         assert slot_rows(s) == [1, 1, 0, 0, 3, 3, 2, 3, 3]
         rep = action_input(s, enc).data[0]
 
@@ -210,8 +222,7 @@ class TestStateRep:
         tree = random_tree(6, vocab, np.random.default_rng(8))
         s = initial_state(6)
         for a in oracle_actions(tree) + [None]:
-            want = [action_index(b, vocab.size)
-                    for b in ref_legal_actions(s, vocab.size)]
+            want = ref_legal_actions(s, vocab.size)
             assert np.flatnonzero(legal_mask(s, n_actions)).tolist() == want
             if a is not None:
                 s = apply_action(s, a)
@@ -265,10 +276,9 @@ class TestGreedyParse:
             s = initial_state(doc.n)
             while not is_terminal(s):
                 scores = ref_score_actions(s, enc, params).data
-                legal = [action_index(a, params.n_rel)
-                         for a in ref_legal_actions(s, params.n_rel)]
+                legal = ref_legal_actions(s, params.n_rel)
                 best = legal[int(np.argmax(scores[legal]))]
-                s = apply_action(s, index_action(best, params.n_rel))
+                s = ref_apply(s, best)
             tree, ref = greedy_parse(doc, params, enc), finish(s)
             assert tree == ref and tree.labels == ref.labels
 
