@@ -16,16 +16,20 @@ Three bottom-up decoders share one score layout:
 
 A chart scorer has ``n``, ``n_rel``, a dense ``span`` table of shape
 (n+1, n+1), ``labels(i, j, k)`` returning new arrays holding the relation and
-nuclearity rows of a batch of (span, split) cells, and ``tables()`` returning
-the dense ScoreTables.  ScoreTables, NeuralOracle and LossAugmented are chart
-scorers; a TableOracle is a builder whose ``tables(n)`` makes ScoreTables.
-Only the exact decoder reads the dense label table, which has O(n^3) rows;
-one function, _dense_tables, fills it from a scorer's ``span`` and
-``labels``.  The partial decoder asks for one row per cell, at the split it
-chose (about n^2/2 rows, one batch per width), the complete decoder and
-score_tree for the 2n - 1 rows of one tree.  On the neural path those rows
-are computed on demand from first-layer projections made once per document,
-so partial and complete never hold more than O(n^2) scores.
+nuclearity rows of a batch of (span, split) cells, ``label_blocks(rel,
+nuc)`` writing the dense table's rows block by block, and ``tables()``
+returning the dense ScoreTables.  ScoreTables, NeuralOracle and LossAugmented
+are chart scorers; a TableOracle is a builder whose ``tables(n)`` makes
+ScoreTables.  Only the exact decoder reads the dense label table, which has
+O(n^3) rows; one function, _dense_tables, fills it through the scorer's
+``label_blocks``.  ScoreTables' blocks ask ``labels``; NeuralOracle's sum
+each block's rows from factored partial sums, with the bits ``labels``
+gives them; LossAugmented shifts its inner scorer's blocks.  The partial
+decoder asks for one row per cell, at the split it chose (about n^2/2 rows,
+one batch per width), the complete decoder and score_tree for the 2n - 1
+rows of one tree.  On the neural path those rows are computed on demand from
+first-layer projections made once per document, so partial and complete
+never hold more than O(n^2) scores.
 
 Also here: tree scoring, the hamming-style tree distance, loss-augmented
 decoding (a view that shifts the rows a decoder asks for), the structured
@@ -70,14 +74,18 @@ from .ops import Tensor
 
 NEG_INF = float("-inf")
 
-# Label rows asked for per block when _dense_tables fills the dense table.
-# Bounds the temporaries beside the table at any n: on the neural path, at
-# most 8 * _BLOCK_ROWS * (3 * ff_hidden + 2 * (n_rel + 4) + 8) bytes (three
-# first-layer arrays, a block of relation and nuclearity rows and a shifted
-# copy, and the block's index arrays).  One unblocked gather over all O(n^3)
-# rows would hold several copies of the table's size at once.  LossAugmented
-# shifts each block as it arrives, so no plain table is made beside the
-# shifted one.
+# Label rows per block when _dense_tables fills the dense table.  Bounds the
+# temporaries beside the table at any n that decode_exact admits: on the
+# neural path, at most 8 * _BLOCK_ROWS * (2 * ff_hidden + 2 * (n_rel + 4) + 12)
+# bytes.  That is two first-layer arrays: a block's factored sums Q (at most
+# 1,018 rows, at n = 509, the largest n EXACT_MEMORY_LIMIT admits) beside
+# the rows gathered to make or read it, then the block's inputs beside its
+# last gathered block; the second layer runs in place and adds none.  Then
+# a block of relation rows beside the nuclearity rows being scored, and the
+# block's index arrays.  One unblocked gather over all O(n^3) rows would
+# hold several copies of the table's size at once.  LossAugmented shifts
+# each block in the table once it is written, so no plain table is made
+# beside the shifted one.
 _BLOCK_ROWS = 1024
 
 # Bytes decode_exact may hold beside one block's temporaries (_exact_bytes).
@@ -155,6 +163,15 @@ class ScoreTables:
         i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
         rows = self.base[i, j] + np.where(j == i + 1, 0, k - i - 1)
         return self.rel[rows], self.nuc[rows]
+
+    def label_blocks(self, rel: np.ndarray, nuc: np.ndarray):
+        """Fill ``rel`` and ``nuc``, arrays of the dense table's shapes, one
+        block of rows at a time in layout order (_row_blocks), yielding each
+        block's row slice and cells (i, j) once its rows are written.  Every
+        chart scorer has this hook; _dense_tables drives it."""
+        for sl, i, j, k in _row_blocks(self.n):
+            rel[sl], nuc[sl] = self.labels(i, j, k)
+            yield sl, i, j
 
     def tables(self) -> "ScoreTables":
         return self
@@ -271,23 +288,31 @@ class TableOracle:
         return t
 
 
-def _dense_tables(s) -> ScoreTables:
-    """The dense ScoreTables of chart scorer s: its span table, and every
-    label row asked of ``s.labels`` in _BLOCK_ROWS blocks, in layout order.
+def _row_blocks(n: int):
+    """The dense table's label rows, _BLOCK_ROWS at a time in layout order:
+    each block's slice of rows and the (i, j, k) of those rows, leaf rows
+    with k = i.
 
     Each block's (i, j, k) come from the O(n^2) cell starts, so nothing of
     the table's length is held beside it.  The blocks must stay as they are:
     a label row's last bit can depend on the size of the batch it was
     scored in (BLAS picks its matmul kernel by the product's size).
     """
-    cells = _cells(s.n)
+    cells = _cells(n)
+    rows = int(cells[2].sum())
+    for start in range(0, rows, _BLOCK_ROWS):
+        sl = slice(start, min(start + _BLOCK_ROWS, rows))
+        yield (sl, *_row_cells(cells, np.arange(sl.start, sl.stop)))
+
+
+def _dense_tables(s) -> ScoreTables:
+    """The dense ScoreTables of chart scorer s: its span table, and the
+    label rows its ``label_blocks`` writes, block by block."""
     base, rows = _layout(s.n)
     rel = np.empty((rows, s.n_rel))
     nuc = np.empty((rows, NUM_NUCLEARITIES))
-    for start in range(0, rows, _BLOCK_ROWS):
-        sl = slice(start, min(start + _BLOCK_ROWS, rows))
-        block = np.arange(sl.start, sl.stop)
-        rel[sl], nuc[sl] = s.labels(*_row_cells(cells, block))
+    for _ in s.label_blocks(rel, nuc):
+        pass
     return ScoreTables(s.n, s.n_rel, s.span, rel, nuc, base)
 
 
@@ -346,17 +371,59 @@ class NeuralOracle:
         raises NonFiniteScore."""
         i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
         rows = _label_rows(i, j, k)
-        rel, nuc = self._rel(*rows), self._nuc(*rows)
-        for name, arr in (("rel", rel), ("nuc", nuc)):
-            at = first_nonfinite(arr)
-            if at is not None:
-                x, col = at
-                _require_finite(f"{name}[{i[x]}, {j[x]}, {k[x]}][{col}] = "
-                                f"{arr[x, col]}")
-        return rel, nuc
+        return _checked_rows(i, j, k, self._rel(*rows), self._nuc(*rows))
+
+    def label_blocks(self, rel: np.ndarray, nuc: np.ndarray):
+        """ScoreTables.label_blocks: each block's rows with the bits
+        ``labels`` gives them, from fewer additions.
+
+        A row's first-layer input is ((P0[i] + P1[b]) + P2[k]) + P3[j-1]
+        (_label_rows: b = i for a leaf, k - 1 otherwise), and its first three
+        terms depend on (i, k) alone.  So each block sums them once per
+        (i, k) of its range of i and k = i0..max(j)-1, a grid Q from
+        RowFeedforward.lead (entries with k < i are never read), and each row
+        then adds P3[j-1] to its gathered Q entry (_factored_rows).  Only
+        one block's Q, of one scorer, is held at a time: at most
+        _BLOCK_ROWS rows at any n decode_exact admits (see _BLOCK_ROWS).
+        """
+        for sl, i, j, k in _row_blocks(self.n):
+            i0 = i[0]
+            nk = j.max() - i0
+            I, K = np.indices((i[-1] - i0 + 1, nk)) + i0
+            grid = I, np.maximum(K - 1, I), K   # b = i where k = i
+            at = (i - i0) * nk + (k - i0)
+            rel[sl], nuc[sl] = _checked_rows(
+                i, j, k, *(_factored_rows(ff, grid, at, j - 1)
+                           for ff in (self._rel, self._nuc)))
+            yield sl, i, j
 
     def tables(self) -> ScoreTables:
         return _dense_tables(self)
+
+
+def _factored_rows(ff: RowFeedforward, grid, at: np.ndarray,
+                   last: np.ndarray) -> np.ndarray:
+    """The scores of rows whose three leading blocks' indices are those of
+    entry ``at`` of the index ``grid`` and whose last block's index is
+    ``last``: the grid's leading sums Q, then Q's entries gathered and
+    finished.  Q is freed before ``finish`` gathers the last block."""
+    Q = ff.lead(*grid)
+    Z = Q.reshape(-1, Q.shape[-1]).take(at, axis=0)
+    del Q
+    return ff.finish(Z, last)
+
+
+def _checked_rows(i, j, k, rel, nuc) -> tuple[np.ndarray, np.ndarray]:
+    """rel and nuc, the rows of cells (i, j) split at k, once they are
+    checked: the first NaN or infinite entry, relation rows before
+    nuclearity rows, raises NonFiniteScore naming it."""
+    for name, arr in (("rel", rel), ("nuc", nuc)):
+        at = first_nonfinite(arr)
+        if at is not None:
+            x, col = at
+            _require_finite(f"{name}[{i[x]}, {j[x]}, {k[x]}][{col}] = "
+                            f"{arr[x, col]}")
+    return rel, nuc
 
 
 class LossAugmented:
@@ -382,6 +449,14 @@ class LossAugmented:
         rel, nuc = self.inner.labels(i, j, k)
         _augment_rows(rel, nuc, self.gold_rel[i, j], self.gold_nuc[i, j])
         return rel, nuc
+
+    def label_blocks(self, rel: np.ndarray, nuc: np.ndarray):
+        """The inner scorer's blocks, each shifted as soon as it is
+        written."""
+        for sl, i, j in self.inner.label_blocks(rel, nuc):
+            _augment_rows(rel[sl], nuc[sl], self.gold_rel[i, j],
+                          self.gold_nuc[i, j])
+            yield sl, i, j
 
     def tables(self) -> ScoreTables:
         return _dense_tables(self)

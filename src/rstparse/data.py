@@ -449,7 +449,8 @@ def load_embeddings(path: str, vocab: Vocab) -> PretrainedEmbeddings:
     """Read a text embedding file (token then D floats per line).
 
     A word2vec-style header line, ``<count> <dim>`` as the first line, is
-    skipped, and its dim is then required of every vector.
+    skipped, and its dim is then required of every vector.  A value that is
+    not a finite float raises CorpusError naming the file and line.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
@@ -470,6 +471,10 @@ def load_embeddings(path: str, vocab: Vocab) -> PretrainedEmbeddings:
                 vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
             except ValueError:
                 raise CorpusError(f"line {lineno}: unparseable float") from None
+            # float() takes nan, inf and overflowing literals such as 1e999
+            if not np.isfinite(vec).all():
+                bad = fields[1 + int(np.argmin(np.isfinite(vec)))]
+                raise CorpusError(f"line {lineno}: non-finite value {bad!r}")
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:

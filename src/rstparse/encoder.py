@@ -198,21 +198,38 @@ class ModelParams:
         """Read a file written by ``save``.
 
         Raises ModelError when the file is not such a model: unreadable as
-        an archive, missing or malformed metadata, arrays missing, extra, of
-        the wrong shape or not finite.  A file that cannot be opened stays
-        an OSError.
+        an archive, missing or malformed metadata (hidden sizes that are not
+        JSON integers included), arrays missing, extra, not of a real number
+        type, of the wrong shape or not finite.  A file that cannot be
+        opened stays an OSError.
         """
+        def real(key, a):
+            # astype would drop an imaginary part with only a warning
+            if a.dtype.kind not in "fiu":
+                raise ModelError(f"{path}: array {key!r} has dtype {a.dtype}, "
+                                 "not a real number type")
+            return a.astype(np.float64)
+
+        def size(key):
+            value = meta[key]
+            if type(value) is not int:  # a float or a bool is refused
+                raise ModelError(f"{path}: metadata {key!r} is {value!r}, "
+                                 "not an integer")
+            return value
+
         try:
             with np.load(path, allow_pickle=False) as npz:
                 meta = json.loads(str(npz["meta"]))
-                arrays = {k[len("param/"):]: npz[k].astype(np.float64)
+                arrays = {k[len("param/"):]: real(k[len("param/"):], npz[k])
                           for k in npz.files if k.startswith("param/")}
-                pretrained = (npz["pretrained"].astype(np.float64)
+                pretrained = (real("pretrained", npz["pretrained"])
                               if "pretrained" in npz.files else None)
             params = cls(arrays, Vocab(meta["word_tokens"]),
                          Vocab(meta["pos_tokens"]),
-                         RelationVocab(meta["relations"]), int(meta["hidden"]),
-                         int(meta["ff_hidden"]), pretrained=pretrained)
+                         RelationVocab(meta["relations"]), size("hidden"),
+                         size("ff_hidden"), pretrained=pretrained)
+        except ModelError:
+            raise
         except (EOFError, KeyError, TypeError, ValueError,
                 zipfile.BadZipFile) as exc:
             raise ModelError(f"{path}: not a readable model file "
@@ -221,7 +238,8 @@ class ModelParams:
         return params
 
     def validate(self, source: str = "model") -> None:
-        """Every array present, finite and shaped as the stored sizes say.
+        """Every array present, finite and shaped as the stored sizes say,
+        and the pretrained table, if any, finite.
 
         The embedding widths are free, so they are read off the embedding
         tables; everything else follows from them, ``hidden``,
@@ -249,6 +267,8 @@ class ModelParams:
             if self.pretrained.shape[0] != len(self.word_vocab):
                 fail(f"pretrained table has {self.pretrained.shape[0]} rows "
                      f"for {len(self.word_vocab)} word types")
+            if not np.all(np.isfinite(self.pretrained)):
+                fail("pretrained table holds non-finite values")
         h, ff = self.hidden, self.ff_hidden
         want = {"word_emb": (len(self.word_vocab), word_dim),
                 "pos_emb": (len(self.pos_vocab), pos_dim)}
@@ -295,11 +315,16 @@ class Feedforward:
         return ops.linear(h, self.W2, self.b2)
 
     def output_np(self, Z: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """The network from the first layer's product Z = X W1^T onwards."""
-        H = np.maximum(Z + self.b1.data, 0.0)
+        """The network from the first layer's product Z = X W1^T onwards.
+
+        The bias, relu and mask are applied in Z's own memory, so Z must be
+        an array made for the call, not a view of one that is read again.
+        """
+        Z += self.b1.data
+        np.maximum(Z, 0.0, out=Z)
         if mask is not None:
-            H = H * mask
-        return H @ self.W2.data.T + self.b2.data
+            Z *= mask
+        return Z @ self.W2.data.T + self.b2.data
 
 
 class RowFeedforward:
@@ -312,10 +337,18 @@ class RowFeedforward:
     2014).  ``proj`` holds them stacked, P_b being ``proj[b]``, of shape
     (q, N, ff_hidden).
 
-    ``__call__`` takes one index array per block and scores a batch of rows.
-    ``one`` scores a single row from its q indices with one gather and one
-    sum over the blocks; both add the blocks in order, so a row's bits do
-    not depend on which of the two scored it.
+    A row's first-layer input is the sum taken in block order,
+    ((P_0[a_0] + P_1[a_1]) + ...) + P_{q-1}[a_{q-1}], and every path keeps
+    that association, so a row's bits do not depend on which path scored
+    it.  ``lead`` sums the leading blocks' gathered rows and ``finish`` adds
+    the last block's and runs the second layer; ``__call__``, which takes
+    one index array per block and scores a batch of rows, is the two in
+    turn.  A caller may instead ``lead`` once over the distinct index tuples
+    its rows share and gather the partial sums for ``finish``: a leading sum
+    reused by many rows is then added once (the chart's dense label table
+    does this, see chart.NeuralOracle.label_blocks).  ``one`` scores a
+    single row from its q indices with one gather and one running sum over
+    the blocks.
     """
 
     def __init__(self, ff: Feedforward, M: np.ndarray, blocks: int,
@@ -333,11 +366,25 @@ class RowFeedforward:
             np.matmul(M, W1[:, b * d:(b + 1) * d].T, out=P)
         self._blocks = np.arange(blocks)
 
-    def __call__(self, *index: np.ndarray) -> np.ndarray:
+    def lead(self, *index: np.ndarray) -> np.ndarray:
+        """The sum, in block order, of the rows that the first len(index)
+        blocks gather at ``index`` (integer arrays of one shape): a new
+        array of that shape plus (ff_hidden,)."""
         Z = self._views[0][index[0]]
         for P, idx in zip(self._views[1:], index[1:]):
             Z += P[idx]
+        return Z
+
+    def finish(self, Z: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """The (B, d_out) scores of the B rows whose leading blocks sum to
+        the (B, ff_hidden) array Z: the last block's rows at ``index`` are
+        added, then the second layer runs.  Z is overwritten, so it must be
+        an array made for the call."""
+        Z += self._views[-1][index]
         return self.ff.output_np(Z, self.mask)
+
+    def __call__(self, *index: np.ndarray) -> np.ndarray:
+        return self.finish(self.lead(*index[:-1]), index[-1])
 
     def one(self, rows) -> np.ndarray:
         """The (1, d_out) scores of the input reading row rows[b] of block b:

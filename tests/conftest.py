@@ -17,9 +17,10 @@ loop below with its ``ref_apply``, spell out the action layout (SHIFT 0,
 REDUCE(r, p) 1 + 3 (r - 1) + p) themselves, not through the code they
 check.  Likewise the scalar exact
 decoder loop and the recursive random_tree, the references for the batched
-decoder and the iterative tree sampler; the dense-table build that sliced
-its blocks from full-length (i, j, k) arrays, the reference for the build
-from cell starts; the dense embedding gradient and dense Adam step, the
+decoder and the iterative tree sampler; the dense-table build that asked
+``labels`` for each block's rows, the reference for the blocks built from
+factored partial sums; the out-of-place second layer, the reference for
+the one run in place; the dense embedding gradient and dense Adam step, the
 references for row gradients and Adam over touched rows; the row
 gradient's dense form built with ``np.add.at``, the reference for the one
 built by occurrence rank; the backward pass that copied every first
@@ -47,6 +48,7 @@ from rstparse.chart import (
     _empty_chart,
     _fill_leaves,
     _layout,
+    _row_cells,
     _tree_cells,
     chart_scores,
 )
@@ -238,28 +240,33 @@ def ref_decode_exact(n, scores):
     return _backtrace(n, _tree_cells(n, bsplit), brel, bnuc), float(best[0, n])
 
 
-def ref_rows(n):
-    """(i, j, k) of every label row in layout order, leaf rows with k = i,
-    as three arrays of the table's length."""
-    i, j, counts, starts = _cells(n)
-    I = np.repeat(i, counts)
-    J = np.repeat(j, counts)
-    K = np.arange(int(counts.sum())) - np.repeat(starts, counts) + I + 1
-    return I, J, np.where(J == I + 1, I, K)
-
-
 def ref_dense_tables(s):
-    """chart._dense_tables with each block's (i, j, k) sliced from ref_rows:
-    the reference for the build from cell starts, which must ask for the
-    same blocks and so give the same bits."""
+    """The dense ScoreTables of chart scorer s: its span table, and every
+    label row asked of ``s.labels`` in _BLOCK_ROWS blocks, in layout order.
+
+    Each block's (i, j, k) come from the O(n^2) cell starts, so nothing of
+    the table's length is held beside it.  The blocks must stay as they are:
+    a label row's last bit can depend on the size of the batch it was
+    scored in (BLAS picks its matmul kernel by the product's size).
+    """
+    cells = _cells(s.n)
     base, rows = _layout(s.n)
-    I, J, K = ref_rows(s.n)
     rel = np.empty((rows, s.n_rel))
     nuc = np.empty((rows, NUM_NUCLEARITIES))
     for start in range(0, rows, _BLOCK_ROWS):
-        sl = slice(start, start + _BLOCK_ROWS)
-        rel[sl], nuc[sl] = s.labels(I[sl], J[sl], K[sl])
+        sl = slice(start, min(start + _BLOCK_ROWS, rows))
+        block = np.arange(sl.start, sl.stop)
+        rel[sl], nuc[sl] = s.labels(*_row_cells(cells, block))
     return ScoreTables(s.n, s.n_rel, s.span, rel, nuc, base)
+
+
+def ref_output_np(ff, Z, mask=None):
+    """Feedforward.output_np as it was written out of place: Z is left as
+    it is."""
+    H = np.maximum(Z + ff.b1.data, 0.0)
+    if mask is not None:
+        H = H * mask
+    return H @ ff.W2.data.T + ff.b2.data
 
 
 def ref_random_tree(n, rel_vocab, rng):

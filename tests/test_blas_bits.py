@@ -2,7 +2,9 @@
 
 Several paths promise the bits of a reference: ``ops.bilstm`` those of two
 one-direction LSTMs, ``RowFeedforward.one`` those of the batch call, the
-stacked projections those of one fresh product per block.  Each promise
+stacked projections those of one fresh product per block, the dense label
+table built from factored partial sums those of the row-by-row build, and
+the second layer run in place those of the out-of-place one.  Each promise
 holds only because of how numpy and its BLAS pick their kernels.  A BLAS
 that behaves otherwise fails the digests and the byte-for-byte grids; the
 tests here say which assumption broke, and each message names the code that
@@ -11,9 +13,18 @@ relies on it.  Measured with numpy 2.4 on OpenBLAS 0.3.31.
 
 import numpy as np
 
-from rstparse.encoder import NUC, REL, Feedforward
+from conftest import ref_output_np
+from rstparse.chart import NeuralOracle
+from rstparse.encoder import (
+    NUC,
+    REL,
+    Feedforward,
+    RowFeedforward,
+    encode_document,
+    make_dropout_masks,
+)
 
-from test_chart import random_params
+from test_chart import random_document, random_params
 
 HIDDEN = (1, 2, 3, 5, 16, 64)
 INPUT = (0, 1, 13, 96)
@@ -73,9 +84,10 @@ def test_label_rows_depend_on_the_batch_only_below_the_small_matrix_cutoff():
     Z = rng.normal(size=(2048, 64))
     for name, small in ((REL, 63), (NUC, 300)):
         ff = Feedforward(params, name)
-        whole = ff.output_np(Z)
+        # output_np overwrites its input, so each call gets a copy
+        whole = ff.output_np(Z.copy())
         for size in (1, 2, 40, small):
-            got = ff.output_np(Z[:size])
+            got = ff.output_np(Z[:size].copy())
             assert (got != whole[:size]).any(), (
                 f"{name}: {size} rows scored alone kept the bits they have in "
                 "a batch of 2,048; chart._dense_tables keeps its 1,024-row "
@@ -83,7 +95,7 @@ def test_label_rows_depend_on_the_batch_only_below_the_small_matrix_cutoff():
                 "trees with score_tree, because below the cut-off they do not")
         for size, start in ((small + 1, 0), (small + 1, 100), (1024, 7),
                             (1024, 1024)):
-            got = ff.output_np(Z[start:start + size])
+            got = ff.output_np(Z[start:start + size].copy())
             assert got.tobytes() == whole[start:start + size].tobytes(), (
                 f"{name}: {size} rows from row {start} lost the bits they "
                 "have in a batch of 2,048; chart._dense_tables's full blocks "
@@ -123,3 +135,79 @@ def test_matmul_into_a_stacked_slice_gives_a_fresh_products_bits():
                 "out=) into a slice of a stacked array changed the bits of "
                 "the product; RowFeedforward builds its projections this "
                 "way, so every chart and greedy score would change")
+
+
+def test_second_layer_in_place_keeps_the_out_of_place_bits():
+    """Bias, relu and mask applied in the input's own memory give the bits
+    of the out-of-place expressions, and the product of the array they
+    leave gives those of a fresh one: for whole batches, and for the last
+    row of a running sum, which RowFeedforward.one passes."""
+    rng = np.random.default_rng(6)
+    for H in HIDDEN:
+        params = random_params(n_rel=19, seed=H, ff_hidden=H)
+        for name in (REL, NUC):
+            params.arrays[f"{name}.b1"][:] = rng.normal(size=H)
+            ff = Feedforward(params, name)
+            mask = (rng.random(H) >= 0.3) / 0.7
+            for m in (None, mask):
+                for size in (1, 2, 63, 300, 1024):
+                    Z = rng.normal(size=(size, H))
+                    got = ff.output_np(Z.copy(), m)
+                    assert got.tobytes() == ref_output_np(ff, Z, m).tobytes(), (
+                        f"H={H}, {name}, {size} rows: the second layer run in "
+                        "place lost the bits of the out-of-place one; "
+                        "Feedforward.output_np runs it so for every chart "
+                        "and greedy score")
+                Z = rng.normal(size=(9, H))
+                got = ff.output_np(np.add.accumulate(Z, axis=0)[-1:], m)
+                want = ref_output_np(ff, np.add.accumulate(Z, axis=0)[-1:], m)
+                assert got.tobytes() == want.tobytes(), (
+                    f"H={H}, {name}: the second layer run in place on the "
+                    "last row of a running sum lost the bits of the "
+                    "out-of-place one; RowFeedforward.one scores a greedy "
+                    "state this way")
+
+
+def test_gathered_rows_are_new_arrays_so_projections_stay_as_they_are():
+    """Gathering rows with an index array, or with ``take``, copies them.
+    RowFeedforward's ``lead``, ``finish`` and ``one`` and the dense table's
+    factored blocks hand output_np only such copies, so its in-place bias,
+    relu and mask never write into the projections every row reads, nor
+    into the callers' index arrays."""
+    rng = np.random.default_rng(7)
+    params = random_params(n_rel=19, seed=7, ff_hidden=16)
+    for name in (REL, NUC):
+        params.arrays[f"{name}.b1"][:] = rng.normal(size=16)
+    n = 30
+    doc = random_document(n, rng)
+    masks = make_dropout_masks(params, n, 0.3, rng)
+    enc = encode_document(doc, params, masks)
+    M = enc.data.copy()
+    scorer = RowFeedforward(Feedforward(params, REL), enc.data, 4,
+                            masks.hidden_for(REL))
+    proj = scorer.proj.copy()
+    idx = [rng.integers(0, n, size=50) for _ in range(4)]
+    kept = [i.copy() for i in idx]
+    Z = scorer.lead(*idx[:3])
+    assert not np.shares_memory(Z, scorer.proj)
+    scorer.finish(Z, idx[3])
+    scorer(*idx)
+    scorer.one([int(i[0]) for i in idx])
+    Q = scorer.lead(*idx[:3])
+    scorer.finish(Q.take(np.arange(10), axis=0), idx[3][:10])
+    assert scorer.proj.tobytes() == proj.tobytes(), (
+        "scoring rows changed RowFeedforward's projections: a gather "
+        "returned a view, and output_np's in-place bias, relu and mask "
+        "wrote into it")
+    for a, b in zip(idx, kept):
+        assert a.tobytes() == b.tobytes()
+    oracle = NeuralOracle(params, enc, masks)
+    scorers = (oracle._rel, oracle._nuc)
+    projs = [s.proj.copy() for s in scorers]
+    oracle.tables()
+    oracle.labels(*kept[:3])
+    for s, before in zip(scorers, projs):
+        assert s.proj.tobytes() == before.tobytes(), (
+            "building the dense table changed NeuralOracle's projections; "
+            "its factored blocks must gather copies before finish runs")
+    assert enc.data.tobytes() == M.tobytes()

@@ -706,23 +706,40 @@ class TestOnDemandRows:
         assert diag.distance == hamming(diag.pred, docs[2].gold)
 
     def test_table_has_the_bits_of_the_reference_build(self):
-        """The dense table, its blocks' (i, j, k) found from cell starts,
-        equals the build that sliced them from full-length arrays byte for
-        byte: the same blocks are asked for, and a label row's last bit can
-        depend on the size of the batch it is scored in."""
+        """The dense table, each block summed from factored partial sums
+        (NeuralOracle.label_blocks), equals the build that asked ``labels``
+        for every block's rows byte for byte, plain and loss-augmented, with
+        and without dropout, and exact decoding reads the same tree and
+        score from both.  Up to 8 EDUs, the one block is below OpenBLAS's
+        small-matrix cut-off; at 13 and 17 one block spans every i; at 40,
+        80 and 101 blocks span one i or many, and the last is partial."""
         rng = np.random.default_rng(13)
-        params = random_params(n_rel=19, seed=13, ff_hidden=64)
-        for n in (1, 2, 6, 19, 45):  # 19 and 45 EDUs cross block boundaries
-            doc = random_document(n, rng)
-            gold = gold_tree(n, params.n_rel, rng)
-            for masks in (None, make_dropout_masks(params, n, 0.3, rng)):
-                oracle = NeuralOracle(params, encode_document(doc, params, masks),
-                                      masks)
-                for scores in (oracle, LossAugmented(oracle, gold)):
-                    got, want = scores.tables(), ref_dense_tables(scores)
-                    assert got.rel.tobytes() == want.rel.tobytes(), n
-                    assert got.nuc.tobytes() == want.nuc.tobytes(), n
-                    np.testing.assert_array_equal(got.base, want.base)
+        for ff_hidden, n_rel in ((64, 19), (16, 4), (8, 40)):
+            params = random_params(n_rel=n_rel, seed=ff_hidden,
+                                   ff_hidden=ff_hidden)
+            for n in (*range(1, 9), 13, 17, 40, 80, 101):
+                doc = random_document(n, rng)
+                gold = gold_tree(n, n_rel, rng)
+                for masks in (None, make_dropout_masks(params, n, 0.3, rng)):
+                    oracle = NeuralOracle(
+                        params, encode_document(doc, params, masks), masks)
+                    for scores in (oracle, LossAugmented(oracle, gold)):
+                        what = (ff_hidden, n_rel, n, masks is None,
+                                type(scores).__name__)
+                        want = ref_dense_tables(scores)
+                        got = scores.tables()
+                        for a, b in ((got.rel, want.rel), (got.nuc, want.nuc)):
+                            # the bytes, compared without copying them
+                            assert a.shape == b.shape, what
+                            assert np.array_equal(a.view(np.int64),
+                                                  b.view(np.int64)), what
+                        np.testing.assert_array_equal(got.base, want.base)
+                        del got
+                        if n <= 40:
+                            tree, score = decode_exact(n, scores)
+                            ref_tree, ref_score = decode_exact(n, want)
+                            assert tree == ref_tree, what
+                            assert score.hex() == ref_score.hex(), what
 
     def test_augmented_neural_table_is_the_plain_table_shifted(self):
         """LossAugmented(oracle, gold).tables() equals oracle.tables() with

@@ -617,3 +617,98 @@ class TestArgparseBehavior:
     def test_unreadable_train_value_exit_code(self, flag):
         assert main(["train", "--corpus", "x", "--out", "y", flag,
                      "fast"]) == 2
+
+
+class TestNonFiniteEmbeddings:
+    """float() reads nan, inf and an overflowing 1e999 without complaint;
+    such a vector in an embedding file is a data error naming the file and
+    line, not a run that diverges and blames the learning rate."""
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+    def test_train_names_file_and_line(self, value, corpus_dir, tiny_settings,
+                                       tmp_path, capsys):
+        words = load_corpus(corpus_dir).word_vocab.tokens
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{words[1]} 0.5 0.25\n{words[2]} 0.5 {value}\n")
+        code, line = one_error_line(
+            ["train", "--corpus", corpus_dir, "--out",
+             str(tmp_path / "model.npz"), "--config", tiny_settings,
+             "--embeddings", str(path)], capsys)
+        assert code == 1
+        assert line == (f"data error: {path}: line 2: non-finite value "
+                        f"'{value}'")
+
+
+class TestMalformedModel:
+    """A model file whose metadata or arrays do not hold what ``save``
+    writes is a data error naming the file: no size read off a float, no
+    imaginary part dropped with a warning, no non-finite embedding."""
+
+    @pytest.fixture
+    def rewrite(self, corpus_dir, tmp_path):
+        """Save a small model (a pretrained table for every word type), let
+        ``edit`` change its metadata dict and arrays, write them back."""
+        from rstparse.data import PretrainedEmbeddings
+
+        corpus = load_corpus(corpus_dir)
+        words = len(corpus.word_vocab)
+        pre = PretrainedEmbeddings(np.ones((words, 2)), words, words)
+        params = ModelParams.init(corpus.word_vocab, corpus.pos_vocab,
+                                  corpus.rel_vocab, np.random.default_rng(0),
+                                  word_dim=2, pos_dim=2, hidden=3, ff_hidden=1,
+                                  pretrained=pre)
+        path = str(tmp_path / "model.npz")
+        params.save(path)
+
+        def edit(change):
+            import json
+
+            with np.load(path) as npz:
+                arrays = {k: npz[k] for k in npz.files}
+            meta = json.loads(str(arrays["meta"]))
+            change(meta, arrays)
+            arrays["meta"] = np.array(json.dumps(meta))
+            with open(path, "wb") as fh:
+                np.savez(fh, **arrays)
+            return path
+
+        return edit
+
+    def compare(self, model, corpus_dir, capsys):
+        return one_error_line(["compare", "--model", model, "--corpus",
+                               corpus_dir], capsys)
+
+    @pytest.mark.parametrize("key, value", [("hidden", 3.7),
+                                            ("ff_hidden", True)])
+    def test_size_that_is_not_an_integer(self, key, value, rewrite,
+                                         corpus_dir, capsys):
+        def change(meta, arrays):
+            meta[key] = value
+
+        model = rewrite(change)
+        code, line = self.compare(model, corpus_dir, capsys)
+        assert code == 1
+        assert line == (f"data error: {model}: metadata '{key}' is {value!r}, "
+                        "not an integer")
+
+    def test_complex_arrays(self, rewrite, corpus_dir, capsys):
+        def change(meta, arrays):
+            for k in arrays:
+                if k.startswith("param/"):
+                    arrays[k] = arrays[k].astype(np.complex128)
+
+        model = rewrite(change)
+        code, line = self.compare(model, corpus_dir, capsys)
+        assert code == 1
+        assert line == (f"data error: {model}: array 'word_emb' has "
+                        "dtype complex128, not a real number type")
+
+    def test_non_finite_pretrained_table(self, rewrite, corpus_dir, capsys):
+        def change(meta, arrays):
+            arrays["pretrained"][1, 0] = np.nan
+
+        model = rewrite(change)
+        code, line = self.compare(model, corpus_dir, capsys)
+        assert code == 1
+        assert line == (f"data error: {model}: pretrained table holds "
+                        "non-finite values")
