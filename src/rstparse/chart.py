@@ -16,20 +16,19 @@ Three bottom-up decoders share one score layout:
 
 A chart scorer has ``n``, ``n_rel``, a dense ``span`` table of shape
 (n+1, n+1), ``labels(i, j, k)`` returning new arrays holding the relation and
-nuclearity rows of a batch of (span, split) cells, ``label_blocks(rel,
-nuc)`` writing the dense table's rows block by block, and ``tables()``
-returning the dense ScoreTables.  ScoreTables, NeuralOracle and LossAugmented
-are chart scorers; a TableOracle is a builder whose ``tables(n)`` makes
-ScoreTables.  Only the exact decoder reads the dense label table, which has
-O(n^3) rows; one function, _dense_tables, fills it through the scorer's
-``label_blocks``.  ScoreTables' blocks ask ``labels``; NeuralOracle's sum
-each block's rows from factored partial sums, with the bits ``labels``
-gives them; LossAugmented shifts its inner scorer's blocks.  The partial
-decoder asks for one row per cell, at the split it chose (about n^2/2 rows,
-one batch per width), the complete decoder and score_tree for the 2n - 1
-rows of one tree.  On the neural path those rows are computed on demand from
-first-layer projections made once per document, so partial and complete
-never hold more than O(n^2) scores.
+nuclearity rows of a batch of (span, split) cells, and ``tables()``
+returning the dense ScoreTables.  ``tables()`` is a new table its caller
+may change, except on ScoreTables, whose ``tables()`` is itself.
+ScoreTables, NeuralOracle and LossAugmented are chart scorers; a
+TableOracle is a builder whose ``tables(n)`` makes ScoreTables.  Only the
+exact decoder reads the dense label table, which has O(n^3) rows:
+NeuralOracle sums it block by block from factored partial sums, with the
+bits ``labels`` gives each row, and LossAugmented shifts its inner scorer's
+table in place.  The partial decoder asks for one row per cell, at the split
+it chose (about n^2/2 rows, one batch per width), the complete decoder and
+score_tree for the 2n - 1 rows of one tree.  On the neural path those rows
+are computed on demand from first-layer projections made once per document,
+so partial and complete never hold more than O(n^2) scores.
 
 Also here: tree scoring, the hamming-style tree distance, loss-augmented
 decoding (a view that shifts the rows a decoder asks for), the structured
@@ -74,8 +73,8 @@ from .ops import Tensor
 
 NEG_INF = float("-inf")
 
-# Label rows per block when _dense_tables fills the dense table.  Bounds the
-# temporaries beside the table at any n that decode_exact admits: on the
+# Label rows per block when NeuralOracle.tables fills the dense table.
+# Bounds the temporaries beside it at any n that decode_exact admits: on the
 # neural path, at most 8 * _BLOCK_ROWS * (2 * ff_hidden + 2 * (n_rel + 4) + 12)
 # bytes.  That is two first-layer arrays: a block's factored sums Q (at most
 # 1,018 rows, at n = 509, the largest n EXACT_MEMORY_LIMIT admits) beside
@@ -84,8 +83,8 @@ NEG_INF = float("-inf")
 # a block of relation rows beside the nuclearity rows being scored, and the
 # block's index arrays.  One unblocked gather over all O(n^3) rows would
 # hold several copies of the table's size at once.  LossAugmented shifts
-# each block in the table once it is written, so no plain table is made
-# beside the shifted one.
+# the table it is given in place, so no plain table is held beside the
+# shifted one.
 _BLOCK_ROWS = 1024
 
 # Bytes decode_exact may hold beside one block's temporaries (_exact_bytes).
@@ -163,15 +162,6 @@ class ScoreTables:
         i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
         rows = self.base[i, j] + np.where(j == i + 1, 0, k - i - 1)
         return self.rel[rows], self.nuc[rows]
-
-    def label_blocks(self, rel: np.ndarray, nuc: np.ndarray):
-        """Fill ``rel`` and ``nuc``, arrays of the dense table's shapes, one
-        block of rows at a time in layout order (_row_blocks), yielding each
-        block's row slice and cells (i, j) once its rows are written.  Every
-        chart scorer has this hook; _dense_tables drives it."""
-        for sl, i, j, k in _row_blocks(self.n):
-            rel[sl], nuc[sl] = self.labels(i, j, k)
-            yield sl, i, j
 
     def tables(self) -> "ScoreTables":
         return self
@@ -305,17 +295,6 @@ def _row_blocks(n: int):
         yield (sl, *_row_cells(cells, np.arange(sl.start, sl.stop)))
 
 
-def _dense_tables(s) -> ScoreTables:
-    """The dense ScoreTables of chart scorer s: its span table, and the
-    label rows its ``label_blocks`` writes, block by block."""
-    base, rows = _layout(s.n)
-    rel = np.empty((rows, s.n_rel))
-    nuc = np.empty((rows, NUM_NUCLEARITIES))
-    for _ in s.label_blocks(rel, nuc):
-        pass
-    return ScoreTables(s.n, s.n_rel, s.span, rel, nuc, base)
-
-
 def _label_rows(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> tuple:
     """The four EDU rows a label input concatenates, per cell (i, j) split
     at k: the child span reps (i, k) and (k, j), that is M[i], M[k-1], M[k],
@@ -373,19 +352,21 @@ class NeuralOracle:
         rows = _label_rows(i, j, k)
         return _checked_rows(i, j, k, self._rel(*rows), self._nuc(*rows))
 
-    def label_blocks(self, rel: np.ndarray, nuc: np.ndarray):
-        """ScoreTables.label_blocks: each block's rows with the bits
-        ``labels`` gives them, from fewer additions.
+    def tables(self) -> ScoreTables:
+        """The dense table, new on every call, each _row_blocks block's rows
+        with the bits ``labels`` gives them, from fewer additions.
 
         A row's first-layer input is ((P0[i] + P1[b]) + P2[k]) + P3[j-1]
-        (_label_rows: b = i for a leaf, k - 1 otherwise), and its first three
-        terms depend on (i, k) alone.  So each block sums them once per
-        (i, k) of its range of i and k = i0..max(j)-1, a grid Q from
-        RowFeedforward.lead (entries with k < i are never read), and each row
-        then adds P3[j-1] to its gathered Q entry (_factored_rows).  Only
-        one block's Q, of one scorer, is held at a time: at most
-        _BLOCK_ROWS rows at any n decode_exact admits (see _BLOCK_ROWS).
+        (_label_rows), whose first three terms depend on (i, k) alone.  So
+        each block sums them once per (i, k) of its range of i and
+        k = i0..max(j)-1, a grid Q from RowFeedforward.lead (entries with
+        k < i are never read), and each row then adds P3[j-1] to its
+        gathered Q entry (_factored_rows).  One block's Q, of one scorer, is
+        held at a time (see _BLOCK_ROWS).
         """
+        base, rows = _layout(self.n)
+        rel = np.empty((rows, self.n_rel))
+        nuc = np.empty((rows, NUM_NUCLEARITIES))
         for sl, i, j, k in _row_blocks(self.n):
             i0 = i[0]
             nk = j.max() - i0
@@ -395,10 +376,7 @@ class NeuralOracle:
             rel[sl], nuc[sl] = _checked_rows(
                 i, j, k, *(_factored_rows(ff, grid, at, j - 1)
                            for ff in (self._rel, self._nuc)))
-            yield sl, i, j
-
-    def tables(self) -> ScoreTables:
-        return _dense_tables(self)
+        return ScoreTables(self.n, self.n_rel, self.span, rel, nuc, base)
 
 
 def _factored_rows(ff: RowFeedforward, grid, at: np.ndarray,
@@ -433,8 +411,10 @@ class LossAugmented:
     but gold's at spans gold contains, at every split, since the distance
     does not depend on the split.  For any tree T the augmented score is then
     exactly score_tree(T) + hamming(T, gold).  The shift is applied to the
-    rows a decoder asks for, so ``tables()`` builds the shifted dense table
-    from the inner scorer's rows, with no plain table beside it.
+    rows a decoder asks for, as _augment_rows does, and ``tables()`` applies
+    it in place to the inner scorer's new dense table, one slice per gold
+    span, so no plain table is held beside the shifted one.  A ScoreTables
+    is its own table, so a copy of it is shifted.
     """
 
     def __init__(self, scores, gold: RstTree):
@@ -443,23 +423,29 @@ class LossAugmented:
         self.n = gold.n
         self.n_rel = self.inner.n_rel
         self.gold_rel, self.gold_nuc = _gold_labels(gold)
-        self.span = _augment_span(self.inner.span, self.gold_rel)
+        i, j = np.triu_indices(self.n + 1, 1)
+        absent = self.gold_rel[i, j] < 0
+        self.span = self.inner.span.copy()
+        self.span[i[absent], j[absent]] += 1.0
 
     def labels(self, i, j, k) -> tuple[np.ndarray, np.ndarray]:
         rel, nuc = self.inner.labels(i, j, k)
         _augment_rows(rel, nuc, self.gold_rel[i, j], self.gold_nuc[i, j])
         return rel, nuc
 
-    def label_blocks(self, rel: np.ndarray, nuc: np.ndarray):
-        """The inner scorer's blocks, each shifted as soon as it is
-        written."""
-        for sl, i, j in self.inner.label_blocks(rel, nuc):
-            _augment_rows(rel[sl], nuc[sl], self.gold_rel[i, j],
-                          self.gold_nuc[i, j])
-            yield sl, i, j
-
     def tables(self) -> ScoreTables:
-        return _dense_tables(self)
+        t = self.inner.tables()
+        rel, nuc = t.rel, t.nuc
+        if t is self.inner:
+            rel, nuc = rel.copy(), nuc.copy()
+        for (i, j), (l, p) in self.gold.labels.items():
+            # a span's rows, one per split, are contiguous
+            at = slice(t.base[i, j], t.base[i, j] + max(j - i - 1, 1))
+            rel[at] += 1.0
+            rel[at, l] -= 1.0
+            nuc[at] += 1.0
+            nuc[at, int(p)] -= 1.0
+        return ScoreTables(self.n, self.n_rel, self.span, rel, nuc, t.base)
 
 
 # --- tree scoring ---------------------------------------------------------
@@ -749,15 +735,6 @@ def _gold_labels(gold: RstTree) -> tuple[np.ndarray, np.ndarray]:
     return rel, nuc
 
 
-def _augment_span(span: np.ndarray, gold_rel: np.ndarray) -> np.ndarray:
-    """+1 on every span absent from gold."""
-    out = span.copy()
-    i, j = np.triu_indices(span.shape[0], 1)
-    absent = gold_rel[i, j] < 0
-    out[i[absent], j[absent]] += 1.0
-    return out
-
-
 def _augment_rows(rel, nuc, gold_rel, gold_nuc) -> None:
     """In place: +1 on every label but gold's, in rows of gold spans.
 
@@ -772,11 +749,7 @@ def _augment_rows(rel, nuc, gold_rel, gold_nuc) -> None:
 
 
 def augment_tables(t: ScoreTables, gold: RstTree) -> ScoreTables:
-    """LossAugmented's shift applied to a whole dense table.
-
-    For any tree T the augmented score is exactly
-    score_tree(T) + hamming(T, gold).
-    """
+    """LossAugmented's shift applied to a copy of a whole dense table."""
     return LossAugmented(t, gold).tables()
 
 

@@ -199,9 +199,10 @@ class ModelParams:
 
         Raises ModelError when the file is not such a model: unreadable as
         an archive, missing or malformed metadata (hidden sizes that are not
-        JSON integers included), arrays missing, extra, not of a real number
-        type, of the wrong shape or not finite.  A file that cannot be
-        opened stays an OSError.
+        JSON integers, and token or relation lists that are not JSON lists of
+        strings, included), arrays missing, extra, not of a real number type,
+        of the wrong shape or not finite.  A file that cannot be opened stays
+        an OSError.
         """
         def real(key, a):
             # astype would drop an imaginary part with only a warning
@@ -217,6 +218,15 @@ class ModelParams:
                                  "not an integer")
             return value
 
+        def names(key):
+            value = meta[key]
+            # a string or a list of numbers would load as a vocabulary
+            if type(value) is not list or any(type(v) is not str
+                                              for v in value):
+                raise ModelError(f"{path}: metadata {key!r} is not a list "
+                                 "of strings")
+            return value
+
         try:
             with np.load(path, allow_pickle=False) as npz:
                 meta = json.loads(str(npz["meta"]))
@@ -224,9 +234,9 @@ class ModelParams:
                           for k in npz.files if k.startswith("param/")}
                 pretrained = (real("pretrained", npz["pretrained"])
                               if "pretrained" in npz.files else None)
-            params = cls(arrays, Vocab(meta["word_tokens"]),
-                         Vocab(meta["pos_tokens"]),
-                         RelationVocab(meta["relations"]), size("hidden"),
+            params = cls(arrays, Vocab(names("word_tokens")),
+                         Vocab(names("pos_tokens")),
+                         RelationVocab(names("relations")), size("hidden"),
                          size("ff_hidden"), pretrained=pretrained)
         except ModelError:
             raise
@@ -346,7 +356,7 @@ class RowFeedforward:
     turn.  A caller may instead ``lead`` once over the distinct index tuples
     its rows share and gather the partial sums for ``finish``: a leading sum
     reused by many rows is then added once (the chart's dense label table
-    does this, see chart.NeuralOracle.label_blocks).  ``one`` scores a
+    does this, see chart.NeuralOracle.tables).  ``one`` scores a
     single row from its q indices with one gather and one running sum over
     the blocks.
     """

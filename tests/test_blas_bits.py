@@ -90,17 +90,18 @@ def test_label_rows_depend_on_the_batch_only_below_the_small_matrix_cutoff():
             got = ff.output_np(Z[:size].copy())
             assert (got != whole[:size]).any(), (
                 f"{name}: {size} rows scored alone kept the bits they have in "
-                "a batch of 2,048; chart._dense_tables keeps its 1,024-row "
-                "blocks, and missing_prediction and count_missing score both "
-                "trees with score_tree, because below the cut-off they do not")
+                "a batch of 2,048; chart.NeuralOracle.tables keeps its "
+                "1,024-row blocks, and missing_prediction and count_missing "
+                "score both trees with score_tree, because below the cut-off "
+                "they do not")
         for size, start in ((small + 1, 0), (small + 1, 100), (1024, 7),
                             (1024, 1024)):
             got = ff.output_np(Z[start:start + size].copy())
             assert got.tobytes() == whole[start:start + size].tobytes(), (
                 f"{name}: {size} rows from row {start} lost the bits they "
-                "have in a batch of 2,048; chart._dense_tables's full blocks "
-                "are above the cut-off, where a row's bits should depend on "
-                "neither its batch nor its place in it")
+                "have in a batch of 2,048; chart.NeuralOracle.tables's full "
+                "blocks are above the cut-off, where a row's bits should "
+                "depend on neither its batch nor its place in it")
 
 
 def test_accumulate_over_the_outer_axis_adds_in_block_order():

@@ -20,6 +20,7 @@ from rstparse.chart import (
     ExactTooLarge,
     LossAugmented,
     NeuralOracle,
+    ScoreTables,
     TableOracle,
     augment_tables,
     chart_loss,
@@ -601,6 +602,18 @@ class RowCounter:
     tables = refuse_tables
 
 
+class ProtocolScorer:
+    """A chart scorer with the protocol's members and nothing else:
+    ``tables()`` returns a new ScoreTables, a copy of ``tabs``."""
+
+    def __init__(self, tabs):
+        self.n, self.n_rel, self.span = tabs.n, tabs.n_rel, tabs.span
+        self.labels = tabs.labels
+        self.tables = lambda: ScoreTables(tabs.n, tabs.n_rel, tabs.span,
+                                          tabs.rel.copy(), tabs.nuc.copy(),
+                                          tabs.base)
+
+
 class TestOnDemandRows:
     def test_rows_match_tables_and_tape_scorers(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -689,6 +702,36 @@ class TestOnDemandRows:
         with pytest.raises(AssertionError, match="dense"):
             decode_exact(n, RowCounter(tabs))
 
+    def test_a_scorer_with_only_the_protocol_works_everywhere(self):
+        """Every decoder, score_tree and LossAugmented read a chart scorer
+        through n, n_rel, span, labels and tables alone, with the bits of
+        the ScoreTables it copies; shifting a ScoreTables leaves it as it
+        was."""
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 5, 9, 20):  # 20 EDUs fill two _BLOCK_ROWS blocks
+            tabs = random_tables(n, 5, rng)
+            gold = gold_tree(n, 5, rng)
+            scorer = ProtocolScorer(tabs)
+            assert set(vars(scorer)) == {"n", "n_rel", "span", "labels",
+                                         "tables"}
+            def arrays():
+                return [a.tobytes() for a in (tabs.rel, tabs.nuc, tabs.span)]
+
+            plain = arrays()
+            dense = augment_tables(tabs, gold)
+            assert arrays() == plain
+            pairs = ((scorer, tabs), (LossAugmented(scorer, gold), dense))
+            for decode in (decode_exact, decode_partial, decode_complete):
+                for s, want_s in pairs:
+                    tree, score = decode(n, s)
+                    want_tree, want = decode(n, want_s)
+                    assert tree == want_tree, (n, decode.__name__)
+                    assert score.hex() == want.hex(), (n, decode.__name__)
+                    assert (score_tree(tree, s).hex()
+                            == score_tree(tree, want_s).hex())
+            decode_exact(n, LossAugmented(tabs, gold))
+            assert arrays() == plain
+
     def test_chart_loss_and_count_missing_skip_the_dense_table(self, monkeypatch):
         rng = np.random.default_rng(8)
         params = random_params()
@@ -696,18 +739,37 @@ class TestOnDemandRows:
         docs = [random_document(n, rng, random_tree(n, vocab, rng))
                 for n in (1, 3, 7)]
         masks = make_dropout_masks(params, 7, 0.2, rng)
-        monkeypatch.setattr(NeuralOracle, "tables", refuse_tables)
-        for decoder in ("partial", "complete"):
-            loss, diag = chart_loss(docs[2], params, decoder, masks)
-            assert diag.distance == hamming(diag.pred, docs[2].gold)
-            count_missing(docs, params, decoder)
-        # exact builds the shifted table only, never the plain one
-        loss, diag = chart_loss(docs[2], params, "exact", masks)
-        assert diag.distance == hamming(diag.pred, docs[2].gold)
+        with monkeypatch.context() as m:
+            m.setattr(NeuralOracle, "tables", refuse_tables)
+            for decoder in ("partial", "complete"):
+                loss, diag = chart_loss(docs[2], params, decoder, masks)
+                assert diag.distance == hamming(diag.pred, docs[2].gold)
+                count_missing(docs, params, decoder)
+        # exact shifts the plain table in place, so it holds one table: its
+        # traced peak is within decode_exact's budget, which a second table,
+        # 15.7 MB at n = 80, would exceed
+        n = 80
+        params = random_params(n_rel=19, seed=8, ff_hidden=64)
+        doc = random_document(n, rng, gold_tree(n, params.n_rel, rng))
+        masks = make_dropout_masks(params, n, 0.2, rng)
+        enc = encode_document(doc, params, masks)
+        block = 8 * chart._BLOCK_ROWS * (3 * params.ff_hidden
+                                         + 2 * (params.n_rel + 4) + 8)
+        budget = chart._exact_bytes(n, params.n_rel) + block
+        table = 8 * (n + (n ** 3 - n) // 6) * (params.n_rel + 4)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            loss, diag = chart_loss(doc, params, "exact", masks, enc)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget < peak + table, (peak, budget)
+        assert diag.distance == hamming(diag.pred, doc.gold)
 
     def test_table_has_the_bits_of_the_reference_build(self):
         """The dense table, each block summed from factored partial sums
-        (NeuralOracle.label_blocks), equals the build that asked ``labels``
+        (NeuralOracle.tables), equals the build that asked ``labels``
         for every block's rows byte for byte, plain and loss-augmented, with
         and without dropout, and exact decoding reads the same tree and
         score from both.  Up to 8 EDUs, the one block is below OpenBLAS's

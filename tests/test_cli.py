@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import string
 import subprocess
 import sys
 import warnings
@@ -690,6 +691,25 @@ class TestMalformedModel:
         assert code == 1
         assert line == (f"data error: {model}: metadata '{key}' is {value!r}, "
                         "not an integer")
+
+    @pytest.mark.parametrize("key, recast", [
+        ("word_tokens", lambda names: list(range(1, len(names) + 1))),
+        ("pos_tokens", lambda names: string.ascii_lowercase[:len(names)]),
+        ("relations", lambda names: string.ascii_uppercase[:len(names)]),
+    ], ids=["word_tokens-numbers", "pos_tokens-string", "relations-string"])
+    def test_names_that_are_not_a_list_of_strings(self, key, recast, rewrite,
+                                                  corpus_dir, capsys):
+        """As many numbers, or a string of as many characters, would load
+        as a vocabulary of the right size."""
+        def change(meta, arrays):
+            assert len(meta[key]) <= 26
+            meta[key] = recast(meta[key])
+
+        model = rewrite(change)
+        code, line = self.compare(model, corpus_dir, capsys)
+        assert code == 1
+        assert line == (f"data error: {model}: metadata '{key}' is not a "
+                        "list of strings")
 
     def test_complex_arrays(self, rewrite, corpus_dir, capsys):
         def change(meta, arrays):
