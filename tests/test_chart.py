@@ -714,6 +714,7 @@ class TestOnDemandRows:
             scorer = ProtocolScorer(tabs)
             assert set(vars(scorer)) == {"n", "n_rel", "span", "labels",
                                          "tables"}
+
             def arrays():
                 return [a.tobytes() for a in (tabs.rel, tabs.nuc, tabs.span)]
 
