@@ -5,8 +5,9 @@ On-disk layout of a corpus directory:
 * ``relations.txt`` -- one relation label per line; blank lines and ``#``
   comments are ignored; the reserved leaf label is implicit.
 * ``<doc_id>.edus`` -- one EDU per line; tokens as ``word_POS`` pairs joined by
-  single spaces.  Literal underscores are escaped as ``\\_`` (and backslashes
-  as ``\\\\``); the separator is the last unescaped underscore.
+  single spaces, split at the last unescaped underscore.  A backslash stands
+  for the character after it, and a lone trailing backslash for itself, so
+  literal underscores are written ``\\_`` and backslashes ``\\\\``.
 * ``<doc_id>.tree`` -- one s-expression: ``(LEAF k)`` for EDU k (1-based) or
   ``(<NN|NS|SN> <Relation> <child> <child>)``.
 
@@ -17,7 +18,9 @@ from it, raise a CorpusError naming the file.
 
 from __future__ import annotations
 
+import itertools
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -144,34 +147,23 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace("_", "\\_")
 
 
-def _unescape(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\" and i + 1 < len(text):
-            out.append(text[i + 1])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
 def _split_token(item: str, line: int, column: int) -> tuple[str, str]:
-    """Split ``word_POS`` at the last unescaped underscore."""
-    sep = -1
-    i = 0
-    while i < len(item):
-        if item[i] == "\\":
-            i += 2
-            continue
-        if item[i] == "_":
-            sep = i
-        i += 1
-    if sep <= 0 or sep == len(item) - 1:
+    """Split ``word_POS`` at the last unescaped underscore, unescaping both
+    halves in the same pass: a backslash stands for the character after it,
+    and a lone trailing backslash stands for itself."""
+    out = []
+    sep = -1                    # index in ``out`` of the last unescaped "_"
+    chars = iter(item)
+    for c in chars:
+        if c == "\\":
+            c = next(chars, "\\")
+        elif c == "_":
+            sep = len(out)
+        out.append(c)
+    if sep <= 0 or sep == len(out) - 1:
         raise TreeSyntaxError(f"token {item!r} is not a word_POS pair", line, column)
-    return _unescape(item[:sep]), _unescape(item[sep + 1:])
+    text = "".join(out)
+    return text[:sep], text[sep + 1:]
 
 
 # --- .edus files ----------------------------------------------------------
@@ -210,52 +202,37 @@ def serialize_edus(edus: Sequence[Edu]) -> str:
 
 # --- .tree files ----------------------------------------------------------
 
-def _tokenize_sexpr(text: str):
-    """Yield (token, line, column) with parens as their own tokens."""
-    line, col = 1, 1
-    buf = ""
-    buf_pos = (1, 1)
-    for c in text:
-        if c in "()" or c.isspace():
-            if buf:
-                yield buf, *buf_pos
-                buf = ""
-            if c in "()":
-                yield c, line, col
-        else:
-            if not buf:
-                buf_pos = (line, col)
-            buf += c
-        if c == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-    if buf:
-        yield buf, *buf_pos
+# A paren, or a run of characters that are neither parens nor whitespace.
+# ``\s`` matches exactly the characters ``str.isspace`` accepts.
+_SEXPR_TOKEN = re.compile(r"[()]|[^()\s]+")
 
 
 def parse_tree_text(text: str, rel_vocab: RelationVocab,
                     n_edus: int | None = None) -> RstTree:
     """Parse one bracketed tree; checks labels and the span invariants."""
-    tokens = list(_tokenize_sexpr(text))
+    tokens = _SEXPR_TOKEN.findall(text)
     if not tokens:
         raise TreeSyntaxError("empty tree file", 1, 0)
 
     pos = 0
 
-    def take(what: str, want: str | None = None):
-        """The next token with its line and column; it must be ``want``
-        when that is given."""
+    def where(index: int) -> tuple[int, int]:
+        """Line and column, both 1-based, of token ``index``; only errors
+        need one, so it is found by scanning the text again."""
+        start = next(itertools.islice(_SEXPR_TOKEN.finditer(text), index, None)).start()
+        return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+    def take(what: str, want: str | None = None) -> str:
+        """The next token; it must be ``want`` when that is given."""
         nonlocal pos
         if pos >= len(tokens):
             raise TreeSyntaxError(f"expected {what}, found end of input",
-                                  tokens[-1][1], tokens[-1][2])
-        tok, line, col = tokens[pos]
+                                  *where(len(tokens) - 1))
+        tok = tokens[pos]
         if want is not None and tok != want:
-            raise TreeSyntaxError(f"expected {what}, found {tok!r}", line, col)
+            raise TreeSyntaxError(f"expected {what}, found {tok!r}", *where(pos))
         pos += 1
-        return tok, line, col
+        return tok
 
     spans: list[LabeledSpan] = []
     splits: dict[tuple[int, int], int] = {}
@@ -265,27 +242,29 @@ def parse_tree_text(text: str, rel_vocab: RelationVocab,
     open_nodes: list[list] = []
     while True:
         take("'('", "(")
-        head, line, col = take("node head")
+        head = take("node head")
         if head != LEAF_RELATION_NAME:
             if head not in ("NN", "NS", "SN"):
                 raise TreeSyntaxError(f"expected NN, NS, SN or {LEAF_RELATION_NAME},"
-                                      f" found {head!r}", line, col)
+                                      f" found {head!r}", *where(pos - 1))
             nuc = Nuclearity[head]
-            rel_name, rline, rcol = take("relation label")
+            rel_name = take("relation label")
             try:
                 rel = rel_vocab.index(rel_name)
             except KeyError:
+                line, col = where(pos - 1)
                 raise UnknownRelationError(
-                    f"line {rline}, column {rcol}: unknown relation label {rel_name!r}"
+                    f"line {line}, column {col}: unknown relation label {rel_name!r}"
                 ) from None
             if rel == LEAF_RELATION:
+                line, col = where(pos - 1)
                 raise UnknownRelationError(
-                    f"line {rline}, column {rcol}: reserved label on internal node")
+                    f"line {line}, column {col}: reserved label on internal node")
             open_nodes.append([nuc, rel])
             continue
-        num, nline, ncol = take("EDU number")
+        num = take("EDU number")
         if not num.isdigit() or int(num) < 1:
-            raise TreeSyntaxError(f"bad EDU number {num!r}", nline, ncol)
+            raise TreeSyntaxError(f"bad EDU number {num!r}", *where(pos - 1))
         k = int(num)
         take("')'", ")")
         spans.append(LabeledSpan(k - 1, k, LEAF_RELATION, Nuclearity.LEAF))
@@ -307,8 +286,7 @@ def parse_tree_text(text: str, rel_vocab: RelationVocab,
         open_nodes[-1].append(done)
 
     if pos != len(tokens):
-        tok, line, col = tokens[pos]
-        raise TreeSyntaxError(f"trailing content {tok!r}", line, col)
+        raise TreeSyntaxError(f"trailing content {tokens[pos]!r}", *where(pos))
 
     n = root[1]
     if root[0] != 0:

@@ -55,10 +55,19 @@ from rstparse.chart import (
 from rstparse.core import (
     INTERNAL_NUCLEARITIES,
     LEAF_RELATION,
+    LEAF_RELATION_NAME,
     NUM_NUCLEARITIES,
     LabeledSpan,
     Nuclearity,
+    RelationVocab,
     RstTree,
+    validate_tree,
+)
+from rstparse.data import (
+    EduCountMismatchError,
+    TreeInvariantError,
+    TreeSyntaxError,
+    UnknownRelationError,
 )
 from rstparse.encoder import (
     ACTION,
@@ -292,14 +301,149 @@ def ref_random_tree(n, rel_vocab, rng):
     return RstTree(spans, n, splits)
 
 
-def random_gold_tree(n, n_rel, rng):
-    """Random tree with labels drawn over the real relation range."""
-    from rstparse.core import RelationVocab
-    from rstparse.data import random_tree
+# --- corpus text: the two-pass token split and per-character tree lexer --
 
-    names = ["R%d" % i for i in range(1, n_rel)]
-    vocab = RelationVocab(names)
-    return random_tree(n, vocab, rng)
+def ref_unescape(text: str) -> str:
+    out = []
+    i = 0
+    while i < len(text):
+        c = text[i]
+        if c == "\\" and i + 1 < len(text):
+            out.append(text[i + 1])
+            i += 2
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def ref_split_token(item: str, line: int, column: int) -> tuple[str, str]:
+    """Split ``word_POS`` at the last unescaped underscore."""
+    sep = -1
+    i = 0
+    while i < len(item):
+        if item[i] == "\\":
+            i += 2
+            continue
+        if item[i] == "_":
+            sep = i
+        i += 1
+    if sep <= 0 or sep == len(item) - 1:
+        raise TreeSyntaxError(f"token {item!r} is not a word_POS pair", line, column)
+    return ref_unescape(item[:sep]), ref_unescape(item[sep + 1:])
+
+
+def ref_tokenize_sexpr(text: str):
+    """Yield (token, line, column) with parens as their own tokens."""
+    line, col = 1, 1
+    buf = ""
+    buf_pos = (1, 1)
+    for c in text:
+        if c in "()" or c.isspace():
+            if buf:
+                yield buf, *buf_pos
+                buf = ""
+            if c in "()":
+                yield c, line, col
+        else:
+            if not buf:
+                buf_pos = (line, col)
+            buf += c
+        if c == "\n":
+            line += 1
+            col = 1
+        else:
+            col += 1
+    if buf:
+        yield buf, *buf_pos
+
+
+def ref_parse_tree_text(text: str, rel_vocab: RelationVocab,
+                        n_edus: int | None = None) -> RstTree:
+    """Parse one bracketed tree; checks labels and the span invariants."""
+    tokens = list(ref_tokenize_sexpr(text))
+    if not tokens:
+        raise TreeSyntaxError("empty tree file", 1, 0)
+
+    pos = 0
+
+    def take(what: str, want: str | None = None):
+        """The next token with its line and column; it must be ``want``
+        when that is given."""
+        nonlocal pos
+        if pos >= len(tokens):
+            raise TreeSyntaxError(f"expected {what}, found end of input",
+                                  tokens[-1][1], tokens[-1][2])
+        tok, line, col = tokens[pos]
+        if want is not None and tok != want:
+            raise TreeSyntaxError(f"expected {what}, found {tok!r}", line, col)
+        pos += 1
+        return tok, line, col
+
+    spans: list[LabeledSpan] = []
+    splits: dict[tuple[int, int], int] = {}
+    # [nuclearity, relation] of each internal node whose ')' is still to
+    # come, plus its left child's span once that is read.  A loop over this
+    # stack instead of recursion reads trees of any depth.
+    open_nodes: list[list] = []
+    while True:
+        take("'('", "(")
+        head, line, col = take("node head")
+        if head != LEAF_RELATION_NAME:
+            if head not in ("NN", "NS", "SN"):
+                raise TreeSyntaxError(f"expected NN, NS, SN or {LEAF_RELATION_NAME},"
+                                      f" found {head!r}", line, col)
+            nuc = Nuclearity[head]
+            rel_name, rline, rcol = take("relation label")
+            try:
+                rel = rel_vocab.index(rel_name)
+            except KeyError:
+                raise UnknownRelationError(
+                    f"line {rline}, column {rcol}: unknown relation label {rel_name!r}"
+                ) from None
+            if rel == LEAF_RELATION:
+                raise UnknownRelationError(
+                    f"line {rline}, column {rcol}: reserved label on internal node")
+            open_nodes.append([nuc, rel])
+            continue
+        num, nline, ncol = take("EDU number")
+        if not num.isdigit() or int(num) < 1:
+            raise TreeSyntaxError(f"bad EDU number {num!r}", nline, ncol)
+        k = int(num)
+        take("')'", ")")
+        spans.append(LabeledSpan(k - 1, k, LEAF_RELATION, Nuclearity.LEAF))
+        done = (k - 1, k)
+        # Close every open node whose second child this completes.
+        while open_nodes and len(open_nodes[-1]) == 3:
+            nuc, rel, left = open_nodes.pop()
+            if left[1] != done[0]:
+                raise TreeInvariantError(
+                    f"children spans {left} and {done} are not adjacent")
+            take("')'", ")")
+            i, j = left[0], done[1]
+            spans.append(LabeledSpan(i, j, rel, nuc))
+            splits[(i, j)] = left[1]
+            done = (i, j)
+        if not open_nodes:
+            root = done
+            break
+        open_nodes[-1].append(done)
+
+    if pos != len(tokens):
+        tok, line, col = tokens[pos]
+        raise TreeSyntaxError(f"trailing content {tok!r}", line, col)
+
+    n = root[1]
+    if root[0] != 0:
+        raise TreeInvariantError(f"root span {root} does not start at 0")
+    if n_edus is not None and n != n_edus:
+        raise EduCountMismatchError(
+            f"tree covers {n} EDUs but the document has {n_edus}")
+    tree = RstTree(spans, n, splits)
+    err = validate_tree(tree)
+    if err is not None:
+        raise TreeInvariantError(err)
+    return tree
 
 
 # --- the per-decision tape ops --------------------------------------------

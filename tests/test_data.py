@@ -1,11 +1,19 @@
+import random
 import re
 
 import numpy as np
 import pytest
 
-from conftest import chain_tree, make_tree, ref_random_tree
+from conftest import (
+    chain_tree,
+    make_tree,
+    ref_parse_tree_text,
+    ref_random_tree,
+    ref_split_token,
+)
 
-from rstparse.core import Nuclearity, RelationVocab, validate_tree
+from rstparse import data
+from rstparse.core import Edu, Nuclearity, RelationVocab, validate_tree
 from rstparse.data import (
     CorpusError,
     EduCountMismatchError,
@@ -141,6 +149,83 @@ class TestTreeFiles:
                                  (1, 2): (1, Nuclearity.SN)})
         text = serialize_tree(tree, VOCAB)
         assert "(LEAF 1)" in text and "(LEAF 2)" in text
+
+
+def outcome(parse, *args):
+    """What ``parse`` returns, or its error's type, message, line and
+    column (None where the error has none)."""
+    try:
+        result = parse(*args)
+    except Exception as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    if isinstance(result, tuple):
+        return result
+    return result, result.labels
+
+
+# Separators and escapes, and whitespace that only str.isspace knows.
+FUZZ_CHARS = ("a", "B", "7", "_", "\\", "(", ")", " ", "\n", "\t", "\x1c",
+              "\u00a0", "\u2028")
+
+
+class TestParsersEqualTheReferences:
+    """The one-pass token scanner and the regex tree lexer against the
+    two-pass split and per-character lexer in conftest: equal results, and
+    equal error types, messages, lines and columns."""
+
+    def test_split_token_fuzz(self):
+        rng = random.Random(18)
+        for _ in range(20000):
+            item = "".join(rng.choices(FUZZ_CHARS, k=rng.randint(0, 9)))
+            if rng.random() < 0.25:
+                item += "\\"                   # a lone trailing backslash
+            line, column = rng.randint(1, 9), rng.randint(1, 99)
+            assert (outcome(data._split_token, item, line, column)
+                    == outcome(ref_split_token, item, line, column)), item
+
+    def test_parse_tree_text_fuzz(self):
+        rng = random.Random(19)
+        np_rng = np.random.default_rng(19)
+        pieces = FUZZ_CHARS + ("LEAF", "NN", "NS", "SN", "Cause", "Joint",
+                               "Nope", "0", "12", "(LEAF 2)", "\n\n")
+        for _ in range(2500):
+            n = rng.randint(1, 6)
+            text = serialize_tree(random_tree(n, VOCAB, np_rng), VOCAB)
+            # Respell the separators, then make up to three edits.
+            text = "".join(rng.choice((" ", "\n ", "\t", "\x1c", "\u00a0",
+                                       "\u2028", "  "))
+                           if c == " " and rng.random() < 0.3 else c
+                           for c in text)
+            for _ in range(rng.randint(0, 3)):
+                at = rng.randint(0, len(text))
+                size = rng.randint(1, 4)
+                edit = rng.randrange(4)
+                if edit == 0:
+                    text = text[:at] + text[at + size:]
+                elif edit == 1:
+                    text = text[:at] + rng.choice(pieces) + text[at:]
+                elif edit == 2:
+                    text = text[:at] + rng.choice(pieces) + text[at + size:]
+                else:
+                    text = text[:at] + text[at:at + size] + text[at:]
+            for n_edus in (None, n, n + 1):
+                assert (outcome(parse_tree_text, text, VOCAB, n_edus)
+                        == outcome(ref_parse_tree_text, text, VOCAB, n_edus)
+                        ), (text, n_edus)
+
+    def test_escaped_tokens_round_trip(self):
+        rng = random.Random(20)
+        for _ in range(500):
+            edus = []
+            for index in range(1, rng.randint(1, 4) + 1):
+                k = rng.randint(1, 5)
+                tokens, tags = ([
+                    "".join(rng.choices("a_\\", k=rng.randint(1, 6)))
+                    for _ in range(k)] for _ in range(2))
+                edus.append(Edu(tuple(tokens), tuple(tags), index))
+            edus = tuple(edus)
+            assert parse_edus_text(serialize_edus(edus)) == edus
 
 
 class TestManifest:
