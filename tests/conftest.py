@@ -30,7 +30,11 @@ the references for ``ops.bilstm``; and the greedy loop that scored every
 state, forced shifts included, with the per-block projection list it read,
 the references for the one-gather greedy parse and the stacked projections;
 and the split totals read with 2-D fancy indexing, the reference for the
-flat-offset kernel the decoders share.  ``single_leaf``, ``queue``,
+flat-offset kernel the decoders share; and the ``.edus`` token split that
+found the separator, then unescaped each half (``ref_split_token``), and
+the ``.tree`` parser over a per-character lexer that kept every token's
+line and column (``ref_parse_tree_text``), the references for the one-pass
+token scanner and the regex lexer.  ``single_leaf``, ``queue``,
 ``span_count`` and ``tree_structures_count`` are conveniences only the
 tests read.
 """

@@ -9,7 +9,14 @@ holds only because of how numpy and its BLAS pick their kernels.  A BLAS
 that behaves otherwise fails the digests and the byte-for-byte grids; the
 tests here say which assumption broke, and each message names the code that
 relies on it.  Measured with numpy 2.4 on OpenBLAS 0.3.31.
+
+One assumption is Python's own: ``data.parse_tree_text`` splits ``.tree``
+text with the regex ``\\s``, and the text it must split as before was
+split by ``str.isspace``.
 """
+
+import re
+import sys
 
 import numpy as np
 
@@ -212,3 +219,14 @@ def test_gathered_rows_are_new_arrays_so_projections_stay_as_they_are():
             "building the dense table changed NeuralOracle's projections; "
             "its factored blocks must gather copies before finish runs")
     assert enc.data.tobytes() == M.tobytes()
+
+
+def test_regex_whitespace_is_exactly_str_isspace():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    by_regex = set(re.findall(r"\s", every))
+    by_isspace = {c for c in every if c.isspace()}
+    differ = sorted(f"U+{ord(c):04X}" for c in by_regex ^ by_isspace)
+    assert not differ, (
+        f"re's \\s and str.isspace disagree on {differ}: data._SEXPR_TOKEN "
+        "splits .tree text at \\s, so its tokens stop equalling those of "
+        "conftest.ref_tokenize_sexpr, which splits at str.isspace")

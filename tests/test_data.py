@@ -11,6 +11,7 @@ from conftest import (
     ref_random_tree,
     ref_split_token,
 )
+from test_input_fuzz import edit
 
 from rstparse import data
 from rstparse.core import Edu, Nuclearity, RelationVocab, validate_tree
@@ -187,28 +188,16 @@ class TestParsersEqualTheReferences:
     def test_parse_tree_text_fuzz(self):
         rng = random.Random(19)
         np_rng = np.random.default_rng(19)
-        pieces = FUZZ_CHARS + ("LEAF", "NN", "NS", "SN", "Cause", "Joint",
-                               "Nope", "0", "12", "(LEAF 2)", "\n\n")
         for _ in range(2500):
             n = rng.randint(1, 6)
             text = serialize_tree(random_tree(n, VOCAB, np_rng), VOCAB)
-            # Respell the separators, then make up to three edits.
+            # Respell the separators, then edit four texts in five.
             text = "".join(rng.choice((" ", "\n ", "\t", "\x1c", "\u00a0",
                                        "\u2028", "  "))
                            if c == " " and rng.random() < 0.3 else c
                            for c in text)
-            for _ in range(rng.randint(0, 3)):
-                at = rng.randint(0, len(text))
-                size = rng.randint(1, 4)
-                edit = rng.randrange(4)
-                if edit == 0:
-                    text = text[:at] + text[at + size:]
-                elif edit == 1:
-                    text = text[:at] + rng.choice(pieces) + text[at:]
-                elif edit == 2:
-                    text = text[:at] + rng.choice(pieces) + text[at + size:]
-                else:
-                    text = text[:at] + text[at:at + size] + text[at:]
+            if rng.random() < 0.8:
+                text = edit(text, rng)
             for n_edus in (None, n, n + 1):
                 assert (outcome(parse_tree_text, text, VOCAB, n_edus)
                         == outcome(ref_parse_tree_text, text, VOCAB, n_edus)
@@ -216,16 +205,17 @@ class TestParsersEqualTheReferences:
 
     def test_escaped_tokens_round_trip(self):
         rng = random.Random(20)
+
+        def field():
+            return "".join(rng.choices("a_\\", k=rng.randint(1, 6)))
+
         for _ in range(500):
             edus = []
             for index in range(1, rng.randint(1, 4) + 1):
                 k = rng.randint(1, 5)
-                tokens, tags = ([
-                    "".join(rng.choices("a_\\", k=rng.randint(1, 6)))
-                    for _ in range(k)] for _ in range(2))
-                edus.append(Edu(tuple(tokens), tuple(tags), index))
-            edus = tuple(edus)
-            assert parse_edus_text(serialize_edus(edus)) == edus
+                edus.append(Edu(tuple(field() for _ in range(k)),
+                                tuple(field() for _ in range(k)), index))
+            assert parse_edus_text(serialize_edus(edus)) == tuple(edus)
 
 
 class TestManifest:

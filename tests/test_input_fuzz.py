@@ -1,0 +1,132 @@
+"""Seeded random edits of a corpus's text files, driven through the CLI.
+
+Each case copies a small synthetic corpus, makes one to three edits to one
+of its ``.edus``, ``.tree`` or ``relations.txt`` files (deleting, inserting,
+replacing or duplicating characters or lines), and runs every command that
+reads the edited file: ``parse`` with a tiny saved model, ``eval`` with the
+edited corpus as the gold side and, for a ``.tree`` edit, as the predicted
+side, and ``oracle --replay``.  An edit to a data file may make a command
+fail, but only with exit code 1 and exactly one ``data error:`` or
+``io error:`` line on stderr; numpy warnings are raised as errors, so one
+that escapes ends the case in a traceback.
+"""
+
+import os
+import random
+import shutil
+import warnings
+
+import numpy as np
+import pytest
+
+from rstparse.cli import main
+from rstparse.core import RelationVocab
+from rstparse.data import MANIFEST_NAME, generate_synthetic, save_corpus
+from rstparse.encoder import ModelParams
+from rstparse.training import PARSE_METHODS
+
+VOCAB = RelationVocab(["Cause", "Elaboration", "Joint"])
+CASES = 300
+
+# What an edit inserts: the format's own syntax, escapes, whitespace that
+# only str.isspace knows, a byte that is not UTF-8 ("\udcff", written with
+# surrogateescape) and text the parsers give meaning to.
+PIECES = ("(", ")", "_", "\\", " ", "  ", "\n", "\t", "\x1c", "\u00a0",
+          "\u2028", "\udcff", "0", "1", "7", "-3", "x", "\u00e9", "LEAF",
+          "NN", "NS", "SN", "Cause", "Joint", "Nope", "#", "a_NN", "(LEAF 2)")
+
+
+def edit(text: str, rng: random.Random) -> str:
+    """``text`` after one to three random character or line edits."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("delete", "insert", "replace", "duplicate"))
+        if rng.random() < 0.3:
+            lines = text.split("\n")
+            at = rng.randrange(len(lines))
+            if kind == "delete":
+                del lines[at]
+            elif kind == "duplicate":
+                lines.insert(at, lines[at])
+            else:
+                new = "".join(rng.choices(PIECES, k=rng.randint(1, 4)))
+                lines[at:at + (kind == "replace")] = [new]
+            text = "\n".join(lines)
+            continue
+        at = rng.randint(0, len(text))
+        size = rng.randint(1, 3)
+        piece = rng.choice(PIECES)
+        if kind == "delete":
+            text = text[:at] + text[at + size:]
+        elif kind == "insert":
+            text = text[:at] + piece + text[at:]
+        elif kind == "replace":
+            text = text[:at] + piece + text[at + size:]
+        else:
+            text = text[:at] + text[at:at + size] + text[at:]
+    return text
+
+
+@pytest.fixture(scope="module")
+def clean(tmp_path_factory):
+    """The clean corpus directory, its trees as a prediction directory, and
+    a tiny model over its vocabularies."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = generate_synthetic(3, 5, VOCAB, seed=18)
+    save_corpus(corpus, str(root / "corpus"))
+    pred = root / "pred"
+    pred.mkdir()
+    for doc in corpus.documents:
+        shutil.copy(root / "corpus" / f"{doc.doc_id}.tree", pred)
+    model = str(root / "model.npz")
+    ModelParams.init(corpus.word_vocab, corpus.pos_vocab, corpus.rel_vocab,
+                     np.random.default_rng(0), word_dim=2, pos_dim=2,
+                     hidden=2, ff_hidden=2).save(model)
+    return root, [d.doc_id for d in corpus.documents], model
+
+
+def test_edited_corpus_files_fail_only_with_a_data_error(clean, tmp_path,
+                                                         capsys):
+    root, doc_ids, model = clean
+    clean_corpus, pred = str(root / "corpus"), str(root / "pred")
+    wrong = []
+    seen = set()
+    for case in range(CASES):
+        rng = random.Random(case)
+        kind = rng.choice((".edus", ".tree", MANIFEST_NAME))
+        doc_id = rng.choice(doc_ids)
+        corpus = str(tmp_path / f"case{case}")
+        shutil.copytree(clean_corpus, corpus)
+        victim = os.path.join(
+            corpus, MANIFEST_NAME if kind == MANIFEST_NAME else doc_id + kind)
+        with open(victim, encoding="utf-8") as fh:
+            text = edit(fh.read(), rng)
+        with open(victim, "wb") as fh:
+            fh.write(text.encode("utf-8", "surrogateescape"))
+        # The commands that read the edited file.
+        argvs = [["eval", "--gold", corpus, "--pred", pred]]
+        if kind == ".edus":
+            argvs.append(["parse", "--model", model, "--out-dir",
+                          str(tmp_path / "out"), "--decoder",
+                          rng.choice(PARSE_METHODS)]
+                         + [os.path.join(corpus, d + ".edus") for d in doc_ids])
+        elif kind == ".tree":
+            argvs.append(["eval", "--gold", clean_corpus, "--pred", corpus])
+        if kind != ".edus":
+            argvs.append(["oracle", os.path.join(corpus, doc_id + ".tree"),
+                          "--manifest", os.path.join(corpus, MANIFEST_NAME),
+                          "--replay"])
+        for argv in argvs:
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(argv)
+            err = capsys.readouterr().err.splitlines()
+            seen.add(code)
+            if code == 0:
+                continue
+            if (code != 1 or len(err) != 1
+                    or not err[0].startswith(("data error: ", "io error: "))):
+                wrong.append((case, kind, argv[0], code, err))
+        shutil.rmtree(corpus)
+    assert not wrong, wrong[:5]
+    assert seen == {0, 1}, "the edits should both keep and break some files"
