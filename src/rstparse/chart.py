@@ -64,10 +64,10 @@ from .encoder import (
     REL,
     NUC,
     DropoutMasks,
-    Feedforward,
     ModelParams,
     RowFeedforward,
     encode_document,
+    feedforward,
 )
 from .ops import Tensor
 
@@ -324,14 +324,9 @@ class NeuralOracle:
         self.n = enc.shape[0]
         self.n_rel = params.n_rel
         M = enc.data
-
-        def scorer(name, blocks):
-            mask = masks.hidden_for(name) if masks is not None else None
-            return RowFeedforward(Feedforward(params, name), M, blocks, mask)
-
-        span_ff = scorer(SPAN, 2)
-        self._rel = scorer(REL, 4)
-        self._nuc = scorer(NUC, 4)
+        span_ff = RowFeedforward(params, SPAN, M, 2, masks)
+        self._rel = RowFeedforward(params, REL, M, 4, masks)
+        self._nuc = RowFeedforward(params, NUC, M, 4, masks)
         for name, ff in ((SPAN, span_ff), (REL, self._rel), (NUC, self._nuc)):
             at = first_nonfinite(ff.proj)
             if at is not None:
@@ -764,19 +759,16 @@ def score_tree_symbolic(tree: RstTree, params: ModelParams, enc: Tensor,
     nuclearity.  The tape holds the same number of nodes for any tree.
     """
     I, J, K, L, P = _tree_rows(tree)
-
-    def apply(name, index):
-        mask = masks.hidden_for(name) if masks is not None else None
-        return Feedforward(params, name).apply(ops.take_rows(enc, index), mask)
-
     terms = []
     # every span but the root is a child of an internal span
     children = [(i, j - 1) for i, j in tree.labels if (i, j) != (0, tree.n)]
     if children:
-        terms.append(ops.vsum(apply(SPAN, children)))
+        terms.append(ops.vsum(feedforward(
+            params, SPAN, ops.take_rows(enc, children), masks)))
     label_rows = np.stack(_label_rows(I, J, K), axis=1)
     for name, picked in ((REL, L), (NUC, P)):
-        scores = apply(name, label_rows)
+        scores = feedforward(params, name, ops.take_rows(enc, label_rows),
+                             masks)
         one_hot = np.zeros(scores.shape)
         one_hot[np.arange(len(I)), picked] = 1.0
         terms.append(ops.vsum(ops.cmul(scores, one_hot)))

@@ -24,9 +24,9 @@ from .core import Document
 from .data import (
     CorpusError,
     load_corpus,
+    load_edus,
     load_embeddings,
     open_text,
-    parse_edus_text,
     parse_manifest,
     parse_tree_text,
     serialize_tree,
@@ -151,8 +151,7 @@ def _load_documents(paths) -> list[Document]:
             raise CorpusError(f"{seen[doc_id]} and {path} both give document "
                               f"id {doc_id!r}")
         seen[doc_id] = path
-        with open_text(path) as fh:
-            docs.append(Document(doc_id, parse_edus_text(fh.read())))
+        docs.append(Document(doc_id, load_edus(path)))
     return docs
 
 
@@ -182,8 +181,8 @@ def cmd_eval(args) -> int:
             pred = parse_tree_text(fh.read(), gold.rel_vocab, n_edus=doc.n)
         pairs.append((doc.doc_id, pred, doc.gold))
     if missing:
-        print("missing predictions for: " + " ".join(missing), file=sys.stderr)
-        return 1
+        raise CorpusError(f"{args.pred}: missing predictions for: "
+                          + " ".join(missing))
     report = evaluate_trees(pairs)
     print(format_report(report, per_doc=args.per_doc))
     if args.tsv:

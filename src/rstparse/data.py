@@ -13,7 +13,8 @@ On-disk layout of a corpus directory:
 
 Files are UTF-8 with LF line endings.  Every text file is opened with
 ``open_text``, so bytes that are not UTF-8, and errors in the text read
-from it, raise a CorpusError naming the file.
+from it, raise a CorpusError naming the file.  An ``.edus`` file is read as
+it is: a CR, or any whitespace in an EDU line but a space, is an error.
 """
 
 from __future__ import annotations
@@ -71,14 +72,15 @@ class TreeInvariantError(CorpusError):
 
 
 @contextmanager
-def open_text(path: str, error: type[Exception] = CorpusError):
-    """``path`` opened as UTF-8 text.  Bytes that are not UTF-8, met while
-    the file is read, raise ``error`` naming the file.  A CorpusError raised
-    while it is open, such as a parse error in its text, keeps its type and
-    gets the file's name before its message.  A file that cannot be opened
-    stays an OSError."""
+def open_text(path: str, error: type[Exception] = CorpusError,
+              newline: str | None = None):
+    """``path`` opened as UTF-8 text, ``newline`` as ``open`` takes it.
+    Bytes that are not UTF-8, met while the file is read, raise ``error``
+    naming the file.  A CorpusError raised while it is open, such as a parse
+    error in its text, keeps its type and gets the file's name before its
+    message.  A file that cannot be opened stays an OSError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -168,11 +170,18 @@ def _split_token(item: str, line: int, column: int) -> tuple[str, str]:
 
 # --- .edus files ----------------------------------------------------------
 
+# Whitespace other than the space that separates an EDU line's tokens.
+_OTHER_SPACE = re.compile(r"[^\S ]")
+
+
 def parse_edus_text(text: str) -> tuple[Edu, ...]:
     edus = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         if line == "":
             continue
+        if bad := _OTHER_SPACE.search(line):
+            raise TreeSyntaxError(f"whitespace {bad.group()!r} in EDU line",
+                                  lineno, bad.start() + 1)
         tokens = []
         tags = []
         column = 1
@@ -187,6 +196,12 @@ def parse_edus_text(text: str) -> tuple[Edu, ...]:
     if not edus:
         raise TreeSyntaxError("no EDUs in file", 1, 0)
     return tuple(edus)
+
+
+def load_edus(path: str) -> tuple[Edu, ...]:
+    """The EDUs of an ``.edus`` file, read untranslated (a CR is refused)."""
+    with open_text(path, newline="") as fh:
+        return parse_edus_text(fh.read())
 
 
 def serialize_edus(edus: Sequence[Edu]) -> str:
@@ -357,10 +372,8 @@ def load_corpus(directory: str) -> Corpus:
         if not name.endswith(".edus"):
             continue
         doc_id = name[:-len(".edus")]
-        edus_path = os.path.join(directory, name)
+        edus = load_edus(os.path.join(directory, name))
         tree_path = os.path.join(directory, doc_id + ".tree")
-        with open_text(edus_path) as fh:
-            edus = parse_edus_text(fh.read())
         if not os.path.exists(tree_path):
             raise CorpusError(f"missing tree file for {doc_id}")
         with open_text(tree_path) as fh:

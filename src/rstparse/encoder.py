@@ -10,6 +10,10 @@ parsers read.  A span (i, j) is the concatenation of rows M[i] and M[j-1]
 concatenations of EDU rows, applied to batches of rows both on the tape
 (gathered from M with ``ops.take_rows``) and in numpy (from ``M.data``).
 
+Each path finds a scorer by name, SPAN, REL, NUC or ACTION, in one place:
+``feedforward`` on the tape, ``RowFeedforward`` in numpy.  Each reads the
+weights ``{name}.W1/b1/W2/b2`` and the hidden mask ``masks.hidden[name]``.
+
 The action scorer's columns are the shift-reduce parser's actions, and an
 action is its column index: SHIFT is 0 and REDUCE(r, p) is 1 + 3 (r - 1) + p.
 ``action_count``, ``reduce_action`` and ``reduce_labels`` hold that layout.
@@ -302,43 +306,19 @@ class ModelParams:
                 fail(f"array {name!r} holds non-finite values")
 
 
-class Feedforward:
-    """Two-layer scorer W2 relu(W1 x + b1) + b2, applied to rows of inputs.
-
-    ``apply`` records the network on the tape for a (B, d) batch of inputs
-    as one ``linear`` node per layer; ``output_np`` is the same network in
-    numpy from the first layer's product onwards.
-    """
-
-    def __init__(self, params: ModelParams, prefix: str):
-        tensors = params.tensors()
-        self.W1 = tensors[f"{prefix}.W1"]
-        self.b1 = tensors[f"{prefix}.b1"]
-        self.W2 = tensors[f"{prefix}.W2"]
-        self.b2 = tensors[f"{prefix}.b2"]
-
-    def apply(self, X: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """The (B, d_out) scores of the B input rows of X."""
-        h = ops.relu(ops.linear(X, self.W1, self.b1))
-        if mask is not None:
-            h = ops.cmul(h, mask)
-        return ops.linear(h, self.W2, self.b2)
-
-    def output_np(self, Z: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-        """The network from the first layer's product Z = X W1^T onwards.
-
-        The bias, relu and mask are applied in Z's own memory, so Z must be
-        an array made for the call, not a view of one that is read again.
-        """
-        Z += self.b1.data
-        np.maximum(Z, 0.0, out=Z)
-        if mask is not None:
-            Z *= mask
-        return Z @ self.W2.data.T + self.b2.data
+def feedforward(params: ModelParams, name: str, X: Tensor,
+                masks: DropoutMasks | None = None) -> Tensor:
+    """Scorer ``name``, W2 relu(W1 x + b1) + b2, on the tape: the (B, d_out)
+    scores of the B input rows of X, one ``linear`` node per layer."""
+    tensors = params.tensors()
+    h = ops.relu(ops.linear(X, tensors[f"{name}.W1"], tensors[f"{name}.b1"]))
+    if masks is not None:
+        h = ops.cmul(h, masks.hidden[name])
+    return ops.linear(h, tensors[f"{name}.W2"], tensors[f"{name}.b2"])
 
 
 class RowFeedforward:
-    """A Feedforward over inputs that concatenate rows of one matrix M.
+    """Scorer ``name`` in numpy, over inputs that concatenate rows of M.
 
     W1 [M[a_0]; ...; M[a_{q-1}]] equals the sum over blocks of
     P_b[a_b] with P_b = M W1_b^T, W1_b being W1's b-th column block.  The
@@ -351,24 +331,27 @@ class RowFeedforward:
     ((P_0[a_0] + P_1[a_1]) + ...) + P_{q-1}[a_{q-1}], and every path keeps
     that association, so a row's bits do not depend on which path scored
     it.  ``lead`` sums the leading blocks' gathered rows and ``finish`` adds
-    the last block's and runs the second layer; ``__call__``, which takes
-    one index array per block and scores a batch of rows, is the two in
-    turn.  A caller may instead ``lead`` once over the distinct index tuples
-    its rows share and gather the partial sums for ``finish``: a leading sum
-    reused by many rows is then added once (the chart's dense label table
-    does this, see chart.NeuralOracle.tables).  ``one`` scores a
+    the last block's and runs the second layer (``output``); ``__call__``,
+    which takes one index array per block and scores a batch of rows, is the
+    two in turn.  A caller may instead ``lead`` once over the distinct index
+    tuples its rows share and gather the partial sums for ``finish``: a
+    leading sum reused by many rows is then added once (the chart's dense
+    label table does this, see chart.NeuralOracle.tables).  ``one`` scores a
     single row from its q indices with one gather and one running sum over
     the blocks.
     """
 
-    def __init__(self, ff: Feedforward, M: np.ndarray, blocks: int,
-                 mask: np.ndarray | None = None):
+    def __init__(self, params: ModelParams, name: str, M: np.ndarray,
+                 blocks: int, masks: DropoutMasks | None = None):
+        arrays = params.arrays
         d = M.shape[1]
-        W1 = ff.W1.data
+        W1 = arrays[f"{name}.W1"]
         if W1.shape[1] != blocks * d:
             raise ValueError(f"W1 has {W1.shape[1]} columns, not {blocks} x {d}")
-        self.ff = ff
-        self.mask = mask
+        self.b1 = arrays[f"{name}.b1"]
+        self.W2 = arrays[f"{name}.W2"]
+        self.b2 = arrays[f"{name}.b2"]
+        self.mask = masks.hidden[name] if masks is not None else None
         self.proj = np.empty((blocks, M.shape[0], W1.shape[0]))
         # one view per block: a tuple iterates faster than the array
         self._views = tuple(self.proj)
@@ -391,7 +374,7 @@ class RowFeedforward:
         added, then the second layer runs.  Z is overwritten, so it must be
         an array made for the call."""
         Z += self._views[-1][index]
-        return self.ff.output_np(Z, self.mask)
+        return self.output(Z)
 
     def __call__(self, *index: np.ndarray) -> np.ndarray:
         return self.finish(self.lead(*index[:-1]), index[-1])
@@ -405,7 +388,19 @@ class RowFeedforward:
         not always: over a (q, 1) array it sums pairwise.
         """
         Z = np.add.accumulate(self.proj[self._blocks, rows], axis=0)[-1:]
-        return self.ff.output_np(Z, self.mask)
+        return self.output(Z)
+
+    def output(self, Z: np.ndarray) -> np.ndarray:
+        """The network from the first layer's product Z = X W1^T onwards.
+
+        The bias, relu and mask are applied in Z's own memory, so Z must be
+        an array made for the call, not a view of one that is read again.
+        """
+        Z += self.b1
+        np.maximum(Z, 0.0, out=Z)
+        if self.mask is not None:
+            Z *= self.mask
+        return Z @ self.W2.T + self.b2
 
 
 @dataclass
@@ -419,9 +414,6 @@ class DropoutMasks:
 
     edu: np.ndarray                  # (n_edus, 4H)
     hidden: dict[str, np.ndarray]    # scorer name -> (ff_hidden,)
-
-    def hidden_for(self, name: str) -> np.ndarray:
-        return self.hidden[name]
 
 
 def make_dropout_masks(params: ModelParams, n_edus: int, dropout: float,

@@ -33,10 +33,10 @@ from .encoder import (
     SLOTS,
     STACK_SLOTS,
     DropoutMasks,
-    Feedforward,
     ModelParams,
     RowFeedforward,
     encode_document,
+    feedforward,
     reduce_action,
     reduce_labels,
 )
@@ -204,7 +204,7 @@ def greedy_parse(doc: Document, params: ModelParams,
     """
     M = (enc if enc is not None else encode_document(doc, params)).data
     padded = np.vstack((M, np.zeros((1, M.shape[1]))))
-    scorer = RowFeedforward(Feedforward(params, ACTION), padded, SLOTS)
+    scorer = RowFeedforward(params, ACTION, padded, SLOTS)
     state = initial_state(doc.n)
     while not is_terminal(state):
         legal = legal_mask(state, params.n_actions)
@@ -249,7 +249,6 @@ def transition_loss(doc: Document, params: ModelParams,
     if not is_terminal(state):
         raise ValueError("gold derivation did not terminate")
     padded = ops.concat([enc, ops.zeros((1, enc.shape[1]))], axis=0)
-    mask = masks.hidden_for(ACTION) if masks is not None else None
-    scores = Feedforward(params, ACTION).apply(ops.take_rows(padded, rows), mask)
+    scores = feedforward(params, ACTION, ops.take_rows(padded, rows), masks)
     return ops.scale(ops.margin_hinge(scores, gold, np.array(legal)),
                      1.0 / params.n_actions)

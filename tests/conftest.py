@@ -81,7 +81,6 @@ from rstparse.encoder import (
     SLOTS,
     SPAN,
     STACK_SLOTS,
-    Feedforward,
     RowFeedforward,
     encode_document,
 )
@@ -273,13 +272,14 @@ def ref_dense_tables(s):
     return ScoreTables(s.n, s.n_rel, s.span, rel, nuc, base)
 
 
-def ref_output_np(ff, Z, mask=None):
-    """Feedforward.output_np as it was written out of place: Z is left as
-    it is."""
-    H = np.maximum(Z + ff.b1.data, 0.0)
+def ref_output_np(params, name, Z, mask=None):
+    """The second layer of scorer ``name`` (RowFeedforward.output) as it was
+    written out of place: Z is left as it is."""
+    a = params.arrays
+    H = np.maximum(Z + a[f"{name}.b1"], 0.0)
     if mask is not None:
         H = H * mask
-    return H @ ff.W2.data.T + ff.b2.data
+    return H @ a[f"{name}.W2"].T + a[f"{name}.b2"]
 
 
 def ref_random_tree(n, rel_vocab, rng):
@@ -551,11 +551,11 @@ def ref_apply(state, action):
 
 def ref_feedforward(params, name, x, masks=None):
     """W2 relu(W1 x + b1) + b2 for one input vector x, one node per step."""
-    ff = Feedforward(params, name)
-    h = ops.relu(ops.add(ref_matvec(ff.W1, x), ff.b1))
+    t = params.tensors()
+    h = ops.relu(ops.add(ref_matvec(t[f"{name}.W1"], x), t[f"{name}.b1"]))
     if masks is not None:
-        h = ops.cmul(h, masks.hidden_for(name))
-    return ops.add(ref_matvec(ff.W2, h), ff.b2)
+        h = ops.cmul(h, masks.hidden[name])
+    return ops.add(ref_matvec(t[f"{name}.W2"], h), t[f"{name}.b2"])
 
 
 def ref_pair_rep(enc, i, j, k):
@@ -638,7 +638,7 @@ def ref_greedy_parse(doc, params, enc=None):
         enc = encode_document(doc, params)
     M = enc.data
     padded = np.vstack((M, np.zeros((1, M.shape[1]))))
-    scorer = RowFeedforward(Feedforward(params, ACTION), padded, SLOTS)
+    scorer = RowFeedforward(params, ACTION, padded, SLOTS)
     state = initial_state(doc.n)
     while not is_terminal(state):
         scores = scorer(*([r] for r in slot_rows(state)))[0]
@@ -648,11 +648,11 @@ def ref_greedy_parse(doc, params, enc=None):
     return finish(state)
 
 
-def ref_projections(ff, M, blocks):
+def ref_projections(params, name, M, blocks):
     """RowFeedforward's projections as it made them before they were
     stacked: one fresh product per column block of the first layer."""
     d = M.shape[1]
-    W1 = ff.W1.data
+    W1 = params.arrays[f"{name}.W1"]
     return [M @ W1[:, b * d:(b + 1) * d].T for b in range(blocks)]
 
 

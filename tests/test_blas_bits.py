@@ -4,7 +4,8 @@ Several paths promise the bits of a reference: ``ops.bilstm`` those of two
 one-direction LSTMs, ``RowFeedforward.one`` those of the batch call, the
 stacked projections those of one fresh product per block, the dense label
 table built from factored partial sums those of the row-by-row build, and
-the second layer run in place those of the out-of-place one.  Each promise
+the second layer (``RowFeedforward.output``) run in place those of the
+out-of-place one.  Each promise
 holds only because of how numpy and its BLAS pick their kernels.  A BLAS
 that behaves otherwise fails the digests and the byte-for-byte grids; the
 tests here say which assumption broke, and each message names the code that
@@ -25,7 +26,7 @@ from rstparse.chart import NeuralOracle
 from rstparse.encoder import (
     NUC,
     REL,
-    Feedforward,
+    DropoutMasks,
     RowFeedforward,
     encode_document,
     make_dropout_masks,
@@ -35,6 +36,15 @@ from test_chart import random_document, random_params
 
 HIDDEN = (1, 2, 3, 5, 16, 64)
 INPUT = (0, 1, 13, 96)
+
+
+def second_layer(params, name, mask=None):
+    """``RowFeedforward.output`` of label scorer ``name``, with ``mask`` as
+    its hidden dropout mask: the second layer every chart and greedy score
+    runs through."""
+    M = np.zeros((1, params.edu_dim))
+    masks = None if mask is None else DropoutMasks(M, {name: mask})
+    return RowFeedforward(params, name, M, 4, masks).output
 
 
 def test_bilstm_forward_gemv_keeps_bits_on_strided_operands():
@@ -90,11 +100,11 @@ def test_label_rows_depend_on_the_batch_only_below_the_small_matrix_cutoff():
     params = random_params(n_rel=19, seed=3, ff_hidden=64)
     Z = rng.normal(size=(2048, 64))
     for name, small in ((REL, 63), (NUC, 300)):
-        ff = Feedforward(params, name)
-        # output_np overwrites its input, so each call gets a copy
-        whole = ff.output_np(Z.copy())
+        output = second_layer(params, name)
+        # output overwrites its input, so each call gets a copy
+        whole = output(Z.copy())
         for size in (1, 2, 40, small):
-            got = ff.output_np(Z[:size].copy())
+            got = output(Z[:size].copy())
             assert (got != whole[:size]).any(), (
                 f"{name}: {size} rows scored alone kept the bits they have in "
                 "a batch of 2,048; chart.NeuralOracle.tables keeps its "
@@ -103,7 +113,7 @@ def test_label_rows_depend_on_the_batch_only_below_the_small_matrix_cutoff():
                 "they do not")
         for size, start in ((small + 1, 0), (small + 1, 100), (1024, 7),
                             (1024, 1024)):
-            got = ff.output_np(Z[start:start + size].copy())
+            got = output(Z[start:start + size].copy())
             assert got.tobytes() == whole[start:start + size].tobytes(), (
                 f"{name}: {size} rows from row {start} lost the bits they "
                 "have in a batch of 2,048; chart.NeuralOracle.tables's full "
@@ -155,20 +165,22 @@ def test_second_layer_in_place_keeps_the_out_of_place_bits():
         params = random_params(n_rel=19, seed=H, ff_hidden=H)
         for name in (REL, NUC):
             params.arrays[f"{name}.b1"][:] = rng.normal(size=H)
-            ff = Feedforward(params, name)
             mask = (rng.random(H) >= 0.3) / 0.7
             for m in (None, mask):
+                output = second_layer(params, name, m)
                 for size in (1, 2, 63, 300, 1024):
                     Z = rng.normal(size=(size, H))
-                    got = ff.output_np(Z.copy(), m)
-                    assert got.tobytes() == ref_output_np(ff, Z, m).tobytes(), (
+                    got = output(Z.copy())
+                    want = ref_output_np(params, name, Z, m)
+                    assert got.tobytes() == want.tobytes(), (
                         f"H={H}, {name}, {size} rows: the second layer run in "
                         "place lost the bits of the out-of-place one; "
-                        "Feedforward.output_np runs it so for every chart "
+                        "RowFeedforward.output runs it so for every chart "
                         "and greedy score")
                 Z = rng.normal(size=(9, H))
-                got = ff.output_np(np.add.accumulate(Z, axis=0)[-1:], m)
-                want = ref_output_np(ff, np.add.accumulate(Z, axis=0)[-1:], m)
+                got = output(np.add.accumulate(Z, axis=0)[-1:])
+                want = ref_output_np(params, name,
+                                     np.add.accumulate(Z, axis=0)[-1:], m)
                 assert got.tobytes() == want.tobytes(), (
                     f"H={H}, {name}: the second layer run in place on the "
                     "last row of a running sum lost the bits of the "
@@ -179,7 +191,7 @@ def test_second_layer_in_place_keeps_the_out_of_place_bits():
 def test_gathered_rows_are_new_arrays_so_projections_stay_as_they_are():
     """Gathering rows with an index array, or with ``take``, copies them.
     RowFeedforward's ``lead``, ``finish`` and ``one`` and the dense table's
-    factored blocks hand output_np only such copies, so its in-place bias,
+    factored blocks hand ``output`` only such copies, so its in-place bias,
     relu and mask never write into the projections every row reads, nor
     into the callers' index arrays."""
     rng = np.random.default_rng(7)
@@ -191,8 +203,7 @@ def test_gathered_rows_are_new_arrays_so_projections_stay_as_they_are():
     masks = make_dropout_masks(params, n, 0.3, rng)
     enc = encode_document(doc, params, masks)
     M = enc.data.copy()
-    scorer = RowFeedforward(Feedforward(params, REL), enc.data, 4,
-                            masks.hidden_for(REL))
+    scorer = RowFeedforward(params, REL, enc.data, 4, masks)
     proj = scorer.proj.copy()
     idx = [rng.integers(0, n, size=50) for _ in range(4)]
     kept = [i.copy() for i in idx]
@@ -205,7 +216,7 @@ def test_gathered_rows_are_new_arrays_so_projections_stay_as_they_are():
     scorer.finish(Q.take(np.arange(10), axis=0), idx[3][:10])
     assert scorer.proj.tobytes() == proj.tobytes(), (
         "scoring rows changed RowFeedforward's projections: a gather "
-        "returned a view, and output_np's in-place bias, relu and mask "
+        "returned a view, and output's in-place bias, relu and mask "
         "wrote into it")
     for a, b in zip(idx, kept):
         assert a.tobytes() == b.tobytes()

@@ -41,9 +41,9 @@ from rstparse.encoder import (
     NUC,
     REL,
     SPAN,
-    Feedforward,
     ModelParams,
     encode_document,
+    feedforward,
     make_dropout_masks,
 )
 
@@ -367,9 +367,8 @@ class TestNeuralOracle:
             tabs = NeuralOracle(params, enc, masks).tables()
 
             def tape(name, index):
-                mask = masks.hidden_for(name) if masks is not None else None
                 X = ops.take_rows(enc, index)
-                return Feedforward(params, name).apply(X, mask).data
+                return feedforward(params, name, X, masks).data
 
             span = tape(SPAN, np.stack((si, sj - 1), axis=1))[:, 0]
             np.testing.assert_allclose(tabs.span[si, sj], span, rtol=0,

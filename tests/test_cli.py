@@ -574,6 +574,41 @@ class TestMalformedFileNamed:
         assert code == 1
         assert line.startswith(f"data error: {bad}: line ")
 
+    def test_crlf_edus(self, corpus_dir, tmp_path, capsys):
+        """A CRLF .edus file is read as it is, and its first CR is a data
+        error, in a file ``parse`` reads and in a corpus ``eval`` reads."""
+        from rstparse.data import load_corpus
+        from rstparse.encoder import ModelParams
+
+        corpus = load_corpus(corpus_dir)
+        model = str(tmp_path / "model.npz")
+        ModelParams.init(corpus.word_vocab, corpus.pos_vocab,
+                         corpus.rel_vocab, np.random.default_rng(0),
+                         word_dim=2, pos_dim=2, hidden=2,
+                         ff_hidden=2).save(model)
+        bad = os.path.join(corpus_dir, "doc0000.edus")
+        with open(bad, "rb") as fh:
+            text = fh.read()
+        with open(bad, "wb") as fh:
+            fh.write(text.replace(b"\n", b"\r\n"))
+        column = text.index(b"\n") + 1
+        for argv in (["parse", "--model", model, "--out-dir",
+                      str(tmp_path / "out"), bad],
+                     ["eval", "--gold", corpus_dir, "--pred", corpus_dir]):
+            code, line = one_error_line(argv, capsys)
+            assert code == 1
+            assert line == (f"data error: {bad}: line 1, column {column}: "
+                            "whitespace '\\r' in EDU line")
+
+    def test_eval_without_predictions(self, corpus_dir, tmp_path, capsys):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        code, line = one_error_line(["eval", "--gold", corpus_dir, "--pred",
+                                     str(pred)], capsys)
+        assert code == 1
+        assert line == (f"data error: {pred}: missing predictions for: "
+                        "doc0000 doc0001 doc0002")
+
     @pytest.mark.parametrize("which", ["tree", "manifest"])
     def test_oracle(self, which, corpus_dir, tmp_path, capsys):
         tree = os.path.join(corpus_dir, "doc0000.tree")

@@ -85,6 +85,24 @@ class TestEduFiles:
         with pytest.raises(TreeSyntaxError):
             parse_edus_text("\n\n")
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("the_DT cat_NN\r\nsat_VBD\r\n", 1, 14),    # CRLF line ends
+        ("a_B\nc_D\te_F\n", 2, 4),
+        ("a_B c\u00a0_D\n", 1, 6),
+        ("a_B\n\u2028\n", 2, 1),
+    ])
+    def test_other_whitespace_reports_position(self, text, line, column):
+        with pytest.raises(TreeSyntaxError, match="whitespace") as err:
+            parse_edus_text(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
+    def test_crlf_file_is_read_as_it_is(self, tmp_path):
+        path = tmp_path / "d.edus"
+        path.write_bytes(b"the_DT cat_NN\r\nsat_VBD\r\n")
+        with pytest.raises(TreeSyntaxError, match=r"'\\r'") as err:
+            data.load_edus(str(path))
+        assert str(err.value).startswith(f"{path}: line 1, column 14: ")
+
 
 class TestTreeFiles:
     def test_parse_known_tree(self):
@@ -202,6 +220,33 @@ class TestParsersEqualTheReferences:
                 assert (outcome(parse_tree_text, text, VOCAB, n_edus)
                         == outcome(ref_parse_tree_text, text, VOCAB, n_edus)
                         ), (text, n_edus)
+
+    def test_accepted_text_round_trips(self):
+        """Every text parse_edus_text accepts re-parses from serialize_edus
+        to the same EDUs: serialized EDUs over FUZZ_CHARS and a CR, with
+        up to three of those characters inserted."""
+        rng = random.Random(21)
+        chars = FUZZ_CHARS + ("\r",)
+        word = [c for c in chars if not c.isspace()]
+        accepted = 0
+        for _ in range(3000):
+            edus = []
+            for index in range(1, rng.randint(1, 3) + 1):
+                k = rng.randint(1, 4)
+                fields = ["".join(rng.choices(word, k=rng.randint(1, 4)))
+                          for _ in range(2 * k)]
+                edus.append(Edu(tuple(fields[:k]), tuple(fields[k:]), index))
+            text = serialize_edus(edus)
+            for _ in range(rng.randint(0, 3)):
+                at = rng.randint(0, len(text))
+                text = text[:at] + rng.choice(chars) + text[at:]
+            try:
+                edus = parse_edus_text(text)
+            except TreeSyntaxError:
+                continue
+            accepted += 1
+            assert parse_edus_text(serialize_edus(edus)) == edus, text
+        assert accepted > 1000, accepted
 
     def test_escaped_tokens_round_trip(self):
         rng = random.Random(20)

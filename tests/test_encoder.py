@@ -9,11 +9,12 @@ from rstparse.encoder import (
     NUC,
     REL,
     SPAN,
-    Feedforward,
+    DropoutMasks,
     ModelError,
     ModelParams,
     RowFeedforward,
     encode_document,
+    feedforward,
     glorot,
     make_dropout_masks,
 )
@@ -222,7 +223,7 @@ class TestEncoding:
         for name, rows in ((SPAN, [[0, 1]]), (REL, [[0, 0, 1, 2]]),
                            (NUC, [[0, 1, 2, 2]])):
             X = ops.take_rows(enc, rows)
-            assert not Feedforward(p, name).apply(X).data.any()
+            assert not feedforward(p, name, X).data.any()
 
     def test_score_widths(self):
         doc, p = small_params(n_rel=4)
@@ -232,9 +233,9 @@ class TestEncoding:
         # its own rep twice
         spans = ops.take_rows(enc, [[0, 2], [1, 1]])
         labels = ops.take_rows(enc, [[0, 1, 2, 2], [1, 1, 1, 1]])
-        assert Feedforward(p, SPAN).apply(spans).shape == (2, 1)
-        assert Feedforward(p, REL).apply(labels).shape == (2, 4)
-        assert Feedforward(p, NUC).apply(labels).shape == (2, 4)
+        assert feedforward(p, SPAN, spans).shape == (2, 1)
+        assert feedforward(p, REL, labels).shape == (2, 4)
+        assert feedforward(p, NUC, labels).shape == (2, 4)
 
     def test_pretrained_channel_changes_encoding(self):
         doc, base = small_params(seed=2)
@@ -254,7 +255,7 @@ class TestEncoding:
 
         def span_score(enc):     # span (0, 2): EDU rows 0 and 1
             X = ops.take_rows(enc, [[0, 1]])
-            return ops.vsum(Feedforward(p, SPAN).apply(X))
+            return ops.vsum(feedforward(p, SPAN, X))
 
         def value():
             return span_score(encode_document(doc, p)).item()
@@ -328,7 +329,7 @@ class TestDropout:
         scale = 1.0 / 0.75
         assert set(np.unique(m.edu)) <= {0.0, scale}
         for name in (SPAN, REL, NUC, ACTION):
-            h = m.hidden_for(name)
+            h = m.hidden[name]
             assert h.shape == (6,)
             assert set(np.unique(h)) <= {0.0, scale}
 
@@ -336,18 +337,18 @@ class TestDropout:
         doc, p = small_params()
         enc = encode_document(doc, p)
         X = ops.take_rows(enc, [[0, 1], [1, 2], [2, 2]])
-        ff = Feedforward(p, SPAN)
         half = make_dropout_masks(p, doc.n, 0.5, np.random.default_rng(3))
-        mask = half.hidden_for(SPAN)
-        out = ff.apply(X, mask).data
-        np.testing.assert_allclose(out, ff.output_np(X.data @ ff.W1.data.T, mask))
+        out = feedforward(p, SPAN, X, half).data
+        second = RowFeedforward(p, SPAN, enc.data, 2, half).output
+        np.testing.assert_allclose(out, second(X.data @ p.arrays["span.W1"].T))
         # each row as the per-decision composition scores it
         for r in range(3):
             one = ref_feedforward(p, SPAN, ops.tensor(X.data[r]), half)
             np.testing.assert_allclose(out[r], one.data, rtol=0, atol=1e-12)
         # with the hidden layer fully dropped only the bias survives
-        np.testing.assert_allclose(ff.apply(X, np.zeros(p.ff_hidden)).data,
-                                   np.tile(ff.b2.data, (3, 1)))
+        dropped = DropoutMasks(half.edu, {SPAN: np.zeros(p.ff_hidden)})
+        np.testing.assert_allclose(feedforward(p, SPAN, X, dropped).data,
+                                   np.tile(p.arrays["span.b2"], (3, 1)))
 
     def test_row_feedforward_equals_feedforward_on_concatenated_rows(self):
         doc, p = small_params(seed=7)
@@ -355,28 +356,24 @@ class TestDropout:
         rng = np.random.default_rng(0)
         idx = [rng.integers(0, doc.n, size=10) for _ in range(4)]
         X = np.hstack([M[i] for i in idx])
-        mask = make_dropout_masks(p, doc.n, 0.5, rng).hidden_for(REL)
-        for m in (None, mask):
-            ff = Feedforward(p, REL)
-            np.testing.assert_allclose(RowFeedforward(ff, M, 4, m)(*idx),
-                                       ff.apply(ops.tensor(X), m).data,
+        for m in (None, make_dropout_masks(p, doc.n, 0.5, rng)):
+            np.testing.assert_allclose(RowFeedforward(p, REL, M, 4, m)(*idx),
+                                       feedforward(p, REL, ops.tensor(X),
+                                                   m).data,
                                        rtol=0, atol=1e-12)
         with pytest.raises(ValueError, match="columns"):
-            RowFeedforward(Feedforward(p, SPAN), M, 4)
+            RowFeedforward(p, SPAN, M, 4)
 
 
 class _Weights:
-    """Just enough of ModelParams for ``Feedforward(_Weights(...), "ff")``."""
+    """Just enough of ModelParams for ``RowFeedforward(_Weights(...), "ff",
+    ...)``."""
 
     def __init__(self, rng, d_in, ff_hidden, d_out):
-        self._tensors = {
-            "ff.W1": ops.tensor(rng.normal(size=(ff_hidden, d_in))),
-            "ff.b1": ops.tensor(rng.normal(size=ff_hidden)),
-            "ff.W2": ops.tensor(rng.normal(size=(d_out, ff_hidden))),
-            "ff.b2": ops.tensor(rng.normal(size=d_out))}
-
-    def tensors(self):
-        return self._tensors
+        self.arrays = {"ff.W1": rng.normal(size=(ff_hidden, d_in)),
+                       "ff.b1": rng.normal(size=ff_hidden),
+                       "ff.W2": rng.normal(size=(d_out, ff_hidden)),
+                       "ff.b2": rng.normal(size=d_out)}
 
 
 class TestRowFeedforward:
@@ -386,11 +383,11 @@ class TestRowFeedforward:
                                    for d in (1, 3, 16, 256)
                                    for f in (2, 5, 64)
                                    for N in (1, 2, 81, 601)]:
-            ff = Feedforward(_Weights(rng, q * d, ff_hidden, 3), "ff")
+            weights = _Weights(rng, q * d, ff_hidden, 3)
             M = rng.normal(size=(N, d))
-            got = RowFeedforward(ff, M, q).proj
+            got = RowFeedforward(weights, "ff", M, q).proj
             assert got.shape == (q, N, ff_hidden)
-            for b, want in enumerate(ref_projections(ff, M, q)):
+            for b, want in enumerate(ref_projections(weights, "ff", M, q)):
                 assert got[b].tobytes() == want.tobytes(), (q, d, N, b)
 
     def test_one_equals_batch_call_with_one_element_indices(self):
@@ -398,11 +395,11 @@ class TestRowFeedforward:
         for q in (2, 4, 9):
             for ff_hidden in (1, 2, 5, 64):
                 for N in (2, 3, 10, 81, 300, 601):
-                    ff = Feedforward(_Weights(rng, q * 4, ff_hidden, 7), "ff")
+                    weights = _Weights(rng, q * 4, ff_hidden, 7)
                     M = rng.normal(size=(N, 4))
                     mask = (rng.random(ff_hidden) >= 0.5) * 2.0
-                    for m in (None, mask):
-                        scorer = RowFeedforward(ff, M, q, m)
+                    for m in (None, DropoutMasks(M, {"ff": mask})):
+                        scorer = RowFeedforward(weights, "ff", M, q, m)
                         for _ in range(4):
                             rows = rng.integers(0, N, size=q).tolist()
                             got = scorer.one(rows)

@@ -1,14 +1,19 @@
-"""Seeded random edits of a corpus's text files, driven through the CLI.
+"""Seeded random edits of the CLI's input files, driven through the CLI.
 
-Each case copies a small synthetic corpus, makes one to three edits to one
-of its ``.edus``, ``.tree`` or ``relations.txt`` files (deleting, inserting,
-replacing or duplicating characters or lines), and runs every command that
-reads the edited file: ``parse`` with a tiny saved model, ``eval`` with the
-edited corpus as the gold side and, for a ``.tree`` edit, as the predicted
-side, and ``oracle --replay``.  An edit to a data file may make a command
-fail, but only with exit code 1 and exactly one ``data error:`` or
-``io error:`` line on stderr; numpy warnings are raised as errors, so one
-that escapes ends the case in a traceback.
+Each corpus case copies a small synthetic corpus, makes one to three edits
+to one of its ``.edus``, ``.tree`` or ``relations.txt`` files (deleting,
+inserting, replacing or duplicating characters or lines), and runs every
+command that reads the edited file: ``parse`` with a tiny saved model,
+``eval`` with the edited corpus as the gold side and, for a ``.tree`` edit,
+as the predicted side, and ``oracle --replay``.  Each training case makes
+one such edit to a ``--config`` file or an ``--embeddings`` file of tiny
+sizes and runs ``train``.
+
+An edit to a data file may make a command fail, but only with exit code 1
+and exactly one ``data error:`` or ``io error:`` line on stderr; an edit to
+the config file only with exit code 2 and one ``config error:`` line.
+numpy warnings are raised as errors, so one that escapes ends the case in a
+traceback.
 """
 
 import os
@@ -27,6 +32,26 @@ from rstparse.training import PARSE_METHODS
 
 VOCAB = RelationVocab(["Cause", "Elaboration", "Joint"])
 CASES = 300
+TRAIN_CASES = 100
+
+# Every training setting, at sizes a single edit can raise only to two
+# digits; a deleted line falls back to a default, the largest 300.
+CONFIG = """# tiny sizes
+max_epochs = 1
+hidden = 2
+ff_hidden = 2
+word_dim = 2
+pos_dim = 2
+mode = joint
+decoder = partial
+dropout = 0.2
+lr = 0.01
+gamma = 1.0
+grad_clip = none
+selection = relation_micro
+seed = 3
+dev_size = 0
+"""
 
 # What an edit inserts: the format's own syntax, escapes, whitespace that
 # only str.isspace knows, a byte that is not UTF-8 ("\udcff", written with
@@ -36,33 +61,36 @@ PIECES = ("(", ")", "_", "\\", " ", "  ", "\n", "\t", "\x1c", "\u00a0",
           "NN", "NS", "SN", "Cause", "Joint", "Nope", "#", "a_NN", "(LEAF 2)")
 
 
+def edit_once(text: str, rng: random.Random) -> str:
+    """``text`` after one random character or line edit."""
+    kind = rng.choice(("delete", "insert", "replace", "duplicate"))
+    if rng.random() < 0.3:
+        lines = text.split("\n")
+        at = rng.randrange(len(lines))
+        if kind == "delete":
+            del lines[at]
+        elif kind == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            new = "".join(rng.choices(PIECES, k=rng.randint(1, 4)))
+            lines[at:at + (kind == "replace")] = [new]
+        return "\n".join(lines)
+    at = rng.randint(0, len(text))
+    size = rng.randint(1, 3)
+    piece = rng.choice(PIECES)
+    if kind == "delete":
+        return text[:at] + text[at + size:]
+    if kind == "insert":
+        return text[:at] + piece + text[at:]
+    if kind == "replace":
+        return text[:at] + piece + text[at + size:]
+    return text[:at] + text[at:at + size] + text[at:]
+
+
 def edit(text: str, rng: random.Random) -> str:
     """``text`` after one to three random character or line edits."""
     for _ in range(rng.randint(1, 3)):
-        kind = rng.choice(("delete", "insert", "replace", "duplicate"))
-        if rng.random() < 0.3:
-            lines = text.split("\n")
-            at = rng.randrange(len(lines))
-            if kind == "delete":
-                del lines[at]
-            elif kind == "duplicate":
-                lines.insert(at, lines[at])
-            else:
-                new = "".join(rng.choices(PIECES, k=rng.randint(1, 4)))
-                lines[at:at + (kind == "replace")] = [new]
-            text = "\n".join(lines)
-            continue
-        at = rng.randint(0, len(text))
-        size = rng.randint(1, 3)
-        piece = rng.choice(PIECES)
-        if kind == "delete":
-            text = text[:at] + text[at + size:]
-        elif kind == "insert":
-            text = text[:at] + piece + text[at:]
-        elif kind == "replace":
-            text = text[:at] + piece + text[at + size:]
-        else:
-            text = text[:at] + text[at:at + size] + text[at:]
+        text = edit_once(text, rng)
     return text
 
 
@@ -130,3 +158,48 @@ def test_edited_corpus_files_fail_only_with_a_data_error(clean, tmp_path,
         shutil.rmtree(corpus)
     assert not wrong, wrong[:5]
     assert seen == {0, 1}, "the edits should both keep and break some files"
+
+
+@pytest.fixture(scope="module")
+def train_inputs(tmp_path_factory):
+    """A 3-document corpus of at most 4 EDUs, and the clean config and
+    3-line embedding file texts."""
+    root = tmp_path_factory.mktemp("train_fuzz")
+    corpus = generate_synthetic(3, 4, VOCAB, seed=18)
+    save_corpus(corpus, str(root / "corpus"))
+    words = corpus.word_vocab.tokens[1:4]
+    vectors = ("0.5 -0.25", "1.0 0.75", "-1.5 2.0")
+    embeddings = "".join(f"{w} {v}\n" for w, v in zip(words, vectors))
+    return str(root / "corpus"), {"config": CONFIG, "embeddings": embeddings}
+
+
+def test_edited_config_and_embeddings_fail_only_with_their_error(
+        train_inputs, tmp_path, capsys):
+    corpus, clean = train_inputs
+    allowed = {"config": (2, ("config error: ",)),
+               "embeddings": (1, ("data error: ", "io error: "))}
+    wrong = []
+    seen = set()
+    for case in range(TRAIN_CASES):
+        rng = random.Random(10_000 + case)
+        kind = rng.choice(sorted(clean))
+        texts = dict(clean, **{kind: edit_once(clean[kind], rng)})
+        for name, text in texts.items():
+            (tmp_path / name).write_bytes(
+                text.encode("utf-8", "surrogateescape"))
+        argv = ["train", "--corpus", corpus, "--out",
+                str(tmp_path / "model.npz"), "--config",
+                str(tmp_path / "config"), "--embeddings",
+                str(tmp_path / "embeddings")]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        seen.add(code)
+        want, prefixes = allowed[kind]
+        if code != 0 and (code != want or len(err) != 1
+                          or not err[0].startswith(prefixes)):
+            wrong.append((case, kind, code, err, texts[kind]))
+    assert not wrong, wrong[:5]
+    assert seen == {0, 1, 2}, "the edits should keep and break both files"

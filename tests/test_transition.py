@@ -27,9 +27,9 @@ from rstparse.data import generate_synthetic, random_tree
 from rstparse.encoder import (
     ACTION,
     SHIFT,
-    Feedforward,
     action_count,
     encode_document,
+    feedforward,
     make_dropout_masks,
     reduce_action,
     reduce_labels,
@@ -368,7 +368,7 @@ class TestTransitionLoss:
         doc, params = small_params(n_rel=3)
         enc = encode_document(doc, params)
         s = initial_state(doc.n)
-        scores = Feedforward(params, ACTION).apply(action_input(s, enc))
+        scores = feedforward(params, ACTION, action_input(s, enc))
         assert scores.shape == (1, params.n_actions)
         np.testing.assert_allclose(scores.data[0],
                                    ref_score_actions(s, enc, params).data,
