@@ -5,30 +5,34 @@ Three bottom-up decoders share one score layout:
 * exact: every cell maximizes jointly over split point and both labels.
   Per span width, the cells x splits form one numpy batch, and Python loops
   over the label pairs outside it, so the cost still grows with the label
-  set.  It holds its dense table and O(n^2) more (_exact_bytes), bounded by
-  EXACT_MEMORY_LIMIT; a larger document raises ExactTooLarge before any
-  table is built.
+  set.  It asks its scorer for one width's label rows at a time and holds
+  them, the chart and, on the neural path, O(n^2) factored sums and one
+  batch of rows (_exact_bytes), bounded by core.MEMORY_LIMIT; a larger
+  document raises ExactTooLarge before any of it is allocated.
 * partial: each cell picks its split from span + subtree scores alone, then
   labels that split.  Same optimum whenever label scores do not disagree with
   span scores about the split; much cheaper when the label set is large.
 * complete: the whole structure is chosen from span scores only, labels are
   filled in afterwards.
 
-A chart scorer has ``n``, ``n_rel``, a dense ``span`` table of shape
-(n+1, n+1), ``labels(i, j, k)`` returning new arrays holding the relation and
-nuclearity rows of a batch of (span, split) cells, and ``tables()``
-returning the dense ScoreTables.  ``tables()`` is a new table its caller
-may change, except on ScoreTables, whose ``tables()`` is itself.
-ScoreTables, NeuralOracle and LossAugmented are chart scorers; a
-TableOracle is a builder whose ``tables(n)`` makes ScoreTables.  Only the
-exact decoder reads the dense label table, which has O(n^3) rows:
-NeuralOracle sums it block by block from factored partial sums, with the
-bits ``labels`` gives each row, and LossAugmented shifts its inner scorer's
-table in place.  The partial decoder asks for one row per cell, at the split
-it chose (about n^2/2 rows, one batch per width), the complete decoder and
-score_tree for the 2n - 1 rows of one tree.  On the neural path those rows
-are computed on demand from first-layer projections made once per document,
-so partial and complete never hold more than O(n^2) scores.
+A chart scorer has ``n``, ``n_rel``, ``ff_hidden`` (the first-layer width
+its label rows are computed at, 0 when they are read from a table), a dense
+``span`` table of shape (n+1, n+1), ``labels(i, j, k)`` returning new
+arrays holding the relation and nuclearity rows of a batch of (span, split)
+cells, and ``rows_by_width()``, a generator of every label row, one width
+at a time (_width_rows gives their order), as new arrays.  ScoreTables,
+NeuralOracle and LossAugmented are chart scorers; a TableOracle is a builder
+whose ``tables(n)`` makes ScoreTables.  Only the exact decoder reads all
+O(n^3) label rows, through ``rows_by_width``: ScoreTables gathers each
+width's rows from its dense table, NeuralOracle computes them from factored
+partial sums with the bits the dense table's blocks give them, and
+LossAugmented shifts its inner scorer's rows.  The partial decoder asks
+``labels`` for one row per cell, at the split it chose (about n^2/2 rows,
+one batch per width), the complete decoder and score_tree for the 2n - 1
+rows of one tree.  On the neural path rows are computed from first-layer
+projections made once per document, so no decoder holds more than O(n^2)
+scores.  ``tables()`` on a NeuralOracle or LossAugmented assembles the
+dense ScoreTables from the same width rows; no decoder calls it.
 
 Also here: tree scoring, the hamming-style tree distance, loss-augmented
 decoding (a view that shifts the rows a decoder asks for), the structured
@@ -50,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
+from . import core, ops
 from .core import (
     Document,
     LabeledSpan,
@@ -73,27 +77,14 @@ from .ops import Tensor
 
 NEG_INF = float("-inf")
 
-# Label rows per block when NeuralOracle.tables fills the dense table.
-# Bounds the temporaries beside it at any n that decode_exact admits: on the
-# neural path, at most 8 * _BLOCK_ROWS * (2 * ff_hidden + 2 * (n_rel + 4) + 12)
-# bytes.  That is two first-layer arrays: a block's factored sums Q (at most
-# 1,018 rows, at n = 509, the largest n EXACT_MEMORY_LIMIT admits) beside
-# the rows gathered to make or read it, then the block's inputs beside its
-# last gathered block; the second layer runs in place and adds none.  Then
-# a block of relation rows beside the nuclearity rows being scored, and the
-# block's index arrays.  One unblocked gather over all O(n^3) rows would
-# hold several copies of the table's size at once.  LossAugmented shifts
-# the table it is given in place, so no plain table is held beside the
-# shifted one.
+# Label rows per block of the dense layout.  The exact decoder's neural rows
+# are scored in batches of this many, so that each row has the bits the
+# dense table's blocks give it (NeuralOracle.rows_by_width).
 _BLOCK_ROWS = 1024
-
-# Bytes decode_exact may hold beside one block's temporaries (_exact_bytes).
-# At 19 relations this admits documents of up to 326 EDUs.
-EXACT_MEMORY_LIMIT = 2 ** 30
 
 
 class ExactTooLarge(ValueError):
-    """Exact decoding of a document would exceed EXACT_MEMORY_LIMIT."""
+    """Exact decoding of a document would exceed core.MEMORY_LIMIT."""
 
 
 class NonFiniteScore(ValueError):
@@ -144,6 +135,8 @@ class ScoreTables:
     nuc: np.ndarray        # (rows, NUM_NUCLEARITIES)
     base: np.ndarray       # (n+1, n+1) int
 
+    ff_hidden = 0          # rows are read from the table, not computed
+
     def row_index(self, i: int, j: int, k: int) -> int:
         if j == i + 1:
             if k != i:
@@ -162,6 +155,13 @@ class ScoreTables:
         i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
         rows = self.base[i, j] + np.where(j == i + 1, 0, k - i - 1)
         return self.rel[rows], self.nuc[rows]
+
+    def rows_by_width(self):
+        """Each width's relation and nuclearity rows, gathered from the
+        table as new arrays (_width_rows)."""
+        for width in range(1, self.n + 1):
+            at = _width_rows(self.base, width)
+            yield self.rel.take(at, axis=0), self.nuc.take(at, axis=0)
 
     def tables(self) -> "ScoreTables":
         return self
@@ -278,21 +278,23 @@ class TableOracle:
         return t
 
 
-def _row_blocks(n: int):
-    """The dense table's label rows, _BLOCK_ROWS at a time in layout order:
-    each block's slice of rows and the (i, j, k) of those rows, leaf rows
-    with k = i.
+def _width_rows(base: np.ndarray, width: int) -> np.ndarray:
+    """The layout rows of one width's (cell, split) pairs in the order
+    ``rows_by_width`` gives them: cells (i, i + width) by left end, each
+    cell's splits k = i+1..i+width-1 ascending (its one leaf row when
+    width is 1), that is rows base[i, i + width] + (k - i - 1)."""
+    starts = base.diagonal(width)
+    return (starts[:, None] + np.arange(max(width - 1, 1))).ravel()
 
-    Each block's (i, j, k) come from the O(n^2) cell starts, so nothing of
-    the table's length is held beside it.  The blocks must stay as they are:
-    a label row's last bit can depend on the size of the batch it was
-    scored in (BLAS picks its matmul kernel by the product's size).
-    """
-    cells = _cells(n)
-    rows = int(cells[2].sum())
-    for start in range(0, rows, _BLOCK_ROWS):
-        sl = slice(start, min(start + _BLOCK_ROWS, rows))
-        yield (sl, *_row_cells(cells, np.arange(sl.start, sl.stop)))
+
+def _full_rows(cells, tail: int) -> list[int]:
+    """How many rows of each width, 1 to n, lie before layout row ``tail``,
+    from the cells (as _cells gives them).  A width's layout rows ascend in
+    _width_rows order, so those come first."""
+    i, j, counts, starts = cells
+    n = j[-1]                           # the last cell is (n - 1, n)
+    per_width = np.bincount(j - i, np.clip(tail - starts, 0, counts), n + 1)
+    return per_width[1:].astype(np.int64).tolist()
 
 
 def _label_rows(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> tuple:
@@ -300,6 +302,31 @@ def _label_rows(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> tuple:
     at k: the child span reps (i, k) and (k, j), that is M[i], M[k-1], M[k],
     M[j-1]; a leaf (k = i) reads its own rep twice, M[i] four times."""
     return i, np.where(j == i + 1, i, k - 1), k, j - 1
+
+
+def _stream_batches(fulls: list[int]):
+    """(i, j, k) of the rows of each width that lie in full _BLOCK_ROWS
+    blocks of the dense layout (``fulls[width - 1]`` of them, the first in
+    _width_rows order), widths 1 to n in turn, _BLOCK_ROWS rows at a time;
+    the last batch is padded with copies of its last row.  The p-th row of
+    width w > 1 is cell i = p // (w - 1) split at k = i + 1 + p % (w - 1);
+    leaf rows have k = i.  No index array longer than a batch is made."""
+    parts, size = [], 0
+    for width, full in enumerate(fulls, 1):
+        per = max(width - 1, 1)
+        start = 0
+        while start < full:
+            stop = min(full, start + _BLOCK_ROWS - size)
+            i, off = np.divmod(np.arange(start, stop), per)
+            parts.append((i, i + width, i if width == 1 else i + 1 + off))
+            size += stop - start
+            start = stop
+            if size == _BLOCK_ROWS:
+                yield tuple(np.concatenate(c) for c in zip(*parts))
+                parts, size = [], 0
+    if parts:
+        yield tuple(np.pad(np.concatenate(c), (0, _BLOCK_ROWS - size),
+                           mode="edge") for c in zip(*parts))
 
 
 class NeuralOracle:
@@ -315,14 +342,17 @@ class NeuralOracle:
     each scorer's first layer (see RowFeedforward) and fills the O(n^2) span
     table.  ``labels`` then computes the rows a decoder asks for by
     gathering and summing projections: a row costs O(ff_hidden * (4 +
-    n_rel)), whatever n is.  ``tables`` builds the dense O(n^3) table that
-    only the exact decoder needs, anew on every call.
+    n_rel)), whatever n is.  ``rows_by_width`` computes all O(n^3) rows for
+    the exact decoder, one width at a time, from factored partial sums, and
+    holds no more than O(n^2) of them; ``tables`` assembles the same rows
+    into the dense table, anew on every call.
     """
 
     def __init__(self, params: ModelParams, enc: Tensor,
                  masks: DropoutMasks | None = None):
         self.n = enc.shape[0]
         self.n_rel = params.n_rel
+        self.ff_hidden = params.ff_hidden
         M = enc.data
         span_ff = RowFeedforward(params, SPAN, M, 2, masks)
         self._rel = RowFeedforward(params, REL, M, 4, masks)
@@ -347,43 +377,84 @@ class NeuralOracle:
         rows = _label_rows(i, j, k)
         return _checked_rows(i, j, k, self._rel(*rows), self._nuc(*rows))
 
-    def tables(self) -> ScoreTables:
-        """The dense table, new on every call, each _row_blocks block's rows
-        with the bits ``labels`` gives them, from fewer additions.
+    def rows_by_width(self):
+        """Each width's relation and nuclearity rows, new arrays, with the
+        bits ``labels`` gives them in the dense layout's _BLOCK_ROWS-row
+        blocks, from fewer additions.
 
         A row's first-layer input is ((P0[i] + P1[b]) + P2[k]) + P3[j-1]
         (_label_rows), whose first three terms depend on (i, k) alone.  So
-        each block sums them once per (i, k) of its range of i and
-        k = i0..max(j)-1, a grid Q from RowFeedforward.lead (entries with
-        k < i are never read), and each row then adds P3[j-1] to its
-        gathered Q entry (_factored_rows).  One block's Q, of one scorer, is
-        held at a time (see _BLOCK_ROWS).
+        they are summed once per document, for every 0 <= i <= k < n, into
+        one grid Q per scorer (RowFeedforward.lead, O(n^2 ff_hidden)); a
+        row then gathers its Q entry and adds P3[j-1]
+        (RowFeedforward.finish).  Only the second layer sees a batch, and
+        below OpenBLAS's small-matrix size a row's bits depend on its
+        batch's size and its place in it.  So the rows of the layout's full
+        blocks are scored as _stream_batches lists them, in batches of
+        _BLOCK_ROWS rows, the size the full blocks have; and the rows of
+        its last, partial block are scored as that block, whole, first, and
+        kept.  Beside the grids and that block, one batch and one width's
+        rows are held at a time.
         """
-        base, rows = _layout(self.n)
-        rel = np.empty((rows, self.n_rel))
-        nuc = np.empty((rows, NUM_NUCLEARITIES))
-        for sl, i, j, k in _row_blocks(self.n):
-            i0 = i[0]
-            nk = j.max() - i0
-            I, K = np.indices((i[-1] - i0 + 1, nk)) + i0
-            grid = I, np.maximum(K - 1, I), K   # b = i where k = i
-            at = (i - i0) * nk + (k - i0)
-            rel[sl], nuc[sl] = _checked_rows(
-                i, j, k, *(_factored_rows(ff, grid, at, j - 1)
-                           for ff in (self._rel, self._nuc)))
-        return ScoreTables(self.n, self.n_rel, self.span, rel, nuc, base)
+        n = self.n
+        base, rows = _layout(n)
+        tail = rows - rows % _BLOCK_ROWS    # where the partial block starts
+        cells = _cells(n)
+        # the pairs i <= k < n are the cells (i, k + 1), in their order
+        i, j = cells[:2]
+        Qs = [ff.lead(i, np.maximum(j - 2, i), j - 1)   # b = i where k = i
+              for ff in (self._rel, self._nuc)]
+        # Q's row of (i, i): rows i' < i hold k = i'..n-1 before it
+        first = np.arange(n)
+        first = first * n - first * (first - 1) // 2
+
+        def score(i, j, k):
+            at = first[i] + (k - i)
+            return _checked_rows(i, j, k, *(
+                ff.finish(Q.take(at, axis=0), j - 1)
+                for ff, Q in zip((self._rel, self._nuc), Qs)))
+
+        last = score(*_row_cells(cells, np.arange(tail, rows)))
+        fulls = _full_rows(cells, tail)
+        batches = (score(*b) for b in _stream_batches(fulls))
+        batch, at = None, 0
+        for width, full in enumerate(fulls, 1):
+            rows_at = _width_rows(base, width)
+            rel = np.empty((len(rows_at), self.n_rel))
+            nuc = np.empty((len(rows_at), NUM_NUCLEARITIES))
+            done = 0
+            while done < full:
+                if batch is None or at == _BLOCK_ROWS:
+                    batch = None                # one batch held at a time
+                    batch, at = next(batches), 0
+                take = min(full - done, _BLOCK_ROWS - at)
+                rel[done:done + take] = batch[0][at:at + take]
+                nuc[done:done + take] = batch[1][at:at + take]
+                done += take
+                at += take
+            # the width's other rows, at their place in the partial block
+            in_last = rows_at[full:] - tail
+            np.take(last[0], in_last, axis=0, out=rel[full:])
+            np.take(last[1], in_last, axis=0, out=nuc[full:])
+            yield rel, nuc
+            del rel, nuc                        # the caller's now
+
+    def tables(self) -> ScoreTables:
+        """The dense table of ``rows_by_width``'s rows, new on every call."""
+        return _assemble(self)
 
 
-def _factored_rows(ff: RowFeedforward, grid, at: np.ndarray,
-                   last: np.ndarray) -> np.ndarray:
-    """The scores of rows whose three leading blocks' indices are those of
-    entry ``at`` of the index ``grid`` and whose last block's index is
-    ``last``: the grid's leading sums Q, then Q's entries gathered and
-    finished.  Q is freed before ``finish`` gathers the last block."""
-    Q = ff.lead(*grid)
-    Z = Q.reshape(-1, Q.shape[-1]).take(at, axis=0)
-    del Q
-    return ff.finish(Z, last)
+def _assemble(s) -> ScoreTables:
+    """The dense ScoreTables of chart scorer s: its span table and the rows
+    of ``s.rows_by_width()``, each width's written to its layout rows."""
+    base, rows = _layout(s.n)
+    rel = np.empty((rows, s.n_rel))
+    nuc = np.empty((rows, NUM_NUCLEARITIES))
+    widths = s.rows_by_width()
+    for width in range(1, s.n + 1):
+        at = _width_rows(base, width)
+        rel[at], nuc[at] = next(widths)
+    return ScoreTables(s.n, s.n_rel, s.span, rel, nuc, base)
 
 
 def _checked_rows(i, j, k, rel, nuc) -> tuple[np.ndarray, np.ndarray]:
@@ -406,10 +477,10 @@ class LossAugmented:
     but gold's at spans gold contains, at every split, since the distance
     does not depend on the split.  For any tree T the augmented score is then
     exactly score_tree(T) + hamming(T, gold).  The shift is applied to the
-    rows a decoder asks for, as _augment_rows does, and ``tables()`` applies
-    it in place to the inner scorer's new dense table, one slice per gold
-    span, so no plain table is held beside the shifted one.  A ScoreTables
-    is its own table, so a copy of it is shifted.
+    rows a decoder asks for, as _augment_rows does: to each batch ``labels``
+    returns, and to each width of the inner scorer's ``rows_by_width`` in
+    place, one slice per gold span.  The inner scorer's rows are new
+    arrays, so a ScoreTables it wraps is left as it was.
     """
 
     def __init__(self, scores, gold: RstTree):
@@ -417,6 +488,7 @@ class LossAugmented:
         self.gold = gold
         self.n = gold.n
         self.n_rel = self.inner.n_rel
+        self.ff_hidden = self.inner.ff_hidden
         self.gold_rel, self.gold_nuc = _gold_labels(gold)
         i, j = np.triu_indices(self.n + 1, 1)
         absent = self.gold_rel[i, j] < 0
@@ -428,19 +500,29 @@ class LossAugmented:
         _augment_rows(rel, nuc, self.gold_rel[i, j], self.gold_nuc[i, j])
         return rel, nuc
 
-    def tables(self) -> ScoreTables:
-        t = self.inner.tables()
-        rel, nuc = t.rel, t.nuc
-        if t is self.inner:
-            rel, nuc = rel.copy(), nuc.copy()
+    def rows_by_width(self):
+        gold = {}
         for (i, j), (l, p) in self.gold.labels.items():
-            # a span's rows, one per split, are contiguous
-            at = slice(t.base[i, j], t.base[i, j] + max(j - i - 1, 1))
-            rel[at] += 1.0
-            rel[at, l] -= 1.0
-            nuc[at] += 1.0
-            nuc[at, int(p)] -= 1.0
-        return ScoreTables(self.n, self.n_rel, self.span, rel, nuc, t.base)
+            gold.setdefault(j - i, []).append((i, l, int(p)))
+        widths = self.inner.rows_by_width()
+        for width in range(1, self.n + 1):
+            # next(), not enumerate(), whose result tuple would hold the
+            # last width's rows while the next width's are made
+            rel, nuc = next(widths)
+            per = max(width - 1, 1)
+            for i, l, p in gold.get(width, ()):
+                # a cell's rows, one per split, are contiguous
+                at = slice(i * per, (i + 1) * per)
+                rel[at] += 1.0
+                rel[at, l] -= 1.0
+                nuc[at] += 1.0
+                nuc[at, p] -= 1.0
+            yield rel, nuc
+            del rel, nuc                        # the caller's now
+
+    def tables(self) -> ScoreTables:
+        """The dense table of ``rows_by_width``'s rows, new on every call."""
+        return _assemble(self)
 
 
 # --- tree scoring ---------------------------------------------------------
@@ -501,10 +583,10 @@ def hamming(pred: RstTree, gold: RstTree) -> int:
 
 # --- decoders -------------------------------------------------------------
 
-def _fill_leaves(s, best, brel, bnuc) -> None:
-    """Leaf cells maximize the full label range (reserved leaf labels included)."""
-    i = np.arange(s.n)
-    rel, nuc = s.labels(i, i + 1, i)
+def _fill_leaves(best, brel, bnuc, rel, nuc) -> None:
+    """Leaf cells maximize the full label range (reserved leaf labels
+    included), leaf (i, i+1) reading row i of ``rel`` and ``nuc``."""
+    i = np.arange(len(rel))
     l = np.argmax(rel, axis=1)
     p = np.argmax(nuc, axis=1)
     best[i, i + 1] = rel[i, l] + nuc[i, p]
@@ -573,44 +655,52 @@ def _internal_labels(rel, nuc) -> tuple[np.ndarray, np.ndarray]:
     return 1 + np.argmax(rel[:, 1:], axis=1), np.argmax(nuc[:, :3], axis=1)
 
 
-def _exact_bytes(n: int, n_rel: int) -> int:
-    """Bytes decode_exact holds for n EDUs: the dense label table,
-    8 · rows(n) · (n_rel + 4); the arrays of one width, at most
-    m = floor(n/2) · ceil(n/2) (cell, split) pairs, each with its relation
-    and nuclearity rows and 9 more 8-byte entries (_split_totals' offsets,
-    _width_labels' rows or _exact_width's running bests); and the O(n^2)
-    chart and layout arrays, 40 · (n + 1)^2."""
-    rows = n + (n ** 3 - n) // 6
-    m = (n // 2) * ((n + 1) // 2)
-    return 8 * rows * (n_rel + 4) + 8 * m * (n_rel + 13) + 40 * (n + 1) ** 2
+def _exact_bytes(n: int, n_rel: int, ff_hidden: int) -> int:
+    """Bytes decode_exact holds for n EDUs, ``ff_hidden`` being the
+    scorer's first-layer width (0 for rows read from a table):
+
+    * one width's arrays, at most m = max(n, floor(n/2) ceil(n/2)) (cell,
+      split) pairs, each with its relation and nuclearity rows and 12 more
+      8-byte entries (_split_totals' offsets, _exact_width's running bests,
+      the width's layout rows);
+    * the O(n^2) chart and layout arrays, 40 (n + 1)^2, and 16 KiB of
+      Python objects and array headers;
+    * on the neural path, the factored sums of both label scorers, 2 grids
+      of n(n+1)/2 rows of ff_hidden, with one more grid's gathered rows
+      while they are made, and 7 index entries per grid row (the cells,
+      held throughout, and the grid's indices); and the partial block's rows
+      beside one batch's, both _BLOCK_ROWS rows: 2 (n_rel + 4) entries, two
+      first-layer arrays of ff_hidden, one more n_rel-wide output and 8
+      index entries per row (NeuralOracle.rows_by_width).
+    """
+    m = max(n, (n // 2) * ((n + 1) // 2))
+    size = 8 * m * (n_rel + 16) + 40 * (n + 1) ** 2 + 2 ** 14
+    if ff_hidden:
+        grid = n * (n + 1) // 2
+        size += 8 * grid * (3 * ff_hidden + 7)
+        size += 8 * _BLOCK_ROWS * (2 * ff_hidden + 3 * n_rel + 16)
+    return size
 
 
-def _width_labels(t: ScoreTables, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """The relation and nuclearity rows, transposed, of one width's cells x
-    splits, cells by left end i, splits k = i+1..j-1 ascending: table rows
-    base[i, i + width] + (k - i - 1)."""
-    i = np.arange(t.n + 1 - width)
-    rows = (t.base[i, i + width][:, None] + np.arange(width - 1)).ravel()
-    return t.rel.take(rows, axis=0).T, t.nuc.take(rows, axis=0).T
-
-
-def _exact_width(t: ScoreTables, chart, width: int) -> None:
+def _exact_width(span, chart, width: int, rel, nuc) -> None:
     """decode_exact's step for the cells of one width: their best score,
     split, relation and nuclearity, written into ``chart`` (as _empty_chart
-    makes it).  The width's arrays are freed on return, so those of two
-    widths are never held at once."""
+    makes it), from the width's relation and nuclearity rows (as
+    rows_by_width gives them).  The width's arrays are freed on return, so
+    those of two widths are never held at once."""
     best, bsplit, brel, bnuc = chart
-    n = t.n
+    n = span.shape[0] - 1
+    n_rel = rel.shape[1]
     cells = n + 1 - width
     flat = best.reshape(-1)
-    stem = _split_totals(t.span, best, width).ravel()
-    rel, nuc = _width_labels(t, width)
+    stem = _split_totals(span, best, width).ravel()
+    rel, nuc = rel.T, nuc.T
     top = np.full(len(stem), NEG_INF)
     top_rel = np.zeros(len(stem), dtype=np.int64)
     top_nuc = np.zeros(len(stem), dtype=np.int64)
     # putmask, unlike copyto(where=), costs the same however many
     # entries change, which early label pairs make about half of them
-    for l in range(1, t.n_rel):
+    for l in range(1, n_rel):
         stem_l = stem + rel[l]
         for p in range(3):
             v = stem_l + nuc[p]
@@ -639,24 +729,25 @@ def decode_exact(n: int, scores) -> tuple[RstTree, float]:
     each cell's splits then picks the lowest split.  The cost still carries
     the full grammar constant: one batch step per label pair per width.
 
-    Reads the dense label table, so it first checks that the table and the
-    arrays of one width fit in EXACT_MEMORY_LIMIT bytes and raises
-    ExactTooLarge, before any table is built, when they do not.  Each
-    width's index arrays are made when it is reached, from ``base``.
+    The label rows come from the scorer's ``rows_by_width``, one width at a
+    time, so no dense table is built.  It first checks that what it will
+    hold (_exact_bytes) fits in core.MEMORY_LIMIT bytes and raises
+    ExactTooLarge, before any of it is allocated, when it does not.
     """
     s = chart_scores(n, scores)
-    size = _exact_bytes(n, s.n_rel)
-    if size > EXACT_MEMORY_LIMIT:
+    size = _exact_bytes(n, s.n_rel, s.ff_hidden)
+    if size > core.MEMORY_LIMIT:
         raise ExactTooLarge(
             f"exact decoding of n={n} EDUs with n_rel={s.n_rel} relations "
             f"needs {size:,} bytes, over the limit of "
-            f"{EXACT_MEMORY_LIMIT:,}; use the partial or complete decoder")
-    t = s.tables()
+            f"{core.MEMORY_LIMIT:,}; use the partial or complete decoder")
     chart = _empty_chart(n)
     best, bsplit, brel, bnuc = chart
-    _fill_leaves(t, best, brel, bnuc)
+    widths = s.rows_by_width()
+    _fill_leaves(best, brel, bnuc, *next(widths))
     for width in range(2, n + 1):
-        _exact_width(t, chart, width)
+        # passed on, not kept, so two widths' rows are never held at once
+        _exact_width(s.span, chart, width, *next(widths))
     return _backtrace(n, _tree_cells(n, bsplit), brel, bnuc), float(best[0, n])
 
 
@@ -668,7 +759,8 @@ def decode_partial(n: int, scores) -> tuple[RstTree, float]:
     """
     s = chart_scores(n, scores)
     best, bsplit, brel, bnuc = _empty_chart(n)
-    _fill_leaves(s, best, brel, bnuc)
+    i = np.arange(n)
+    _fill_leaves(best, brel, bnuc, *s.labels(i, i + 1, i))
     for width in range(2, n + 1):
         i, k, pair = _best_splits(s.span, best, width)
         j = i + width
@@ -798,7 +890,7 @@ def chart_loss(doc: Document, params: ModelParams, decoder: str = "partial",
     score_tree(T^) + distance against score_tree(gold), the two sums
     ``missing`` compares, not on the decoder's own running total, so a
     prediction equal to gold never builds a tape.  Only the exact decoder
-    builds the dense label table.
+    reads every label row, one width at a time.
     """
     if doc.gold is None:
         raise ValueError(f"document {doc.doc_id} has no gold tree")

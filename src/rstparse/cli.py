@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 data error (unreadable/malformed corpus or model,
 missing documents, non-finite scores, a document too long to decode
-exactly), 2 configuration error (bad flags, bad config keys, training that
-diverged, whose remedy is a smaller lr or a grad_clip).
+exactly), 2 configuration error (bad flags, bad config keys, model sizes
+whose parameters exceed core.MEMORY_LIMIT, training that diverged, whose
+remedy is a smaller lr or a grad_clip).
 Training settings come from defaults, then an optional ``key = value`` config
 file, then explicit flags, in that order.
 """
@@ -32,7 +33,7 @@ from .data import (
     serialize_tree,
     split_train_dev,
 )
-from .encoder import ModelError, ModelParams, encode_document
+from .encoder import ModelError, ModelParams, ModelTooLarge, encode_document
 from .metrics import evaluate_trees, format_report, machine_rows
 from .training import (
     PARSE_METHODS,
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
         # an overflow ends in NonFiniteScore alone, with no numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (ConfigError, TrainingDiverged) as exc:
+    except (ConfigError, ModelTooLarge, TrainingDiverged) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CorpusError, ModelError, ExactTooLarge, NonFiniteScore) as exc:

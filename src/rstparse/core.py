@@ -29,6 +29,11 @@ INTERNAL_NUCLEARITIES = (Nuclearity.NN, Nuclearity.NS, Nuclearity.SN)
 LEAF_RELATION = 0
 LEAF_RELATION_NAME = "LEAF"
 
+# Bytes one model's parameters (encoder.model_bytes) or one exact decode
+# (chart._exact_bytes) may hold.  Both are worked out from sizes before
+# anything is allocated, and read here at call time.
+MEMORY_LIMIT = 2 ** 30
+
 
 class RelationVocab:
     """Relation inventory; index 0 is always the reserved leaf label."""

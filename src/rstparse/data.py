@@ -204,12 +204,20 @@ def load_edus(path: str) -> tuple[Edu, ...]:
         return parse_edus_text(fh.read())
 
 
+# Any whitespace: exactly the characters str.isspace accepts.
+_SPACE = re.compile(r"\s")
+
+
 def serialize_edus(edus: Sequence[Edu]) -> str:
     lines = []
     for edu in edus:
-        for tok, tag in zip(edu.tokens, edu.pos_tags):
-            if not tok or not tag or any(c.isspace() for c in tok + tag):
-                raise ValueError(f"token/tag {tok!r}/{tag!r} not serializable")
+        # one search per EDU; the first bad pair is looked for only on failure
+        if (not all(edu.tokens) or not all(edu.pos_tags)
+                or _SPACE.search("".join(edu.tokens) + "".join(edu.pos_tags))):
+            for tok, tag in zip(edu.tokens, edu.pos_tags):
+                if not tok or not tag or _SPACE.search(tok + tag):
+                    raise ValueError(
+                        f"token/tag {tok!r}/{tag!r} not serializable")
         lines.append(" ".join(f"{_escape(t)}_{_escape(p)}"
                               for t, p in zip(edu.tokens, edu.pos_tags)))
     return "\n".join(lines) + "\n"

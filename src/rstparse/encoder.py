@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
+from . import core, ops
 from .core import (
     Document,
     INTERNAL_NUCLEARITIES,
@@ -53,6 +53,10 @@ SHIFT = 0                                 # the action index of SHIFT
 
 class ModelError(ValueError):
     """A model file that cannot be read or does not describe a valid model."""
+
+
+class ModelTooLarge(ValueError):
+    """A model's sizes need more parameter bytes than core.MEMORY_LIMIT."""
 
 
 def action_count(n_rel: int) -> int:
@@ -84,6 +88,24 @@ def scorer_widths(hidden: int, n_rel: int) -> dict[str, tuple[int, int]]:
             REL: (16 * hidden, n_rel),
             NUC: (16 * hidden, NUM_NUCLEARITIES),
             ACTION: (SLOTS * 4 * hidden, action_count(n_rel))}
+
+
+def model_bytes(words: int, tags: int, n_rel: int, word_dim: int,
+                pos_dim: int, hidden: int, ff_hidden: int,
+                pre_dim: int = 0) -> int:
+    """Bytes of the float64 arrays ModelParams.init makes for these sizes:
+    the word, pretrained and POS tables, both LSTM directions and the four
+    scorers.  Counted in Python integers, so no size overflows."""
+    in_dim = word_dim + pre_dim + pos_dim
+    floats = words * (word_dim + pre_dim) + tags * pos_dim
+    floats += 2 * 4 * hidden * (in_dim + hidden + 1)
+    for d_in, d_out in scorer_widths(hidden, n_rel).values():
+        floats += ff_hidden * (d_in + 1) + d_out * (ff_hidden + 1)
+    return 8 * floats
+
+
+# The smallest value each size ModelParams.init takes can have.
+_SMALLEST = {"word_dim": 0, "pos_dim": 0, "hidden": 1, "ff_hidden": 1}
 
 
 def glorot(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
@@ -133,6 +155,20 @@ class ModelParams:
         if rel_vocab.size < 2:
             raise ValueError("relation vocabulary has no real labels")
         pre_dim = pretrained.dim if pretrained is not None else 0
+        sizes = {"word_dim": word_dim, "pos_dim": pos_dim, "hidden": hidden,
+                 "ff_hidden": ff_hidden}
+
+        def need(**change):
+            return model_bytes(len(word_vocab), len(pos_vocab), rel_vocab.size,
+                               pre_dim=pre_dim, **dict(sizes, **change))
+
+        size = need()
+        if size > core.MEMORY_LIMIT:
+            # name the size whose smallest value would save the most
+            key = max(sizes, key=lambda k: size - need(**{k: _SMALLEST[k]}))
+            raise ModelTooLarge(
+                f"{key} = {sizes[key]} makes the model's parameters "
+                f"{size:,} bytes, over the limit of {core.MEMORY_LIMIT:,}")
         in_dim = word_dim + pre_dim + pos_dim
         h4 = 4 * hidden
         arrays: dict[str, np.ndarray] = {}
@@ -335,10 +371,10 @@ class RowFeedforward:
     which takes one index array per block and scores a batch of rows, is the
     two in turn.  A caller may instead ``lead`` once over the distinct index
     tuples its rows share and gather the partial sums for ``finish``: a
-    leading sum reused by many rows is then added once (the chart's dense
-    label table does this, see chart.NeuralOracle.tables).  ``one`` scores a
-    single row from its q indices with one gather and one running sum over
-    the blocks.
+    leading sum reused by many rows is then added once (the exact decoder's
+    label rows are made so, see chart.NeuralOracle.rows_by_width).  ``one``
+    scores a single row from its q indices with one gather and one running
+    sum over the blocks.
     """
 
     def __init__(self, params: ModelParams, name: str, M: np.ndarray,

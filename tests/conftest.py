@@ -34,7 +34,9 @@ flat-offset kernel the decoders share; and the ``.edus`` token split that
 found the separator, then unescaped each half (``ref_split_token``), and
 the ``.tree`` parser over a per-character lexer that kept every token's
 line and column (``ref_parse_tree_text``), the references for the one-pass
-token scanner and the regex lexer.  ``single_leaf``, ``queue``,
+token scanner and the regex lexer; and the ``.edus`` writer that checked
+each token for whitespace a character at a time (``ref_serialize_edus``),
+the reference for the one that searches each EDU once.  ``single_leaf``, ``queue``,
 ``span_count`` and ``tree_structures_count`` are conveniences only the
 tests read.
 """
@@ -225,7 +227,8 @@ def ref_decode_exact(n, scores):
     the same score bit for bit."""
     t = chart_scores(n, scores).tables()
     best, bsplit, brel, bnuc = _empty_chart(n)
-    _fill_leaves(t, best, brel, bnuc)
+    leaf = np.arange(n)
+    _fill_leaves(best, brel, bnuc, *t.labels(leaf, leaf + 1, leaf))
     for width in range(2, n + 1):
         totals = ref_split_totals(t.span, best, width).tolist()
         for i, pair in enumerate(totals):
@@ -335,6 +338,23 @@ def ref_split_token(item: str, line: int, column: int) -> tuple[str, str]:
     if sep <= 0 or sep == len(item) - 1:
         raise TreeSyntaxError(f"token {item!r} is not a word_POS pair", line, column)
     return ref_unescape(item[:sep]), ref_unescape(item[sep + 1:])
+
+
+def ref_serialize_edus(edus) -> str:
+    """data.serialize_edus as first written, each token and tag checked for
+    whitespace with a per-character generator: the reference for the one
+    regex search per EDU."""
+    def escape(text):
+        return text.replace("\\", "\\\\").replace("_", "\\_")
+
+    lines = []
+    for edu in edus:
+        for tok, tag in zip(edu.tokens, edu.pos_tags):
+            if not tok or not tag or any(c.isspace() for c in tok + tag):
+                raise ValueError(f"token/tag {tok!r}/{tag!r} not serializable")
+        lines.append(" ".join(f"{escape(t)}_{escape(p)}"
+                              for t, p in zip(edu.tokens, edu.pos_tags)))
+    return "\n".join(lines) + "\n"
 
 
 def ref_tokenize_sexpr(text: str):

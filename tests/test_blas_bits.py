@@ -2,10 +2,11 @@
 
 Several paths promise the bits of a reference: ``ops.bilstm`` those of two
 one-direction LSTMs, ``RowFeedforward.one`` those of the batch call, the
-stacked projections those of one fresh product per block, the dense label
-table built from factored partial sums those of the row-by-row build, and
-the second layer (``RowFeedforward.output``) run in place those of the
-out-of-place one.  Each promise
+stacked projections those of one fresh product per block, the exact
+decoder's label rows, streamed by width from factored partial sums, those
+of the dense table's row-by-row build, and the second layer
+(``RowFeedforward.output``) run in place those of the out-of-place one.
+Each promise
 holds only because of how numpy and its BLAS pick their kernels.  A BLAS
 that behaves otherwise fails the digests and the byte-for-byte grids; the
 tests here say which assumption broke, and each message names the code that
@@ -107,8 +108,9 @@ def test_label_rows_depend_on_the_batch_only_below_the_small_matrix_cutoff():
             got = output(Z[:size].copy())
             assert (got != whole[:size]).any(), (
                 f"{name}: {size} rows scored alone kept the bits they have in "
-                "a batch of 2,048; chart.NeuralOracle.tables keeps its "
-                "1,024-row blocks, and missing_prediction and count_missing "
+                "a batch of 2,048; chart.NeuralOracle.rows_by_width scores "
+                "the dense layout's partial block whole, and "
+                "missing_prediction and count_missing "
                 "score both trees with score_tree, because below the cut-off "
                 "they do not")
         for size, start in ((small + 1, 0), (small + 1, 100), (1024, 7),
@@ -116,9 +118,37 @@ def test_label_rows_depend_on_the_batch_only_below_the_small_matrix_cutoff():
             got = output(Z[start:start + size].copy())
             assert got.tobytes() == whole[start:start + size].tobytes(), (
                 f"{name}: {size} rows from row {start} lost the bits they "
-                "have in a batch of 2,048; chart.NeuralOracle.tables's full "
-                "blocks are above the cut-off, where a row's bits should "
-                "depend on neither its batch nor its place in it")
+                "have in a batch of 2,048; chart.NeuralOracle.rows_by_width's "
+                "batches of 1,024 are above the cut-off, where a row's bits "
+                "should depend on neither its batch nor its place in it")
+
+
+def test_a_full_block_gives_a_row_its_bits_wherever_it_is_placed():
+    """In a batch of 1,024 rows, the dense layout's block size, a row's
+    bits do not depend on its place in the batch nor on the other rows:
+    at every label-layer shape the tests use, also those whose whole
+    batch is below the small-matrix cut-off (16 x 4 and 8 x 4: 65,536 and
+    32,768 products)."""
+    rng = np.random.default_rng(8)
+    for ff_hidden, n_rel in ((64, 19), (16, 4), (8, 40)):
+        params = random_params(n_rel=n_rel, seed=ff_hidden,
+                               ff_hidden=ff_hidden)
+        Z = rng.normal(size=(3000, ff_hidden))
+        for name in (REL, NUC):
+            output = second_layer(params, name)
+            whole = output(Z[:1024].copy())
+            for shift in (1, 7, 100, 1000):
+                moved = output(np.roll(Z[:1024], shift, axis=0))
+                mixed = output(Z[shift:shift + 1024].copy())
+                assert (moved.tobytes() == np.roll(whole, shift, axis=0)
+                        .tobytes() and mixed[:1024 - shift].tobytes()
+                        == whole[shift:].tobytes()), (
+                    f"{name} at ff_hidden={ff_hidden}, n_rel={n_rel}: a row "
+                    "moved within a batch of 1,024, or scored beside other "
+                    "rows, lost its bits; chart.NeuralOracle.rows_by_width "
+                    "scores the full blocks' rows in width order, in other "
+                    "batches of 1,024 than the dense layout's blocks, so "
+                    "its rows stop equalling conftest.ref_dense_tables'")
 
 
 def test_accumulate_over_the_outer_axis_adds_in_block_order():
@@ -191,7 +221,7 @@ def test_second_layer_in_place_keeps_the_out_of_place_bits():
 def test_gathered_rows_are_new_arrays_so_projections_stay_as_they_are():
     """Gathering rows with an index array, or with ``take``, copies them.
     RowFeedforward's ``lead``, ``finish`` and ``one`` and the dense table's
-    factored blocks hand ``output`` only such copies, so its in-place bias,
+    streamed batches hand ``output`` only such copies, so its in-place bias,
     relu and mask never write into the projections every row reads, nor
     into the callers' index arrays."""
     rng = np.random.default_rng(7)
@@ -223,12 +253,13 @@ def test_gathered_rows_are_new_arrays_so_projections_stay_as_they_are():
     oracle = NeuralOracle(params, enc, masks)
     scorers = (oracle._rel, oracle._nuc)
     projs = [s.proj.copy() for s in scorers]
-    oracle.tables()
+    for _ in oracle.rows_by_width():
+        pass
     oracle.labels(*kept[:3])
     for s, before in zip(scorers, projs):
         assert s.proj.tobytes() == before.tobytes(), (
-            "building the dense table changed NeuralOracle's projections; "
-            "its factored blocks must gather copies before finish runs")
+            "streaming the label rows changed NeuralOracle's projections; "
+            "its batches must gather copies of the sums before finish runs")
     assert enc.data.tobytes() == M.tobytes()
 
 

@@ -15,7 +15,7 @@ from conftest import (
     single_leaf,
 )
 
-from rstparse import chart, ops
+from rstparse import chart, core, ops
 from rstparse.chart import (
     ExactTooLarge,
     LossAugmented,
@@ -232,52 +232,89 @@ class TestSplitTotals:
                     assert got.tobytes() == want.tobytes(), (n, width)
 
 
+def traced_peak(run):
+    """Bytes ``run()`` allocates at its peak, beyond what was held before,
+    as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def table_bytes(n, n_rel):
+    """The dense label table of n EDUs: 8 bytes per relation and
+    nuclearity entry of each of its rows(n) rows."""
+    return 8 * (n + (n ** 3 - n) // 6) * (n_rel + 4)
+
+
 class TestExactMemoryBudget:
-    def test_budget_counts_table_and_index_arrays(self):
-        rows = 80 + (80 ** 3 - 80) // 6
-        assert rows == 85400
-        # the table, the 40 x 40 cells x splits of width 41, and the chart
-        assert chart._exact_bytes(80, 19) == (8 * rows * 23 + 8 * 1600 * 32
-                                              + 40 * 81 ** 2)
+    def test_budget_counts_width_rows_grids_and_batch(self):
+        # the 40 x 40 cells x splits of width 41, the chart, the two grids
+        # of 80 * 81 / 2 sums and a batch beside the partial block
+        assert chart._exact_bytes(80, 19, 64) == (
+            8 * 1600 * 35 + 40 * 81 ** 2 + 2 ** 14
+            + 8 * 3240 * (3 * 64 + 7) + 8 * 1024 * (2 * 64 + 3 * 19 + 16))
         for n in range(1, 40):
-            widest = max([(n + 1 - w) * (w - 1) for w in range(2, n + 1)],
-                         default=0)
-            table = 8 * (n + (n ** 3 - n) // 6) * 9
-            assert chart._exact_bytes(n, 5) == (table + 8 * widest * 18
-                                                + 40 * (n + 1) ** 2)
-        assert chart._exact_bytes(326, 19) <= chart.EXACT_MEMORY_LIMIT
-        assert chart._exact_bytes(327, 19) > chart.EXACT_MEMORY_LIMIT
+            widest = max((n + 1 - w) * max(w - 1, 1) for w in range(1, n + 1))
+            small = 8 * widest * 21 + 40 * (n + 1) ** 2 + 2 ** 14
+            assert chart._exact_bytes(n, 5, 0) == small
+            assert chart._exact_bytes(n, 5, 8) == (
+                small + 8 * n * (n + 1) // 2 * 31 + 8 * 1024 * (16 + 15 + 16))
+        # no term of the table's length: n, not memory, bounds exact
+        # decoding now, at any first-layer width
+        for n_rel, ff_hidden, largest in ((19, 64, 1087), (19, 200, 648),
+                                          (19, 0, 3123)):
+            assert (chart._exact_bytes(largest, n_rel, ff_hidden)
+                    <= core.MEMORY_LIMIT
+                    < chart._exact_bytes(largest + 1, n_rel, ff_hidden))
+        assert chart._exact_bytes(326, 19, 64) < table_bytes(326, 19) / 10
 
     @pytest.mark.parametrize("n", [7, 40, 80])
     def test_traced_peak_is_within_the_budget(self, n):
-        """decode_exact's traced peak stays within _exact_bytes plus one
-        table block's temporaries, whose bound does not depend on n."""
+        """decode_exact's traced peak stays within _exact_bytes for a
+        neural scorer, plain and loss-augmented, and for its dense table;
+        at 80 EDUs the neural budget is below one dense table, so a decode
+        that held one would exceed it."""
         rng = np.random.default_rng(n)
         params = random_params(n_rel=19, seed=n, ff_hidden=64)
         oracle = NeuralOracle(params, encode_document(random_document(n, rng),
                                                       params))
-        block = 8 * chart._BLOCK_ROWS * (3 * params.ff_hidden
-                                         + 2 * (params.n_rel + 4) + 8)
-        budget = chart._exact_bytes(n, params.n_rel) + block
         gold = gold_tree(n, params.n_rel, rng)
-        for scores in (oracle, LossAugmented(oracle, gold), oracle.tables()):
-            tracemalloc.start()
-            try:
-                held = tracemalloc.get_traced_memory()[0]
-                decode_exact(n, scores)
-                peak = tracemalloc.get_traced_memory()[1] - held
-            finally:
-                tracemalloc.stop()
+        tabs = oracle.tables()
+        for scores in (oracle, LossAugmented(oracle, gold), tabs,
+                       LossAugmented(tabs, gold)):
+            budget = chart._exact_bytes(n, params.n_rel, scores.ff_hidden)
+            peak = traced_peak(lambda: decode_exact(n, scores))
             assert peak <= budget, (type(scores).__name__, peak, budget)
+        if n == 80:
+            assert (chart._exact_bytes(n, params.n_rel, params.ff_hidden)
+                    < table_bytes(n, params.n_rel))
+
+    def test_loss_augmented_table_oracle_holds_one_table(self):
+        """LossAugmented over a TableOracle holds the one table
+        chart_scores builds and shifts each width's rows as they are read,
+        so decode_exact holds that table and its own _exact_bytes, and not
+        a second, shifted table."""
+        n, n_rel = 60, 19
+        gold = gold_tree(n, n_rel, np.random.default_rng(60))
+        peak = traced_peak(
+            lambda: decode_exact(n, LossAugmented(TableOracle(n_rel), gold)))
+        # the ScoreTables' span and base, LossAugmented's span and gold
+        # labels: five (n+1, n+1) arrays of 8 bytes
+        table = table_bytes(n, n_rel) + 5 * 8 * (n + 1) ** 2
+        budget = table + chart._exact_bytes(n, n_rel, 0)
+        assert peak <= budget < peak + table_bytes(n, n_rel), (peak, budget)
 
     def test_raises_before_any_table_is_built(self, monkeypatch):
         rng = np.random.default_rng(6)
         params = random_params()
         doc = random_document(7, rng, gold_tree(7, params.n_rel, rng))
         oracle = NeuralOracle(params, encode_document(doc, params))
-        need = chart._exact_bytes(7, params.n_rel)
-        monkeypatch.setattr(NeuralOracle, "tables", refuse_tables)
-        monkeypatch.setattr(chart, "EXACT_MEMORY_LIMIT", need - 1)
+        need = chart._exact_bytes(7, params.n_rel, params.ff_hidden)
+        monkeypatch.setattr(core, "MEMORY_LIMIT", need - 1)
         assert issubclass(ExactTooLarge, ValueError)
         with pytest.raises(ExactTooLarge, match=f"n=7 EDUs with n_rel="
                            f"{params.n_rel} relations needs {need:,} bytes"):
@@ -286,9 +323,23 @@ class TestExactMemoryBudget:
             chart_loss(doc, params, "exact")
         # partial and complete have no such limit
         chart_loss(doc, params, "partial")
-        monkeypatch.setattr(chart, "EXACT_MEMORY_LIMIT", need)
-        with pytest.raises(AssertionError, match="dense"):
-            decode_exact(7, oracle)
+        monkeypatch.setattr(core, "MEMORY_LIMIT", need)
+        decode_exact(7, oracle)
+        # the refusal comes before anything large is allocated: at 80 EDUs
+        # one grid of sums is 1.6 MB and one batch of first-layer rows
+        # 0.5 MB, and the refused call allocates less than 16 KiB
+        n = 80
+        params = random_params(n_rel=19, seed=6, ff_hidden=64)
+        oracle = NeuralOracle(params, encode_document(random_document(n, rng),
+                                                      params))
+        need = chart._exact_bytes(n, params.n_rel, params.ff_hidden)
+        monkeypatch.setattr(core, "MEMORY_LIMIT", need - 1)
+
+        def refused():
+            with pytest.raises(ExactTooLarge):
+                decode_exact(n, oracle)
+
+        assert traced_peak(refused) < 2 ** 14
 
 
 class TestHamming:
@@ -587,7 +638,10 @@ def refuse_tables(self):
 
 
 class RowCounter:
-    """A chart scorer that forwards to ScoreTables and counts label rows."""
+    """A chart scorer that forwards to ScoreTables and counts the label
+    rows it is asked for; no decoder may ask it for a dense table."""
+
+    ff_hidden = 0
 
     def __init__(self, tabs):
         self.inner = tabs
@@ -598,19 +652,23 @@ class RowCounter:
         self.rows += len(i)
         return self.inner.labels(i, j, k)
 
+    def rows_by_width(self):
+        for rel, nuc in self.inner.rows_by_width():
+            self.rows += len(rel)
+            yield rel, nuc
+
     tables = refuse_tables
 
 
 class ProtocolScorer:
-    """A chart scorer with the protocol's members and nothing else:
-    ``tables()`` returns a new ScoreTables, a copy of ``tabs``."""
+    """A chart scorer with the protocol's members and nothing else, its
+    rows those of ``tabs``."""
 
     def __init__(self, tabs):
         self.n, self.n_rel, self.span = tabs.n, tabs.n_rel, tabs.span
+        self.ff_hidden = 0
         self.labels = tabs.labels
-        self.tables = lambda: ScoreTables(tabs.n, tabs.n_rel, tabs.span,
-                                          tabs.rel.copy(), tabs.nuc.copy(),
-                                          tabs.base)
+        self.rows_by_width = tabs.rows_by_width
 
 
 class TestOnDemandRows:
@@ -698,21 +756,23 @@ class TestOnDemandRows:
             counter.rows = 0
             score_tree(tree, scores)
             assert counter.rows == 2 * n - 1
-        with pytest.raises(AssertionError, match="dense"):
-            decode_exact(n, RowCounter(tabs))
+            # exact reads every row, once, and asks for no dense table
+            counter.rows = 0
+            decode_exact(n, scores)
+            assert counter.rows == n + (n ** 3 - n) // 6
 
     def test_a_scorer_with_only_the_protocol_works_everywhere(self):
         """Every decoder, score_tree and LossAugmented read a chart scorer
-        through n, n_rel, span, labels and tables alone, with the bits of
-        the ScoreTables it copies; shifting a ScoreTables leaves it as it
-        was."""
+        through n, n_rel, ff_hidden, span, labels and rows_by_width alone,
+        with the bits of the ScoreTables whose rows it gives; shifting a
+        ScoreTables, or its rows, leaves it as it was."""
         rng = np.random.default_rng(17)
         for n in (1, 2, 5, 9, 20):  # 20 EDUs fill two _BLOCK_ROWS blocks
             tabs = random_tables(n, 5, rng)
             gold = gold_tree(n, 5, rng)
             scorer = ProtocolScorer(tabs)
-            assert set(vars(scorer)) == {"n", "n_rel", "span", "labels",
-                                         "tables"}
+            assert set(vars(scorer)) == {"n", "n_rel", "ff_hidden", "span",
+                                         "labels", "rows_by_width"}
 
             def arrays():
                 return [a.tobytes() for a in (tabs.rel, tabs.nuc, tabs.span)]
@@ -731,6 +791,9 @@ class TestOnDemandRows:
                             == score_tree(tree, want_s).hex())
             decode_exact(n, LossAugmented(tabs, gold))
             assert arrays() == plain
+            aug = LossAugmented(scorer, gold).tables()
+            for a, b in ((aug.rel, dense.rel), (aug.nuc, dense.nuc)):
+                assert a.tobytes() == b.tobytes()
 
     def test_chart_loss_and_count_missing_skip_the_dense_table(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -741,45 +804,46 @@ class TestOnDemandRows:
         masks = make_dropout_masks(params, 7, 0.2, rng)
         with monkeypatch.context() as m:
             m.setattr(NeuralOracle, "tables", refuse_tables)
-            for decoder in ("partial", "complete"):
+            for decoder in ("exact", "partial", "complete"):
                 loss, diag = chart_loss(docs[2], params, decoder, masks)
                 assert diag.distance == hamming(diag.pred, docs[2].gold)
                 count_missing(docs, params, decoder)
-        # exact shifts the plain table in place, so it holds one table: its
-        # traced peak is within decode_exact's budget, which a second table,
-        # 15.7 MB at n = 80, would exceed
+        # exact shifts each width's rows as they are computed, so it holds
+        # no table: its traced peak is within decode_exact's budget, which
+        # one table, 15.7 MB at n = 80, would exceed
         n = 80
         params = random_params(n_rel=19, seed=8, ff_hidden=64)
         doc = random_document(n, rng, gold_tree(n, params.n_rel, rng))
         masks = make_dropout_masks(params, n, 0.2, rng)
         enc = encode_document(doc, params, masks)
-        block = 8 * chart._BLOCK_ROWS * (3 * params.ff_hidden
-                                         + 2 * (params.n_rel + 4) + 8)
-        budget = chart._exact_bytes(n, params.n_rel) + block
-        table = 8 * (n + (n ** 3 - n) // 6) * (params.n_rel + 4)
-        tracemalloc.start()
-        try:
-            held = tracemalloc.get_traced_memory()[0]
-            loss, diag = chart_loss(doc, params, "exact", masks, enc)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget < peak + table, (peak, budget)
+        budget = chart._exact_bytes(n, params.n_rel, params.ff_hidden)
+        found = []
+        peak = traced_peak(lambda: found.append(
+            chart_loss(doc, params, "exact", masks, enc)))
+        assert peak <= budget < table_bytes(n, params.n_rel), (peak, budget)
+        diag = found[0][1]
+        assert diag.loss > 0.0, "the hinge should be active, so the tape built"
         assert diag.distance == hamming(diag.pred, doc.gold)
 
     def test_table_has_the_bits_of_the_reference_build(self):
-        """The dense table, each block summed from factored partial sums
-        (NeuralOracle.tables), equals the build that asked ``labels``
-        for every block's rows byte for byte, plain and loss-augmented, with
-        and without dropout, and exact decoding reads the same tree and
-        score from both.  Up to 8 EDUs, the one block is below OpenBLAS's
-        small-matrix cut-off; at 13 and 17 one block spans every i; at 40,
-        80 and 101 blocks span one i or many, and the last is partial."""
+        """Each width's streamed rows (rows_by_width), and the dense table
+        assembled from them (tables), equal the build that asked
+        ``labels`` for every _BLOCK_ROWS block's rows byte for byte, plain
+        and loss-augmented, with and without dropout; exact decoding reads
+        the same tree and score from the stream as from that table.
+
+        Up to 12 EDUs the table is one block, below OpenBLAS's small-matrix
+        cut-off for the nuclearity layer at ff_hidden = 64 (301 rows), and
+        up to 7 for the relation layer (64 rows); at 19, 24, 27, 35, 48, 57
+        and 67 the last, partial block is below one of them; at 40, 80 and
+        101 it is above both.  At ff_hidden = 16 with 4 relations even the
+        full blocks are below both cut-offs (test_blas_bits)."""
         rng = np.random.default_rng(13)
+        sizes = (*range(1, 30), 35, 40, 48, 57, 67, 80, 101)
         for ff_hidden, n_rel in ((64, 19), (16, 4), (8, 40)):
             params = random_params(n_rel=n_rel, seed=ff_hidden,
                                    ff_hidden=ff_hidden)
-            for n in (*range(1, 9), 13, 17, 40, 80, 101):
+            for n in sizes:
                 doc = random_document(n, rng)
                 gold = gold_tree(n, n_rel, rng)
                 for masks in (None, make_dropout_masks(params, n, 0.3, rng)):
@@ -789,19 +853,53 @@ class TestOnDemandRows:
                         what = (ff_hidden, n_rel, n, masks is None,
                                 type(scores).__name__)
                         want = ref_dense_tables(scores)
-                        got = scores.tables()
-                        for a, b in ((got.rel, want.rel), (got.nuc, want.nuc)):
-                            # the bytes, compared without copying them
-                            assert a.shape == b.shape, what
-                            assert np.array_equal(a.view(np.int64),
-                                                  b.view(np.int64)), what
-                        np.testing.assert_array_equal(got.base, want.base)
-                        del got
-                        if n <= 40:
+                        widths = scores.rows_by_width()
+                        for width in range(1, n + 1):
+                            at = chart._width_rows(want.base, width)
+                            got = next(widths)
+                            for a, b in zip(got, (want.rel, want.nuc)):
+                                assert a.tobytes() == b[at].tobytes(), (
+                                    what, width)
+                        assert next(widths, None) is None
+                        if n in (1, 7, 19, 40):
+                            got = scores.tables()
+                            for a, b in ((got.rel, want.rel),
+                                         (got.nuc, want.nuc)):
+                                assert a.tobytes() == b.tobytes(), what
+                            np.testing.assert_array_equal(got.base, want.base)
+                        if n <= 57:
                             tree, score = decode_exact(n, scores)
                             ref_tree, ref_score = decode_exact(n, want)
                             assert tree == ref_tree, what
                             assert score.hex() == ref_score.hex(), what
+
+    def test_stream_puts_every_row_in_its_place_at_any_block_size(
+            self, monkeypatch):
+        """With a second layer whose every product is exact (one-hot W2
+        rows, so no sum depends on a kernel's order), the stream gives each
+        row the value ``labels`` gives it at any block size: whatever the
+        number of full blocks, with or without a partial block, a last
+        batch that needs padding or one that does not."""
+        rng = np.random.default_rng(21)
+        params = random_params(n_rel=5, seed=21, ff_hidden=8)
+        for name in (REL, NUC):
+            W2 = params.arrays[f"{name}.W2"]
+            W2[...] = np.eye(*W2.shape)
+            params.arrays[f"{name}.b1"][...] = 4.0
+        for n in (1, 2, 5, 9, 14):
+            doc = random_document(n, rng)
+            gold = gold_tree(n, params.n_rel, rng)
+            oracle = NeuralOracle(params, encode_document(doc, params))
+            for scores in (oracle, LossAugmented(oracle, gold)):
+                want = ref_dense_tables(scores)
+                rows = len(want.rel)
+                for block in (1, 2, 5, 7, rows - 1, rows, rows + 1, 1024):
+                    if block < 1:
+                        continue
+                    monkeypatch.setattr(chart, "_BLOCK_ROWS", block)
+                    got = scores.tables()
+                    assert got.rel.tobytes() == want.rel.tobytes(), (n, block)
+                    assert got.nuc.tobytes() == want.nuc.tobytes(), (n, block)
 
     def test_augmented_neural_table_is_the_plain_table_shifted(self):
         """LossAugmented(oracle, gold).tables() equals oracle.tables() with

@@ -3,6 +3,7 @@ import os
 import string
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -191,6 +192,65 @@ class TestTrainCommand:
         assert "config error:" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("key", ["word_dim", "pos_dim", "hidden",
+                                     "ff_hidden"])
+    def test_oversized_model_is_a_config_error(self, corpus_dir,
+                                               tiny_settings, tmp_path,
+                                               capsys, key):
+        """A size whose parameters would exceed core.MEMORY_LIMIT is one
+        config error naming the key and the bytes, found before anything
+        of the model's size is allocated: the whole refused run, corpus
+        read included, allocates less than 1 MiB, where one parameter
+        array alone would need terabytes."""
+        from rstparse.encoder import model_bytes
+
+        model = tmp_path / "m.npz"
+        argv = ["train", "--corpus", corpus_dir, "--out", str(model),
+                "--config", tiny_settings, "--" + key.replace("_", "-"),
+                str(10 ** 12)]
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            code, line = one_error_line(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        corpus = load_corpus(corpus_dir)
+        sizes = dict(word_dim=2, pos_dim=2, hidden=2, ff_hidden=2)
+        sizes[key] = 10 ** 12
+        need = model_bytes(len(corpus.word_vocab), len(corpus.pos_vocab),
+                           corpus.rel_vocab.size, **sizes)
+        assert line == (f"config error: {key} = {10 ** 12} makes the model's "
+                        f"parameters {need:,} bytes, over the limit of "
+                        f"{2 ** 30:,}")
+        assert peak < 2 ** 20, peak
+        assert not model.exists()
+
+    def test_model_bytes_counts_every_array_init_makes(self, corpus_dir,
+                                                       tmp_path):
+        """model_bytes from the sizes alone equals the bytes of the arrays
+        ModelParams.init makes, the pretrained table's copy included."""
+        from rstparse.data import load_embeddings
+        from rstparse.encoder import model_bytes
+
+        corpus = load_corpus(corpus_dir)
+        emb = tmp_path / "emb.txt"
+        emb.write_text(f"{corpus.word_vocab.tokens[1]} 0.5 1.0 -2.0\n")
+        pretrained = load_embeddings(str(emb), corpus.word_vocab)
+        for pre in (None, pretrained):
+            params = ModelParams.init(
+                corpus.word_vocab, corpus.pos_vocab, corpus.rel_vocab,
+                np.random.default_rng(0), word_dim=5, pos_dim=3, hidden=4,
+                ff_hidden=6, pretrained=pre)
+            held = sum(a.nbytes for a in params.arrays.values())
+            if pre is not None:
+                held += params.pretrained.nbytes
+            assert held == model_bytes(
+                len(corpus.word_vocab), len(corpus.pos_vocab),
+                corpus.rel_vocab.size, 5, 3, 4, 6,
+                pre_dim=0 if pre is None else pre.dim)
+
     def test_diverged_training_is_a_config_error(self, corpus_dir,
                                                  tiny_settings, tmp_path,
                                                  capsys):
@@ -256,9 +316,9 @@ class TestPipeline:
 
     def test_exact_over_memory_limit_is_a_data_error(
             self, corpus_dir, trained_model, tmp_path, monkeypatch, capsys):
-        from rstparse import chart
+        from rstparse import core
 
-        monkeypatch.setattr(chart, "EXACT_MEMORY_LIMIT", 1000)
+        monkeypatch.setattr(core, "MEMORY_LIMIT", 1000)
         edus = sorted(
             os.path.join(corpus_dir, f) for f in os.listdir(corpus_dir)
             if f.endswith(".edus"))

@@ -9,6 +9,7 @@ from conftest import (
     make_tree,
     ref_parse_tree_text,
     ref_random_tree,
+    ref_serialize_edus,
     ref_split_token,
 )
 from test_input_fuzz import edit
@@ -220,6 +221,43 @@ class TestParsersEqualTheReferences:
                 assert (outcome(parse_tree_text, text, VOCAB, n_edus)
                         == outcome(ref_parse_tree_text, text, VOCAB, n_edus)
                         ), (text, n_edus)
+
+    def test_serialize_edus_fuzz(self):
+        """serialize_edus accepts what the per-character check accepted,
+        with the same text, and rejects the rest with the same message:
+        EDUs over FUZZ_CHARS' other characters, a field empty or given one
+        of FUZZ_CHARS now and then."""
+        rng = random.Random(22)
+        word = [c for c in FUZZ_CHARS if not c.isspace()]
+        seen = {"accepted": 0, "rejected": 0}
+
+        def field():
+            text = "".join(rng.choices(word, k=rng.randint(1, 3)))
+            if rng.random() < 0.05:
+                at = rng.randint(0, len(text))
+                text = text[:at] + rng.choice(FUZZ_CHARS) + text[at:]
+            return "" if rng.random() < 0.02 else text
+
+        def result(edus):
+            try:
+                return serialize_edus(edus)
+            except ValueError as exc:
+                return str(exc)
+
+        for _ in range(5000):
+            edus = []
+            for index in range(1, rng.randint(1, 3) + 1):
+                k = rng.randint(1, 4)
+                edus.append(Edu(tuple(field() for _ in range(k)),
+                                tuple(field() for _ in range(k)), index))
+            try:
+                want = ref_serialize_edus(edus)
+                seen["accepted"] += 1
+            except ValueError as exc:
+                want = str(exc)
+                seen["rejected"] += 1
+            assert result(edus) == want, edus
+        assert min(seen.values()) > 1000, seen
 
     def test_accepted_text_round_trips(self):
         """Every text parse_edus_text accepts re-parses from serialize_edus

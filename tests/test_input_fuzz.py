@@ -7,7 +7,8 @@ command that reads the edited file: ``parse`` with a tiny saved model,
 ``eval`` with the edited corpus as the gold side and, for a ``.tree`` edit,
 as the predicted side, and ``oracle --replay``.  Each training case makes
 one such edit to a ``--config`` file or an ``--embeddings`` file of tiny
-sizes and runs ``train``.
+sizes and runs ``train``; each size case appends one digit, or nine to
+twelve, to one size in the config file and runs ``train``.
 
 An edit to a data file may make a command fail, but only with exit code 1
 and exactly one ``data error:`` or ``io error:`` line on stderr; an edit to
@@ -33,6 +34,8 @@ from rstparse.training import PARSE_METHODS
 VOCAB = RelationVocab(["Cause", "Elaboration", "Joint"])
 CASES = 300
 TRAIN_CASES = 100
+SIZE_CASES = 24
+SIZES = ("hidden", "ff_hidden", "word_dim", "pos_dim")
 
 # Every training setting, at sizes a single edit can raise only to two
 # digits; a deleted line falls back to a default, the largest 300.
@@ -203,3 +206,38 @@ def test_edited_config_and_embeddings_fail_only_with_their_error(
             wrong.append((case, kind, code, err, texts[kind]))
     assert not wrong, wrong[:5]
     assert seen == {0, 1, 2}, "the edits should keep and break both files"
+
+
+def test_grown_sizes_train_or_fail_with_a_config_error(train_inputs, tmp_path,
+                                                       capsys):
+    """A size grown by one digit still trains; grown by nine to twelve, its
+    parameters exceed core.MEMORY_LIMIT, and ``train`` refuses it with exit
+    code 2 and one ``config error:`` line naming the key, before anything
+    of that size is allocated.  No digit count in between is drawn: a
+    model of a few hundred megabytes would be built and trained."""
+    corpus, clean = train_inputs
+    wrong = []
+    seen = set()
+    for case in range(SIZE_CASES):
+        rng = random.Random(20_000 + case)
+        key = rng.choice(SIZES)
+        digits = "".join(rng.choices("0123456789",
+                                     k=rng.choice((1, rng.randint(9, 12)))))
+        text = clean["config"].replace(f"\n{key} = 2\n",
+                                       f"\n{key} = 2{digits}\n")
+        assert text != clean["config"]
+        (tmp_path / "config").write_text(text)
+        argv = ["train", "--corpus", corpus, "--out",
+                str(tmp_path / "model.npz"), "--config",
+                str(tmp_path / "config")]
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        seen.add(code)
+        if code != 0 and (code != 2 or len(err) != 1 or not err[0].startswith(
+                f"config error: {key} = 2{digits} makes the model's")):
+            wrong.append((case, key, digits, code, err))
+    assert not wrong, wrong[:5]
+    assert seen == {0, 2}, "the sizes should both train and be refused"
