@@ -307,10 +307,11 @@ def _label_rows(i: np.ndarray, j: np.ndarray, k: np.ndarray) -> tuple:
 def _stream_batches(fulls: list[int]):
     """(i, j, k) of the rows of each width that lie in full _BLOCK_ROWS
     blocks of the dense layout (``fulls[width - 1]`` of them, the first in
-    _width_rows order), widths 1 to n in turn, _BLOCK_ROWS rows at a time;
-    the last batch is padded with copies of its last row.  The p-th row of
-    width w > 1 is cell i = p // (w - 1) split at k = i + 1 + p % (w - 1);
-    leaf rows have k = i.  No index array longer than a batch is made."""
+    _width_rows order), widths 1 to n in turn, _BLOCK_ROWS rows at a time.
+    The full blocks hold a multiple of _BLOCK_ROWS rows, so every batch is
+    full.  The p-th row of width w > 1 is cell i = p // (w - 1) split at
+    k = i + 1 + p % (w - 1); leaf rows have k = i.  No index array longer
+    than a batch is made."""
     parts, size = [], 0
     for width, full in enumerate(fulls, 1):
         per = max(width - 1, 1)
@@ -324,9 +325,6 @@ def _stream_batches(fulls: list[int]):
             if size == _BLOCK_ROWS:
                 yield tuple(np.concatenate(c) for c in zip(*parts))
                 parts, size = [], 0
-    if parts:
-        yield tuple(np.pad(np.concatenate(c), (0, _BLOCK_ROWS - size),
-                           mode="edge") for c in zip(*parts))
 
 
 class NeuralOracle:
