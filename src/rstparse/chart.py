@@ -619,16 +619,24 @@ def _backtrace(n: int, cells, brel, bnuc) -> RstTree:
 def _split_totals(span, best, width: int) -> np.ndarray:
     """span(i,k) + span(k,j) + best(i,k) + best(k,j) for every cell (i, j) of
     one width, j = i + width: one row per i, one column per split
-    k = i+1..j-1.  (i, k) and (k, j) are read at the flat offsets i(n+1) + k
-    and k(n+1) + j of the (n+1, n+1) charts, with ``take``."""
+    k = i+1..j-1.  In an (n+1, n+1) chart laid out row by row, (i, k) lies
+    at i(n+1) + k and (k, j) at k(n+1) + j, so both are strided views of its
+    buffer: a cell is n + 2 entries after the one before, and a split 1
+    entry (left child) or n + 1 entries (right child) after the one
+    before.  No index array is made."""
     n1 = span.shape[0]
-    i = np.arange(n1 - width)[:, None]
-    k = i + np.arange(1, width)
-    left = i * n1 + k
-    right = k * n1 + (i + width)
-    s, b = span.reshape(-1), best.reshape(-1)
-    pair = s.take(left) + s.take(right)
-    return (pair + b.take(left)) + b.take(right)
+    shape = (n1 - width, width - 1)
+
+    def children(chart):
+        chart = np.ascontiguousarray(chart)
+        step = chart.itemsize
+        cell = (n1 + 1) * step
+        return (np.ndarray(shape, chart.dtype, chart, step, (cell, step)),
+                np.ndarray(shape, chart.dtype, chart, (n1 + width) * step,
+                           (cell, n1 * step)))
+
+    (span_ik, span_kj), (best_ik, best_kj) = children(span), children(best)
+    return ((span_ik + span_kj) + best_ik) + best_kj
 
 
 def _best_splits(span, best, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -638,6 +646,12 @@ def _best_splits(span, best, width: int) -> tuple[np.ndarray, np.ndarray, np.nda
     x = np.argmax(pair, axis=1)
     i = np.arange(len(x))
     return i, i + 1 + x, pair[i, x]
+
+
+def _diagonal(n: int, width: int) -> slice:
+    """The cells (i, i + width) of an (n+1, n+1) chart flattened row by
+    row, by i: they lie n + 2 entries apart."""
+    return slice(width, width + (n + 1 - width) * (n + 2), n + 2)
 
 
 def _empty_chart(n: int):
@@ -659,7 +673,8 @@ def _exact_bytes(n: int, n_rel: int, ff_hidden: int) -> int:
 
     * one width's arrays, at most m = max(n, floor(n/2) ceil(n/2)) (cell,
       split) pairs, each with its relation and nuclearity rows and 12 more
-      8-byte entries (_split_totals' offsets, _exact_width's running bests,
+      8-byte entries (_split_totals' sums, _exact_width's running bests,
+      made once at the widest width's size, and each label pair's sums,
       the width's layout rows);
     * the O(n^2) chart and layout arrays, 40 (n + 1)^2, and 16 KiB of
       Python objects and array headers;
@@ -680,12 +695,14 @@ def _exact_bytes(n: int, n_rel: int, ff_hidden: int) -> int:
     return size
 
 
-def _exact_width(span, chart, width: int, rel, nuc) -> None:
+def _exact_width(span, chart, width: int, rel, nuc, bests) -> None:
     """decode_exact's step for the cells of one width: their best score,
     split, relation and nuclearity, written into ``chart`` (as _empty_chart
     makes it), from the width's relation and nuclearity rows (as
-    rows_by_width gives them).  The width's arrays are freed on return, so
-    those of two widths are never held at once."""
+    rows_by_width gives them).  The running best score, relation and
+    nuclearity per (cell, split) are kept in the leading entries of the
+    three arrays ``bests``, made once per decode.  The width's arrays are
+    freed on return, so those of two widths are never held at once."""
     best, bsplit, brel, bnuc = chart
     n = span.shape[0] - 1
     n_rel = rel.shape[1]
@@ -693,9 +710,10 @@ def _exact_width(span, chart, width: int, rel, nuc) -> None:
     flat = best.reshape(-1)
     stem = _split_totals(span, best, width).ravel()
     rel, nuc = rel.T, nuc.T
-    top = np.full(len(stem), NEG_INF)
-    top_rel = np.zeros(len(stem), dtype=np.int64)
-    top_nuc = np.zeros(len(stem), dtype=np.int64)
+    top, top_rel, top_nuc = (a[:len(stem)] for a in bests)
+    top.fill(NEG_INF)
+    top_rel.fill(0)
+    top_nuc.fill(0)
     # putmask, unlike copyto(where=), costs the same however many
     # entries change, which early label pairs make about half of them
     for l in range(1, n_rel):
@@ -708,8 +726,7 @@ def _exact_width(span, chart, width: int, rel, nuc) -> None:
             np.putmask(top_nuc, better, p)
     x = np.argmax(top.reshape(cells, width - 1), axis=1)
     won = x + np.arange(0, len(stem), width - 1)
-    # cells (i, i + width) lie n + 2 apart in the flattened chart
-    at = slice(width, width + cells * (n + 2), n + 2)
+    at = _diagonal(n, width)
     flat[at] = top.take(won)
     bsplit.reshape(-1)[at] = x + np.arange(1, cells + 1)
     brel.reshape(-1)[at] = top_rel.take(won)
@@ -741,11 +758,14 @@ def decode_exact(n: int, scores) -> tuple[RstTree, float]:
             f"{core.MEMORY_LIMIT:,}; use the partial or complete decoder")
     chart = _empty_chart(n)
     best, bsplit, brel, bnuc = chart
+    m = (n // 2) * ((n + 1) // 2)       # the widest width's (cell, split)s
+    bests = (np.empty(m), np.empty(m, dtype=np.int64),
+             np.empty(m, dtype=np.int64))
     widths = s.rows_by_width()
     _fill_leaves(best, brel, bnuc, *next(widths))
     for width in range(2, n + 1):
         # passed on, not kept, so two widths' rows are never held at once
-        _exact_width(s.span, chart, width, *next(widths))
+        _exact_width(s.span, chart, width, *next(widths), bests)
     return _backtrace(n, _tree_cells(n, bsplit), brel, bnuc), float(best[0, n])
 
 
@@ -761,14 +781,13 @@ def decode_partial(n: int, scores) -> tuple[RstTree, float]:
     _fill_leaves(best, brel, bnuc, *s.labels(i, i + 1, i))
     for width in range(2, n + 1):
         i, k, pair = _best_splits(s.span, best, width)
-        j = i + width
-        rel, nuc = s.labels(i, j, k)
+        rel, nuc = s.labels(i, i + width, k)
         l, p = _internal_labels(rel, nuc)
-        rows = np.arange(len(i))
-        best[i, j] = pair + rel[rows, l] + nuc[rows, p]
-        bsplit[i, j] = k
-        brel[i, j] = l
-        bnuc[i, j] = p
+        at = _diagonal(n, width)
+        best.reshape(-1)[at] = pair + rel[i, l] + nuc[i, p]
+        bsplit.reshape(-1)[at] = k
+        brel.reshape(-1)[at] = l
+        bnuc.reshape(-1)[at] = p
     return _backtrace(n, _tree_cells(n, bsplit), brel, bnuc), float(best[0, n])
 
 
@@ -782,9 +801,10 @@ def decode_complete(n: int, scores) -> tuple[RstTree, float]:
     s = chart_scores(n, scores)
     struct, bsplit, brel, bnuc = _empty_chart(n)
     for width in range(2, n + 1):
-        i, k, pair = _best_splits(s.span, struct, width)
-        struct[i, i + width] = pair
-        bsplit[i, i + width] = k
+        _, k, pair = _best_splits(s.span, struct, width)
+        at = _diagonal(n, width)
+        struct.reshape(-1)[at] = pair
+        bsplit.reshape(-1)[at] = k
     cells = _tree_cells(n, bsplit)
     I, J, K = (np.array(c) for c in zip(*cells))
     rel, nuc = s.labels(I, J, K)
@@ -942,13 +962,15 @@ def count_missing(docs, params: ModelParams, decoder: str = "partial",
 
     When ``trees`` is a list, each document's decoded tree is appended to
     it, so a caller that also needs those predictions decodes only once.
+    Documents are encoded inside ``ops.no_tape()``, as for parsing.
     """
     decode = get_decoder(decoder)
     total = 0
     for doc in docs:
         if doc.gold is None:
             raise ValueError(f"document {doc.doc_id} has no gold tree")
-        scores = NeuralOracle(params, encode_document(doc, params))
+        with ops.no_tape():
+            scores = NeuralOracle(params, encode_document(doc, params))
         tree, _ = decode(doc.n, scores)
         if trees is not None:
             trees.append(tree)

@@ -19,6 +19,7 @@ import time
 
 import numpy as np
 
+from . import ops
 from .chart import (DECODERS, ExactTooLarge, NeuralOracle, NonFiniteScore,
                     below_gold, score_tree)
 from .core import Document
@@ -223,7 +224,8 @@ def cmd_compare(args) -> int:
     gold_scores: list[float] = []
     times = {m: 0.0 for m in methods}
     for doc in corpus.documents:
-        enc = encode_document(doc, params)
+        with ops.no_tape():
+            enc = encode_document(doc, params)
         oracle = NeuralOracle(params, enc)
         gold_scores.append(score_tree(doc.gold, oracle))
         for m in methods:

@@ -241,8 +241,9 @@ class ModelParams:
         an archive, missing or malformed metadata (hidden sizes that are not
         JSON integers, and token or relation lists that are not JSON lists of
         strings, included), arrays missing, extra, not of a real number type,
-        of the wrong shape or not finite.  A file that cannot be opened stays
-        an OSError.
+        of the wrong shape or not finite.  A token or relation list that
+        Vocab or RelationVocab refuses raises one whose message ends with
+        theirs.  A file that cannot be opened stays an OSError.
         """
         def real(key, a):
             # astype would drop an imaginary part with only a warning
@@ -258,14 +259,17 @@ class ModelParams:
                                  "not an integer")
             return value
 
-        def names(key):
+        def vocab(make, key):
             value = meta[key]
             # a string or a list of numbers would load as a vocabulary
             if type(value) is not list or any(type(v) is not str
                                               for v in value):
                 raise ModelError(f"{path}: metadata {key!r} is not a list "
                                  "of strings")
-            return value
+            try:
+                return make(value)
+            except ValueError as exc:
+                raise ModelError(f"{path}: metadata {key!r}: {exc}") from None
 
         try:
             with np.load(path, allow_pickle=False) as npz:
@@ -274,9 +278,9 @@ class ModelParams:
                           for k in npz.files if k.startswith("param/")}
                 pretrained = (real("pretrained", npz["pretrained"])
                               if "pretrained" in npz.files else None)
-            params = cls(arrays, Vocab(names("word_tokens")),
-                         Vocab(names("pos_tokens")),
-                         RelationVocab(names("relations")), size("hidden"),
+            params = cls(arrays, vocab(Vocab, "word_tokens"),
+                         vocab(Vocab, "pos_tokens"),
+                         vocab(RelationVocab, "relations"), size("hidden"),
                          size("ff_hidden"), pretrained=pretrained)
         except ModelError:
             raise

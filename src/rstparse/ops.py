@@ -16,13 +16,33 @@ a - b + c: a Tensor has no arithmetic operators.  The gradient a row
 gather sends to its table is a ``RowGrad``, the gathered rows with their
 upstream gradients, made dense only where something needs the whole
 array.  Everything is computed at 64-bit precision.
+
+Inside ``no_tape()`` nothing is recorded: every node is made without
+parents or VJP, so it holds only its result, and ``bilstm`` keeps none of
+the activations its backward pass would read.  Parsing runs its encoder so.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 
 import numpy as np
+
+
+_recording = True      # False inside no_tape()
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Make nodes that record no parents and no VJP until the block ends;
+    the setting before it comes back on exit, also on an exception."""
+    global _recording
+    before, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = before
 
 
 class Tensor:
@@ -31,6 +51,8 @@ class Tensor:
     def __init__(self, data, _parents=(), _vjp=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
+        if not _recording:
+            _parents, _vjp = (), None
         self._parents = _parents
         self._vjp = _vjp
 
@@ -202,7 +224,9 @@ def bilstm(W_f: Tensor, b_f: Tensor, W_b: Tensor, b_b: Tensor, X: Tensor,
     strided operands there change the last bits.
 
     The node keeps the activated gates, the cells and its result, about
-    12 T H floats.  Its VJP is backpropagation through time written out
+    12 T H floats; inside ``no_tape()`` the same loop writes every step's
+    gates and cell into one reused row, so only the result, 2 T H floats,
+    is left.  Its VJP is backpropagation through time written out
     (Werbos 1990): one backward sweep of both directions, T steps of one
     product with each W's recurrent block, then per direction
     dW = dZ^T [X | H_prev], db the column sum of dZ and dX = dZ W_x, where
@@ -219,9 +243,12 @@ def bilstm(W_f: Tensor, b_f: Tensor, W_b: Tensor, b_b: Tensor, X: Tensor,
                              f"for input width {d} and hidden {H}")
     xs = (x, x[::-1])                     # the rows in each direction's order
     bias = np.stack((b_f.data, b_b.data), axis=1).ravel()
-    gates = np.empty((T, 8 * H))          # blocks i, f, g, o of 2H each
+    # Step s writes gates[at] and cells[at + keep], at = s * keep: its own
+    # rows when recording, row 0 of both, reused, inside no_tape().
+    keep = int(_recording)
+    gates = np.empty((T if keep else 1, 8 * H))   # blocks i, f, g, o of 2H
     ig, fg, gg, og = (gates[:, k * 2 * H:(k + 1) * 2 * H] for k in range(4))
-    cells = np.zeros((T + 1, 2 * H))      # cells[s + 1] is step s's cell
+    cells = np.zeros((T * keep + 1, 2 * H))       # the zero state first
     out = np.empty((T, 2 * H))
     # xh[j, :, r] is direction r's [x; h_prev] at the chunk's j-th step;
     # the output multiply writes both h straight into the next step's row.
@@ -239,22 +266,23 @@ def bilstm(W_f: Tensor, b_f: Tensor, W_b: Tensor, b_b: Tensor, X: Tensor,
             x_in[r][:m, :d] = xs[r][s0:s0 + m]
         for s in range(s0, s0 + m):
             j = s - s0
+            at = s * keep
             np.matmul(ws[0], x_in[0][j], out=z_dir[0])
             np.matmul(ws[1], x_in[1][j], out=z_dir[1])
             z += bias
-            act = gates[s]
+            act = gates[at]
             np.negative(z, out=act)
             np.exp(act, out=act)
             act += 1.0
             np.divide(1.0, act, out=act)
-            g_s = gg[s]
+            g_s = gg[at]
             np.tanh(z_g, out=g_s)
-            c = cells[s + 1]
-            np.multiply(fg[s], cells[s], out=c)
-            np.multiply(ig[s], g_s, out=tmp)
+            c = cells[at + keep]
+            np.multiply(fg[at], cells[at], out=c)
+            np.multiply(ig[at], g_s, out=tmp)
             c += tmp
             np.tanh(c, out=tmp)
-            np.multiply(og[s], tmp, out=h_in[j + 1])
+            np.multiply(og[at], tmp, out=h_in[j + 1])
         out[s0:s0 + m, :H] = xh[1:m + 1, d:, 0]
         out[T - s0 - m:T - s0, H:] = xh[m:0:-1, d:, 1]
         h_in[0] = h_in[m]
@@ -367,6 +395,9 @@ def backward(root: Tensor) -> None:
     """
     if root.data.shape != ():
         raise ValueError("backward expects a scalar root")
+    if not _recording:
+        raise RuntimeError("backward inside no_tape(), where no graph is "
+                           "recorded")
 
     order: list[Tensor] = []
     seen: set[int] = set()

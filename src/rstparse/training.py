@@ -182,9 +182,10 @@ def adam_step(arrays: dict[str, np.ndarray],
 def predict_tree(doc: Document, params: ModelParams, method: str):
     """Parse one document with a chart decoder or the greedy transition parser.
 
-    The oracle and the greedy parser keep only the EDU matrix and its
-    projections, so the encoder's tape (the LSTM's saved gates and cells)
-    is freed before decoding starts.
+    The document is encoded inside ``ops.no_tape()``, so no tape is
+    recorded, and the oracle and the greedy parser keep only the EDU matrix
+    and its projections: the encoding itself is freed before decoding
+    starts.
     """
     if method == "transition":
         return greedy_parse(doc, params)
@@ -192,7 +193,9 @@ def predict_tree(doc: Document, params: ModelParams, method: str):
     if decode is None:
         raise ValueError(f"unknown parse method {method!r}; "
                          f"choose from {PARSE_METHODS}")
-    tree, _ = decode(doc.n, NeuralOracle(params, encode_document(doc, params)))
+    with ops.no_tape():
+        oracle = NeuralOracle(params, encode_document(doc, params))
+    tree, _ = decode(doc.n, oracle)
     return tree
 
 

@@ -196,13 +196,16 @@ def greedy_parse(doc: Document, params: ModelParams,
     The first layer's slot projections of [M; 0] are made once per document
     (see RowFeedforward), so scoring a state is one gather of SLOTS rows of
     them and one sum.  ``enc`` is the EDU node encode_document returns; only
-    its ``data`` is kept, so an encoding made here has its tape freed before
-    the loop.  Legality comes from legal_mask.  While no REDUCE is legal
-    (the stack holds fewer than two spans) SHIFT is the only legal action,
-    and the state is not scored.  A scored state with a NaN or infinite
+    its ``data`` is read.  Without one, the document is encoded here inside
+    ``ops.no_tape()``, so no tape is recorded.  Legality comes from
+    legal_mask.  While no REDUCE is legal (the stack holds fewer than two
+    spans) SHIFT is the only legal action, and the state is not scored.  A scored state with a NaN or infinite
     score raises NonFiniteScore.
     """
-    M = (enc if enc is not None else encode_document(doc, params)).data
+    if enc is None:
+        with ops.no_tape():
+            enc = encode_document(doc, params)
+    M = enc.data
     padded = np.vstack((M, np.zeros((1, M.shape[1]))))
     scorer = RowFeedforward(params, ACTION, padded, SLOTS)
     state = initial_state(doc.n)

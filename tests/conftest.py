@@ -213,7 +213,8 @@ def ref_split_totals(span, best, width):
     """chart._split_totals with 2-D fancy indexing: span(i,k) + span(k,j) +
     best(i,k) + best(k,j) for the cells (i, i + width), one row per i, one
     column per split k; the reference for the kernel that reads the charts
-    at flat offsets, which must add in the same order."""
+    through strided views of their buffers, which must add in the same
+    order."""
     i = np.arange(span.shape[0] - width)[:, None]
     ks = i + np.arange(1, width)
     j = i + width

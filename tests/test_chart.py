@@ -215,8 +215,9 @@ class TestExactAgainstScalarLoop:
 
 class TestSplitTotals:
     def test_flat_offsets_equal_the_2d_reference(self):
-        """The kernel all three decoders share reads the charts at flat
-        offsets; it must give the 2-D gather's bits for every width."""
+        """The kernel all three decoders share reads the charts through
+        strided views of their buffers, a Fortran-ordered chart through a
+        copy; it must give the 2-D gather's bits for every width."""
         for n in list(range(1, 41)) + [80]:
             rng = np.random.default_rng(n)
             span, best = rng.standard_normal((2, n + 1, n + 1))

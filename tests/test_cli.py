@@ -806,6 +806,29 @@ class TestMalformedModel:
         assert line == (f"data error: {model}: metadata '{key}' is not a "
                         "list of strings")
 
+    @pytest.mark.parametrize("key, at, name, cause", [
+        ("relations", 1, None, "duplicate relation names"),
+        ("relations", 0, "LEAF", "'LEAF' is reserved"),
+        ("relations", 0, "a b", "bad relation name 'a b'"),
+        ("relations", 0, "a(b", "bad relation name 'a(b'"),
+        ("relations", 0, "", "bad relation name ''"),
+        ("word_tokens", 1, None, "duplicate tokens"),
+        ("word_tokens", 0, "<unk>", "'<unk>' is reserved"),
+    ], ids=["duplicate-relation", "leaf-relation", "space", "paren", "empty",
+            "duplicate-word", "unk-word"])
+    def test_names_a_vocabulary_refuses(self, key, at, name, cause, rewrite,
+                                        corpus_dir, capsys):
+        """A list of strings that Vocab or RelationVocab refuses is a data
+        error whose message keeps the vocabulary's reason; ``name`` None
+        repeats the list's first entry."""
+        def change(meta, arrays):
+            meta[key][at] = meta[key][0] if name is None else name
+
+        model = rewrite(change)
+        code, line = self.compare(model, corpus_dir, capsys)
+        assert code == 1
+        assert line == f"data error: {model}: metadata '{key}': {cause}"
+
     def test_complex_arrays(self, rewrite, corpus_dir, capsys):
         def change(meta, arrays):
             for k in arrays:

@@ -20,6 +20,7 @@ from rstparse.encoder import (
 )
 
 from conftest import (
+    ref_backward,
     ref_encode_document,
     ref_feedforward,
     ref_projections,
@@ -310,6 +311,31 @@ class TestEncoding:
             got.append([M.data] + list(p.gradients().values()))
         for a, b in zip(*got):
             assert a.tobytes() == b.tobytes()
+
+    def test_an_encoding_without_tape_leaves_the_taped_one_as_it_was(self):
+        """Inside ops.no_tape() the EDU matrix has the taped one's bits and
+        no tape; a taped encode made afterwards gives every parameter the
+        gradient of the copying backward pass, byte for byte."""
+        rng = np.random.default_rng(8)
+        doc = make_doc([["w%d" % rng.integers(9) for _ in range(k)]
+                        for k in (3, 1, 70, 4)])
+        wv = Vocab.from_documents([doc], "tokens")
+        pv = Vocab.from_documents([doc], "pos_tags")
+        p = ModelParams.init(wv, pv, RelationVocab(["R1", "R2"]), rng,
+                             word_dim=6, pos_dim=3, hidden=5, ff_hidden=4)
+        masks = make_dropout_masks(p, doc.n, 0.3, rng)
+        upstream = rng.standard_normal((doc.n, p.edu_dim))
+        with ops.no_tape():
+            free = encode_document(doc, p, masks)
+        assert free._parents == ()
+        got = []
+        for backward in (ops.backward, ref_backward):
+            p.zero_grads()
+            M = encode_document(doc, p, masks)
+            assert M.data.tobytes() == free.data.tobytes()
+            backward(ops.vsum(ops.cmul(M, upstream)))
+            got.append([g.tobytes() for g in p.gradients().values()])
+        assert got[0] == got[1]
 
 
 class TestDropout:

@@ -474,6 +474,60 @@ class TestBatchOps:
             ops.margin_hinge(S, [0], legal[:, :2])
 
 
+class TestNoTape:
+    @pytest.mark.parametrize("hidden", [1, 2, 3, 5, 16, 64])
+    def test_bilstm_states_equal_the_taped_ones(self, hidden):
+        # T brackets ops._BILSTM_CHUNK, the steps laid out at a time
+        assert ops._BILSTM_CHUNK == 64
+        rng = np.random.default_rng(hidden)
+        for d in (0, 1, 13, 96):
+            for T in (1, 63, 64, 65, 129):
+                leaves = [ops.tensor(a)
+                          for a in bilstm_inputs(hidden, d, T, rng)]
+                taped = ops.bilstm(*leaves, hidden)
+                with ops.no_tape():
+                    free = ops.bilstm(*leaves, hidden)
+                assert free.data.tobytes() == taped.data.tobytes(), (d, T)
+                assert taped._parents and taped._vjp is not None
+
+    def test_nodes_made_inside_hold_no_parents(self):
+        W_f, b_f, W_b, b_b, X = (ops.tensor(a)
+                                 for a in bilstm_inputs(3, 4, 5))
+        with ops.no_tape():
+            nodes = [ops.bilstm(W_f, b_f, W_b, b_b, X, 3),
+                     ops.take_rows(X, [[0, 1], [4, 4]]),
+                     ops.concat([X, X], axis=1), ops.add(X, X),
+                     ops.addn([X, X]), ops.shift(X, 1.0), ops.scale(X, 2.0),
+                     ops.cmul(X, X.data), ops.relu(X), ops.vsum(X),
+                     ops.linear(X, ops.tensor(np.ones((2, 4))),
+                                ops.tensor(np.ones(2))),
+                     ops.margin_hinge(X, [0] * 5, np.ones((5, 4), bool))]
+        for node in nodes:
+            assert node._parents == () and node._vjp is None, node
+
+    def test_recording_comes_back_after_an_exception_and_nesting(self):
+        x = ops.tensor([1.0, 2.0])
+        with pytest.raises(ZeroDivisionError):
+            with ops.no_tape():
+                1 / 0
+        assert ops.scale(x, 2.0)._parents == (x,)
+        with ops.no_tape():
+            with ops.no_tape():
+                pass
+            assert ops.scale(x, 2.0)._parents == ()
+        assert ops.scale(x, 2.0)._parents == (x,)
+
+    def test_backward_refuses_to_run_inside(self):
+        x = ops.tensor(2.0)
+        out = ops.scale(x, 3.0)
+        with ops.no_tape():
+            with pytest.raises(RuntimeError, match="no_tape"):
+                ops.backward(out)
+        assert x.grad is None
+        ops.backward(out)
+        assert x.grad == 3.0
+
+
 class TestTapeMechanics:
     def test_shared_node_accumulates(self):
         x = ops.tensor(3.0)

@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 import weakref
 
@@ -349,29 +350,26 @@ class TestPredict:
         tape is gone before its loop and the parse's traced peak is the
         encoder's own (perfbench's model shape: H = 64, 19 relations, EDUs
         of 3-12 tokens)."""
-        words = ["w%d" % w for w in range(50)]
-        edus = []
-        for t in range(n):
-            size = 3 + (7 * t) % 10
-            tokens = tuple(words[(5 * t + k) % 50] for k in range(size))
-            edus.append(Edu(tokens, ("T0",) * size, t + 1))
-        doc = Document("d", tuple(edus), None)
-        rel = RelationVocab(["R%d" % r for r in range(1, 19)])
-        params = ModelParams.init(Vocab(words), Vocab(["T0"]), rel,
-                                  np.random.default_rng(0), word_dim=64,
-                                  pos_dim=32, hidden=64, ff_hidden=64)
+        doc, params = perfbench_shaped(n)
         predict_tree(doc, params, "transition")   # first-call set-up
-        peaks = []
-        for run in (lambda: encode_document(doc, params),
-                    lambda: predict_tree(doc, params, "transition")):
-            tracemalloc.start()
-            try:
-                run()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        encoder, parse = peaks
+        encoder = traced_peak(lambda: encode_document(doc, params))
+        parse = traced_peak(lambda: predict_tree(doc, params, "transition"))
         assert parse <= encoder + 64 * 1024, (encoder, parse)
+
+    @pytest.mark.parametrize("method", ["partial", "complete", "transition"])
+    def test_a_parse_records_no_tape(self, monkeypatch, method):
+        """A parse encodes inside ops.no_tape(), so at n = 80 (T = 600
+        tokens, H = 64) its traced peak lies at least the LSTM's gates and
+        cells, 8 * 10 T H bytes, below the same parse with the tape
+        recorded.  Exact's peak is its decoder's, which the tape does not
+        reach."""
+        doc, params = perfbench_shaped(80)
+        T = sum(len(edu.tokens) for edu in doc.edus)
+        predict_tree(doc, params, method)         # first-call set-up
+        free = traced_peak(lambda: predict_tree(doc, params, method))
+        monkeypatch.setattr(ops, "no_tape", contextlib.nullcontext)
+        taped = traced_peak(lambda: predict_tree(doc, params, method))
+        assert taped - free >= 8 * 10 * T * params.hidden, (T, taped, free)
 
     def test_unknown_method(self):
         corpus = tiny_corpus()
@@ -382,6 +380,32 @@ class TestPredict:
                                   word_dim=2, pos_dim=2, hidden=2, ff_hidden=2)
         with pytest.raises(ValueError):
             predict_tree(corpus.documents[0], params, "beam")
+
+
+def perfbench_shaped(n):
+    """A document of n EDUs of 3-12 tokens and a model of perfbench's shape:
+    word_dim = hidden = ff_hidden = 64, pos_dim = 32, 19 relations."""
+    words = ["w%d" % w for w in range(50)]
+    edus = []
+    for t in range(n):
+        size = 3 + (7 * t) % 10
+        tokens = tuple(words[(5 * t + k) % 50] for k in range(size))
+        edus.append(Edu(tokens, ("T0",) * size, t + 1))
+    rel = RelationVocab(["R%d" % r for r in range(1, 19)])
+    params = ModelParams.init(Vocab(words), Vocab(["T0"]), rel,
+                              np.random.default_rng(0), word_dim=64,
+                              pos_dim=32, hidden=64, ff_hidden=64)
+    return Document("d", tuple(edus), None), params
+
+
+def traced_peak(run):
+    """The traced peak of ``run()``, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _train_steps(corpus, cfg, dense, pretrained=None, steps=6):
