@@ -490,6 +490,21 @@ class TestNoTape:
                 assert free.data.tobytes() == taped.data.tobytes(), (d, T)
                 assert taped._parents and taped._vjp is not None
 
+    def test_bilstm_inside_holds_its_states_and_one_chunk(self):
+        # at the benchmark's widths: the (T, 2H) states, the chunk of
+        # [x; h] inputs and no more than 64 KiB besides
+        hidden, d, T = 64, 96, 600
+        leaves = [ops.tensor(a) for a in bilstm_inputs(hidden, d, T)]
+        tracemalloc.start()
+        try:
+            with ops.no_tape():
+                ops.bilstm(*leaves, hidden)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = 8 * (ops._BILSTM_CHUNK + 1) * (d + hidden) * 2
+        assert peak <= 8 * T * 2 * hidden + chunk + 64 * 1024, peak
+
     def test_nodes_made_inside_hold_no_parents(self):
         W_f, b_f, W_b, b_b, X = (ops.tensor(a)
                                  for a in bilstm_inputs(3, 4, 5))
