@@ -43,7 +43,7 @@ from .data import (
     save_corpus,
     split_train_dev,
 )
-from .encoder import ModelError, ModelParams, ModelTooLarge, encode_document
+from .encoder import ModelError, ModelParams, encode_document
 from .metrics import EvalReport, aggregate, evaluate_trees, score_pair
 from .training import (
     TrainConfig,

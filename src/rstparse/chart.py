@@ -83,11 +83,11 @@ NEG_INF = float("-inf")
 _BLOCK_ROWS = 1024
 
 
-class ExactTooLarge(ValueError):
+class ExactTooLarge(core.DataError):
     """Exact decoding of a document would exceed core.MEMORY_LIMIT."""
 
 
-class NonFiniteScore(ValueError):
+class NonFiniteScore(core.DataError):
     """A score, or a projection scores are made from, is NaN or infinite."""
 
 

@@ -1,10 +1,20 @@
 """Command-line interface: train, parse, eval, oracle, compare.
 
-Exit codes: 0 success, 1 data error (unreadable/malformed corpus or model,
-missing documents, non-finite scores, a document too long to decode
-exactly), 2 configuration error (bad flags, bad config keys, model sizes
-whose parameters exceed core.MEMORY_LIMIT, training that diverged, whose
-remedy is a smaller lr or a grad_clip).
+Exit codes: 0 success, 1 data error, 2 configuration error.  Each exception
+class the package defines derives from one of two bases in ``core``;
+``main`` catches those two, and OSError (a file that cannot be opened) with
+exit 1:
+
+- ``DataError``, exit 1: ``data.CorpusError`` and its subclasses (an
+  unreadable or malformed corpus, missing documents or predictions),
+  ``encoder.ModelError`` (a model file that is not a valid model),
+  ``chart.ExactTooLarge`` (a document too long to decode exactly) and
+  ``chart.NonFiniteScore`` (a non-finite score).
+- ``ConfigError``, exit 2: a bad config file, key or value, from the file
+  or a flag (``TrainConfig.validate``), model sizes whose parameters exceed
+  core.MEMORY_LIMIT, and ``training.TrainingDiverged``, whose remedy is a
+  smaller lr or a grad_clip.  Flags argparse refuses exit with 2 too.
+
 Training settings come from defaults, then an optional ``key = value`` config
 file, then explicit flags, in that order.
 """
@@ -20,10 +30,10 @@ import time
 import numpy as np
 
 from . import ops
-from .chart import (DECODERS, ExactTooLarge, NeuralOracle, NonFiniteScore,
-                    below_gold, score_tree)
-from .core import Document
+from .chart import DECODERS, NeuralOracle, below_gold, score_tree
+from .core import ConfigError, DataError, Document
 from .data import (
+    MANIFEST_NAME,
     CorpusError,
     load_corpus,
     load_edus,
@@ -34,23 +44,18 @@ from .data import (
     serialize_tree,
     split_train_dev,
 )
-from .encoder import ModelError, ModelParams, ModelTooLarge, encode_document
+from .encoder import ModelParams, encode_document
 from .metrics import evaluate_trees, format_report, machine_rows
 from .training import (
     PARSE_METHODS,
     REPORT_HEADER,
     TrainConfig,
-    TrainingDiverged,
     predict_tree,
     report_row,
     train,
 )
 from .transition import greedy_parse, oracle_actions, parse_actions, replay, \
     serialize_actions
-
-
-class ConfigError(Exception):
-    pass
 
 
 def optional_float(text: str) -> float | None:
@@ -98,10 +103,7 @@ def build_train_config(args) -> tuple[TrainConfig, int]:
     cfg = TrainConfig()
     for key, val in values.items():
         setattr(cfg, key, val)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg.validate()
     if dev_size < 0:
         raise ConfigError("dev_size must be non-negative")
     return cfg, dev_size
@@ -112,6 +114,9 @@ def build_train_config(args) -> tuple[TrainConfig, int]:
 def cmd_train(args) -> int:
     cfg, dev_size = build_train_config(args)
     corpus = load_corpus(args.corpus)
+    if corpus.rel_vocab.size < 2:
+        raise CorpusError(f"{os.path.join(args.corpus, MANIFEST_NAME)} lists "
+                          "no relations; training needs at least one")
     if dev_size == 0:
         train_docs, dev_docs = list(corpus.documents), list(corpus.documents)
     else:
@@ -319,10 +324,10 @@ def main(argv=None) -> int:
         # an overflow ends in NonFiniteScore alone, with no numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (ConfigError, ModelTooLarge, TrainingDiverged) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CorpusError, ModelError, ExactTooLarge, NonFiniteScore) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -35,6 +35,16 @@ LEAF_RELATION_NAME = "LEAF"
 MEMORY_LIMIT = 2 ** 30
 
 
+class DataError(ValueError):
+    """An input the program cannot use: a corpus, model or embedding file,
+    or a document it cannot decode.  The CLI exits with 1."""
+
+
+class ConfigError(ValueError):
+    """A setting the program cannot run with: a flag, config key or model
+    size, or training that diverged under it.  The CLI exits with 2."""
+
+
 class RelationVocab:
     """Relation inventory; index 0 is always the reserved leaf label."""
 

@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
+    DataError,
     Document,
     Edu,
     LabeledSpan,
@@ -46,7 +47,7 @@ MANIFEST_NAME = "relations.txt"
 UNK = "<unk>"
 
 
-class CorpusError(ValueError):
+class CorpusError(DataError):
     """Base class for corpus ingestion failures."""
 
 

@@ -51,12 +51,8 @@ SLOTS = 2 * STACK_SLOTS + QUEUE_SLOTS     # EDU rows per action-scorer input
 SHIFT = 0                                 # the action index of SHIFT
 
 
-class ModelError(ValueError):
+class ModelError(core.DataError):
     """A model file that cannot be read or does not describe a valid model."""
-
-
-class ModelTooLarge(ValueError):
-    """A model's sizes need more parameter bytes than core.MEMORY_LIMIT."""
 
 
 def action_count(n_rel: int) -> int:
@@ -166,7 +162,7 @@ class ModelParams:
         if size > core.MEMORY_LIMIT:
             # name the size whose smallest value would save the most
             key = max(sizes, key=lambda k: size - need(**{k: _SMALLEST[k]}))
-            raise ModelTooLarge(
+            raise core.ConfigError(
                 f"{key} = {sizes[key]} makes the model's parameters "
                 f"{size:,} bytes, over the limit of {core.MEMORY_LIMIT:,}")
         in_dim = word_dim + pre_dim + pos_dim
@@ -238,12 +234,13 @@ class ModelParams:
         """Read a file written by ``save``.
 
         Raises ModelError when the file is not such a model: unreadable as
-        an archive, missing or malformed metadata (hidden sizes that are not
-        JSON integers, and token or relation lists that are not JSON lists of
-        strings, included), arrays missing, extra, not of a real number type,
-        of the wrong shape or not finite.  A token or relation list that
-        Vocab or RelationVocab refuses raises one whose message ends with
-        theirs.  A file that cannot be opened stays an OSError.
+        an archive, metadata keys missing, extra or malformed (hidden sizes
+        that are not JSON integers, and token or relation lists that are not
+        JSON lists of strings, included), arrays missing, extra, not of a
+        real number type, of the wrong shape or not finite.  A token or
+        relation list that Vocab or RelationVocab refuses raises one whose
+        message ends with theirs.  A file that cannot be opened stays an
+        OSError.
         """
         def real(key, a):
             # astype would drop an imaginary part with only a warning
@@ -288,6 +285,9 @@ class ModelParams:
                 zipfile.BadZipFile) as exc:
             raise ModelError(f"{path}: not a readable model file "
                              f"({type(exc).__name__})") from None
+        for key in sorted(set(meta) - {"hidden", "ff_hidden", "word_tokens",
+                                       "pos_tokens", "relations"}):
+            raise ModelError(f"{path}: unexpected metadata key {key!r}")
         params.validate(path)
         return params
 

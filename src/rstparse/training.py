@@ -25,7 +25,7 @@ from .chart import (
     chart_loss,
     count_missing,
 )
-from .core import Document
+from .core import ConfigError, Document
 from .data import CorpusVocabs, PretrainedEmbeddings
 from .encoder import ModelParams, encode_document, make_dropout_masks
 from .metrics import METRICS, EvalReport, evaluate_trees
@@ -55,34 +55,34 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
+            raise ConfigError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.decoder not in DECODERS:
-            raise ValueError(f"unknown decoder {self.decoder!r}")
+            raise ConfigError(f"unknown decoder {self.decoder!r}")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be at least 1")
+            raise ConfigError("max_epochs must be at least 1")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ConfigError("dropout must be in [0, 1)")
         if not (math.isfinite(self.lr) and self.lr > 0.0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
         if self.grad_clip is not None and not (math.isfinite(self.grad_clip)
                                                and self.grad_clip > 0.0):
-            raise ValueError("grad_clip must be None or finite and positive, "
-                             f"got {self.grad_clip}")
+            raise ConfigError("grad_clip must be None or finite and positive, "
+                              f"got {self.grad_clip}")
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
-            raise ValueError(f"gamma must be finite and non-negative, "
-                             f"got {self.gamma}")
+            raise ConfigError(f"gamma must be finite and non-negative, "
+                              f"got {self.gamma}")
         for key in ("hidden", "ff_hidden"):
             if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be at least 1, "
-                                 f"got {getattr(self, key)}")
-        for key in ("word_dim", "pos_dim"):
+                raise ConfigError(f"{key} must be at least 1, "
+                                  f"got {getattr(self, key)}")
+        for key in ("word_dim", "pos_dim", "seed"):
             if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be non-negative, "
-                                 f"got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be non-negative, "
+                                  f"got {getattr(self, key)}")
         metric, _, averaging = self.selection.rpartition("_")
         if metric not in METRICS or averaging not in ("micro", "macro"):
-            raise ValueError(f"bad selection key {self.selection!r} "
-                             "(want <metric>_<micro|macro>)")
+            raise ConfigError(f"bad selection key {self.selection!r} "
+                              "(want <metric>_<micro|macro>)")
 
 
 def joint_loss(doc: Document, params: ModelParams, cfg: TrainConfig,
@@ -214,7 +214,7 @@ def evaluate_model(docs, params: ModelParams, method: str,
 
 # --- the loop -------------------------------------------------------------
 
-class TrainingDiverged(ValueError):
+class TrainingDiverged(ConfigError):
     """Training produced a non-finite score or gradient; the usual remedy is
     a smaller ``lr`` or a ``grad_clip``."""
 

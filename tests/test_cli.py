@@ -192,6 +192,47 @@ class TestTrainCommand:
         assert "config error:" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, where):
+        """Refused before any data is read: the corpus does not exist, which
+        would be a data error."""
+        argv = ["train", "--corpus", str(tmp_path / "nowhere"),
+                "--out", str(tmp_path / "m.npz")]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            cfgfile = tmp_path / "c.cfg"
+            cfgfile.write_text("seed = -1\n")
+            argv += ["--config", str(cfgfile)]
+        code, line = one_error_line(argv, capsys)
+        assert code == 2
+        assert line == "config error: seed must be non-negative, got -1"
+
+    def test_corpus_without_relations(self, tmp_path, capsys, monkeypatch):
+        """A corpus whose manifest lists no relation can be evaluated, but
+        training it is a data error naming the manifest, raised before any
+        parameter is allocated."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        manifest = corpus / "relations.txt"
+        manifest.write_text("")
+        (corpus / "d.edus").write_text("a_DT\n")
+        (corpus / "d.tree").write_text("(LEAF 1)\n")
+        assert main(["oracle", str(corpus / "d.tree"), "--manifest",
+                     str(manifest), "--replay"]) == 0
+        assert main(["eval", "--gold", str(corpus), "--pred",
+                     str(corpus)]) == 0
+
+        def init(*args, **kwargs):
+            pytest.fail("parameters allocated")
+
+        monkeypatch.setattr(ModelParams, "init", init)
+        code, line = one_error_line(["train", "--corpus", str(corpus),
+                                     "--out", str(tmp_path / "m.npz")], capsys)
+        assert code == 1
+        assert line == (f"data error: {manifest} lists no relations; "
+                        "training needs at least one")
+
     @pytest.mark.parametrize("key", ["word_dim", "pos_dim", "hidden",
                                      "ff_hidden"])
     def test_oversized_model_is_a_config_error(self, corpus_dir,
@@ -828,6 +869,16 @@ class TestMalformedModel:
         code, line = self.compare(model, corpus_dir, capsys)
         assert code == 1
         assert line == f"data error: {model}: metadata '{key}': {cause}"
+
+    def test_extra_metadata_key(self, rewrite, corpus_dir, capsys):
+        def change(meta, arrays):
+            meta["dropout"] = 0.2
+
+        model = rewrite(change)
+        code, line = self.compare(model, corpus_dir, capsys)
+        assert code == 1
+        assert line == (f"data error: {model}: unexpected metadata key "
+                        "'dropout'")
 
     def test_complex_arrays(self, rewrite, corpus_dir, capsys):
         def change(meta, arrays):

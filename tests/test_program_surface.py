@@ -15,11 +15,19 @@ in ``src/`` or ``perfbench/``, or the acceptance tests, reads its name as an
 attribute (``x.name``, or ``tracer.wrap(cls, "name", ...)``) outside its own
 definition.  Code that only the other tests call belongs in their
 reference, ``tests/conftest.py``.
+
+Every exception class the package defines derives from exactly one of
+``core.DataError`` and ``core.ConfigError``, and ``cli.main`` catches those
+two bases and OSError, and nothing else but argparse's SystemExit: a new
+error type is reported with its exit code without an edit to ``main``.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
+
+from rstparse import cli, core
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rstparse"
@@ -132,3 +140,56 @@ def test_a_numpy_function_of_the_same_name_is_not_a_use():
     tree = ast.parse("import numpy as np\nfrom . import ops\n"
                      "y = np.tanh(x)\nz = ops.relu(x)\n")
     assert names_read_from(tree, "ops") == {"relu"}
+
+
+def exception_classes():
+    """Each exception class defined in a module of the package, by name."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "rstparse" if path.stem == "__init__" else f"rstparse.{path.stem}"
+        module = importlib.import_module(name)
+        found.update((obj.__name__, obj) for obj in vars(module).values()
+                     if isinstance(obj, type) and issubclass(obj, BaseException)
+                     and obj.__module__ == name)
+    return found
+
+
+def test_every_exception_class_derives_from_one_base():
+    bases = (core.DataError, core.ConfigError)
+    classes = exception_classes()
+    assert {"CorpusError", "ModelError", "NonFiniteScore",
+            "TrainingDiverged"} <= set(classes)
+    stray = [name for name, cls in classes.items() if cls not in bases
+             and sum(issubclass(cls, base) for base in bases) != 1]
+    assert stray == []
+
+
+def handlers_of(function):
+    """Each ``try`` in ``function``: whether its body calls ``parse_args``,
+    and the sorted exception names its handlers catch."""
+    tries = []
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Try):
+            continue
+        calls = {sub.func.attr for stmt in node.body for sub in ast.walk(stmt)
+                 if isinstance(sub, ast.Call)
+                 and isinstance(sub.func, ast.Attribute)}
+        names = []
+        for handler in node.handlers:
+            kind = handler.type
+            names += [ast.unparse(t) if t is not None else "<bare except>"
+                      for t in (kind.elts if isinstance(kind, ast.Tuple)
+                                else [kind])]
+        tries.append(("parse_args" in calls, sorted(names)))
+    return tries
+
+
+def test_main_catches_only_the_two_bases_and_oserror():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert handlers_of(main) == [
+        (True, ["SystemExit"]),
+        (False, ["ConfigError", "DataError", "OSError"])]
+    assert (cli.ConfigError, cli.DataError) == (core.ConfigError,
+                                                core.DataError)
