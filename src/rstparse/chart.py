@@ -477,8 +477,8 @@ class LossAugmented:
     exactly score_tree(T) + hamming(T, gold).  The shift is applied to the
     rows a decoder asks for, as _augment_rows does: to each batch ``labels``
     returns, and to each width of the inner scorer's ``rows_by_width`` in
-    place, one slice per gold span.  The inner scorer's rows are new
-    arrays, so a ScoreTables it wraps is left as it was.
+    place, one block of split rows per gold span.  The inner scorer's rows
+    are new arrays, so a ScoreTables it wraps is left as it was.
     """
 
     def __init__(self, scores, gold: RstTree):
@@ -499,22 +499,18 @@ class LossAugmented:
         return rel, nuc
 
     def rows_by_width(self):
-        gold = {}
-        for (i, j), (l, p) in self.gold.labels.items():
-            gold.setdefault(j - i, []).append((i, l, int(p)))
         widths = self.inner.rows_by_width()
         for width in range(1, self.n + 1):
             # next(), not enumerate(), whose result tuple would hold the
             # last width's rows while the next width's are made
             rel, nuc = next(widths)
+            # a cell's rows, one per split, are contiguous: viewed as
+            # (cells, splits, labels), cell i is the span (i, i + width)
             per = max(width - 1, 1)
-            for i, l, p in gold.get(width, ()):
-                # a cell's rows, one per split, are contiguous
-                at = slice(i * per, (i + 1) * per)
-                rel[at] += 1.0
-                rel[at, l] -= 1.0
-                nuc[at] += 1.0
-                nuc[at, p] -= 1.0
+            _augment_rows(rel.reshape(-1, per, self.n_rel),
+                          nuc.reshape(-1, per, NUM_NUCLEARITIES),
+                          self.gold_rel.diagonal(width),
+                          self.gold_nuc.diagonal(width))
             yield rel, nuc
             del rel, nuc                        # the caller's now
 
@@ -844,13 +840,14 @@ def _augment_rows(rel, nuc, gold_rel, gold_nuc) -> None:
     """In place: +1 on every label but gold's, in rows of gold spans.
 
     ``gold_rel`` and ``gold_nuc`` hold each row's gold labels, -1 for rows
-    of spans gold does not contain.
+    of spans gold does not contain.  A row may be a label vector or a block
+    of them, all of one span (labels on the last axis).
     """
     rows = np.flatnonzero(gold_rel >= 0)
     rel[rows] += 1.0
-    rel[rows, gold_rel[rows]] -= 1.0
+    rel[rows, ..., gold_rel[rows]] -= 1.0
     nuc[rows] += 1.0
-    nuc[rows, gold_nuc[rows]] -= 1.0
+    nuc[rows, ..., gold_nuc[rows]] -= 1.0
 
 
 def augment_tables(t: ScoreTables, gold: RstTree) -> ScoreTables:

@@ -14,6 +14,11 @@ Each path finds a scorer by name, SPAN, REL, NUC or ACTION, in one place:
 ``feedforward`` on the tape, ``RowFeedforward`` in numpy.  Each reads the
 weights ``{name}.W1/b1/W2/b2`` and the hidden mask ``masks.hidden[name]``.
 
+``param_shapes`` lists every trainable array's name and shape, once:
+``ModelParams.init`` draws them, ``ModelParams.validate`` checks a loaded
+model against them and ``model_bytes`` counts them before anything is
+allocated.
+
 The action scorer's columns are the shift-reduce parser's actions, and an
 action is its column index: SHIFT is 0 and REDUCE(r, p) is 1 + 3 (r - 1) + p.
 ``action_count``, ``reduce_action`` and ``reduce_labels`` hold that layout.
@@ -22,6 +27,7 @@ action is its column index: SHIFT is 0 and REDUCE(r, p) is 1 + 3 (r - 1) + p.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass
 
@@ -78,30 +84,40 @@ def reduce_labels(action: int) -> tuple[int, Nuclearity]:
     return relation + 1, Nuclearity(nuclearity)
 
 
-def scorer_widths(hidden: int, n_rel: int) -> dict[str, tuple[int, int]]:
-    """(input width, output width) of each feedforward scorer."""
-    return {SPAN: (8 * hidden, 1),
-            REL: (16 * hidden, n_rel),
-            NUC: (16 * hidden, NUM_NUCLEARITIES),
-            ACTION: (SLOTS * 4 * hidden, action_count(n_rel))}
+def param_shapes(words: int, tags: int, n_rel: int, word_dim: int,
+                 pos_dim: int, hidden: int, ff_hidden: int,
+                 pre_dim: int = 0) -> dict[str, tuple[int, ...]]:
+    """Every trainable array's name and shape, in the order ModelParams.init
+    draws them.  The frozen pretrained table is not trainable, so not here."""
+    h4 = 4 * hidden
+    shapes = {"word_emb": (words, word_dim), "pos_emb": (tags, pos_dim)}
+    for direction in ("fwd", "bwd"):
+        shapes[f"lstm_{direction}.W"] = (h4, word_dim + pre_dim + pos_dim + hidden)
+        shapes[f"lstm_{direction}.b"] = (h4,)
+    for name, d_in, d_out in ((SPAN, 8 * hidden, 1),
+                              (REL, 16 * hidden, n_rel),
+                              (NUC, 16 * hidden, NUM_NUCLEARITIES),
+                              (ACTION, SLOTS * h4, action_count(n_rel))):
+        shapes[f"{name}.W1"] = (ff_hidden, d_in)
+        shapes[f"{name}.b1"] = (ff_hidden,)
+        shapes[f"{name}.W2"] = (d_out, ff_hidden)
+        shapes[f"{name}.b2"] = (d_out,)
+    return shapes
 
 
 def model_bytes(words: int, tags: int, n_rel: int, word_dim: int,
                 pos_dim: int, hidden: int, ff_hidden: int,
                 pre_dim: int = 0) -> int:
     """Bytes of the float64 arrays ModelParams.init makes for these sizes:
-    the word, pretrained and POS tables, both LSTM directions and the four
-    scorers.  Counted in Python integers, so no size overflows."""
-    in_dim = word_dim + pre_dim + pos_dim
-    floats = words * (word_dim + pre_dim) + tags * pos_dim
-    floats += 2 * 4 * hidden * (in_dim + hidden + 1)
-    for d_in, d_out in scorer_widths(hidden, n_rel).values():
-        floats += ff_hidden * (d_in + 1) + d_out * (ff_hidden + 1)
-    return 8 * floats
+    the pretrained table and every array of ``param_shapes``.  Counted in
+    Python integers, so no size overflows."""
+    shapes = param_shapes(words, tags, n_rel, word_dim, pos_dim, hidden,
+                          ff_hidden, pre_dim)
+    return 8 * (words * pre_dim + sum(math.prod(s) for s in shapes.values()))
 
 
 # The smallest value each size ModelParams.init takes can have.
-_SMALLEST = {"word_dim": 0, "pos_dim": 0, "hidden": 1, "ff_hidden": 1}
+SMALLEST_SIZES = {"hidden": 1, "ff_hidden": 1, "word_dim": 0, "pos_dim": 0}
 
 
 def glorot(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
@@ -161,23 +177,22 @@ class ModelParams:
         size = need()
         if size > core.MEMORY_LIMIT:
             # name the size whose smallest value would save the most
-            key = max(sizes, key=lambda k: size - need(**{k: _SMALLEST[k]}))
+            key = max(sizes, key=lambda k: size - need(**{k: SMALLEST_SIZES[k]}))
             raise core.ConfigError(
                 f"{key} = {sizes[key]} makes the model's parameters "
                 f"{size:,} bytes, over the limit of {core.MEMORY_LIMIT:,}")
-        in_dim = word_dim + pre_dim + pos_dim
-        h4 = 4 * hidden
         arrays: dict[str, np.ndarray] = {}
-        arrays["word_emb"] = rng.uniform(-0.1, 0.1, size=(len(word_vocab), word_dim))
-        arrays["pos_emb"] = rng.uniform(0.0, 1.0, size=(len(pos_vocab), pos_dim))
-        for direction in ("fwd", "bwd"):
-            arrays[f"lstm_{direction}.W"] = glorot(rng, h4, in_dim + hidden)
-            arrays[f"lstm_{direction}.b"] = np.zeros(h4)
-        for name, (d_in, d_out) in scorer_widths(hidden, rel_vocab.size).items():
-            arrays[f"{name}.W1"] = glorot(rng, ff_hidden, d_in)
-            arrays[f"{name}.b1"] = np.zeros(ff_hidden)
-            arrays[f"{name}.W2"] = glorot(rng, d_out, ff_hidden)
-            arrays[f"{name}.b2"] = np.zeros(d_out)
+        for name, shape in param_shapes(len(word_vocab), len(pos_vocab),
+                                        rel_vocab.size, word_dim, pos_dim,
+                                        hidden, ff_hidden, pre_dim).items():
+            if name == "word_emb":
+                arrays[name] = rng.uniform(-0.1, 0.1, size=shape)
+            elif name == "pos_emb":
+                arrays[name] = rng.uniform(0.0, 1.0, size=shape)
+            elif len(shape) == 2:
+                arrays[name] = glorot(rng, *shape)
+            else:
+                arrays[name] = np.zeros(shape)
         table = pretrained.table.copy() if pretrained is not None else None
         return cls(arrays, word_vocab, pos_vocab, rel_vocab, hidden, ff_hidden,
                    pretrained=table)
@@ -323,17 +338,9 @@ class ModelParams:
                      f"for {len(self.word_vocab)} word types")
             if not np.all(np.isfinite(self.pretrained)):
                 fail("pretrained table holds non-finite values")
-        h, ff = self.hidden, self.ff_hidden
-        want = {"word_emb": (len(self.word_vocab), word_dim),
-                "pos_emb": (len(self.pos_vocab), pos_dim)}
-        for direction in ("fwd", "bwd"):
-            want[f"lstm_{direction}.W"] = (4 * h, word_dim + pre_dim + pos_dim + h)
-            want[f"lstm_{direction}.b"] = (4 * h,)
-        for name, (d_in, d_out) in scorer_widths(h, self.n_rel).items():
-            want[f"{name}.W1"] = (ff, d_in)
-            want[f"{name}.b1"] = (ff,)
-            want[f"{name}.W2"] = (d_out, ff)
-            want[f"{name}.b2"] = (d_out,)
+        want = param_shapes(len(self.word_vocab), len(self.pos_vocab),
+                            self.n_rel, word_dim, pos_dim, self.hidden,
+                            self.ff_hidden, pre_dim)
         for name in sorted(set(a) - set(want)):
             fail(f"unexpected array {name!r}")
         for name, shape in want.items():

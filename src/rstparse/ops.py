@@ -429,8 +429,6 @@ def backward(root: Tensor) -> None:
             node.grad += dense(g)
             continue
         for parent, pg in zip(node._parents, node._vjp(dense(g))):
-            if pg is None:
-                continue
             # A first gradient is kept as it is and sums are made out of
             # place: a VJP may hand one array, or views of it, to several
             # parents, so no stored gradient is ever written to.

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
+from . import encoder, ops
 from .chart import (
     DECODERS,
     ChartDiagnostics,
@@ -71,13 +71,10 @@ class TrainConfig:
         if not (math.isfinite(self.gamma) and self.gamma >= 0.0):
             raise ConfigError(f"gamma must be finite and non-negative, "
                               f"got {self.gamma}")
-        for key in ("hidden", "ff_hidden"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be at least 1, "
-                                  f"got {getattr(self, key)}")
-        for key in ("word_dim", "pos_dim", "seed"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"{key} must be non-negative, "
+        for key, least in dict(encoder.SMALLEST_SIZES, seed=0).items():
+            if getattr(self, key) < least:
+                bound = "at least 1" if least else "non-negative"
+                raise ConfigError(f"{key} must be {bound}, "
                                   f"got {getattr(self, key)}")
         metric, _, averaging = self.selection.rpartition("_")
         if metric not in METRICS or averaging not in ("micro", "macro"):

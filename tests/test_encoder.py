@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from rstparse.encoder import (
     feedforward,
     glorot,
     make_dropout_masks,
+    param_shapes,
 )
 
 from conftest import (
@@ -94,6 +97,29 @@ class TestInit:
         _, b = small_params(seed=11)
         for name in a.arrays:
             np.testing.assert_array_equal(a.arrays[name], b.arrays[name])
+
+    @pytest.mark.parametrize("pre_dim, want", [
+        (0, "8e8cfa31c84cfc542ed0b8ef3bf320c62285110485654473a36fbb912be80795"),
+        (3, "fff396698f0181bba80a4aaeb7dff11c1fc85a982a2b009d5f979ae4bf3f01ca"),
+    ], ids=["plain", "pretrained"])
+    def test_arrays_are_pinned(self, pre_dim, want):
+        """init's arrays, in their order, to the bit: grad_clip's norm and
+        save iterate them in that order, and param_shapes lists it."""
+        doc, _ = small_params()
+        V = len(Vocab.from_documents([doc], "tokens"))
+        table = np.arange(V * pre_dim, dtype=np.float64).reshape(V, pre_dim)
+        pre = (PretrainedEmbeddings(table / 8, found=3, vocab_size=V)
+               if pre_dim else None)
+        _, p = small_params(seed=7, pretrained=pre)
+        h = hashlib.sha256()
+        for name, a in p.arrays.items():
+            h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == want
+        shapes = param_shapes(V, len(p.pos_vocab), p.n_rel, 2, 2, p.hidden,
+                              p.ff_hidden, pre_dim)
+        assert list(shapes) == list(p.arrays)
+        assert {k: a.shape for k, a in p.arrays.items()} == shapes
 
     def test_needs_real_relations(self):
         doc = make_doc([["a"]])
