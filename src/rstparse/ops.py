@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 
 import numpy as np
 
@@ -221,7 +222,9 @@ def bilstm(W_f: Tensor, b_f: Tensor, W_b: Tensor, b_b: Tensor, X: Tensor,
     the per-step composition, in its order, so each half equals a
     one-direction LSTM bit for bit.  Only the products read strided
     vectors; the backward sweep's products are fed contiguous copies, as
-    strided operands there change the last bits.
+    strided operands there change the last bits.  A step indexes nothing:
+    its rows come bound from the loop's iterator, a lazy zip over the row
+    arrays, or inside no_tape() one fixed tuple of the reused rows.
 
     The node keeps the activated gates, the cells and its result, about
     12 T H floats; inside ``no_tape()`` the same loop writes every step's
@@ -236,19 +239,22 @@ def bilstm(W_f: Tensor, b_f: Tensor, W_b: Tensor, b_b: Tensor, X: Tensor,
     H = hidden
     x = X.data
     T, d = x.shape
-    ws = (W_f.data, W_b.data)
+    w_f, w_b = ws = (W_f.data, W_b.data)
     for w, b in zip(ws, (b_f.data, b_b.data)):
         if w.shape != (4 * H, d + H) or b.shape != (4 * H,):
             raise ValueError(f"bad lstm shapes W {w.shape}, b {b.shape} "
                              f"for input width {d} and hidden {H}")
     xs = (x, x[::-1])                     # the rows in each direction's order
     bias = np.stack((b_f.data, b_b.data), axis=1).ravel()
-    # Step s writes gates[at] and cells[at + keep], at = s * keep: its own
-    # rows when recording, row 0 of both, reused, inside no_tape().
+    # Step s writes row s of the gates and of cells[1:], after c_prev in
+    # cells[s]; inside no_tape() row 0 of both, reused, c_prev being c.
     keep = int(_recording)
     gates = np.empty((T if keep else 1, 8 * H))   # blocks i, f, g, o of 2H
-    ig, fg, gg, og = (gates[:, k * 2 * H:(k + 1) * 2 * H] for k in range(4))
     cells = np.zeros((T * keep + 1, 2 * H))       # the zero state first
+    ig, fg, gg, og = (gates[:, k * 2 * H:(k + 1) * 2 * H] for k in range(4))
+    per_step = (gates, ig, fg, gg, og, cells, cells[keep:])
+    reused = (None if keep else
+              itertools.repeat(tuple(a[0] for a in per_step)))
     out = np.empty((T, 2 * H))
     # xh[j, :, r] is direction r's [x; h_prev] at the chunk's j-th step;
     # the output multiply writes both h straight into the next step's row.
@@ -257,32 +263,30 @@ def bilstm(W_f: Tensor, b_f: Tensor, W_b: Tensor, b_b: Tensor, X: Tensor,
     x_in = (xh[:, :, 0], xh[:, :, 1])
     h_in = xh[:, d:].reshape(rows, 2 * H)
     z = np.empty(8 * H)
-    z_dir = (z[0::2], z[1::2])
+    z_f, z_b = z[0::2], z[1::2]
     z_g = z[4 * H:6 * H]
     tmp = np.empty(2 * H)
     for s0 in range(0, T, _BILSTM_CHUNK):
         m = min(_BILSTM_CHUNK, T - s0)
         for r in range(2):
             x_in[r][:m, :d] = xs[r][s0:s0 + m]
-        for s in range(s0, s0 + m):
-            j = s - s0
-            at = s * keep
-            np.matmul(ws[0], x_in[0][j], out=z_dir[0])
-            np.matmul(ws[1], x_in[1][j], out=z_dir[1])
+        steps = zip(x_in[0][:m], x_in[1][:m], h_in[1:m + 1],
+                    zip(*(a[s0:s0 + m] for a in per_step)) if keep
+                    else reused)
+        for x_f, x_b, h, (act, i_s, f_s, g_s, o_s, c_prev, c) in steps:
+            np.matmul(w_f, x_f, out=z_f)
+            np.matmul(w_b, x_b, out=z_b)
             z += bias
-            act = gates[at]
             np.negative(z, out=act)
             np.exp(act, out=act)
             act += 1.0
             np.divide(1.0, act, out=act)
-            g_s = gg[at]
             np.tanh(z_g, out=g_s)
-            c = cells[at + keep]
-            np.multiply(fg[at], cells[at], out=c)
-            np.multiply(ig[at], g_s, out=tmp)
+            np.multiply(f_s, c_prev, out=c)
+            np.multiply(i_s, g_s, out=tmp)
             c += tmp
             np.tanh(c, out=tmp)
-            np.multiply(og[at], tmp, out=h_in[j + 1])
+            np.multiply(o_s, tmp, out=h)
         out[s0:s0 + m, :H] = xh[1:m + 1, d:, 0]
         out[T - s0 - m:T - s0, H:] = xh[m:0:-1, d:, 1]
         h_in[0] = h_in[m]

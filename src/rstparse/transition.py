@@ -179,13 +179,18 @@ def slot_rows(state: ParserState) -> list[int]:
     return rows
 
 
+def legal_moves(state: ParserState) -> tuple[bool, bool]:
+    """(shift_ok, reduce_ok), the one rule of legality: SHIFT iff the queue
+    is non-empty, every REDUCE iff the stack holds two spans or more."""
+    return state.shifted < state.n, len(state.stack) >= 2
+
+
 def legal_mask(state: ParserState, n_actions: int) -> np.ndarray:
-    """The legal actions as a boolean mask over action indices: SHIFT iff
-    the queue is non-empty, every REDUCE iff the stack holds two spans or
-    more."""
-    legal = np.empty(n_actions, dtype=bool)
-    legal[:] = len(state.stack) >= 2
-    legal[SHIFT] = state.shifted < state.n
+    """legal_moves as a boolean mask over action indices, the form the
+    loss's hinge reads."""
+    shift_ok, reduce_ok = legal_moves(state)
+    legal = np.full(n_actions, reduce_ok)
+    legal[SHIFT] = shift_ok
     return legal
 
 
@@ -197,10 +202,10 @@ def greedy_parse(doc: Document, params: ModelParams,
     (see RowFeedforward), so scoring a state is one gather of SLOTS rows of
     them and one sum.  ``enc`` is the EDU node encode_document returns; only
     its ``data`` is read.  Without one, the document is encoded here inside
-    ``ops.no_tape()``, so no tape is recorded.  Legality comes from
-    legal_mask.  While no REDUCE is legal (the stack holds fewer than two
-    spans) SHIFT is the only legal action, and the state is not scored.  A scored state with a NaN or infinite
-    score raises NonFiniteScore.
+    ``ops.no_tape()``, so no tape is recorded.  While no REDUCE is legal
+    SHIFT is the only legal action, and the state is not scored.  A scored
+    state with a NaN or infinite score raises NonFiniteScore; else the best
+    is taken over the REDUCEs alone (index 1 on) once SHIFT is illegal.
     """
     if enc is None:
         with ops.no_tape():
@@ -210,15 +215,16 @@ def greedy_parse(doc: Document, params: ModelParams,
     scorer = RowFeedforward(params, ACTION, padded, SLOTS)
     state = initial_state(doc.n)
     while not is_terminal(state):
-        legal = legal_mask(state, params.n_actions)
+        shift_ok, reduce_ok = legal_moves(state)
         choice = SHIFT
-        if legal[-1]:    # the REDUCEs are all legal or none is
+        if reduce_ok:
             scores = scorer.one(slot_rows(state))[0]
             at = first_nonfinite(scores)
             if at is not None:    # every action so far added one span
                 raise NonFiniteScore(f"non-finite score: action[{at[0]}] = "
                                      f"{scores[at]} at step {len(state.spans)}")
-            choice = int(np.argmax(np.where(legal, scores, -np.inf)))
+            choice = (int(np.argmax(scores)) if shift_ok
+                      else 1 + int(np.argmax(scores[1:])))
         state = apply_action(state, choice)
     return finish(state)
 

@@ -29,6 +29,9 @@ and the one-direction LSTM op with the encoder composed from two of them,
 the references for ``ops.bilstm``; and the greedy loop that scored every
 state, forced shifts included, with the per-block projection list it read,
 the references for the one-gather greedy parse and the stacked projections;
+and the greedy loop that made a ``legal_mask`` and an ``np.where`` copy of
+the scores at every state (``ref_greedy_masked``), the reference for the
+one that reads ``legal_moves``;
 and the split totals read with 2-D fancy indexing, the reference for the
 flat-offset kernel the decoders share; and the ``.edus`` token split that
 found the separator, then unescaped each half (``ref_split_token``), and
@@ -92,6 +95,7 @@ from rstparse.transition import (
     finish,
     initial_state,
     is_terminal,
+    legal_mask,
     oracle_actions,
     slot_rows,
 )
@@ -665,6 +669,27 @@ def ref_greedy_parse(doc, params, enc=None):
         scores = scorer(*([r] for r in slot_rows(state)))[0]
         legal = ref_legal_actions(state, params.n_rel)
         choice = legal[int(np.argmax(scores[legal]))]
+        state = ref_apply(state, choice)
+    return finish(state)
+
+
+def ref_greedy_masked(doc, params, enc=None):
+    """transition.greedy_parse as it ran before it read legal_moves: a
+    legal_mask array for every state, unscored while no REDUCE is legal,
+    and the argmax over an np.where copy of the scores with -inf on the
+    illegal actions."""
+    if enc is None:
+        enc = encode_document(doc, params)
+    M = enc.data
+    padded = np.vstack((M, np.zeros((1, M.shape[1]))))
+    scorer = RowFeedforward(params, ACTION, padded, SLOTS)
+    state = initial_state(doc.n)
+    while not is_terminal(state):
+        legal = legal_mask(state, params.n_actions)
+        choice = 0
+        if legal[-1]:
+            scores = scorer.one(slot_rows(state))[0]
+            choice = int(np.argmax(np.where(legal, scores, -np.inf)))
         state = ref_apply(state, choice)
     return finish(state)
 

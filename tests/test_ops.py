@@ -505,6 +505,21 @@ class TestNoTape:
         chunk = 8 * (ops._BILSTM_CHUNK + 1) * (d + hidden) * 2
         assert peak <= 8 * T * 2 * hidden + chunk + 64 * 1024, peak
 
+    def test_bilstm_taped_holds_its_activations_and_one_chunk(self):
+        # at the benchmark's widths: the 12 T H floats its VJP reads (gates,
+        # cells, states), the chunk of [x; h] inputs and no more than 64 KiB
+        # besides, so no step's row views outlive their chunk
+        hidden, d, T = 64, 96, 600
+        leaves = [ops.tensor(a) for a in bilstm_inputs(hidden, d, T)]
+        tracemalloc.start()
+        try:
+            ops.bilstm(*leaves, hidden)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = 8 * (ops._BILSTM_CHUNK + 1) * (d + hidden) * 2
+        assert peak <= 8 * 12 * T * hidden + chunk + 64 * 1024, peak
+
     def test_nodes_made_inside_hold_no_parents(self):
         W_f, b_f, W_b, b_b, X = (ops.tensor(a)
                                  for a in bilstm_inputs(3, 4, 5))
