@@ -673,14 +673,12 @@ def ref_greedy_parse(doc, params, enc=None):
     return finish(state)
 
 
-def ref_greedy_masked(doc, params, enc=None):
+def ref_greedy_masked(doc, params):
     """transition.greedy_parse as it ran before it read legal_moves: a
     legal_mask array for every state, unscored while no REDUCE is legal,
     and the argmax over an np.where copy of the scores with -inf on the
     illegal actions."""
-    if enc is None:
-        enc = encode_document(doc, params)
-    M = enc.data
+    M = encode_document(doc, params).data
     padded = np.vstack((M, np.zeros((1, M.shape[1]))))
     scorer = RowFeedforward(params, ACTION, padded, SLOTS)
     state = initial_state(doc.n)
