@@ -893,24 +893,23 @@ class ChartDiagnostics:
     loss: float
 
 
-def chart_loss(doc: Document, params: ModelParams, decoder: str = "partial",
-               masks: DropoutMasks | None = None,
-               enc: Tensor | None = None
+def chart_loss(doc: Document, params: ModelParams, enc: Tensor,
+               decoder: str = "partial", masks: DropoutMasks | None = None
                ) -> tuple[Tensor, ChartDiagnostics]:
     """Margin loss max(0, score(T^) + distance(T^, gold) - score(gold)) with
     T^ from loss-augmented decoding.
 
-    The returned tensor carries the tape for the active hinge; when the margin
-    is already satisfied it is a constant zero.  The hinge is judged on
-    score_tree(T^) + distance against score_tree(gold), the two sums
-    ``missing`` compares, not on the decoder's own running total, so a
+    ``enc`` is ``doc``'s EDU node, ``encode_document(doc, params, masks)``:
+    the caller encodes, so ``joint_loss`` reads one encoding for both
+    losses.  The returned tensor carries the tape for the active hinge; when
+    the margin is already satisfied it is a constant zero.  The hinge is
+    judged on score_tree(T^) + distance against score_tree(gold), the two
+    sums ``missing`` compares, not on the decoder's own running total, so a
     prediction equal to gold never builds a tape.  Only the exact decoder
     reads every label row, one width at a time.
     """
     if doc.gold is None:
         raise ValueError(f"document {doc.doc_id} has no gold tree")
-    if enc is None:
-        enc = encode_document(doc, params, masks)
     oracle = NeuralOracle(params, enc, masks)
     decode = get_decoder(decoder)
     pred, aug_score = decode(doc.n, LossAugmented(oracle, doc.gold))

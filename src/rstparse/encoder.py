@@ -284,7 +284,7 @@ class ModelParams:
                 raise ModelError(f"{path}: metadata {key!r}: {exc}") from None
 
         try:
-            with np.load(path, allow_pickle=False) as npz:
+            with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
                 meta = json.loads(str(npz["meta"]))
                 arrays = {k[len("param/"):]: real(k[len("param/"):], npz[k])
                           for k in npz.files if k.startswith("param/")}

@@ -88,11 +88,11 @@ def joint_loss(doc: Document, params: ModelParams, cfg: TrainConfig,
     Each loss raises ValueError for a document without a gold tree."""
     enc = encode_document(doc, params, masks)
     if cfg.mode == "transition":
-        return transition_loss(doc, params, masks, enc), None
-    loss, diag = chart_loss(doc, params, cfg.decoder, masks, enc)
+        return transition_loss(doc, params, enc, masks), None
+    loss, diag = chart_loss(doc, params, enc, cfg.decoder, masks)
     if cfg.mode == "chart" or cfg.gamma == 0.0:
         return loss, diag
-    return ops.add(loss, ops.scale(transition_loss(doc, params, masks, enc),
+    return ops.add(loss, ops.scale(transition_loss(doc, params, enc, masks),
                                    cfg.gamma)), diag
 
 
@@ -268,9 +268,11 @@ def train(train_docs, dev_docs, vocabs: CorpusVocabs, cfg: TrainConfig,
         raise ValueError("no training documents")
     if not dev_docs:
         raise ValueError("no dev documents")
-    for doc in train_docs:
-        if doc.gold is None:
-            raise ValueError(f"training document {doc.doc_id} has no gold tree")
+    for kind, docs in (("training", train_docs), ("dev", dev_docs)):
+        for doc in docs:
+            if doc.gold is None:
+                raise ValueError(
+                    f"{kind} document {doc.doc_id} has no gold tree")
 
     init_ss, shuffle_ss, drop_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     params = ModelParams.init(vocabs.word, vocabs.pos, vocabs.rel,

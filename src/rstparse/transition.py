@@ -229,9 +229,8 @@ def greedy_parse(doc: Document, params: ModelParams,
     return finish(state)
 
 
-def transition_loss(doc: Document, params: ModelParams,
-                    masks: DropoutMasks | None = None,
-                    enc: Tensor | None = None) -> Tensor:
+def transition_loss(doc: Document, params: ModelParams, enc: Tensor,
+                    masks: DropoutMasks | None = None) -> Tensor:
     """Per-state margin loss, teacher-forced along the gold derivation.
 
     For each visited state with gold action a*, every LEGAL action a pays
@@ -239,15 +238,14 @@ def transition_loss(doc: Document, params: ModelParams,
     inventory size.  The a = a* terms contribute a constant floor of
     (2n - 1) / |A|, so a fully separated model plateaus there, not at zero.
 
-    The gold derivation fixes every state before any scoring, so the states'
-    slot rows are collected first; the tape then holds one gather from
-    [M; 0], M being the EDU node ``enc``, one batched scorer and one hinge,
-    whatever n is.
+    ``enc`` is ``doc``'s EDU node M, ``encode_document(doc, params,
+    masks)``, which the caller encodes.  The gold derivation fixes every
+    state before any scoring, so the states' slot rows are collected first;
+    the tape then holds one gather from [M; 0], one batched scorer and one
+    hinge, whatever n is.
     """
     if doc.gold is None:
         raise ValueError(f"document {doc.doc_id} has no gold tree")
-    if enc is None:
-        enc = encode_document(doc, params, masks)
     gold = oracle_actions(doc.gold)
     rows, legal = [], []
     state = initial_state(doc.n)

@@ -638,7 +638,7 @@ def ref_score_actions(state, enc, params, masks=None):
     return ref_feedforward(params, ACTION, ref_state_rep(state, enc), masks)
 
 
-def ref_transition_loss(doc, params, masks, enc):
+def ref_transition_loss(doc, params, enc, masks):
     n_rel = params.n_rel
     terms = []
     state = initial_state(doc.n)

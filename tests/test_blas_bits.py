@@ -17,16 +17,21 @@ text with the regex ``\\s``, and the text it must split as before was
 split by ``str.isspace``.
 """
 
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import rstparse
 from conftest import ref_output_np
 from rstparse.chart import NeuralOracle
 from rstparse.encoder import (
     NUC,
     REL,
+    SPAN,
     DropoutMasks,
     RowFeedforward,
     encode_document,
@@ -261,6 +266,53 @@ def test_gathered_rows_are_new_arrays_so_projections_stay_as_they_are():
             "streaming the label rows changed NeuralOracle's projections; "
             "its batches must gather copies of the sums before finish runs")
     assert enc.data.tobytes() == M.tobytes()
+
+
+def span_table_block_mismatches():
+    """The (n, ff_hidden, block) cases in which the span table built in
+    row-order blocks of ``block`` rows loses the bits of the one batch
+    chart.NeuralOracle scores it in."""
+    rng = np.random.default_rng(9)
+    found = []
+    for ff_hidden in (64, 200):
+        params = random_params(seed=ff_hidden, ff_hidden=ff_hidden)
+        for n in (10, 30, 47, 48, 60, 100):
+            enc = encode_document(random_document(n, rng), params)
+            span_ff = RowFeedforward(params, SPAN, enc.data, 2)
+            i, j = np.triu_indices(n + 1, 1)
+            whole = NeuralOracle(params, enc).span[i, j]
+            for block in (256, 1024, 1200, 4096):
+                blocked = np.concatenate([
+                    span_ff(i[s:s + block], j[s:s + block] - 1)[:, 0]
+                    for s in range(0, len(i), block)])
+                if blocked.tobytes() != whole.tobytes():
+                    found.append((n, ff_hidden, block))
+    return found
+
+
+def test_span_table_in_large_row_blocks_keeps_the_one_batch_bits():
+    """The span scorer's second layer has one column, so numpy multiplies
+    by it with a matrix-vector product, whose rows are taken in groups of
+    4; a row's bits can depend on its place in the batch (blocks of 4 or 8
+    rows changed them).  With one BLAS thread, the setting ``perfbench``
+    records its digests under, blocks of 256 rows or more, in
+    ``np.triu_indices`` order, keep every row's bits.  With more threads
+    the product splits its rows between them, and at n = 100, ff_hidden =
+    200 the one-batch table itself changed with the thread count, so the
+    check runs in a process pinned to one thread."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parent), str(Path(rstparse.__file__).parents[1])]),
+        **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS")})
+    run = subprocess.run(
+        [sys.executable, "-c", "import test_blas_bits as t; "
+         "print(t.span_table_block_mismatches())"],
+        env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]", (
+        f"(n, ff_hidden, block) {run.stdout.strip()}: the span table built "
+        "in row-order blocks lost the bits of the one-batch build in "
+        "chart.NeuralOracle; a span table built in blocks, to bound its "
+        "memory, would change every chart score")
 
 
 def test_regex_whitespace_is_exactly_str_isspace():

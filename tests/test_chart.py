@@ -313,7 +313,8 @@ class TestExactMemoryBudget:
         rng = np.random.default_rng(6)
         params = random_params()
         doc = random_document(7, rng, gold_tree(7, params.n_rel, rng))
-        oracle = NeuralOracle(params, encode_document(doc, params))
+        enc = encode_document(doc, params)
+        oracle = NeuralOracle(params, enc)
         need = chart._exact_bytes(7, params.n_rel, params.ff_hidden)
         monkeypatch.setattr(core, "MEMORY_LIMIT", need - 1)
         assert issubclass(ExactTooLarge, ValueError)
@@ -321,9 +322,9 @@ class TestExactMemoryBudget:
                            f"{params.n_rel} relations needs {need:,} bytes"):
             decode_exact(7, oracle)
         with pytest.raises(ExactTooLarge):
-            chart_loss(doc, params, "exact")
+            chart_loss(doc, params, enc, "exact")
         # partial and complete have no such limit
-        chart_loss(doc, params, "partial")
+        chart_loss(doc, params, enc, "partial")
         monkeypatch.setattr(core, "MEMORY_LIMIT", need)
         decode_exact(7, oracle)
         # the refusal comes before anything large is allocated: at 80 EDUs
@@ -480,7 +481,8 @@ class TestChartLoss:
         doc2 = Document("d2", doc2.edus, gold)
         for name in params.arrays:
             params.arrays[name][:] = 0.0
-        loss, diag = chart_loss(doc2, params, decoder="exact")
+        loss, diag = chart_loss(doc2, params, encode_document(doc2, params),
+                                decoder="exact")
         # every tree scores zero, so the augmented decode maximizes the
         # distance: both leaves mislabeled twice, root relation and
         # nuclearity each flipped once
@@ -495,8 +497,9 @@ class TestChartLoss:
         from rstparse.core import Document
 
         doc = Document(doc.doc_id, doc.edus, gold)
+        enc = encode_document(doc, params)
         for decoder in ("exact", "partial", "complete"):
-            loss, diag = chart_loss(doc, params, decoder=decoder)
+            loss, diag = chart_loss(doc, params, enc, decoder=decoder)
             assert loss.item() >= 0.0
             assert diag.loss == pytest.approx(loss.item())
             assert diag.distance == hamming(diag.pred, gold)
@@ -508,7 +511,7 @@ class TestChartLoss:
 
         doc = Document(doc.doc_id, doc.edus, gold)
         params.zero_grads()
-        loss, diag = chart_loss(doc, params)
+        loss, diag = chart_loss(doc, params, encode_document(doc, params))
         if loss.item() > 0:
             ops.backward(loss)
             grads = params.gradients()
@@ -517,7 +520,7 @@ class TestChartLoss:
     def test_requires_gold(self):
         doc, params = small_params()
         with pytest.raises(ValueError):
-            chart_loss(doc, params)
+            chart_loss(doc, params, encode_document(doc, params))
 
     def test_gold_prediction_builds_no_tape(self, monkeypatch):
         """The hinge is judged on score_tree's sums: gold predicted with a
@@ -526,11 +529,12 @@ class TestChartLoss:
         doc, params = small_params(seed=31)
         gold = gold_tree(doc.n, params.n_rel, np.random.default_rng(2))
         doc = Document(doc.doc_id, doc.edus, gold)
-        oracle = NeuralOracle(params, encode_document(doc, params))
+        enc = encode_document(doc, params)
+        oracle = NeuralOracle(params, enc)
         above = np.nextafter(score_tree(gold, oracle), np.inf)
         monkeypatch.setitem(chart.DECODERS, "partial",
                             lambda n, scores: (gold, above))
-        loss, diag = chart_loss(doc, params, "partial")
+        loss, diag = chart_loss(doc, params, enc, "partial")
         assert diag.augmented_score > diag.gold_score
         assert diag.distance == 0 and not diag.missing
         assert loss._parents == () and loss.item() == 0.0
@@ -803,10 +807,11 @@ class TestOnDemandRows:
         docs = [random_document(n, rng, random_tree(n, vocab, rng))
                 for n in (1, 3, 7)]
         masks = make_dropout_masks(params, 7, 0.2, rng)
+        enc = encode_document(docs[2], params, masks)
         with monkeypatch.context() as m:
             m.setattr(NeuralOracle, "tables", refuse_tables)
             for decoder in ("exact", "partial", "complete"):
-                loss, diag = chart_loss(docs[2], params, decoder, masks)
+                loss, diag = chart_loss(docs[2], params, enc, decoder, masks)
                 assert diag.distance == hamming(diag.pred, docs[2].gold)
                 count_missing(docs, params, decoder)
         # exact shifts each width's rows as they are computed, so it holds
@@ -820,7 +825,7 @@ class TestOnDemandRows:
         budget = chart._exact_bytes(n, params.n_rel, params.ff_hidden)
         found = []
         peak = traced_peak(lambda: found.append(
-            chart_loss(doc, params, "exact", masks, enc)))
+            chart_loss(doc, params, enc, "exact", masks)))
         assert peak <= budget < table_bytes(n, params.n_rel), (peak, budget)
         diag = found[0][1]
         assert diag.loss > 0.0, "the hinge should be active, so the tape built"

@@ -7,8 +7,9 @@ A name counts as used when another module of the package reads it as
 ``from .module import name``, when its own module names it outside its
 definition, or when ``perfbench/`` or the acceptance tests read it, as
 ``module.name``, by an import or by name (``tracer.wrap(module, "name",
-...)``).  An export from ``rstparse/__init__.py`` is not a use: it only
-passes the name on.
+...)``).  ``rstparse/__init__.py`` holds its docstring and ``__version__``
+and nothing else: it re-exports no name, so every reader imports a name
+from the module that defines it.
 
 Every public method and property of those classes is read too: some code
 in ``src/`` or ``perfbench/``, or the acceptance tests, reads its name as an
@@ -79,9 +80,7 @@ def names_read_outside(tree, definition):
 
 def unused_names():
     package = parse(sorted(PACKAGE.glob("*.py")))
-    readers = parse(sorted(BENCH.glob("*.py")) + [ACCEPTANCE])
-    readers.update((p, t) for p, t in package.items()
-                   if p.name != "__init__.py")
+    readers = parse(sorted(BENCH.glob("*.py")) + [ACCEPTANCE]) | package
     unused = []
     for path, tree in package.items():
         module = path.stem
@@ -134,6 +133,14 @@ def test_every_public_definition_is_used_outside_the_tests():
 
 def test_every_public_method_is_used_outside_the_tests():
     assert unused_methods() == []
+
+
+def test_the_package_namespace_holds_only_its_version():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    statements = [ast.unparse(stmt.targets[0]) if isinstance(stmt, ast.Assign)
+                  else ast.unparse(stmt) for stmt in tree.body[1:]]
+    assert statements == ["__version__"]
 
 
 def test_a_numpy_function_of_the_same_name_is_not_a_use():

@@ -179,7 +179,8 @@ class TestJointLoss:
                                   corpus.rel_vocab, np.random.default_rng(0),
                                   word_dim=2, pos_dim=2, hidden=2, ff_hidden=2)
         j, _ = joint_loss(doc, params, cfg)
-        c, _ = chart_loss(doc, params, cfg.decoder)
+        c, _ = chart_loss(doc, params, encode_document(doc, params),
+                          cfg.decoder)
         assert j.item() == pytest.approx(c.item(), abs=1e-12)
 
     def test_joint_adds_weighted_transition_loss(self):
@@ -190,8 +191,9 @@ class TestJointLoss:
         params = ModelParams.init(corpus.word_vocab, corpus.pos_vocab,
                                   corpus.rel_vocab, np.random.default_rng(0),
                                   word_dim=2, pos_dim=2, hidden=2, ff_hidden=2)
-        c, _ = chart_loss(doc, params, "partial")
-        t = transition_loss(doc, params)
+        enc = encode_document(doc, params)
+        c, _ = chart_loss(doc, params, enc, "partial")
+        t = transition_loss(doc, params, enc)
         j, _ = joint_loss(doc, params, tiny_config(mode="joint", gamma=0.5))
         assert j.item() == pytest.approx(c.item() + 0.5 * t.item(), rel=1e-9)
 
@@ -219,6 +221,20 @@ class TestTrainLoop:
         stripped = [Document(d.doc_id, d.edus, None) for d in corpus.documents]
         with pytest.raises(ValueError):
             train(stripped, stripped, corpus.vocabs, cfg)
+
+    def test_dev_without_gold_is_refused_before_any_step(self, monkeypatch):
+        import rstparse.training as training
+
+        corpus = tiny_corpus()
+        docs = list(corpus.documents)
+        dev = docs[:1] + [Document(docs[1].doc_id, docs[1].edus, None)]
+        steps = []
+        monkeypatch.setattr(training, "adam_step",
+                            lambda *args, **kw: steps.append(1))
+        with pytest.raises(ValueError, match=f"dev document {docs[1].doc_id} "
+                           "has no gold tree"):
+            train(docs, dev, corpus.vocabs, tiny_config())
+        assert steps == []
 
     def test_two_runs_are_identical(self):
         corpus = tiny_corpus()

@@ -368,7 +368,7 @@ class TestTransitionLoss:
         doc = Document(doc.doc_id, doc.edus, gold)
         for name in params.arrays:
             params.arrays[name][:] = 0.0
-        loss = transition_loss(doc, params)
+        loss = transition_loss(doc, params, encode_document(doc, params))
         # with all scores zero every legal action (gold included) contributes
         # exactly the margin 1, scaled by 1 / n_actions
         total = 0
@@ -388,13 +388,14 @@ class TestTransitionLoss:
         for seed in range(4):
             doc, params = small_params(seed=seed, n_rel=3)
             doc2 = Document(doc.doc_id, doc.edus, gold)
-            loss = transition_loss(doc2, params)
+            loss = transition_loss(doc2, params,
+                                   encode_document(doc2, params))
             assert loss.item() >= floor - 1e-12
 
     def test_requires_gold(self):
         doc, params = small_params()
         with pytest.raises(ValueError):
-            transition_loss(doc, params)
+            transition_loss(doc, params, encode_document(doc, params))
 
     def test_score_actions_width(self):
         doc, params = small_params(n_rel=3)
@@ -423,7 +424,7 @@ class TestTransitionLoss:
                 for loss in (transition_loss, ref_transition_loss):
                     params.zero_grads()
                     enc = encode_document(doc, params, masks)
-                    out = loss(doc, params, masks, enc)
+                    out = loss(doc, params, enc, masks)
                     ops.backward(out)
                     got.append((out.item(), params.gradients()))
                 (value, grads), (ref_value, ref_grads) = got
