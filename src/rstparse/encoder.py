@@ -131,7 +131,9 @@ class ModelParams:
     ``arrays`` maps parameter names to float64 ndarrays.  ``tensors()`` wraps
     the same storage in autograd leaves, so in-place updates to the arrays
     (optimizer steps, finite-difference probes) are visible to both the tape
-    and the batched numpy scorers.
+    and the batched numpy scorers.  The frozen pretrained table, if any, is
+    read-only in the models ``init`` and ``load`` make, and ``copy`` shares
+    it rather than copying it.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], word_vocab: Vocab,
@@ -193,7 +195,10 @@ class ModelParams:
                 arrays[name] = glorot(rng, *shape)
             else:
                 arrays[name] = np.zeros(shape)
-        table = pretrained.table.copy() if pretrained is not None else None
+        table = None
+        if pretrained is not None:
+            table = pretrained.table.copy()
+            table.flags.writeable = False
         return cls(arrays, word_vocab, pos_vocab, rel_vocab, hidden, ff_hidden,
                    pretrained=table)
 
@@ -224,11 +229,10 @@ class ModelParams:
                 t.grad = None
 
     def copy(self) -> "ModelParams":
+        """New trainable arrays; the frozen pretrained table is shared."""
         return ModelParams({k: v.copy() for k, v in self.arrays.items()},
                            self.word_vocab, self.pos_vocab, self.rel_vocab,
-                           self.hidden, self.ff_hidden,
-                           None if self.pretrained is None
-                           else self.pretrained.copy())
+                           self.hidden, self.ff_hidden, self.pretrained)
 
     def save(self, path: str) -> None:
         meta = {"hidden": self.hidden,
@@ -290,6 +294,8 @@ class ModelParams:
                           for k in npz.files if k.startswith("param/")}
                 pretrained = (real("pretrained", npz["pretrained"])
                               if "pretrained" in npz.files else None)
+            if pretrained is not None:
+                pretrained.flags.writeable = False
             params = cls(arrays, vocab(Vocab, "word_tokens"),
                          vocab(Vocab, "pos_tokens"),
                          vocab(RelationVocab, "relations"), size("hidden"),

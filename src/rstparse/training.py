@@ -6,7 +6,8 @@ weighted sum.  Each epoch shuffles the training documents (seeded), updates
 after every document, evaluates on dev, and records how many training
 documents currently decode below their gold score (the missing-prediction
 diagnostic).  The returned parameters are the snapshot with the best dev
-score; ties keep the earlier epoch.
+score; ties keep the earlier epoch.  The snapshot is one copy, refreshed in
+place when a later epoch scores higher.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .transition import greedy_parse, transition_loss
 MODES = ("chart", "transition", "joint")
 PARSE_METHODS = ("exact", "partial", "complete", "transition")
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8    # Kingma & Ba 2015
+ADAM_BLOCK = 65536              # entries per in-place Adam block
 
 
 @dataclass
@@ -114,12 +116,54 @@ class AdamState:
                    {k: np.zeros_like(a) for k, a in arrays.items()})
 
 
+def _rows_per_block(row_size: int) -> int:
+    return max(1, ADAM_BLOCK // max(1, row_size))
+
+
+def _blocks(n_rows: int, row_size: int) -> list[slice]:
+    """Leading-axis slices of at most ADAM_BLOCK entries (one row at least)."""
+    per = _rows_per_block(row_size)
+    return [slice(r, r + per) for r in range(0, n_rows, per)]
+
+
+def _largest_block(shape: tuple[int, ...]) -> int:
+    row = math.prod(shape[1:])
+    return min(shape[0], _rows_per_block(row)) * row
+
+
+def _adam_block(x, m, v, g, scratch, lr: float, c1: float, c2: float) -> None:
+    """The Adam update of one block, in place in x, m and v, through the
+    two flat ``scratch`` buffers: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2)
+    g g and x -= lr (m / c1) / (sqrt(v / c2) + eps), each operation in that
+    order, so every entry has the bits of the whole-array update."""
+    a, b = (buf[:g.size].reshape(g.shape) for buf in scratch)
+    m *= ADAM_BETA1
+    np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    m += a
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=a)
+    a *= g
+    v += a
+    np.divide(m, c1, out=a)
+    a *= lr
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+    x -= a
+
+
 def adam_step(arrays: dict[str, np.ndarray],
               grads: dict[str, np.ndarray | ops.RowGrad],
               state: AdamState, lr: float,
               clip: float | None = None) -> None:
     """One in-place Adam update (Kingma & Ba 2015); arrays keep their
     identity (shared storage).
+
+    Each array is updated in blocks of whole rows, at most ADAM_BLOCK
+    entries each, through two scratch buffers made once per call, so the
+    step holds no temporary the size of a parameter; every entry goes
+    through the same operations in the same order as a whole-array update.
 
     A gradient is an ndarray or an ``ops.RowGrad``.  For a RowGrad the
     update runs only on the rows in ``state.touched``, this step's among
@@ -131,12 +175,15 @@ def adam_step(arrays: dict[str, np.ndarray],
     row's moments decay at every step, as in the dense update.
 
     With ``clip``, every gradient is made dense first, so the global norm
-    sums the arrays it always summed.  A non-finite gradient raises
+    sums the arrays it always summed; those dense copies, and the scaled
+    ones, are the size of the parameters.  A non-finite gradient raises
     FloatingPointError before anything changes.
     """
     for name, g in grads.items():
         values = g.sums() if isinstance(g, ops.RowGrad) else g
-        if not np.all(np.isfinite(values)):
+        row = math.prod(values.shape[1:])
+        if not all(np.isfinite(values[s]).all()
+                   for s in _blocks(len(values), row)):
             raise FloatingPointError(f"non-finite gradient in {name!r} "
                                      f"at step {state.t + 1}")
     if clip is not None:
@@ -148,30 +195,33 @@ def adam_step(arrays: dict[str, np.ndarray],
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
+    size = max((_largest_block(g.shape) for g in grads.values()), default=0)
+    scratch = np.empty(size), np.empty(size)
     for name, g in grads.items():
-        m, v = state.m[name], state.v[name]
-        rows = None
+        x, m, v = arrays[name], state.m[name], state.v[name]
+        row = math.prod(x.shape[1:])
         if isinstance(g, ops.RowGrad):
             mask = state.touched.setdefault(
                 name, np.zeros(g.shape[0], dtype=bool))
             mask[g.rows()] = True
             rows = np.flatnonzero(mask)
-            g_rows = np.zeros((rows.size, g.shape[1]))
-            g_rows[np.searchsorted(rows, g.rows())] = g.sums()
-            m, v, g = m[rows], v[rows], g_rows
-        elif name in state.touched:       # the mask must cover every m, v != 0
-            state.touched[name] |= np.any(g != 0.0, axis=1)
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        step = lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-        if rows is None:
-            arrays[name] -= step
-        else:
-            state.m[name][rows] = m
-            state.v[name][rows] = v
-            arrays[name][rows] -= step
+            # where each of this step's rows sits among the touched ones
+            at = np.searchsorted(rows, g.rows())
+            sums = g.sums()
+            for s in _blocks(rows.size, row):
+                r = rows[s]
+                lo, hi = np.searchsorted(at, (s.start, s.stop))
+                g_rows = np.zeros((r.size, row))
+                g_rows[at[lo:hi] - s.start] = sums[lo:hi]
+                xr, mr, vr = x[r], m[r], v[r]
+                _adam_block(xr, mr, vr, g_rows, scratch, lr, c1, c2)
+                x[r], m[r], v[r] = xr, mr, vr
+            continue
+        mask = state.touched.get(name)    # must cover every m, v != 0
+        for s in _blocks(len(x), row):
+            if mask is not None:
+                mask[s] |= np.any(g[s] != 0.0, axis=1)
+            _adam_block(x[s], m[s], v[s], g[s], scratch, lr, c1, c2)
 
 
 # --- prediction and evaluation -------------------------------------------
@@ -298,7 +348,6 @@ def train(train_docs, dev_docs, vocabs: CorpusVocabs, cfg: TrainConfig,
         total = 0.0
         for idx in shuffle_rng.permutation(len(train_docs)):
             doc = train_docs[idx]
-            params.zero_grads()
             masks = make_dropout_masks(params, doc.n, cfg.dropout, drop_rng)
             # Overflow and invalid values are not warned about: the
             # finiteness checks turn them into TrainingDiverged.
@@ -307,12 +356,14 @@ def train(train_docs, dev_docs, vocabs: CorpusVocabs, cfg: TrainConfig,
                     loss, _ = joint_loss(doc, params, cfg, masks)
                     total += loss.item()
                     ops.backward(loss)
+                    del loss                # the tape is spent: free it
                     adam_step(params.arrays, params.leaf_gradients(), adam,
                               cfg.lr, clip=cfg.grad_clip)
             except (NonFiniteScore, FloatingPointError) as exc:
                 raise TrainingDiverged(f"training diverged in epoch {epoch} "
                                        f"at document {doc.doc_id}: {exc}"
                                        ) from exc
+            params.zero_grads()             # so are the gradients
         trees = [] if one_pass else None
         try:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -333,5 +384,9 @@ def train(train_docs, dev_docs, vocabs: CorpusVocabs, cfg: TrainConfig,
         if score > best_score:
             best_score = score
             best_epoch = epoch
-            best_params = params.copy()
+            if best_params is None:
+                best_params = params.copy()
+            else:
+                for name, a in params.arrays.items():
+                    np.copyto(best_params.arrays[name], a)
     return TrainResult(best_params, reports, best_epoch, best_score)

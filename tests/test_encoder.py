@@ -172,6 +172,10 @@ class TestPersistence:
         p.save(path)
         q = ModelParams.load(path)
         np.testing.assert_array_equal(q.pretrained, table)
+        # frozen: read-only where init and load make it, shared by copy
+        for model in (p, q):
+            assert not model.pretrained.flags.writeable
+            assert model.copy().pretrained is model.pretrained
 
     def test_random_bytes_are_a_model_error(self, tmp_path):
         path = tmp_path / "garbage.npz"

@@ -12,6 +12,7 @@ from rstparse.core import Document, Edu, RelationVocab
 from rstparse.data import PretrainedEmbeddings, Vocab, generate_synthetic
 from rstparse.encoder import ModelParams, encode_document, make_dropout_masks
 from rstparse.training import (
+    ADAM_BLOCK,
     AdamState,
     TrainConfig,
     TrainingDiverged,
@@ -167,6 +168,61 @@ class TestAdam:
         adam_step(arrays, {"w": np.array([4.0])}, state, lr=0.5)
         assert arrays["w"][0] == pytest.approx(-0.5, rel=1e-6)
 
+    def test_blocks_keep_the_whole_array_bits(self):
+        """The update by blocks against the whole-array reference, byte for
+        byte over 4 steps: arrays longer than two blocks with a partial
+        last one, signed zeros, subnormals and gradients near 1e300 (whose
+        squares overflow v to inf), and a row-gradient table whose touched
+        rows span more than one block."""
+        rng = np.random.default_rng(7)
+        specials = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300,
+                             -1e300, 1.7e300])
+
+        def draw(shape):
+            a = rng.standard_normal(shape)
+            flat = a.reshape(-1)
+            at = rng.choice(flat.size, size=flat.size // 50, replace=False)
+            flat[at] = rng.choice(specials, size=at.size)
+            return a
+
+        # vec: two full blocks and 1,234 entries; mat: 655, 655 and 190 rows
+        shapes = {"vec": (2 * ADAM_BLOCK + 1234,), "mat": (1500, 100),
+                  "emb": (3000, 50)}
+        start = {k: draw(s) for k, s in shapes.items()}
+        start["mat"][:3] = -0.0
+        blocks, ref = ({k: a.copy() for k, a in start.items()}
+                       for _ in range(2))
+        s_blocks, s_ref = AdamState.init(blocks), AdamState.init(ref)
+        for _ in range(4):
+            grads = {k: draw(s) for k, s in shapes.items() if k != "emb"}
+            grads["emb"] = ops.RowGrad((3000, 50),
+                                       rng.integers(0, 3000, size=1200),
+                                       draw((1200, 50)))
+            with np.errstate(over="ignore"):
+                adam_step(blocks, grads, s_blocks, lr=0.01)
+                ref_adam_step(ref, {k: ops.dense(g) for k, g in grads.items()},
+                              s_ref, lr=0.01)
+        # the touched rows fill more than one block of 50-float rows
+        assert s_blocks.touched["emb"].sum() > ADAM_BLOCK // 50
+        assert s_blocks.t == s_ref.t == 4
+        assert np.isinf(s_ref.v["vec"]).any()
+        for name in shapes:
+            assert blocks[name].tobytes() == ref[name].tobytes(), name
+            assert s_blocks.m[name].tobytes() == s_ref.m[name].tobytes(), name
+            assert s_blocks.v[name].tobytes() == s_ref.v[name].tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(1_000_000,), (5_000, 200)])
+    def test_update_allocates_no_array_of_the_parameter_size(self, shape):
+        """A step on 1,000,000 entries allocates two 65,536-float blocks
+        and little else, where a whole-array update would allocate about
+        24 MiB of temporaries."""
+        rng = np.random.default_rng(3)
+        arrays = {"w": rng.standard_normal(shape)}
+        grads = {"w": rng.standard_normal(shape)}
+        state = AdamState.init(arrays)
+        peak = traced_peak(lambda: adam_step(arrays, grads, state, lr=0.1))
+        assert peak < 2 * 2 ** 20, peak
+
 
 class TestJointLoss:
     def test_gamma_zero_equals_chart_loss(self):
@@ -274,6 +330,76 @@ class TestTrainLoop:
             assert len(predicted) == want
             assert ([report_row(r) for r in shared.reports]
                     == [report_row(r) for r in apart.reports])
+
+    def test_gradients_are_freed_before_the_post_epoch_pass(self,
+                                                             monkeypatch):
+        import rstparse.training as training
+
+        corpus = tiny_corpus()
+        docs = list(corpus.documents)
+        freed = []
+        count = training.count_missing
+
+        def count_and_check(docs, params, *rest):
+            freed.append([t.grad is None for t in params.tensors().values()])
+            return count(docs, params, *rest)
+
+        monkeypatch.setattr(training, "count_missing", count_and_check)
+        train(docs, docs, corpus.vocabs, tiny_config(max_epochs=2,
+                                                     mode="joint"))
+        assert len(freed) == 2 and all(all(f) for f in freed)
+
+    @pytest.mark.parametrize("corpus, cfg", [
+        # selects epoch 2: the snapshot is copied, then refreshed once
+        ((4, 5, 5), dict()),
+        # every epoch improves: the snapshot is refreshed twice
+        ((6, 7, 8), dict(lr=0.005, seed=1, hidden=4, ff_hidden=4)),
+    ], ids=["earlier-epoch", "every-epoch-improves"])
+    def test_snapshot_is_the_selected_epochs_parameters(self, corpus, cfg,
+                                                        monkeypatch):
+        """A 3-epoch run returns, byte for byte, the arrays a run of the
+        same config stopped after its selected epoch b ends with."""
+        import rstparse.training as training
+
+        docs_n, edus, seed = corpus
+        corpus = generate_synthetic(docs_n, edus, VOCAB, seed=seed)
+        docs = list(corpus.documents)
+        full = train(docs, docs, corpus.vocabs,
+                     tiny_config(max_epochs=3, **cfg))
+        b = full.best_epoch
+        scores = [r.micro["relation"] for r in full.reports]
+        if cfg:
+            assert scores[0] < scores[1] < scores[2]
+        else:
+            assert b < 3
+        trained = []                          # the parameters being trained
+        evaluate = training.evaluate_model
+        monkeypatch.setattr(training, "evaluate_model",
+                            lambda docs, params, *rest: trained.append(params)
+                            or evaluate(docs, params, *rest))
+        train(docs, docs, corpus.vocabs, tiny_config(max_epochs=b, **cfg))
+        for name, want in trained[-1].arrays.items():
+            assert full.params.arrays[name].tobytes() == want.tobytes(), name
+
+    def test_pretrained_table_is_one_read_only_copy(self):
+        corpus = tiny_corpus()
+        docs = list(corpus.documents)
+        table = np.random.default_rng(2).standard_normal(
+            (len(corpus.word_vocab), 2))
+        pretrained = PretrainedEmbeddings(table, len(table), len(table))
+        result = train(docs, docs, corpus.vocabs,
+                       tiny_config(max_epochs=2), pretrained=pretrained)
+        params = result.params
+        assert not params.pretrained.flags.writeable
+        assert params.pretrained.tobytes() == table.tobytes()
+        assert table.flags.writeable              # the caller's is its own
+        assert params.copy().pretrained is params.pretrained
+        writeable = ModelParams(params.arrays, params.word_vocab,
+                                params.pos_vocab, params.rel_vocab,
+                                params.hidden, params.ff_hidden, table.copy())
+        for doc in docs:
+            assert (encode_document(doc, params).data.tobytes()
+                    == encode_document(doc, writeable).data.tobytes())
 
     def test_selection_keeps_first_best_epoch(self):
         corpus = tiny_corpus()
