@@ -19,17 +19,18 @@ A chart scorer has ``n``, ``n_rel``, ``ff_hidden`` (the first-layer width
 its label rows are computed at, 0 when they are read from a table), a dense
 ``span`` table of shape (n+1, n+1), ``labels(i, j, k)`` returning new
 arrays holding the relation and nuclearity rows of a batch of (span, split)
-cells, and ``rows_by_width()``, a generator of every label row, one width
-at a time (_width_rows gives their order), as new arrays.  ScoreTables,
-NeuralOracle and LossAugmented are chart scorers; a TableOracle is a builder
-whose ``tables(n)`` makes ScoreTables.  Only the exact decoder reads all
-O(n^3) label rows, through ``rows_by_width``: ScoreTables gathers each
-width's rows from its dense table, NeuralOracle computes them from factored
-partial sums with the bits the dense table's blocks give them, and
-LossAugmented shifts its inner scorer's rows.  The partial decoder asks
-``labels`` for one row per cell, at the split it chose (about n^2/2 rows,
-one batch per width), the complete decoder and score_tree for the 2n - 1
-rows of one tree.  On the neural path rows are computed from first-layer
+cells, ``width_labels(width, k)``, the same for every cell (i, i + width)
+of one width at the splits k, and ``rows_by_width()``, a generator of every
+label row, one width at a time (_width_rows gives their order), as new
+arrays.  ScoreTables, NeuralOracle and LossAugmented are chart scorers; a
+TableOracle is a builder whose ``tables(n)`` makes ScoreTables.  Only the
+exact decoder reads all O(n^3) label rows, through ``rows_by_width``:
+ScoreTables gathers each width's rows from its dense table, NeuralOracle
+computes them from factored partial sums with the bits the dense table's
+blocks give them, and LossAugmented shifts its inner scorer's rows.  The
+partial decoder asks ``width_labels`` for one row per cell, at the split
+it chose (about n^2/2 rows, one batch per width), the complete decoder and
+score_tree ask ``labels`` for the 2n - 1 rows of one tree.  On the neural path rows are computed from first-layer
 projections made once per document, so no decoder holds more than O(n^2)
 scores.  ``tables()`` on a NeuralOracle or LossAugmented assembles the
 dense ScoreTables from the same width rows; no decoder calls it.
@@ -70,6 +71,7 @@ from .encoder import (
     DropoutMasks,
     ModelParams,
     RowFeedforward,
+    StackedFeedforward,
     encode_document,
     feedforward,
 )
@@ -155,6 +157,12 @@ class ScoreTables:
         i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
         rows = self.base[i, j] + np.where(j == i + 1, 0, k - i - 1)
         return self.rel[rows], self.nuc[rows]
+
+    def width_labels(self, width: int, k: np.ndarray):
+        """``labels`` of every cell of one width, (i, i + width) split at
+        k[i] for i = 0..n - width (leaves, width 1, at k[i] = i)."""
+        i = np.arange(len(k))
+        return self.labels(i, i + width, k)
 
     def rows_by_width(self):
         """Each width's relation and nuclearity rows, gathered from the
@@ -338,12 +346,18 @@ class NeuralOracle:
     The span, relation and nuclearity inputs concatenate rows of the EDU
     matrix M, so construction projects M once through each column block of
     each scorer's first layer (see RowFeedforward) and fills the O(n^2) span
-    table.  ``labels`` then computes the rows a decoder asks for by
-    gathering and summing projections: a row costs O(ff_hidden * (4 +
-    n_rel)), whatever n is.  ``rows_by_width`` computes all O(n^3) rows for
-    the exact decoder, one width at a time, from factored partial sums, and
-    holds no more than O(n^2) of them; ``tables`` assembles the same rows
-    into the dense table, anew on every call.
+    table, _BLOCK_ROWS spans at a time.  The relation and nuclearity
+    scorers read the same four EDU rows, so their projections are stacked
+    (StackedFeedforward, ``_labels``): ``labels`` computes the rows a
+    decoder asks for with one gather and sum of projections for both, a row
+    costing O(ff_hidden * (4 + n_rel)) whatever n is, and ``width_labels``
+    those of one width's cells, reading the rows of P0 and P3 that the
+    consecutive cells share as slices.  ``_rel`` and ``_nuc`` are the two
+    scorers over their column blocks of the stacked projections.
+    ``rows_by_width`` computes all O(n^3) rows for the exact decoder, one
+    width at a time, from each scorer's factored partial sums, and holds no
+    more than O(n^2) of them; ``tables`` assembles the same rows into the
+    dense table, anew on every call.
     """
 
     def __init__(self, params: ModelParams, enc: Tensor,
@@ -353,16 +367,22 @@ class NeuralOracle:
         self.ff_hidden = params.ff_hidden
         M = enc.data
         span_ff = RowFeedforward(params, SPAN, M, 2, masks)
-        self._rel = RowFeedforward(params, REL, M, 4, masks)
-        self._nuc = RowFeedforward(params, NUC, M, 4, masks)
+        self._labels = StackedFeedforward(params, (REL, NUC), M, 4, masks)
+        self._rel, self._nuc = self._labels.scorers
         for name, ff in ((SPAN, span_ff), (REL, self._rel), (NUC, self._nuc)):
             at = first_nonfinite(ff.proj)
             if at is not None:
                 _require_finite("{} projection, block {}, EDU {}, unit {}"
                                 .format(name, *at))
+        # in blocks, in row order: with more than one BLAS thread the
+        # one-column second layer splits a batch's rows between threads,
+        # and a row's bits then follow the split; blocks of _BLOCK_ROWS
+        # give every row its one-thread bits (tests/test_blas_bits.py)
         i, j = np.triu_indices(self.n + 1, 1)
         self.span = np.zeros((self.n + 1, self.n + 1))
-        self.span[i, j] = span_ff(i, j - 1)[:, 0]
+        for start in range(0, len(i), _BLOCK_ROWS):
+            bi, bj = i[start:start + _BLOCK_ROWS], j[start:start + _BLOCK_ROWS]
+            self.span[bi, bj] = span_ff(bi, bj - 1)[:, 0]
         _require_finite(_first_bad_span(self.span))
 
     def labels(self, i, j, k) -> tuple[np.ndarray, np.ndarray]:
@@ -372,8 +392,19 @@ class NeuralOracle:
         first NaN or infinite entry, relation rows before nuclearity rows,
         raises NonFiniteScore."""
         i, j, k = np.asarray(i), np.asarray(j), np.asarray(k)
-        rows = _label_rows(i, j, k)
-        return _checked_rows(i, j, k, self._rel(*rows), self._nuc(*rows))
+        return _checked_rows(*self._labels(*_label_rows(i, j, k)),
+                             lambda x: (i[x], j[x], k[x]))
+
+    def width_labels(self, width: int, k: np.ndarray):
+        """``labels`` of every cell of one width, (i, i + width) split at
+        k[i] for i = 0..n - width (leaves, width 1, at k[i] = i), with the
+        same bits.  The cells' M[i] and M[j - 1] rows are consecutive, so
+        blocks 0 and 3 are read as slices and only blocks 1 and 2
+        gathered."""
+        cells = len(k)
+        rel, nuc = self._labels(slice(0, cells), k - 1 if width > 1 else k,
+                                k, slice(width - 1, width - 1 + cells))
+        return _checked_rows(rel, nuc, lambda x: (x, x + width, k[x]))
 
     def rows_by_width(self):
         """Each width's relation and nuclearity rows, new arrays, with the
@@ -408,9 +439,10 @@ class NeuralOracle:
 
         def score(i, j, k):
             at = first[i] + (k - i)
-            return _checked_rows(i, j, k, *(
-                ff.finish(Q.take(at, axis=0), j - 1)
-                for ff, Q in zip((self._rel, self._nuc), Qs)))
+            return _checked_rows(*(ff.finish(Q.take(at, axis=0), j - 1)
+                                   for ff, Q in zip((self._rel, self._nuc),
+                                                    Qs)),
+                                 lambda x: (i[x], j[x], k[x]))
 
         last = score(*_row_cells(cells, np.arange(tail, rows)))
         fulls = _full_rows(cells, tail)
@@ -455,16 +487,17 @@ def _assemble(s) -> ScoreTables:
     return ScoreTables(s.n, s.n_rel, s.span, rel, nuc, base)
 
 
-def _checked_rows(i, j, k, rel, nuc) -> tuple[np.ndarray, np.ndarray]:
-    """rel and nuc, the rows of cells (i, j) split at k, once they are
-    checked: the first NaN or infinite entry, relation rows before
-    nuclearity rows, raises NonFiniteScore naming it."""
+def _checked_rows(rel, nuc, cell) -> tuple[np.ndarray, np.ndarray]:
+    """rel and nuc, a batch of label rows, once they are checked: the first
+    NaN or infinite entry, relation rows before nuclearity rows, raises
+    NonFiniteScore naming it by the (i, j, k) that ``cell`` gives its row
+    (cell (i, j) split at k)."""
     for name, arr in (("rel", rel), ("nuc", nuc)):
         at = first_nonfinite(arr)
         if at is not None:
             x, col = at
-            _require_finite(f"{name}[{i[x]}, {j[x]}, {k[x]}][{col}] = "
-                            f"{arr[x, col]}")
+            i, j, k = cell(x)
+            _require_finite(f"{name}[{i}, {j}, {k}][{col}] = {arr[x, col]}")
     return rel, nuc
 
 
@@ -496,6 +529,12 @@ class LossAugmented:
     def labels(self, i, j, k) -> tuple[np.ndarray, np.ndarray]:
         rel, nuc = self.inner.labels(i, j, k)
         _augment_rows(rel, nuc, self.gold_rel[i, j], self.gold_nuc[i, j])
+        return rel, nuc
+
+    def width_labels(self, width: int, k: np.ndarray):
+        rel, nuc = self.inner.width_labels(width, k)
+        _augment_rows(rel, nuc, self.gold_rel.diagonal(width),
+                      self.gold_nuc.diagonal(width))
         return rel, nuc
 
     def rows_by_width(self):
@@ -639,7 +678,7 @@ def _best_splits(span, best, width: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """The cells of one width: their left ends, best splits (lowest on
     ties) and best split totals."""
     pair = _split_totals(span, best, width)
-    x = np.argmax(pair, axis=1)
+    x = pair.argmax(axis=1)
     i = np.arange(len(x))
     return i, i + 1 + x, pair[i, x]
 
@@ -660,7 +699,7 @@ def _empty_chart(n: int):
 
 def _internal_labels(rel, nuc) -> tuple[np.ndarray, np.ndarray]:
     """Best real relation and internal nuclearity of each row."""
-    return 1 + np.argmax(rel[:, 1:], axis=1), np.argmax(nuc[:, :3], axis=1)
+    return 1 + rel[:, 1:].argmax(axis=1), nuc[:, :3].argmax(axis=1)
 
 
 def _exact_bytes(n: int, n_rel: int, ff_hidden: int) -> int:
@@ -769,21 +808,23 @@ def decode_partial(n: int, scores) -> tuple[RstTree, float]:
     """Split chosen from span + subtree scores only, then labeled at that split.
 
     Cells of one width do not depend on each other, so each width asks for
-    the label rows of all its cells in one batch: n(n-1)/2 rows in all.
+    the label rows of all its cells in one batch (``width_labels``): n
+    leaf and n(n-1)/2 internal rows in all.
     """
     s = chart_scores(n, scores)
-    best, bsplit, brel, bnuc = _empty_chart(n)
-    i = np.arange(n)
-    _fill_leaves(best, brel, bnuc, *s.labels(i, i + 1, i))
+    chart = _empty_chart(n)
+    best, bsplit, brel, bnuc = chart
+    _fill_leaves(best, brel, bnuc, *s.width_labels(1, np.arange(n)))
+    flat_best, flat_split, flat_rel, flat_nuc = (a.reshape(-1) for a in chart)
     for width in range(2, n + 1):
         i, k, pair = _best_splits(s.span, best, width)
-        rel, nuc = s.labels(i, i + width, k)
+        rel, nuc = s.width_labels(width, k)
         l, p = _internal_labels(rel, nuc)
         at = _diagonal(n, width)
-        best.reshape(-1)[at] = pair + rel[i, l] + nuc[i, p]
-        bsplit.reshape(-1)[at] = k
-        brel.reshape(-1)[at] = l
-        bnuc.reshape(-1)[at] = p
+        flat_best[at] = pair + rel[i, l] + nuc[i, p]
+        flat_split[at] = k
+        flat_rel[at] = l
+        flat_nuc[at] = p
     return _backtrace(n, _tree_cells(n, bsplit), brel, bnuc), float(best[0, n])
 
 

@@ -383,19 +383,24 @@ class RowFeedforward:
     A row's first-layer input is the sum taken in block order,
     ((P_0[a_0] + P_1[a_1]) + ...) + P_{q-1}[a_{q-1}], and every path keeps
     that association, so a row's bits do not depend on which path scored
-    it.  ``lead`` sums the leading blocks' gathered rows and ``finish`` adds
-    the last block's and runs the second layer (``output``); ``__call__``,
-    which takes one index array per block and scores a batch of rows, is the
-    two in turn.  A caller may instead ``lead`` once over the distinct index
-    tuples its rows share and gather the partial sums for ``finish``: a
-    leading sum reused by many rows is then added once (the exact decoder's
-    label rows are made so, see chart.NeuralOracle.rows_by_width).  ``one``
-    scores a single row from its q indices with one gather and one running
-    sum over the blocks.
+    it.  ``lead`` sums the leading blocks' rows and ``finish`` adds the last
+    block's and runs the second layer (``output``); ``__call__``, which
+    takes one index per block and scores a batch of rows, is ``lead`` over
+    every block, then ``output``.  A caller may instead ``lead`` once over
+    the distinct index tuples its rows share and gather the partial sums
+    for ``finish``: a leading sum reused by many rows is then added once
+    (the exact decoder's label rows are made so, see
+    chart.NeuralOracle.rows_by_width).  ``one`` scores a single row from its
+    q indices with one gather and one running sum over the blocks.
+
+    ``out``, when given, is the (q, N, ff_hidden) array the projections
+    are written into, and ``proj`` is it: StackedFeedforward passes a
+    column block of its own.
     """
 
     def __init__(self, params: ModelParams, name: str, M: np.ndarray,
-                 blocks: int, masks: DropoutMasks | None = None):
+                 blocks: int, masks: DropoutMasks | None = None,
+                 out: np.ndarray | None = None):
         arrays = params.arrays
         d = M.shape[1]
         W1 = arrays[f"{name}.W1"]
@@ -405,19 +410,27 @@ class RowFeedforward:
         self.W2 = arrays[f"{name}.W2"]
         self.b2 = arrays[f"{name}.b2"]
         self.mask = masks.hidden[name] if masks is not None else None
-        self.proj = np.empty((blocks, M.shape[0], W1.shape[0]))
+        self.proj = (np.empty((blocks, M.shape[0], W1.shape[0]))
+                     if out is None else out)
         # one view per block: a tuple iterates faster than the array
         self._views = tuple(self.proj)
         for b, P in enumerate(self._views):
             np.matmul(M, W1[:, b * d:(b + 1) * d].T, out=P)
         self._blocks = np.arange(blocks)
 
-    def lead(self, *index: np.ndarray) -> np.ndarray:
+    def lead(self, *index) -> np.ndarray:
         """The sum, in block order, of the rows that the first len(index)
-        blocks gather at ``index`` (integer arrays of one shape): a new
-        array of that shape plus (ff_hidden,)."""
+        blocks read at ``index``: each an integer array, whose rows are
+        gathered, or a slice, whose rows are read in place, all selecting
+        the same number of rows.  A new array of that shape plus
+        (ff_hidden,)."""
         Z = self._views[0][index[0]]
-        for P, idx in zip(self._views[1:], index[1:]):
+        rest = zip(self._views[1:], index[1:])
+        if isinstance(index[0], slice):
+            # a view of the projections: the sum starts in a new array
+            P, idx = next(rest)
+            Z = Z + P[idx]
+        for P, idx in rest:
             Z += P[idx]
         return Z
 
@@ -429,8 +442,8 @@ class RowFeedforward:
         Z += self._views[-1][index]
         return self.output(Z)
 
-    def __call__(self, *index: np.ndarray) -> np.ndarray:
-        return self.finish(self.lead(*index[:-1]), index[-1])
+    def __call__(self, *index) -> np.ndarray:
+        return self.output(self.lead(*index))
 
     def one(self, rows) -> np.ndarray:
         """The (1, d_out) scores of the input reading row rows[b] of block b:
@@ -443,17 +456,65 @@ class RowFeedforward:
         Z = np.add.accumulate(self.proj[self._blocks, rows], axis=0)[-1:]
         return self.output(Z)
 
-    def output(self, Z: np.ndarray) -> np.ndarray:
-        """The network from the first layer's product Z = X W1^T onwards.
-
-        The bias, relu and mask are applied in Z's own memory, so Z must be
-        an array made for the call, not a view of one that is read again.
-        """
+    def hidden(self, Z: np.ndarray) -> np.ndarray:
+        """Z, the first layer's product X W1^T, with the bias, relu and mask
+        applied in its own memory, so Z must be an array made for the call,
+        not a view of one that is read again."""
         Z += self.b1
         np.maximum(Z, 0.0, out=Z)
         if self.mask is not None:
             Z *= self.mask
-        return Z @ self.W2.T + self.b2
+        return Z
+
+    def second_layer(self, H: np.ndarray) -> np.ndarray:
+        """The scores of the hidden rows H, a new array."""
+        return H @ self.W2.T + self.b2
+
+    def output(self, Z: np.ndarray) -> np.ndarray:
+        """The network from the first layer's product Z = X W1^T onwards
+        (``hidden``, so Z is overwritten, then ``second_layer``)."""
+        return self.second_layer(self.hidden(Z))
+
+
+class StackedFeedforward(RowFeedforward):
+    """Scorers ``names`` in numpy, over the same inputs, as one network
+    whose first layer stacks theirs.
+
+    ``proj`` holds every scorer's projections side by side, (q, N,
+    len(names) ff_hidden), each written into its column block by its own
+    RowFeedforward, so a row gathers and sums its q projections once for all
+    scorers, in the block order of RowFeedforward, and the bias, relu and
+    mask run once over the stacked hidden row.  Each scorer's second layer
+    then reads its column block of that row.  Every entry is the one the
+    scorer alone would compute, so its rows keep their bits
+    (tests/test_blas_bits.py).  ``scorers`` holds each scorer as a
+    RowFeedforward over its column block of ``proj`` (views), and
+    ``output`` returns one score array per scorer.
+    """
+
+    def __init__(self, params: ModelParams, names: tuple[str, ...],
+                 M: np.ndarray, blocks: int,
+                 masks: DropoutMasks | None = None):
+        widths = [params.arrays[f"{name}.W1"].shape[0] for name in names]
+        ends = np.cumsum(widths).tolist()
+        self._cols = [slice(e - w, e) for w, e in zip(widths, ends)]
+        self.proj = np.empty((blocks, M.shape[0], ends[-1]))
+        self.scorers = tuple(
+            RowFeedforward(params, name, M, blocks, masks,
+                           out=self.proj[:, :, cols])
+            for name, cols in zip(names, self._cols))
+        self._views = tuple(self.proj)
+        self._blocks = np.arange(blocks)
+        self.b1 = np.concatenate([f.b1 for f in self.scorers])
+        self.mask = (None if masks is None else
+                     np.concatenate([f.mask for f in self.scorers]))
+
+    def output(self, Z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each scorer's scores of the stacked first-layer rows Z, which
+        are overwritten."""
+        H = self.hidden(Z)
+        return tuple(f.second_layer(H[:, cols])
+                     for f, cols in zip(self.scorers, self._cols))
 
 
 @dataclass

@@ -425,11 +425,14 @@ def backward(root: Tensor) -> None:
         if g is None:
             continue
         if node._vjp is None:
-            if node.grad is None and isinstance(g, RowGrad):
-                node.grad = g
+            if node.grad is None:
+                # a RowGrad is kept; an array is stored as a new one of the
+                # leaf's shape, since later gradients are added into it, in
+                # one pass that makes -0.0 +0.0, as zeros + g would
+                node.grad = (g if isinstance(g, RowGrad) else
+                             np.add(g, 0.0, out=np.empty(node.data.shape)))
                 continue
-            node.grad = (np.zeros(node.data.shape) if node.grad is None
-                         else dense(node.grad))
+            node.grad = dense(node.grad)
             node.grad += dense(g)
             continue
         for parent, pg in zip(node._parents, node._vjp(dense(g))):

@@ -29,19 +29,23 @@ and the one-direction LSTM op with the encoder composed from two of them,
 the references for ``ops.bilstm``; and the greedy loop that scored every
 state, forced shifts included, with the per-block projection list it read,
 the references for the one-gather greedy parse and the stacked projections;
+and each label scorer run on its own projections (``ref_label_rows``), the
+reference for the relation and nuclearity scorers stacked into one;
 and the greedy loop that made a ``legal_mask`` and an ``np.where`` copy of
 the scores at every state (``ref_greedy_masked``), the reference for the
 one that reads ``legal_moves``;
 and the split totals read with 2-D fancy indexing, the reference for the
-flat-offset kernel the decoders share; and the ``.edus`` token split that
-found the separator, then unescaped each half (``ref_split_token``), and
-the ``.tree`` parser over a per-character lexer that kept every token's
-line and column (``ref_parse_tree_text``), the references for the one-pass
-token scanner and the regex lexer; and the ``.edus`` writer that checked
-each token for whitespace a character at a time (``ref_serialize_edus``),
-the reference for the one that searches each EDU once.  ``single_leaf``, ``queue``,
-``span_count`` and ``tree_structures_count`` are conveniences only the
-tests read.
+flat-offset kernel the decoders share; and the partial decoder that asked
+``labels`` for each width's (i, j, k) rows (``ref_decode_partial``), the
+reference for the one that asks ``width_labels``; and the ``.edus`` token
+split that found the separator, then unescaped each half
+(``ref_split_token``), and the ``.tree`` parser over a per-character lexer
+that kept every token's line and column (``ref_parse_tree_text``), the
+references for the one-pass token scanner and the regex lexer; and the
+``.edus`` writer that checked each token for whitespace a character at a
+time (``ref_serialize_edus``), the reference for the one that searches each
+EDU once.  ``single_leaf``, ``queue``, ``span_count`` and
+``tree_structures_count`` are conveniences only the tests read.
 """
 
 import math
@@ -257,6 +261,32 @@ def ref_decode_exact(n, scores):
             bsplit[i, j] = bk
             brel[i, j] = bl
             bnuc[i, j] = bp
+    return _backtrace(n, _tree_cells(n, bsplit), brel, bnuc), float(best[0, n])
+
+
+def ref_decode_partial(n, scores):
+    """chart.decode_partial as it ran before it asked for one width's rows
+    with ``width_labels``: the leaf rows, then each width's rows at the
+    splits it chose, asked of ``labels`` with (i, j, k) index arrays, its
+    split totals made by ref_split_totals.  The reference for the decoder's
+    trees and scores, bit for bit."""
+    s = chart_scores(n, scores)
+    best, bsplit, brel, bnuc = _empty_chart(n)
+    i = np.arange(n)
+    _fill_leaves(best, brel, bnuc, *s.labels(i, i + 1, i))
+    for width in range(2, n + 1):
+        pair = ref_split_totals(s.span, best, width)
+        x = np.argmax(pair, axis=1)
+        i = np.arange(len(x))
+        k = i + 1 + x
+        rel, nuc = s.labels(i, i + width, k)
+        l = 1 + np.argmax(rel[:, 1:], axis=1)
+        p = np.argmax(nuc[:, :3], axis=1)
+        j = i + width
+        best[i, j] = pair[i, x] + rel[i, l] + nuc[i, p]
+        bsplit[i, j] = k
+        brel[i, j] = l
+        bnuc[i, j] = p
     return _backtrace(n, _tree_cells(n, bsplit), brel, bnuc), float(best[0, n])
 
 
@@ -698,6 +728,24 @@ def ref_projections(params, name, M, blocks):
     d = M.shape[1]
     W1 = params.arrays[f"{name}.W1"]
     return [M @ W1[:, b * d:(b + 1) * d].T for b in range(blocks)]
+
+
+def ref_label_rows(params, M, rows, masks=None):
+    """The relation and nuclearity rows of the label inputs ``rows`` (one
+    index array per block, as chart._label_rows gives them) as
+    NeuralOracle.labels made them before the two scorers' first layers were
+    stacked: each scorer on its own, from its own per-block projections
+    (ref_projections), its gathered rows summed in block order, then its
+    out-of-place second layer (ref_output_np)."""
+    out = []
+    for name in (REL, NUC):
+        P = ref_projections(params, name, M, 4)
+        Z = P[0][rows[0]]
+        for b in range(1, 4):
+            Z = Z + P[b][rows[b]]
+        out.append(ref_output_np(params, name, Z,
+                                 None if masks is None else masks.hidden[name]))
+    return tuple(out)
 
 
 # --- dense embedding gradients and dense Adam -----------------------------

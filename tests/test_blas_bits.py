@@ -4,10 +4,12 @@ Several paths promise the bits of a reference: ``ops.bilstm`` those of two
 one-direction LSTMs, ``RowFeedforward.one`` those of the batch call, the
 stacked projections those of one fresh product per block, the exact
 decoder's label rows, streamed by width from factored partial sums, those
-of the dense table's row-by-row build, and the second layer
-(``RowFeedforward.output``) run in place those of the out-of-place one.
-Each promise
-holds only because of how numpy and its BLAS pick their kernels.  A BLAS
+of the dense table's row-by-row build, the second layer
+(``RowFeedforward.output``) run in place those of the out-of-place one,
+the relation and nuclearity scorers stacked into one first layer
+(``StackedFeedforward``) those of each scorer on its own, and the span
+table built in blocks those of one batch under one BLAS thread, whatever
+the thread count.  Each promise holds only because of how numpy and its BLAS pick their kernels.  A BLAS
 that behaves otherwise fails the digests and the byte-for-byte grids; the
 tests here say which assumption broke, and each message names the code that
 relies on it.  Measured with numpy 2.4 on OpenBLAS 0.3.31.
@@ -17,6 +19,7 @@ text with the regex ``\\s``, and the text it must split as before was
 split by ``str.isspace``.
 """
 
+import hashlib
 import os
 import re
 import subprocess
@@ -27,7 +30,7 @@ import numpy as np
 
 import rstparse
 from conftest import ref_output_np
-from rstparse.chart import NeuralOracle
+from rstparse.chart import NeuralOracle, decode_partial
 from rstparse.encoder import (
     NUC,
     REL,
@@ -174,12 +177,16 @@ def test_accumulate_over_the_outer_axis_adds_in_block_order():
 
 
 def test_matmul_into_a_stacked_slice_gives_a_fresh_products_bits():
+    """Into a block of a stacked array, as RowFeedforward writes its
+    projections, and into a column block of one, as StackedFeedforward
+    writes each label scorer's beside the other's."""
     rng = np.random.default_rng(5)
     for q, d, f, N in [(q, d, f, N) for q in (2, 4, 9) for d in (1, 7, 256)
                        for f in (1, 5, 64) for N in (1, 2, 81, 601)]:
         M = rng.normal(size=(N, d))
         W1 = rng.normal(size=(f, q * d))
         proj = np.empty((q, N, f))
+        stacked = np.empty((q, N, 2 * f))
         for b in range(q):
             W_b = W1[:, b * d:(b + 1) * d].T
             np.matmul(M, W_b, out=proj[b])
@@ -188,6 +195,43 @@ def test_matmul_into_a_stacked_slice_gives_a_fresh_products_bits():
                 "out=) into a slice of a stacked array changed the bits of "
                 "the product; RowFeedforward builds its projections this "
                 "way, so every chart and greedy score would change")
+            for cols in (slice(0, f), slice(f, 2 * f)):
+                np.matmul(M, W_b, out=stacked[b, :, cols])
+                assert stacked[b, :, cols].tobytes() == proj[b].tobytes(), (
+                    f"q={q}, d={d}, ff={f}, N={N}, block {b}: np.matmul("
+                    "..., out=) into a column block of a wider array changed "
+                    "the bits of the product; StackedFeedforward builds "
+                    "NeuralOracle's stacked relation and nuclearity "
+                    "projections this way, so every label score would "
+                    "change")
+
+
+def test_second_layer_on_a_column_block_keeps_the_contiguous_bits():
+    """Each label scorer's second layer reads its column block of the
+    stacked (B, 2 ff_hidden) hidden rows, rows 2 ff_hidden entries apart,
+    where it read a contiguous (B, ff_hidden) array before.  Strided BLAS
+    operands have changed a product's last bits elsewhere (a gemv at
+    hidden sizes of 3 or less), so this is checked at every ff_hidden the
+    tests use and batches of 1 to 2,048 rows."""
+    rng = np.random.default_rng(10)
+    sizes = (*range(1, 129), *range(129, 2048, 61), 1024, 2048)
+    for H in (1, 2, 3, 5, 16, 64, 200):
+        params = random_params(n_rel=19, seed=H, ff_hidden=H)
+        stacked = rng.normal(size=(2048, 2 * H))
+        for name, cols in ((REL, slice(0, H)), (NUC, slice(H, 2 * H))):
+            layer = RowFeedforward(params, name, np.zeros((1, params.edu_dim)),
+                                   4).second_layer
+            for B in sizes:
+                block = stacked[:B, cols]
+                got = layer(block)
+                want = layer(np.ascontiguousarray(block))
+                assert got.tobytes() == want.tobytes(), (
+                    f"H={H}, {name}, {B} rows: the second layer run on a "
+                    "column block of the stacked hidden rows lost the bits "
+                    "of a contiguous copy; chart.NeuralOracle's stacked "
+                    "relation and nuclearity scorers (StackedFeedforward) "
+                    "run it so, so their rows stop equalling each scorer's "
+                    "own")
 
 
 def test_second_layer_in_place_keeps_the_out_of_place_bits():
@@ -265,13 +309,21 @@ def test_gathered_rows_are_new_arrays_so_projections_stay_as_they_are():
         assert s.proj.tobytes() == before.tobytes(), (
             "streaming the label rows changed NeuralOracle's projections; "
             "its batches must gather copies of the sums before finish runs")
+    # width_labels reads two blocks as slices, views of the projections
+    oracle.width_labels(1, np.arange(n))
+    oracle.width_labels(5, np.arange(2, n - 2))
+    decode_partial(n, oracle)
+    for s, before in zip(scorers, projs):
+        assert s.proj.tobytes() == before.tobytes(), (
+            "width_labels changed NeuralOracle's projections: a block read "
+            "as a slice is a view, and the sum must start in a new array")
     assert enc.data.tobytes() == M.tobytes()
 
 
 def span_table_block_mismatches():
     """The (n, ff_hidden, block) cases in which the span table built in
-    row-order blocks of ``block`` rows loses the bits of the one batch
-    chart.NeuralOracle scores it in."""
+    row-order blocks of ``block`` rows loses the bits of the whole table
+    scored in one batch."""
     rng = np.random.default_rng(9)
     found = []
     for ff_hidden in (64, 200):
@@ -280,7 +332,7 @@ def span_table_block_mismatches():
             enc = encode_document(random_document(n, rng), params)
             span_ff = RowFeedforward(params, SPAN, enc.data, 2)
             i, j = np.triu_indices(n + 1, 1)
-            whole = NeuralOracle(params, enc).span[i, j]
+            whole = span_ff(i, j - 1)[:, 0]
             for block in (256, 1024, 1200, 4096):
                 blocked = np.concatenate([
                     span_ff(i[s:s + block], j[s:s + block] - 1)[:, 0]
@@ -288,6 +340,18 @@ def span_table_block_mismatches():
                 if blocked.tobytes() != whole.tobytes():
                     found.append((n, ff_hidden, block))
     return found
+
+
+def run_with_blas_threads(threads, code):
+    """The stdout of ``python -c code`` in a child process that imports
+    this module, with every BLAS thread variable set to ``threads``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parent), str(Path(rstparse.__file__).parents[1])]),
+        **{var: str(threads) for var in ("OPENBLAS_NUM_THREADS",
+                                         "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def test_span_table_in_large_row_blocks_keeps_the_one_batch_bits():
@@ -300,19 +364,47 @@ def test_span_table_in_large_row_blocks_keeps_the_one_batch_bits():
     the product splits its rows between them, and at n = 100, ff_hidden =
     200 the one-batch table itself changed with the thread count, so the
     check runs in a process pinned to one thread."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).parent), str(Path(rstparse.__file__).parents[1])]),
-        **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                "MKL_NUM_THREADS")})
-    run = subprocess.run(
-        [sys.executable, "-c", "import test_blas_bits as t; "
-         "print(t.span_table_block_mismatches())"],
-        env=env, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "[]", (
-        f"(n, ff_hidden, block) {run.stdout.strip()}: the span table built "
-        "in row-order blocks lost the bits of the one-batch build in "
-        "chart.NeuralOracle; a span table built in blocks, to bound its "
-        "memory, would change every chart score")
+    found = run_with_blas_threads(1, "import test_blas_bits as t; "
+                                  "print(t.span_table_block_mismatches())")
+    assert found == "[]", (
+        f"(n, ff_hidden, block) {found}: the span table built "
+        "in row-order blocks lost the bits of the one-batch build; "
+        "chart.NeuralOracle builds it in blocks of 1,024 rows, so every "
+        "chart score would change")
+
+
+def span_tables(one_batch):
+    """SHA-256 digests of the span tables of random documents of 100 and
+    200 EDUs at ff_hidden = 200: chart.NeuralOracle's, or, with
+    ``one_batch``, the whole upper triangle scored in one batch."""
+    rng = np.random.default_rng(10)
+    params = random_params(seed=200, ff_hidden=200)
+    digests = []
+    for n in (100, 200):
+        enc = encode_document(random_document(n, rng), params)
+        i, j = np.triu_indices(n + 1, 1)
+        table = (RowFeedforward(params, SPAN, enc.data, 2)(i, j - 1)[:, 0]
+                 if one_batch else NeuralOracle(params, enc).span[i, j])
+        digests.append(hashlib.sha256(table.tobytes()).hexdigest())
+    return digests
+
+
+def test_span_table_keeps_its_bits_at_any_blas_thread_count():
+    """With two BLAS threads the one-column second layer splits a batch's
+    rows between the threads, and one batch of the whole table (5,050 or
+    20,100 rows) then changed its bits.  NeuralOracle scores the table in
+    blocks of 1,024 rows, in np.triu_indices order, and under one or two
+    threads gives every row the bits of the one-batch build under one
+    thread."""
+    code = "import test_blas_bits as t; print(t.span_tables({}))"
+    want = run_with_blas_threads(1, code.format(True))
+    for threads in (1, 2):
+        got = run_with_blas_threads(threads, code.format(False))
+        assert got == want, (
+            f"{threads} BLAS thread(s): chart.NeuralOracle's span table lost "
+            "the bits of the one-batch build under one thread, so chart "
+            "scores, and the trees decoded from them, depend on the host's "
+            "core count")
 
 
 def test_regex_whitespace_is_exactly_str_isspace():

@@ -7,7 +7,9 @@ from conftest import (
     brute_force_best,
     make_tree,
     ref_decode_exact,
+    ref_decode_partial,
     ref_dense_tables,
+    ref_label_rows,
     ref_score_nuc,
     ref_score_rel,
     ref_score_tree_symbolic,
@@ -211,6 +213,97 @@ class TestExactAgainstScalarLoop:
                 negative_zeros += score.hex() == "-0x0.0p+0"
         # the signed-zero tables do reach the root
         assert negative_zeros > 0
+
+
+class TestPartialAgainstReference:
+    """decode_partial, which asks ``width_labels`` for each width's rows,
+    against ref_decode_partial, which asked ``labels``: the same trees and
+    the same scores, bit for bit."""
+
+    def test_fuzz_on_tables(self):
+        rng = np.random.default_rng(2026)
+        for x in range(300):
+            tabs = fuzz_tables(x, rng)
+            n = tabs.n
+            gold = gold_tree(n, tabs.n_rel, rng)
+            for scores in (tabs, LossAugmented(tabs, gold)):
+                tree, score = decode_partial(n, scores)
+                want_tree, want = ref_decode_partial(n, scores)
+                assert tree == want_tree, (x, n, tabs.n_rel)
+                assert tree.splits == want_tree.splits
+                assert score.hex() == want.hex(), (x, score, want)
+
+    def test_on_neural_oracles(self):
+        rng = np.random.default_rng(2027)
+        sizes = (*range(1, 25), 31, 40, 57, 64, 80, 99, 120)
+        for ff_hidden, n_rel in ((8, 6), (3, 19)):
+            params = random_params(n_rel=n_rel, seed=ff_hidden,
+                                   ff_hidden=ff_hidden)
+            for n in sizes:
+                doc = random_document(n, rng)
+                gold = gold_tree(n, n_rel, rng)
+                for masks in (None, make_dropout_masks(params, n, 0.3, rng)):
+                    oracle = NeuralOracle(
+                        params, encode_document(doc, params, masks), masks)
+                    for scores in (oracle, LossAugmented(oracle, gold)):
+                        tree, score = decode_partial(n, scores)
+                        want_tree, want = ref_decode_partial(n, scores)
+                        what = (ff_hidden, n, masks is None,
+                                type(scores).__name__)
+                        assert tree == want_tree, what
+                        assert score.hex() == want.hex(), what
+
+
+class TestStackedLabelRows:
+    def test_rows_keep_the_bits_of_the_two_scorers(self):
+        """NeuralOracle's relation and nuclearity scorers share one stacked
+        first layer.  ``labels`` and ``width_labels`` give each row the bits
+        that each scorer, run on its own projections, gives it in the same
+        batch (conftest.ref_label_rows), at every shape tried."""
+        rng = np.random.default_rng(31)
+        for ff_hidden in (*range(1, 9), 16, 33, 64, 200):
+            for n_rel in (2, 3, 19, 40):
+                params = random_params(n_rel=n_rel, seed=ff_hidden + n_rel,
+                                       ff_hidden=ff_hidden)
+                for n in (1, 2, 9, 24, 40):
+                    masks = (make_dropout_masks(params, n, 0.3, rng)
+                             if n % 2 else None)
+                    enc = encode_document(random_document(n, rng), params,
+                                          masks)
+                    oracle = NeuralOracle(params, enc, masks)
+                    what = (ff_hidden, n_rel, n, masks is None)
+                    I, J, K = all_rows(n)
+                    pick = rng.permutation(len(I))[:300]
+                    got = oracle.labels(I[pick], J[pick], K[pick])
+                    want = ref_label_rows(params, enc.data, chart._label_rows(
+                        I[pick], J[pick], K[pick]), masks)
+                    for a, b in zip(got, want):
+                        assert a.tobytes() == b.tobytes(), what
+                    for width in range(1, n + 1):
+                        i = np.arange(n + 1 - width)
+                        k = (i if width == 1 else
+                             i + rng.integers(1, width, size=len(i)))
+                        got = oracle.width_labels(width, k)
+                        want = ref_label_rows(params, enc.data,
+                                              chart._label_rows(i, i + width,
+                                                                k), masks)
+                        for a, b in zip(got, want):
+                            assert a.tobytes() == b.tobytes(), (what, width)
+
+    def test_scorers_are_views_of_the_stacked_projections(self):
+        """``_rel`` and ``_nuc``, which the exact decoder's row stream
+        reads, are each scorer over its column block of the one stacked
+        projection array."""
+        params = random_params(n_rel=5, seed=4, ff_hidden=8)
+        enc = encode_document(random_document(7, np.random.default_rng(4)),
+                              params)
+        oracle = NeuralOracle(params, enc)
+        stacked = oracle._labels.proj
+        assert stacked.shape == (4, 7, 16)
+        for scorer, cols in ((oracle._rel, slice(0, 8)),
+                             (oracle._nuc, slice(8, 16))):
+            assert np.shares_memory(scorer.proj, stacked)
+            assert scorer.proj.tobytes() == stacked[:, :, cols].tobytes()
 
 
 class TestSplitTotals:
@@ -657,6 +750,10 @@ class RowCounter:
         self.rows += len(i)
         return self.inner.labels(i, j, k)
 
+    def width_labels(self, width, k):
+        self.rows += len(k)
+        return self.inner.width_labels(width, k)
+
     def rows_by_width(self):
         for rel, nuc in self.inner.rows_by_width():
             self.rows += len(rel)
@@ -673,6 +770,7 @@ class ProtocolScorer:
         self.n, self.n_rel, self.span = tabs.n, tabs.n_rel, tabs.span
         self.ff_hidden = 0
         self.labels = tabs.labels
+        self.width_labels = tabs.width_labels
         self.rows_by_width = tabs.rows_by_width
 
 
@@ -768,16 +866,17 @@ class TestOnDemandRows:
 
     def test_a_scorer_with_only_the_protocol_works_everywhere(self):
         """Every decoder, score_tree and LossAugmented read a chart scorer
-        through n, n_rel, ff_hidden, span, labels and rows_by_width alone,
-        with the bits of the ScoreTables whose rows it gives; shifting a
-        ScoreTables, or its rows, leaves it as it was."""
+        through n, n_rel, ff_hidden, span, labels, width_labels and
+        rows_by_width alone, with the bits of the ScoreTables whose rows it
+        gives; shifting a ScoreTables, or its rows, leaves it as it was."""
         rng = np.random.default_rng(17)
         for n in (1, 2, 5, 9, 20):  # 20 EDUs fill two _BLOCK_ROWS blocks
             tabs = random_tables(n, 5, rng)
             gold = gold_tree(n, 5, rng)
             scorer = ProtocolScorer(tabs)
             assert set(vars(scorer)) == {"n", "n_rel", "ff_hidden", "span",
-                                         "labels", "rows_by_width"}
+                                         "labels", "width_labels",
+                                         "rows_by_width"}
 
             def arrays():
                 return [a.tobytes() for a in (tabs.rel, tabs.nuc, tabs.span)]
@@ -975,6 +1074,46 @@ class TestNonFiniteScores:
         tabs.span[0, 0] = np.inf
         for decode in (decode_exact, decode_partial, decode_complete):
             decode(4, tabs)
+
+    def test_projections_named_within_their_own_scorer(self):
+        """The stacked relation and nuclearity projections name a bad entry
+        by its scorer, block, EDU and unit within that scorer's own first
+        layer, relation before nuclearity."""
+        doc, params = small_params(seed=5, ff_hidden=4)
+        enc = encode_document(doc, params)
+        d = params.edu_dim
+        params.arrays["nuc.W1"][3, 2 * d + 1] = np.nan
+        with pytest.raises(ValueError,
+                           match=r"nuc projection, block 2, EDU 0, unit 3$"):
+            NeuralOracle(params, enc)
+        params.arrays["rel.W1"][1, d] = np.inf
+        with pytest.raises(ValueError,
+                           match=r"rel projection, block 1, EDU 0, unit 1$"):
+            NeuralOracle(params, enc)
+
+    def test_bad_label_rows_named_relation_first_on_every_path(self):
+        """A row NaN in both scorers is named ``rel``, one NaN in the
+        nuclearity scorer only ``nuc``, through ``labels``,
+        ``width_labels``, LossAugmented and decode_partial."""
+        rng = np.random.default_rng(6)
+        n = 9
+        params = random_params(n_rel=5, seed=6, ff_hidden=8)
+        enc = encode_document(random_document(n, rng), params)
+        gold = gold_tree(n, params.n_rel, rng)
+        for cols, name in ((slice(None), "rel"), (slice(8, None), "nuc")):
+            oracle = NeuralOracle(params, enc)
+            # block 3 of EDU 6: the rows of the cells (i, 7)
+            oracle._labels.proj[3, 6, cols] = np.nan
+            for scores in (oracle, LossAugmented(oracle, gold)):
+                with pytest.raises(ValueError,
+                                   match=rf"{name}\[2, 7, 4\]\[0\] = nan"):
+                    scores.labels([0, 2], [2, 7], [1, 4])
+                with pytest.raises(ValueError,
+                                   match=rf"{name}\[4, 7, 5\]\[0\] = nan"):
+                    scores.width_labels(3, np.arange(1, 8))
+                with pytest.raises(ValueError,
+                                   match=rf"{name}\[6, 7, 6\]\[0\] = nan"):
+                    decode_partial(n, scores)
 
     def test_neural_scores_checked_when_built(self):
         doc, params = small_params(seed=5)

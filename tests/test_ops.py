@@ -638,3 +638,43 @@ class TestTapeMechanics:
         assert bits[0] == bits[1]
         assert bits[0][0][3] is ops.RowGrad
         assert bits[0][1][4] == np.zeros(2).tobytes()
+
+    def test_first_leaf_gradient_is_one_new_array_with_the_copying_bits(self):
+        """A leaf's first dense gradient is stored as g + 0.0, a new array
+        of the leaf's shape made in one pass, not zeros then += g: the bits
+        of the copying reference, -0.0 made +0.0, for a leaf whose gradient
+        is all signed zeros, a 0-d leaf, a leaf reached through two parents,
+        a RowGrad leaf and a RowGrad that meets a second contribution, over
+        two calls."""
+        rng = np.random.default_rng(12)
+        zeros = np.where(rng.random((4, 3)) < 0.5, -0.0, 0.0)
+        x0, z0 = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        table = rng.standard_normal((5, 3))
+
+        def graph():
+            x, z, s, t1, t2 = (ops.tensor(v) for v in
+                               (x0, z0, np.array(1.5), table, table))
+            terms = [ops.vsum(ops.cmul(z, zeros)),       # only signed zeros
+                     ops.vsum(ops.scale(s, -0.0)),       # a 0-d -0.0
+                     ops.vsum(ops.cmul(x, zeros)),       # x, two parents
+                     ops.vsum(ops.scale(x, -2.0)),
+                     ops.vsum(ops.take_rows(t1, [4, 0, 4])),
+                     ops.vsum(ops.cmul(ops.take_rows(t2, [1, 1]), zeros[:2])),
+                     ops.vsum(ops.scale(t2, 0.5))]
+            return ops.addn(terms), (x, z, s, t1, t2)
+
+        bits = []
+        for backward in (ops.backward, ref_backward):
+            root, leaves = graph()
+            backward(root)
+            first = [(type(t.grad), ops.dense(t.grad).tobytes())
+                     for t in leaves]
+            backward(root)
+            bits.append((first, [ops.dense(t.grad).tobytes() for t in leaves]))
+        assert bits[0] == bits[1]
+        first = bits[0][0]
+        assert [kind for kind, _ in first] == [np.ndarray, np.ndarray,
+                                               np.ndarray, ops.RowGrad,
+                                               np.ndarray]
+        assert first[1][1] == np.zeros((4, 3)).tobytes()
+        assert first[2][1] == np.zeros(()).tobytes()
