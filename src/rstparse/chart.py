@@ -30,10 +30,11 @@ computes them from factored partial sums with the bits the dense table's
 blocks give them, and LossAugmented shifts its inner scorer's rows.  The
 partial decoder asks ``width_labels`` for one row per cell, at the split
 it chose (about n^2/2 rows, one batch per width), the complete decoder and
-score_tree ask ``labels`` for the 2n - 1 rows of one tree.  On the neural path rows are computed from first-layer
-projections made once per document, so no decoder holds more than O(n^2)
-scores.  ``tables()`` on a NeuralOracle or LossAugmented assembles the
-dense ScoreTables from the same width rows; no decoder calls it.
+score_tree ask ``labels`` for the 2n - 1 rows of one tree.  On the neural
+path rows are computed from first-layer projections made once per
+document, so no decoder holds more than O(n^2) scores.  ``tables()`` on a
+NeuralOracle or LossAugmented assembles the dense ScoreTables from the same
+width rows; no decoder calls it.
 
 Also here: tree scoring, the hamming-style tree distance, loss-augmented
 decoding (a view that shifts the rows a decoder asks for), the structured

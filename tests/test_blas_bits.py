@@ -9,10 +9,11 @@ of the dense table's row-by-row build, the second layer
 the relation and nuclearity scorers stacked into one first layer
 (``StackedFeedforward``) those of each scorer on its own, and the span
 table built in blocks those of one batch under one BLAS thread, whatever
-the thread count.  Each promise holds only because of how numpy and its BLAS pick their kernels.  A BLAS
-that behaves otherwise fails the digests and the byte-for-byte grids; the
-tests here say which assumption broke, and each message names the code that
-relies on it.  Measured with numpy 2.4 on OpenBLAS 0.3.31.
+the thread count.  Each promise holds only because of how numpy and its
+BLAS pick their kernels.  A BLAS that behaves otherwise fails the digests
+and the byte-for-byte grids; the tests here say which assumption broke, and
+each message names the code that relies on it.  Measured with numpy 2.4 on
+OpenBLAS 0.3.31.
 
 One assumption is Python's own: ``data.parse_tree_text`` splits ``.tree``
 text with the regex ``\\s``, and the text it must split as before was
