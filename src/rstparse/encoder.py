@@ -213,15 +213,19 @@ class ModelParams:
         return self._tensors
 
     def leaf_gradients(self) -> dict[str, np.ndarray | ops.RowGrad]:
-        """Each parameter's gradient as ``ops.backward`` left it: a RowGrad
-        for an embedding table read by one gather, otherwise an ndarray
-        (zeros where no gradient reached the parameter)."""
-        return {name: t.grad if t.grad is not None else np.zeros_like(t.data)
-                for name, t in self.tensors().items()}
+        """The gradient of each parameter a gradient reached, as
+        ``ops.backward`` left it: a RowGrad for an embedding table read by
+        one gather, otherwise an ndarray.  A parameter no gradient reached
+        is left out."""
+        return {name: t.grad for name, t in self.tensors().items()
+                if t.grad is not None}
 
     def gradients(self) -> dict[str, np.ndarray]:
-        """Every parameter's gradient as a dense array of its shape."""
-        return {name: ops.dense(g) for name, g in self.leaf_gradients().items()}
+        """Every parameter's gradient as a dense array of its shape, zeros
+        where no gradient reached it."""
+        return {name: (ops.dense(t.grad) if t.grad is not None
+                       else np.zeros_like(t.data))
+                for name, t in self.tensors().items()}
 
     def zero_grads(self) -> None:
         if self._tensors is not None:

@@ -15,7 +15,9 @@ Expressions are calls, ``shift(add(a, scale(b, -1.0)), c)`` for
 a - b + c: a Tensor has no arithmetic operators.  The gradient a row
 gather sends to its table is a ``RowGrad``, the gathered rows with their
 upstream gradients, made dense only where something needs the whole
-array.  Everything is computed at 64-bit precision.
+array.  A VJP returns new arrays, views, or its ``g``, and keeps no
+reference to what it returns; ``backward`` writes only into the arrays
+this leaves it owning.  Everything is computed at 64-bit precision.
 
 Inside ``no_tape()`` nothing is recorded: every node is made without
 parents or VJP, so it holds only its result, and ``bilstm`` keeps none of
@@ -396,6 +398,14 @@ def backward(root: Tensor) -> None:
     from one ``take_rows`` keeps it as that RowGrad; a RowGrad that reaches
     an op node, or meets a second contribution, is made dense first, so op
     VJPs and every other leaf see ndarrays.
+
+    Every VJP keeps this contract: it returns, for each parent, a new
+    array, a view, or its ``g`` itself (or a RowGrad), and keeps no
+    reference to what it returns.  So an array a VJP returned as a new
+    base array, once, is held by nothing else, and the sweep adds later
+    gradients into it in place and stores it on a leaf without a copy.
+    In-place and out-of-place sums have the same bits, so every gradient
+    is that of the copying sweep (``tests/conftest.py::ref_backward``).
     """
     if root.data.shape != ():
         raise ValueError("backward expects a scalar root")
@@ -419,29 +429,52 @@ def backward(root: Tensor) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
+    # A VJP may hand one array, or views of it, to several parents, so only
+    # the arrays in ``owned`` (ids of the nodes whose pending gradient is
+    # one) are written to: the sums made here, and a first gradient that a
+    # VJP returned as a new base array, neither its g nor returned twice.
+    # Any other first gradient is kept as it is, and its sums are made out
+    # of place.
     grads: dict[int, np.ndarray | RowGrad] = {id(root): np.ones(())}
+    owned = {id(root)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
+        mine = id(node) in owned
+        owned.discard(id(node))
         if node._vjp is None:
             if node.grad is None:
-                # a RowGrad is kept; an array is stored as a new one of the
-                # leaf's shape, since later gradients are added into it, in
-                # one pass that makes -0.0 +0.0, as zeros + g would
-                node.grad = (g if isinstance(g, RowGrad) else
-                             np.add(g, 0.0, out=np.empty(node.data.shape)))
+                # a RowGrad is kept; an array is stored as one of the leaf's
+                # shape that only it holds, since later gradients are added
+                # into it, with -0.0 made +0.0, as zeros + g would
+                if isinstance(g, RowGrad):
+                    node.grad = g
+                elif mine and g.shape == node.data.shape:
+                    g += 0.0
+                    node.grad = g
+                else:
+                    node.grad = np.add(g, 0.0, out=np.empty(node.data.shape))
                 continue
             node.grad = dense(node.grad)
             node.grad += dense(g)
             continue
-        for parent, pg in zip(node._parents, node._vjp(dense(g))):
-            # A first gradient is kept as it is and sums are made out of
-            # place: a VJP may hand one array, or views of it, to several
-            # parents, so no stored gradient is ever written to.
+        g = dense(g)
+        pgs = node._vjp(g)
+        ids = [id(pg) for pg in pgs]
+        for parent, pg in zip(node._parents, pgs):
             acc = grads.get(id(parent))
             if acc is None:
-                grads[id(parent)] = (pg if isinstance(pg, RowGrad) else
-                                     np.asarray(pg, dtype=np.float64))
+                if isinstance(pg, RowGrad):
+                    grads[id(parent)] = pg
+                    continue
+                acc = grads[id(parent)] = np.asarray(pg, dtype=np.float64)
+                if (acc is pg and pg is not g and pg.base is None
+                        and ids.count(id(pg)) == 1):
+                    owned.add(id(parent))
+            elif id(parent) in owned:
+                acc += dense(pg)
             else:
-                grads[id(parent)] = dense(acc) + dense(pg)
+                # an array even for 0-d terms, whose sum is a numpy scalar
+                grads[id(parent)] = np.asarray(dense(acc) + dense(pg))
+                owned.add(id(parent))

@@ -101,19 +101,60 @@ def joint_loss(doc: Document, params: ModelParams, cfg: TrainConfig,
 # --- optimizer ------------------------------------------------------------
 
 @dataclass
+class _RowMoments:
+    """Adam's m and v for the rows of one table that a gradient has reached.
+
+    ``slot[r]`` is row r's place in ``m`` and ``v``, -1 until a gradient
+    first reaches row r, and ``rows[k]`` the row in place k; the first
+    ``n`` places are in use.  The arrays grow geometrically, so a (V, d)
+    table costs one int per row and 2 d floats per touched row.
+    """
+    slot: np.ndarray
+    rows: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    n: int = 0
+
+    @classmethod
+    def empty(cls, shape: tuple[int, int]) -> "_RowMoments":
+        n_rows, d = shape
+        return cls(np.full(n_rows, -1, dtype=np.intp),
+                   np.empty(0, dtype=np.intp), np.zeros((0, d)),
+                   np.zeros((0, d)))
+
+    def add(self, rows: np.ndarray) -> None:
+        """Give each of ``rows`` (distinct) that has none the next place."""
+        new = rows[self.slot[rows] < 0]
+        n = self.n + new.size
+        if n > len(self.rows):
+            size = max(n, 2 * len(self.rows))
+            for name in ("rows", "m", "v"):
+                old = getattr(self, name)
+                grown = np.zeros((size,) + old.shape[1:], dtype=old.dtype)
+                grown[:self.n] = old[:self.n]
+                setattr(self, name, grown)
+        self.rows[self.n:n] = new
+        self.slot[new] = np.arange(self.n, n)
+        self.n = n
+
+
+@dataclass
 class AdamState:
-    """Adam's moments and step count.  ``touched`` maps each table that has
-    received an ``ops.RowGrad`` to a mask of the rows any gradient has
-    reached so far; outside the mask m = v = 0.  It costs one bool per row."""
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam's step count and moments, made where gradients reach: ``m`` and
+    ``v`` hold dense moments for each array whose first gradient was an
+    ndarray, and ``rows`` the moments of the touched rows of each table
+    whose first gradient was an ``ops.RowGrad``.  Every moment of an array
+    in neither, and of a row without a place, is 0."""
     t: int = 0
-    touched: dict[str, np.ndarray] = field(default_factory=dict)
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
+    rows: dict[str, _RowMoments] = field(default_factory=dict)
 
     @classmethod
     def init(cls, arrays: dict[str, np.ndarray]) -> "AdamState":
-        return cls({k: np.zeros_like(a) for k, a in arrays.items()},
-                   {k: np.zeros_like(a) for k, a in arrays.items()})
+        """The state before the first step of training ``arrays``: no
+        moment is allocated until a gradient reaches its array."""
+        return cls()
 
 
 def _rows_per_block(row_size: int) -> int:
@@ -165,19 +206,25 @@ def adam_step(arrays: dict[str, np.ndarray],
     step holds no temporary the size of a parameter; every entry goes
     through the same operations in the same order as a whole-array update.
 
-    A gradient is an ndarray or an ``ops.RowGrad``.  For a RowGrad the
-    update runs only on the rows in ``state.touched``, this step's among
-    them, with g = 0 on the rows this step missed: the dense update's
+    A gradient is an ndarray or an ``ops.RowGrad``, and an array missing
+    from ``grads`` has g = 0.  An array gets its state from its first
+    gradient: dense m and v for an ndarray, a row store (``_RowMoments``)
+    for a RowGrad.  A table with a row store is updated on its stored rows
+    only, with g = 0 on the rows this step missed: the dense update's
     expressions in its order, so each of those rows gets the dense result
-    bit for bit.  Every other row has m = v = g = 0, from which the dense
-    update subtracts exactly 0.0, so skipping it changes nothing; the cost
-    is O(touched rows * d), not O(V * d).  This is not lazy Adam: a touched
-    row's moments decay at every step, as in the dense update.
+    bit for bit.  A dense gradient into such a table first stores its
+    non-zero rows.  Every other row, and every array without state, has
+    m = v = g = 0, from which the dense update subtracts exactly 0.0, so
+    skipping it changes nothing; a table's update costs O(touched rows * d),
+    not O(V * d).  This is not lazy Adam: a stored row's moments decay at
+    every step, as in the dense update.  A RowGrad into an array with
+    dense moments is made dense.
 
     With ``clip``, every gradient is made dense first, so the global norm
-    sums the arrays it always summed; those dense copies, and the scaled
-    ones, are the size of the parameters.  A non-finite gradient raises
-    FloatingPointError before anything changes.
+    sums the arrays it always summed (a missing array's term would be
+    0.0); those dense copies, and the scaled ones, are the size of the
+    parameters.  A non-finite gradient raises FloatingPointError before
+    anything changes.
     """
     for name, g in grads.items():
         values = g.sums() if isinstance(g, ops.RowGrad) else g
@@ -186,42 +233,62 @@ def adam_step(arrays: dict[str, np.ndarray],
                    for s in _blocks(len(values), row)):
             raise FloatingPointError(f"non-finite gradient in {name!r} "
                                      f"at step {state.t + 1}")
+    for name, g in grads.items():
+        if name in state.rows or name in state.m:
+            continue
+        if isinstance(g, ops.RowGrad):
+            state.rows[name] = _RowMoments.empty(g.shape)
+        else:
+            state.m[name] = np.zeros_like(arrays[name])
+            state.v[name] = np.zeros_like(arrays[name])
     if clip is not None:
         grads = {k: ops.dense(g) for k, g in grads.items()}
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         if norm > clip:
             factor = clip / norm
             grads = {k: g * factor for k, g in grads.items()}
+    for name, store in state.rows.items():
+        g = grads.get(name)
+        if isinstance(g, ops.RowGrad):
+            store.add(g.rows())
+        elif g is not None:
+            store.add(np.concatenate(
+                [s.start + np.flatnonzero(np.any(g[s] != 0.0, axis=1))
+                 for s in _blocks(len(g), g.shape[1])]))
     state.t += 1
     c1 = 1.0 - ADAM_BETA1 ** state.t
     c2 = 1.0 - ADAM_BETA2 ** state.t
-    size = max((_largest_block(g.shape) for g in grads.values()), default=0)
+    shapes = [m.shape for m in state.m.values()]
+    shapes += [(store.n, store.m.shape[1]) for store in state.rows.values()]
+    size = max((_largest_block(shape) for shape in shapes), default=0)
     scratch = np.empty(size), np.empty(size)
-    for name, g in grads.items():
-        x, m, v = arrays[name], state.m[name], state.v[name]
-        row = math.prod(x.shape[1:])
-        if isinstance(g, ops.RowGrad):
-            mask = state.touched.setdefault(
-                name, np.zeros(g.shape[0], dtype=bool))
-            mask[g.rows()] = True
-            rows = np.flatnonzero(mask)
-            # where each of this step's rows sits among the touched ones
-            at = np.searchsorted(rows, g.rows())
-            sums = g.sums()
-            for s in _blocks(rows.size, row):
-                r = rows[s]
-                lo, hi = np.searchsorted(at, (s.start, s.stop))
-                g_rows = np.zeros((r.size, row))
-                g_rows[at[lo:hi] - s.start] = sums[lo:hi]
-                xr, mr, vr = x[r], m[r], v[r]
-                _adam_block(xr, mr, vr, g_rows, scratch, lr, c1, c2)
-                x[r], m[r], v[r] = xr, mr, vr
-            continue
-        mask = state.touched.get(name)    # must cover every m, v != 0
-        for s in _blocks(len(x), row):
-            if mask is not None:
-                mask[s] |= np.any(g[s] != 0.0, axis=1)
+    for name, m in state.m.items():
+        x, v, g = arrays[name], state.v[name], grads.get(name)
+        g = np.broadcast_to(0.0, x.shape) if g is None else ops.dense(g)
+        for s in _blocks(len(x), math.prod(x.shape[1:])):
             _adam_block(x[s], m[s], v[s], g[s], scratch, lr, c1, c2)
+    for name, store in state.rows.items():
+        x, g = arrays[name], grads.get(name)
+        d = x.shape[1]
+        if isinstance(g, ops.RowGrad):
+            # this step's places, ascending, and their rows' gradients
+            at = store.slot[g.rows()]
+            order = np.argsort(at)
+            at, sums = at[order], g.sums()[order]
+        rows, m, v = (a[:store.n] for a in (store.rows, store.m, store.v))
+        for s in _blocks(store.n, d):
+            r = rows[s]
+            if g is None:
+                g_rows = np.broadcast_to(0.0, (r.size, d))
+            elif isinstance(g, ops.RowGrad):
+                lo, hi = np.searchsorted(at, (s.start, s.stop))
+                g_rows = np.zeros((r.size, d))
+                g_rows[at[lo:hi] - s.start] = sums[lo:hi]
+            else:
+                g_rows = g[r]
+            xr = x[r]
+            _adam_block(xr, m[s], v[s], g_rows, scratch, lr, c1, c2)
+            x[r] = xr
 
 
 # --- prediction and evaluation -------------------------------------------

@@ -20,8 +20,10 @@ decoder loop and the recursive random_tree, the references for the batched
 decoder and the iterative tree sampler; the dense-table build that asked
 ``labels`` for each block's rows, the reference for the blocks built from
 factored partial sums; the out-of-place second layer, the reference for
-the one run in place; the dense embedding gradient and dense Adam step, the
-references for row gradients and Adam over touched rows; the row
+the one run in place; the dense embedding gradient and dense Adam step
+with its own dense state (``RefAdamState``), the references for row
+gradients and for Adam state made where gradients reach, which
+``dense_moments`` reads back as dense m and v; the row
 gradient's dense form built with ``np.add.at``, the reference for the one
 built by occurrence rank; the backward pass that copied every first
 gradient it stored, the reference for the one that keeps them as they are;
@@ -765,9 +767,47 @@ def ref_take_rows(a, index):
     return ops.Tensor(gathered.reshape(index.shape[0], -1), (a,), vjp)
 
 
+class RefAdamState:
+    """The reference's own Adam state: dense m and v for every array."""
+
+    def __init__(self, arrays):
+        self.t = 0
+        self.m = {k: np.zeros_like(a) for k, a in arrays.items()}
+        self.v = {k: np.zeros_like(a) for k, a in arrays.items()}
+
+
+def dense_moments(state, arrays):
+    """An ``AdamState``'s m and v as dense arrays of every array's shape:
+    its dense moments, its row stores' rows scattered into zeros, and zeros
+    for an array without state."""
+    out = ({}, {})
+    for name, a in arrays.items():
+        store = state.rows.get(name)
+        for moments, dense in zip(out, (state.m, state.v)):
+            moments[name] = (dense[name].copy() if name in dense
+                             else np.zeros_like(a))
+        if store is not None:
+            assert name not in state.m
+            rows = store.rows[:store.n]
+            assert np.unique(rows).size == rows.size
+            np.testing.assert_array_equal(store.slot[rows],
+                                          np.arange(store.n))
+            assert (store.slot >= 0).sum() == store.n
+            out[0][name][rows] = store.m[:store.n]
+            out[1][name][rows] = store.v[:store.n]
+    return out
+
+
+def touched_rows(state, name):
+    """The rows of ``name`` in an ``AdamState``'s row store, ascending."""
+    store = state.rows[name]
+    return np.sort(store.rows[:store.n])
+
+
 def ref_adam_step(arrays, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8,
                   clip=None):
-    """training.adam_step over dense gradients, every row of every array."""
+    """training.adam_step over dense gradients, every row of every array,
+    with a ``RefAdamState``."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in {name!r} "

@@ -678,3 +678,78 @@ class TestTapeMechanics:
                                                np.ndarray]
         assert first[1][1] == np.zeros((4, 3)).tobytes()
         assert first[2][1] == np.zeros(()).tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_owned_gradients_give_the_copying_bits(self, seed):
+        """backward adds into and stores only the arrays it owns: every
+        leaf gets the bits and the kind of the copying reference, over two
+        calls on one root, and no two leaves' gradients share memory.  The
+        graph has add's one g for both parents, addn's, concat's split
+        views, shift's pass-through of a g another node holds, a VJP that
+        returns a view of its g, one that returns one new array to two
+        parents, a RowGrad meeting a dense gradient, a RowGrad leaf, a leaf
+        reached three times, 0-d leaves and a 0-d node whose three terms
+        are numpy scalars, and signed zeros."""
+        rng = np.random.default_rng(seed)
+        zeros = np.where(rng.random((4, 3)) < 0.5, -0.0, 0.0)
+        x0, y0, z0 = (rng.standard_normal((4, 3)) for _ in range(3))
+        table0, w0 = rng.standard_normal((6, 3)), rng.standard_normal((3, 3))
+        b0, mask = rng.standard_normal(3), rng.standard_normal((8, 3))
+
+        def view(t):
+            return ops.Tensor(t.data, (t,), lambda g: (g[...],))
+
+        def graph():
+            x, y, z, t1, t2, w, b, k1, k2, k3, k4, p, q = (
+                ops.tensor(v) for v in (x0, y0, z0, table0, table0, w0, b0)
+                + (x0, y0, z0, x0, y0, z0))
+            s, u = ops.tensor(np.array(0.7)), ops.tensor(np.array(-0.0))
+            h = ops.linear(ops.relu(x), w, b)           # new base arrays
+            a = ops.scale(y, 2.0)
+            # one new array for both p and q: neither may own it
+            both = ops.Tensor(np.array(0.0), (p, q),
+                              lambda g: (np.full((4, 3), g) * 0.5,) * 2)
+            r = ops.shift(s, 0.5)
+            terms = [ops.vsum(ops.cmul(ops.add(h, a), mask[:4])),
+                     ops.vsum(ops.cmul(h, mask[4:])),
+                     ops.vsum(ops.shift(a, 1.0)),
+                     both,
+                     ops.vsum(ops.cmul(ops.concat([x, a]), mask)),
+                     ops.vsum(ops.scale(x, -1.5)),      # x's third parent
+                     ops.vsum(ops.take_rows(t1, [5, 0, 5])),
+                     ops.vsum(ops.cmul(ops.take_rows(t2, [1, 1]),
+                                       zeros[:2])),
+                     ops.vsum(ops.scale(t2, 0.25)),
+                     ops.vsum(ops.cmul(z, zeros)),      # only signed zeros
+                     ops.vsum(ops.cmul(ops.add(ops.shift(k1, 1.0),
+                                               ops.shift(k2, 1.0)),
+                                       mask[2:6])),
+                     ops.vsum(ops.cmul(ops.add(view(k3), view(k4)),
+                                       mask[1:5])),
+                     ops.addn([ops.scale(r, 3.0), ops.scale(r, -0.5),
+                               ops.scale(r, 2.0)]),
+                     ops.scale(u, -0.0),
+                     ops.addn([ops.vsum(ops.cmul(h, zeros))] * 2)]
+            return ops.addn(terms), (x, y, z, t1, t2, w, b, s, u, k1, k2,
+                                     k3, k4, p, q)
+        def storage(g):
+            return g.values if isinstance(g, ops.RowGrad) else g
+
+        runs = []
+        for backward in (ops.backward, ref_backward):
+            root, leaves = graph()
+            calls = []
+            for _ in range(2):
+                backward(root)
+                stored = [storage(t.grad) for t in leaves]
+                for i, one in enumerate(stored):
+                    for other in stored[i + 1:]:
+                        assert not np.shares_memory(one, other)
+                calls.append([(type(t.grad), ops.dense(t.grad).tobytes())
+                              for t in leaves])
+            runs.append(calls)
+        assert runs[0] == runs[1]
+        kinds = [kind for kind, _ in runs[0][0]]
+        assert kinds[3] is ops.RowGrad and kinds.count(ops.RowGrad) == 1
+        assert runs[0][0][2][1] == np.zeros((4, 3)).tobytes()
+        assert runs[0][0][8][1] == np.zeros(()).tobytes()

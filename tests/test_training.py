@@ -5,7 +5,13 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import ref_adam_step, ref_take_rows
+from conftest import (
+    RefAdamState,
+    dense_moments,
+    ref_adam_step,
+    ref_take_rows,
+    touched_rows,
+)
 from rstparse import ops
 from rstparse.chart import NonFiniteScore, chart_loss
 from rstparse.core import Document, Edu, RelationVocab
@@ -115,7 +121,8 @@ class TestAdam:
         adam_step(unclipped, {"w": np.ones(4) * 1e6}, s2, lr=0.1)
         # the Adam normalization makes both steps finite; the clipped state
         # must carry the capped first moment
-        assert np.abs(s1.m["w"]).max() < np.abs(s2.m["w"]).max()
+        m1, m2 = dense_moments(s1, big)[0], dense_moments(s2, unclipped)[0]
+        assert np.abs(m1["w"]).max() < np.abs(m2["w"]).max()
 
     def test_dense_gradient_extends_the_row_mask(self):
         # a table that has had row gradients, then a dense one, then rows
@@ -127,14 +134,15 @@ class TestAdam:
                  dense_g,
                  ops.RowGrad((6, 2), np.array([2]), rng.standard_normal((1, 2)))]
         rows, ref = {"w": start.copy()}, {"w": start.copy()}
-        s_rows, s_ref = AdamState.init(rows), AdamState.init(ref)
+        s_rows, s_ref = AdamState.init(rows), RefAdamState(ref)
         for g in steps:
             adam_step(rows, {"w": g}, s_rows, lr=0.1)
             ref_adam_step(ref, {"w": ops.dense(g)}, s_ref, lr=0.1)
-        np.testing.assert_array_equal(np.flatnonzero(s_rows.touched["w"]),
-                                      [1, 2, 4])
+        np.testing.assert_array_equal(touched_rows(s_rows, "w"), [1, 2, 4])
         assert rows["w"].tobytes() == ref["w"].tobytes()
-        assert s_rows.m["w"].tobytes() == s_ref.m["w"].tobytes()
+        m, v = dense_moments(s_rows, rows)
+        assert m["w"].tobytes() == s_ref.m["w"].tobytes()
+        assert v["w"].tobytes() == s_ref.v["w"].tobytes()
 
     def test_clipping_sums_the_dense_gradient(self):
         # np.sum groups a dense table's terms otherwise than those of its
@@ -143,15 +151,16 @@ class TestAdam:
         start = np.random.default_rng(0).standard_normal((200, 4))
         rng = np.random.default_rng(1)
         rows, ref = {"w": start.copy()}, {"w": start.copy()}
-        s_rows, s_ref = AdamState.init(rows), AdamState.init(ref)
+        s_rows, s_ref = AdamState.init(rows), RefAdamState(ref)
         for _ in range(4):
             g = ops.RowGrad((200, 4), rng.integers(0, 200, size=30),
                             rng.standard_normal((30, 4)))
             adam_step(rows, {"w": g}, s_rows, lr=0.1, clip=0.5)
             ref_adam_step(ref, {"w": g.dense()}, s_ref, lr=0.1, clip=0.5)
         assert rows["w"].tobytes() == ref["w"].tobytes()
-        assert s_rows.m["w"].tobytes() == s_ref.m["w"].tobytes()
-        assert s_rows.v["w"].tobytes() == s_ref.v["w"].tobytes()
+        m, v = dense_moments(s_rows, rows)
+        assert m["w"].tobytes() == s_ref.m["w"].tobytes()
+        assert v["w"].tobytes() == s_ref.v["w"].tobytes()
 
     def test_non_finite_row_gradient_aborts(self):
         arrays = {"w": np.ones((3, 2))}
@@ -192,7 +201,7 @@ class TestAdam:
         start["mat"][:3] = -0.0
         blocks, ref = ({k: a.copy() for k, a in start.items()}
                        for _ in range(2))
-        s_blocks, s_ref = AdamState.init(blocks), AdamState.init(ref)
+        s_blocks, s_ref = AdamState.init(blocks), RefAdamState(ref)
         for _ in range(4):
             grads = {k: draw(s) for k, s in shapes.items() if k != "emb"}
             grads["emb"] = ops.RowGrad((3000, 50),
@@ -203,13 +212,14 @@ class TestAdam:
                 ref_adam_step(ref, {k: ops.dense(g) for k, g in grads.items()},
                               s_ref, lr=0.01)
         # the touched rows fill more than one block of 50-float rows
-        assert s_blocks.touched["emb"].sum() > ADAM_BLOCK // 50
+        assert touched_rows(s_blocks, "emb").size > ADAM_BLOCK // 50
         assert s_blocks.t == s_ref.t == 4
         assert np.isinf(s_ref.v["vec"]).any()
+        m, v = dense_moments(s_blocks, blocks)
         for name in shapes:
             assert blocks[name].tobytes() == ref[name].tobytes(), name
-            assert s_blocks.m[name].tobytes() == s_ref.m[name].tobytes(), name
-            assert s_blocks.v[name].tobytes() == s_ref.v[name].tobytes(), name
+            assert m[name].tobytes() == s_ref.m[name].tobytes(), name
+            assert v[name].tobytes() == s_ref.v[name].tobytes(), name
 
     @pytest.mark.parametrize("shape", [(1_000_000,), (5_000, 200)])
     def test_update_allocates_no_array_of_the_parameter_size(self, shape):
@@ -220,8 +230,152 @@ class TestAdam:
         arrays = {"w": rng.standard_normal(shape)}
         grads = {"w": rng.standard_normal(shape)}
         state = AdamState.init(arrays)
+        adam_step(arrays, grads, state, lr=0.1)     # makes m and v
         peak = traced_peak(lambda: adam_step(arrays, grads, state, lr=0.1))
         assert peak < 2 * 2 ** 20, peak
+
+
+def adam_against_dense(start, schedule, clip=None, lr=0.01):
+    """``adam_step`` over ``schedule``, one dict of gradients per step,
+    against ``ref_adam_step`` on dense gradients with zeros for every
+    array a step leaves out, under its own dense state: parameters and
+    moments byte for byte after every step.  Returns the state and the
+    dense moments after each step."""
+    arrays = {k: a.copy() for k, a in start.items()}
+    ref = {k: a.copy() for k, a in start.items()}
+    state, ref_state = AdamState.init(arrays), RefAdamState(ref)
+    history = []
+    for step, grads in enumerate(schedule, 1):
+        with np.errstate(over="ignore"):
+            adam_step(arrays, grads, state, lr, clip=clip)
+            ref_adam_step(ref, {k: (ops.dense(grads[k]) if k in grads
+                                    else np.zeros_like(a))
+                                for k, a in ref.items()},
+                          ref_state, lr, clip=clip)
+        m, v = dense_moments(state, arrays)
+        for name in start:
+            where = f"{name} at step {step}"
+            assert arrays[name].tobytes() == ref[name].tobytes(), where
+            assert m[name].tobytes() == ref_state.m[name].tobytes(), where
+            assert v[name].tobytes() == ref_state.v[name].tobytes(), where
+        history.append((m, v))
+    return state, history
+
+
+class TestAdamStateWhereGradientsReach:
+    """Adam state made on first use against the dense reference, which
+    holds dense m and v for every array from the start."""
+
+    def test_row_store_grows_over_many_blocks(self):
+        """20 steps, each reaching new rows of an (8,000, 40) table: the
+        store ends up spanning several 65,536-entry blocks and grew by
+        doubling, with every earlier row decaying at every step."""
+        rng = np.random.default_rng(31)
+        shape = (8000, 40)
+        start = {"emb": rng.standard_normal(shape), "b": rng.standard_normal(7)}
+        schedule = []
+        for step in range(20):
+            index = rng.integers(0, 400 * (step + 1), size=1000)
+            schedule.append({"emb": ops.RowGrad(shape, index,
+                                                 rng.standard_normal((1000, 40))),
+                             "b": rng.standard_normal(7)})
+        sizes = []
+        arrays = {k: a.copy() for k, a in start.items()}
+        state = AdamState.init(arrays)
+        for grads in schedule:
+            adam_step(arrays, grads, state, 0.01)
+            sizes.append(len(state.rows["emb"].rows))
+        store = state.rows["emb"]
+        assert store.n > 3 * ADAM_BLOCK // 40
+        assert store.n == np.unique(np.concatenate(
+            [g["emb"].rows() for g in schedule])).size
+        grown = sorted(set(sizes))
+        assert all(b >= 2 * a for a, b in zip(grown, grown[1:])), grown
+        # the same run against the dense reference, byte for byte
+        state, _ = adam_against_dense(start, schedule)
+        assert set(state.rows) == {"emb"} and set(state.m) == {"b"}
+
+    @pytest.mark.parametrize("clip", [None, 0.5])
+    def test_first_use_and_unreached_arrays(self, clip):
+        """A table fed a RowGrad, then a dense gradient reaching new rows,
+        then a RowGrad; a table whose first gradient is dense, then a
+        RowGrad; an array first reached at step 3; one reached at steps 1
+        and 2 only, whose moments must still decay; one never reached,
+        which gets no state.  With ``clip`` the reference's norm also sums
+        the zeros of the arrays a step leaves out."""
+        rng = np.random.default_rng(32)
+        shape = (50, 4)
+        start = {k: rng.standard_normal(s) for k, s in
+                 dict(emb=shape, tab=shape, late=(3, 5), left=(6,),
+                      never=(4, 4)).items()}
+        dense_g = np.zeros(shape)
+        dense_g[[3, 40, 41]] = rng.standard_normal((3, 4))
+        dense_g[7] = -0.0                  # a signed zero, not a touch
+        schedule = [
+            {"emb": ops.RowGrad(shape, np.array([1, 5, 1]),
+                                rng.standard_normal((3, 4))),
+             "tab": rng.standard_normal(shape),
+             "left": rng.standard_normal(6)},
+            {"emb": dense_g, "left": rng.standard_normal(6)},
+            {"emb": ops.RowGrad(shape, np.array([5, 9]),
+                                rng.standard_normal((2, 4))),
+             "tab": ops.RowGrad(shape, np.array([2]),
+                                rng.standard_normal((1, 4))),
+             "late": rng.standard_normal((3, 5))},
+            {"late": rng.standard_normal((3, 5))},
+            {}]
+        state, history = adam_against_dense(start, schedule, clip=clip,
+                                            lr=0.1)
+        assert set(state.rows) == {"emb"}
+        assert set(state.m) == {"tab", "late", "left"}
+        np.testing.assert_array_equal(touched_rows(state, "emb"),
+                                      [1, 3, 5, 9, 40, 41])
+        m_left = [np.abs(m["left"]).sum() for m, _ in history]
+        assert m_left[1] > m_left[2] > m_left[3] > m_left[4] > 0.0
+
+    def test_clip_norm_without_unreached_arrays_keeps_the_bits(self):
+        """Leaving out an array no gradient reached, as leaf_gradients does,
+        leaves the clipped update of every other array as it was with that
+        array's zeros in the norm."""
+        rng = np.random.default_rng(33)
+        start = {k: rng.standard_normal(s) for k, s in
+                 dict(a=(30, 7), zero=(500, 3), c=(11,)).items()}
+        arrays = [{k: a.copy() for k, a in start.items()} for _ in range(2)]
+        states = [AdamState.init(a) for a in arrays]
+        for _ in range(3):
+            grads = {"a": rng.standard_normal((30, 7)) * 3.0,
+                     "c": rng.standard_normal(11)}
+            adam_step(arrays[0], dict(grads, zero=np.zeros((500, 3))),
+                      states[0], 0.1, clip=0.7)
+            adam_step(arrays[1], grads, states[1], 0.1, clip=0.7)
+        for name in start:
+            assert arrays[0][name].tobytes() == arrays[1][name].tobytes()
+        assert "zero" in states[0].m and "zero" not in states[1].m
+        m0, v0 = dense_moments(states[0], arrays[0])
+        m1, v1 = dense_moments(states[1], arrays[1])
+        for name in start:
+            assert m0[name].tobytes() == m1[name].tobytes()
+            assert v0[name].tobytes() == v1[name].tobytes()
+
+    def test_state_costs_what_the_gradients_reach(self):
+        """AdamState.init on a 20,000 x 300 table allocates under 64 KiB,
+        and a step whose gradient reaches 100 new rows allocates a small
+        multiple of the stored rows (100, then 200), not the table's
+        45.8 MiB."""
+        rng = np.random.default_rng(34)
+        shape = (20_000, 300)
+        arrays = {"emb": np.zeros(shape)}
+        assert traced_peak(lambda: AdamState.init(arrays)) < 64 * 2 ** 10
+        state = AdamState.init(arrays)
+        for stored in (100, 200):
+            index = rng.choice(np.arange(stored - 100, 20_000, 200), 100,
+                               replace=False)
+            g = ops.RowGrad(shape, index, rng.standard_normal((100, 300)))
+            g.sums()
+            peak = traced_peak(lambda: adam_step(arrays, {"emb": g}, state,
+                                                 0.1))
+            assert state.rows["emb"].n == stored
+            assert peak < 8 * stored * 300 * 8, peak
 
 
 class TestJointLoss:
@@ -558,7 +712,7 @@ def _train_steps(corpus, cfg, dense, pretrained=None, steps=6):
                               word_dim=cfg.word_dim, pos_dim=cfg.pos_dim,
                               hidden=cfg.hidden, ff_hidden=cfg.ff_hidden,
                               pretrained=pretrained)
-    adam = AdamState.init(params.arrays)
+    adam = (RefAdamState if dense else AdamState.init)(params.arrays)
     drop_rng = np.random.default_rng(9)
     docs = corpus.documents
     for s in range(steps):
@@ -600,15 +754,16 @@ class TestRowGradients:
             mp.setattr(ops, "take_rows", ref_take_rows)
             ref_params, ref_adam = _train_steps(corpus, cfg, True, pretrained)
         assert adam.t == ref_adam.t == 6
+        m, v = dense_moments(adam, params.arrays)
         for name, want in ref_params.arrays.items():
             assert params.arrays[name].tobytes() == want.tobytes(), name
-            assert adam.m[name].tobytes() == ref_adam.m[name].tobytes(), name
-            assert adam.v[name].tobytes() == ref_adam.v[name].tobytes(), name
-        if case == "clip":
-            assert adam.touched == {}
-        else:
-            # some rows were skipped, so the test covers the skipping
-            assert not adam.touched["word_emb"].all()
+            assert m[name].tobytes() == ref_adam.m[name].tobytes(), name
+            assert v[name].tobytes() == ref_adam.v[name].tobytes(), name
+        # the tables have row stores (with clip, fed dense gradients), and
+        # some rows were skipped, so the test covers the skipping
+        assert set(adam.rows) == {"word_emb", "pos_emb"}
+        assert (touched_rows(adam, "word_emb").size
+                < len(params.arrays["word_emb"]))
 
     def test_one_step_touches_only_the_document_rows(self):
         corpus = generate_synthetic(5, 6, VOCAB, seed=8)
@@ -629,15 +784,16 @@ class TestRowGradients:
                          for edu in doc.edus for tok in edu.tokens])
         np.testing.assert_array_equal(g.rows(), ids)
         adam_step(params.arrays, params.leaf_gradients(), adam, cfg.lr)
-        touched = adam.touched["word_emb"]
-        np.testing.assert_array_equal(np.flatnonzero(touched), ids)
-        outside = ~touched
+        np.testing.assert_array_equal(touched_rows(adam, "word_emb"), ids)
+        outside = np.ones(len(before), dtype=bool)
+        outside[ids] = False
         assert outside.any()
         assert (params.arrays["word_emb"][outside].tobytes()
                 == before[outside].tobytes())
         zeros = np.zeros((int(outside.sum()), 2)).tobytes()
-        assert adam.m["word_emb"][outside].tobytes() == zeros
-        assert adam.v["word_emb"][outside].tobytes() == zeros
+        m, v = dense_moments(adam, params.arrays)
+        assert m["word_emb"][outside].tobytes() == zeros
+        assert v["word_emb"][outside].tobytes() == zeros
         assert not np.array_equal(params.arrays["word_emb"][ids], before[ids])
 
 
